@@ -14,7 +14,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 from . import oracle
-from .equations import assemble_linear_system, build_equations, unknown_basis
+from .equations import assemble_linear_system, build_equations, key_rank, unknown_basis
 from .linalg import RowSpace, nullspace, rref
 from .poly import D, L, MultiPoly
 from .problems import CocycleWitness, ExtProblem, ExtSolution
@@ -29,13 +29,6 @@ __all__ = [
 ]
 
 verify_witness = oracle.verify_witness
-
-_PART_ORDER = {"f": 0, "g": 1, "h": 2}
-
-
-def _key_rank(key):
-    name, j, k = key
-    return (_PART_ORDER[name], -(j + k), -j, -k)
 
 
 def witness_coeff_map(w: CocycleWitness) -> dict:
@@ -102,7 +95,7 @@ def coboundary_basis(p: ExtProblem) -> list[CocycleWitness]:
     """
     span = coboundary_span(p)
     maps = [witness_coeff_map(w) for w in span]
-    allkeys = sorted({k for m in maps for k in m}, key=_key_rank)
+    allkeys = sorted({k for m in maps for k in m}, key=key_rank)
     index = {k: i for i, k in enumerate(allkeys)}
     rs = RowSpace(len(allkeys))
     out = []
@@ -128,7 +121,7 @@ def _cob_vectors_in_caps(p: ExtProblem, keys) -> list[list]:
         return []
     index = {k: i for i, k in enumerate(keys)}
     maps = [witness_coeff_map(w) for w in span]
-    over = sorted({k for m in maps for k in m if k not in index}, key=_key_rank)
+    over = sorted({k for m in maps for k in m if k not in index}, key=key_rank)
     oindex = {k: i for i, k in enumerate(over)}
     width = len(over) + len(keys)
     rows = []
@@ -172,9 +165,14 @@ def solve_core(p: ExtProblem, redundant: bool = True) -> ExtSolution:
     rows = system.concrete_rows()
     cocycles = nullspace(rows, len(keys))
     cob = _cob_vectors_in_caps(p, keys)
+    # every capped coboundary against every assembled row, independently of
+    # the nullspace just computed; zero entries, in a row or in the vector,
+    # cannot change a row's sum
+    supports = [[(i, c) for i, c in enumerate(row) if c] for row in rows]
     for vec in cob:
-        for row in rows:
-            if sum(c * x for c, x in zip(row, vec) if x) != 0:
+        nz = {i: x for i, x in enumerate(vec) if x}
+        for row in supports:
+            if sum(c * nz[i] for i, c in row if i in nz) != 0:
                 raise ArithmeticError(
                     "capped coboundary fails the cocycle equations; "
                     "basis-change images and identities disagree"

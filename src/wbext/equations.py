@@ -17,6 +17,7 @@ so a weight promoted to the scan variable ``t`` flows through unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .poly import D, L, MultiPoly, U
 from .problems import Caps, ExtProblem
@@ -24,6 +25,7 @@ from .problems import Caps, ExtProblem
 __all__ = [
     "Identity",
     "unknown_basis",
+    "key_rank",
     "build_equations",
     "build_equations_env",
     "LinearSystem",
@@ -35,6 +37,9 @@ __all__ = [
 class Identity:
     name: str
     cols: dict  # unknown key -> MultiPoly in (d, l, u[, t])
+
+
+_PART_ORDER = {"f": 0, "g": 1, "h": 2}
 
 
 def _graded_desc(monos):
@@ -67,6 +72,12 @@ def unknown_basis(shape: int, caps: Caps, sector: str) -> list:
     if shape == 2 and sector in ("full", "f"):
         keys.extend(("h", j, 0) for j in range(caps.h, -1, -1))
     return keys
+
+
+def key_rank(key):
+    """Sort key matching :func:`unknown_basis`: part, then graded-lex descending."""
+    name, j, k = key
+    return (_PART_ORDER[name], -(j + k), -j, -k)
 
 
 class _Powers:
@@ -232,10 +243,8 @@ class LinearSystem:
 
     def concrete_rows(self):
         """Rows with entries lowered to scalars (requires no ``t`` dependence)."""
-        out = []
-        for row in self.rows:
-            out.append([e.constant_value() for e in row])
-        return out
+        zero = Fraction(0)
+        return [[e.constant_value() if e else zero for e in row] for row in self.rows]
 
 
 def assemble_linear_system(identities, unknowns) -> LinearSystem:

@@ -1,8 +1,15 @@
 """Exact Gaussian elimination over any field with Python operator support.
 
-Rows are plain lists of field elements (``Fraction``, ``QuadExt`` or the
-scanner's rational-function type).  Everything is deterministic: pivots are
-chosen leftmost-column, topmost-row, so repeated runs give identical bases.
+Entries are ``Fraction`` or ``QuadExt`` values.  The systems this package
+builds are about 2% non-zero, so the one elimination kernel,
+:class:`RowSpace`, keeps each row sparse, as a ``{column: value}`` dict, and
+touches only non-zero entries.  The public functions accept dense rows and
+return dense vectors.
+
+The kernel holds the reduced row-echelon form (RREF) of everything added to
+it.  The RREF of a matrix is unique, so pivots, RREF rows, nullspace bases
+and reduction residues depend only on the row space, never on the order in
+which rows arrive or are eliminated: repeated runs give identical bases.
 """
 
 from __future__ import annotations
@@ -12,45 +19,111 @@ from fractions import Fraction
 __all__ = ["rref", "rank", "nullspace", "reduce_mod_rowspace", "RowSpace"]
 
 
+def _sparse(row) -> dict:
+    return {c: v for c, v in enumerate(row) if v}
+
+
+def _dense(row: dict, ncols: int) -> list:
+    out = [Fraction(0)] * ncols
+    for c, v in row.items():
+        out[c] = v
+    return out
+
+
+def _subtract(row: dict, factor, prow: dict) -> None:
+    """``row -= factor * prow`` in place, dropping entries that cancel."""
+    for c, v in prow.items():
+        old = row.get(c)
+        if old is None:
+            row[c] = -factor * v
+        else:
+            new = old - factor * v
+            if new:
+                row[c] = new
+            else:
+                del row[c]
+
+
+def _reduce(row: dict, prows: dict) -> dict:
+    """Reduce ``row`` in place against RREF rows keyed by pivot column.
+
+    Each RREF row is zero at every other pivot column, so one pass over the
+    pivot columns present in ``row`` clears them all.
+    """
+    for col in [c for c in row if c in prows]:
+        _subtract(row, row[col], prows[col])
+    return row
+
+
+class RowSpace:
+    """Incrementally maintained RREF row space over sparse rows.
+
+    Each added row is reduced against the current pivot rows, normalised at
+    its leading column and back-substituted into the other pivot rows, so
+    the stored rows always form the RREF of the span.
+    """
+
+    def __init__(self, ncols: int):
+        self.ncols = ncols
+        self._prows: dict[int, dict] = {}  # pivot column -> sparse RREF row
+
+    def _insert(self, row: dict) -> bool:
+        row = _reduce(row, self._prows)
+        if not row:
+            return False
+        lead = min(row)
+        scale = row[lead]
+        if scale != 1:
+            row = {c: v / scale for c, v in row.items()}
+        for prow in self._prows.values():
+            factor = prow.get(lead)
+            if factor is not None:
+                _subtract(prow, factor, row)
+        self._prows[lead] = row
+        return True
+
+    def add(self, vec) -> bool:
+        """Insert ``vec`` if independent of the current span.  Returns True if added."""
+        return self._insert(_sparse(vec))
+
+    def reduce(self, vec):
+        """Residue of ``vec`` modulo the span; zero at every pivot column."""
+        return _dense(_reduce(_sparse(vec), self._prows), self.ncols)
+
+    def contains(self, vec) -> bool:
+        return not _reduce(_sparse(vec), self._prows)
+
+    def dim(self) -> int:
+        return len(self._prows)
+
+    @property
+    def pivots(self) -> list[int]:
+        return sorted(self._prows)
+
+    @property
+    def rows(self) -> list[list]:
+        """Dense RREF rows in pivot order."""
+        return [_dense(self._prows[p], self.ncols) for p in self.pivots]
+
+
+def _eliminate(rows, ncols: int) -> RowSpace:
+    rs = RowSpace(ncols)
+    for row in rows:
+        rs._insert(_sparse(row))
+    return rs
+
+
 def rref(rows, ncols: int):
     """Reduced row-echelon form.  Returns ``(rref_rows, pivot_cols)``.
 
     Zero rows are dropped; input rows are not mutated.
     """
-    work = [list(r) for r in rows if any(c != 0 for c in r)]
-    pivots: list[int] = []
-    out: list[list] = []
-    row_idx = 0
-    for col in range(ncols):
-        pivot_row = None
-        for i in range(row_idx, len(work)):
-            if work[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        work[row_idx], work[pivot_row] = work[pivot_row], work[row_idx]
-        pr = work[row_idx]
-        if pr[col] != 1:
-            pr = [c / pr[col] for c in pr]
-            work[row_idx] = pr
-        for i in range(len(work)):
-            if i == row_idx:
-                continue
-            factor = work[i][col]
-            if factor != 0:
-                # skip untouched columns; rows stay sparse for most of the sweep
-                work[i] = [a - factor * b if b else a for a, b in zip(work[i], pr)]
-        pivots.append(col)
-        row_idx += 1
-        if row_idx == len(work):
-            break
-    out = [r for r in work[: len(pivots)]]
-    return out, pivots
+    rs = _eliminate(rows, ncols)
+    return rs.rows, rs.pivots
 
 
 def rank(rows, ncols: int) -> int:
-    return len(rref(rows, ncols)[1])
+    return _eliminate(rows, ncols).dim()
 
 
 def nullspace(rows, ncols: int):
@@ -59,72 +132,30 @@ def nullspace(rows, ncols: int):
     One vector per free column, ordered by free-column index; each vector is
     scaled so its first nonzero coordinate equals 1.
     """
-    rr, pivots = rref(rows, ncols)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
+    prows = _eliminate(rows, ncols)._prows
+    # free column -> [(pivot column, RREF entry)], pivot columns ascending
+    entries: dict[int, list] = {}
+    for pcol in sorted(prows):
+        for c, v in prows[pcol].items():
+            if c != pcol:
+                entries.setdefault(c, []).append((pcol, v))
     basis = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in prows:
+            continue
+        col = entries.get(fc, [])
+        # the vector is e_fc minus the RREF column; every pivot column that
+        # meets fc lies left of it, so the first of them leads
+        lead = -col[0][1] if col else Fraction(1)
         vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for prow, pcol in zip(rr, pivots):
-            if prow[fc] != 0:
-                vec[pcol] = -prow[fc]
-        basis.append(_normalize_lead(vec))
+        vec[fc] = 1 / lead
+        for pcol, v in col:
+            vec[pcol] = -v / lead
+        basis.append(vec)
     return basis
-
-
-def _normalize_lead(vec):
-    for c in vec:
-        if c != 0:
-            return [x / c for x in vec]
-    return vec
 
 
 def reduce_mod_rowspace(vec, rr, pivots):
     """Reduce ``vec`` against an RREF row space; the result has zeros at pivots."""
-    out = list(vec)
-    for prow, pcol in zip(rr, pivots):
-        factor = out[pcol]
-        if factor != 0:
-            out = [a - factor * b for a, b in zip(out, prow)]
-    return out
-
-
-class RowSpace:
-    """Incrementally maintained RREF row space, used for greedy basis extension."""
-
-    def __init__(self, ncols: int):
-        self.ncols = ncols
-        self.rows: list[list] = []
-        self.pivots: list[int] = []
-
-    def reduce(self, vec):
-        return reduce_mod_rowspace(vec, self.rows, self.pivots)
-
-    def add(self, vec) -> bool:
-        """Insert ``vec`` if independent of the current span.  Returns True if added."""
-        red = self.reduce(vec)
-        lead = None
-        for i, c in enumerate(red):
-            if c != 0:
-                lead = i
-                break
-        if lead is None:
-            return False
-        red = [c / red[lead] for c in red]
-        for row in self.rows:
-            if row[lead] != 0:
-                factor = row[lead]
-                row[:] = [a - factor * b for a, b in zip(row, red)]
-        pos = 0
-        while pos < len(self.pivots) and self.pivots[pos] < lead:
-            pos += 1
-        self.rows.insert(pos, red)
-        self.pivots.insert(pos, lead)
-        return True
-
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def contains(self, vec) -> bool:
-        return all(c == 0 for c in self.reduce(vec))
+    prows = {p: _sparse(row) for row, p in zip(rr, pivots)}
+    return _dense(_reduce(_sparse(vec), prows), len(vec))

@@ -27,10 +27,6 @@ __all__ = [
     "L",
     "U",
     "T",
-    "poly_add",
-    "poly_mul",
-    "poly_shift",
-    "poly_coeffs",
     "UniPoly",
     "FactorReport",
     "uni_factor_special",
@@ -343,23 +339,6 @@ D = MultiPoly.var("d")
 L = MultiPoly.var("l")
 U = MultiPoly.var("u")
 T = MultiPoly.var("t")
-
-
-# Thin operation aliases so callers can use a functional style.
-def poly_add(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    return a + b
-
-
-def poly_mul(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    return a * b
-
-
-def poly_shift(p: MultiPoly, name: str, by) -> MultiPoly:
-    return p.shift(name, by)
-
-
-def poly_coeffs(p: MultiPoly, names: tuple[str, ...]):
-    return p.coeffs_by(names)
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 from . import engine
-from .equations import assemble_linear_system, build_equations_env, unknown_basis
+from .equations import assemble_linear_system, build_equations_env, key_rank, unknown_basis
 from .linalg import rank as matrix_rank
 from .oracle import verify_witness_env
 from .poly import D, L, MultiPoly, T, UniPoly, uni_factor_special
@@ -34,13 +35,11 @@ __all__ = [
     "ext_dim_at",
     "fraction_free_rank",
     "generic_ext_dim",
-    "generic_rank",
     "generic_sector_dims",
     "g_family_witness",
     "scan_dbar",
     "scan_delta",
     "scan_diff",
-    "scan_many",
     "special_values",
 ]
 
@@ -281,9 +280,7 @@ def _cob_rows_t(sp: ScanProblem, keys):
         if entries:
             maps.append(entries)
     index = {k: i for i, k in enumerate(keys)}
-    over = sorted(
-        {k for m in maps for k in m if k not in index}, key=engine._key_rank
-    )
+    over = sorted({k for m in maps for k in m if k not in index}, key=key_rank)
     zero = UniPoly()
     full_rows, over_rows = [], []
     for m in maps:
@@ -298,13 +295,10 @@ def _cob_rows_t(sp: ScanProblem, keys):
     return full_rows, over_rows
 
 
-_LINE_CACHE: dict = {}
-
-
+# One classify call reuses 7 Virasoro-layer lines and 4 per-b lines; older
+# lines are evicted so a long sweep over b stays bounded in memory.
+@lru_cache(maxsize=16)
 def _line_data(sp: ScanProblem) -> _LineData:
-    cached = _LINE_CACHE.get(sp)
-    if cached is not None:
-        return cached
     keys, rows = _symbolic_system(sp)
     homogeneous = Fraction(sp.base.alpha) == 0 and Fraction(sp.base.abar) == 0
     if homogeneous:
@@ -327,7 +321,7 @@ def _line_data(sp: ScanProblem) -> _LineData:
     if not homogeneous:
         # sector split by block is unavailable; report the g-count as unknown
         g_rank = -1
-    data = _LineData(
+    return _LineData(
         keys=keys,
         blocks=blocks,
         block_ranks=block_ranks,
@@ -339,17 +333,6 @@ def _line_data(sp: ScanProblem) -> _LineData:
         g_unknowns=g_unknowns,
         g_rank=g_rank,
     )
-    _LINE_CACHE[sp] = data
-    return data
-
-
-def generic_rank(sp: ScanProblem) -> int:
-    """Rank of the cocycle system over the fraction field Q(t).
-
-    The generic kernel dimension is ``unknown count - generic_rank``; in
-    particular an empty system leaves the full unknown count.
-    """
-    return _line_data(sp).rank
 
 
 def generic_sector_dims(sp: ScanProblem) -> tuple[int, int]:
@@ -674,13 +657,3 @@ def classify(b, caps=None) -> ClassifyReport:
     layer = _virasoro_layer(caps)
     per_b = [_line_entry(b, Fraction(m) + b, "full", caps, m=m) for m in range(4)]
     return ClassifyReport(b=b, layer=layer, per_b=per_b)
-
-
-def scan_many(b, sector: str, promote: str = "dbar", caps=None):
-    """Scan every candidate line for the sector; [(diff, ScanReport)]."""
-    caps = caps if caps is not None else Caps()
-    out = []
-    for diff in candidate_diffs(b, sector):
-        maker = scan_delta if promote == "delta" else scan_dbar
-        out.append((diff, special_values(maker(b, diff, sector=sector, caps=caps))))
-    return out

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import engine
+from .equations import key_rank
 from .linalg import rank as matrix_rank
 from .oracle import verify_witness
 from .poly import MultiPoly
@@ -737,7 +738,7 @@ def _classes_match(problem: ExtProblem, listed, basis) -> tuple[bool, str]:
     basis_maps = [engine.witness_coeff_map(w) for w in basis]
     keys = sorted(
         {k for m in cob_maps + listed_maps + basis_maps for k in m},
-        key=engine._key_rank,
+        key=key_rank,
     )
     index = {k: i for i, k in enumerate(keys)}
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from wbext import engine, oracle
 from wbext.engine import (
     coboundary_basis,
     coboundary_span,
@@ -126,3 +127,25 @@ def test_basis_witnesses_are_nonzero_and_independent():
     assert sol.ext_dim == 1
     for w in sol.basis:
         assert not w.is_zero()
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        ExtProblem(shape=1, b=5, alpha=2, gamma=1, delta=4),
+        ExtProblem(shape=2, b=3, alpha=1, gamma=-1, delta=1),
+        ExtProblem(shape=3, b=2, alpha=0, abar=0, delta=3, dbar=1),
+    ],
+)
+def test_self_check_rejects_a_non_cocycle_coboundary(monkeypatch, p):
+    # one extra in-cap "basis-change image" that breaks the cocycle equations
+    zero = MultiPoly.zero()
+    bad = CocycleWitness(
+        f=MultiPoly.parse("l^2"), g=zero, h=zero if p.shape == 2 else None
+    )
+    assert not oracle.verify_witness(p, bad).passed
+    span = engine.coboundary_span
+    monkeypatch.setattr(engine, "coboundary_span", lambda q: span(q) + [bad])
+    monkeypatch.setattr(engine, "_CORE_CACHE", {})
+    with pytest.raises(ArithmeticError, match="capped coboundary fails"):
+        solve_core(p)

@@ -3,6 +3,9 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from wbext.linalg import RowSpace, nullspace, rank, reduce_mod_rowspace, rref
 from wbext.qext import quad
 
@@ -93,3 +96,81 @@ def test_rref_deterministic():
     first = rref(rows, 3)
     second = rref(rows, 3)
     assert first == second
+
+
+# ---------------------------------------------------------------------------
+# property tests against a dense Gauss-Jordan reference
+# ---------------------------------------------------------------------------
+
+
+def _reference_rref(rows, ncols):
+    """Textbook dense Gauss-Jordan: leftmost column, first remaining row."""
+    work = [list(r) for r in rows]
+    done, pivots = [], []
+    for col in range(ncols):
+        i = next((i for i, r in enumerate(work) if r[col] != 0), None)
+        if i is None:
+            continue
+        prow = work.pop(i)
+        prow = [x / prow[col] for x in prow]
+        work = [[a - r[col] * b for a, b in zip(r, prow)] for r in work]
+        done = [[a - r[col] * b for a, b in zip(r, prow)] for r in done]
+        done.append(prow)
+        pivots.append(col)
+    return done, pivots
+
+
+_SMALL = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+# mostly zeros, like the solver's systems
+_RATIONAL = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), _SMALL)
+_QUADRATIC = st.one_of(
+    _RATIONAL, st.builds(lambda p, q: quad(p, q, 19), _SMALL, _SMALL)
+)
+
+
+@st.composite
+def _matrices(draw, entries):
+    ncols = draw(st.integers(1, 6))
+    nrows = draw(st.integers(0, 6))
+    row = st.lists(entries, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, min_size=nrows, max_size=nrows))
+    # repeat some rows as combinations of others so dependence is common
+    if len(rows) >= 2 and draw(st.booleans()):
+        c = draw(_SMALL)
+        rows.append([a + c * b for a, b in zip(rows[0], rows[1])])
+    vec = draw(st.lists(entries, min_size=ncols, max_size=ncols))
+    return rows, ncols, vec
+
+
+def _check_kernel(rows, ncols, vec):
+    rr, pivots = rref(rows, ncols)
+    assert (rr, pivots) == _reference_rref(rows, ncols)
+    null = nullspace(rows, ncols)
+    for v in null:
+        assert next(c for c in v if c != 0) == 1
+        for row in rows:
+            assert sum(a * b for a, b in zip(row, v)) == 0
+    assert rank(rows, ncols) + len(null) == ncols
+    rs = RowSpace(ncols)
+    for row in rows:
+        rs.add(row)
+    assert (rs.rows, rs.pivots) == (rr, pivots)
+    assert rs.reduce(vec) == reduce_mod_rowspace(vec, rr, pivots)
+    assert rs.contains(vec) == (rank(rows + [vec], ncols) == len(pivots))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_matrices(_RATIONAL), st.randoms(use_true_random=False))
+def test_kernel_matches_dense_reference_rational(case, rng):
+    rows, ncols, vec = case
+    _check_kernel(rows, ncols, vec)
+    # the RREF is unique, so row order cannot change it
+    shuffled = list(rows)
+    rng.shuffle(shuffled)
+    assert rref(shuffled, ncols) == rref(rows, ncols)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_matrices(_QUADRATIC))
+def test_kernel_matches_dense_reference_quadratic(case):
+    _check_kernel(*case)
