@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .poly import D, L, U, MultiPoly
-from .qext import QuadExt
+from .qext import scalar
 
 __all__ = [
     "AlgebraSpec",
@@ -96,16 +96,10 @@ def make_virasoro() -> AlgebraSpec:
     )
 
 
-def _scalar(x):
-    if isinstance(x, QuadExt):
-        return x
-    return Fraction(x)
-
-
 def free_module(alg: AlgebraSpec, alpha, delta) -> ModuleSpec:
     """The rank-one free module: ``L_l v = (d + alpha + delta*l) v``, ``H_l v = 0``."""
-    alpha = _scalar(alpha)
-    delta = _scalar(delta)
+    alpha = scalar(alpha)
+    delta = scalar(delta)
     actions = {g: MultiPoly.zero() for g in alg.generators}
     actions["L"] = D + alpha + delta * L
     return ModuleSpec(kind="free", actions=actions, alpha=alpha, delta=delta)
@@ -114,7 +108,7 @@ def free_module(alg: AlgebraSpec, alpha, delta) -> ModuleSpec:
 def trivial_module(alg: AlgebraSpec, gamma) -> ModuleSpec:
     """The one-dimensional module: all generators act by zero, ``d`` by gamma."""
     actions = {g: MultiPoly.zero() for g in alg.generators}
-    return ModuleSpec(kind="trivial", actions=actions, gamma=_scalar(gamma))
+    return ModuleSpec(kind="trivial", actions=actions, gamma=scalar(gamma))
 
 
 @dataclass

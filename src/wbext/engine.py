@@ -1,17 +1,24 @@
 """Cocycle solver: linear systems, coboundary reduction, canonical classes.
 
-The pipeline is: build the functional-equation system for the problem, take
+The pipeline is: build the functional-equation system for the problem
+(defining identities plus the implied swapped ones, as a cross-check), take
 its kernel (cocycles inside the degree caps), intersect the change-of-basis
-deviations with the caps (coboundaries), and reduce kernel vectors modulo
-that intersection to get representatives.  Every result is cross-checked
-against :mod:`wbext.oracle`, which recomputes residuals by a route that
-shares no equation code with this module.
+images with the caps (coboundaries), and reduce kernel vectors modulo that
+intersection to get representatives.
+
+:func:`coboundary_span_env` is the one construction of the change-of-basis
+images and :func:`coeff_rows` the one layout of ``{unknown key:
+coefficient}`` maps as rows; the scanner and the replay tables use both.
+Every result is cross-checked against :mod:`wbext.oracle`, which recomputes
+residuals by a route that shares no equation code with this module.
+Results are cached in bounded caches and are immutable.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
 
 from . import oracle
 from .equations import assemble_linear_system, build_equations, key_rank, unknown_basis
@@ -21,24 +28,28 @@ from .problems import CocycleWitness, ExtProblem, ExtSolution
 
 __all__ = [
     "coboundary_basis",
+    "coboundary_span",
+    "coboundary_span_env",
+    "coeff_rows",
     "solve_core",
     "solve_ext",
-    "verify_witness",
     "witness_coeff_map",
     "witness_from_vector",
 ]
 
-verify_witness = oracle.verify_witness
-
 
 def witness_coeff_map(w: CocycleWitness) -> dict:
-    """Flatten a witness into {(part, d-degree, l-degree): coefficient}."""
+    """Flatten a witness into {(part, d-degree, l-degree): coefficient}.
+
+    Coefficients are polynomials in the remaining variables: constants for
+    a concrete problem, polynomials in t for a scan line.
+    """
     coeffs = {}
     for name, poly in w.parts().items():
         if poly is None:
             continue
         for exps, c in poly.coeffs_by(("d", "l")):
-            coeffs[(name, exps[0], exps[1])] = c.constant_value()
+            coeffs[(name, exps[0], exps[1])] = c
     return coeffs
 
 
@@ -55,22 +66,49 @@ def witness_from_vector(vec, keys, shape: int) -> CocycleWitness:
     )
 
 
+def coeff_rows(maps, keys=()) -> tuple[list, int]:
+    """Lay out ``{unknown key: coefficient}`` maps as rows, overflow-first.
+
+    Keys outside ``keys`` come first, in :func:`key_rank` order, then
+    ``keys`` in their given order; absent entries are ``MultiPoly.zero()``.
+    Returns the rows and the width of the overflow block.  With no ``keys``
+    this is the plain ``key_rank`` layout of every key the maps use.
+    """
+    inside = set(keys)
+    over = sorted({k for m in maps for k in m if k not in inside}, key=key_rank)
+    index = {k: i for i, k in enumerate(over + list(keys))}
+    zero = MultiPoly.zero()
+    rows = []
+    for m in maps:
+        row = [zero] * len(index)
+        for key, c in m.items():
+            row[index[key]] = c
+        rows.append(row)
+    return rows, len(over)
+
+
 def coboundary_span(p: ExtProblem) -> list[CocycleWitness]:
+    """Change-of-basis images of a concrete problem; see :func:`coboundary_span_env`."""
+    return coboundary_span_env(p.shape, p.env(), p.caps.phi)
+
+
+def coboundary_span_env(shape: int, env: dict, phi_cap: int) -> list[CocycleWitness]:
     """Unreduced change-of-basis images, one per monomial move.
 
     Shape 1 admits a single move (the one-dimensional summand has no free
     parameter beyond scale); shapes 2 and 3 get one image per monomial
-    ``d**j`` up to the move cap.
+    ``d**j`` up to ``phi_cap``.  Parameters come from a polynomial
+    environment, so a weight promoted to the scan variable t flows through.
+    Zero images are dropped.
     """
-    env = p.env()
     alpha, delta = env["alpha"], env["delta"]
     zero = MultiPoly.zero()
     out = []
-    if p.shape == 1:
+    if shape == 1:
         out.append(CocycleWitness(f=alpha + env["gamma"] + delta * L, g=zero))
-    elif p.shape == 2:
+    elif shape == 2:
         act = D + alpha + delta * L
-        for j in range(p.caps.phi + 1):
+        for j in range(phi_cap + 1):
             phi = MultiPoly.monomial((j, 0, 0, 0), Fraction(1))
             out.append(
                 CocycleWitness(
@@ -80,10 +118,14 @@ def coboundary_span(p: ExtProblem) -> list[CocycleWitness]:
     else:
         quot = D + alpha + delta * L
         sub = D + env["abar"] + env["dbar"] * L
-        for j in range(p.caps.phi + 1):
+        for j in range(phi_cap + 1):
             phi = MultiPoly.monomial((j, 0, 0, 0), Fraction(1))
             out.append(CocycleWitness(f=quot * phi - sub * phi.shift("d", L), g=zero))
     return [w for w in out if not w.is_zero()]
+
+
+def _concrete(rows) -> list[list]:
+    return [[e.constant_value() for e in row] for row in rows]
 
 
 def coboundary_basis(p: ExtProblem) -> list[CocycleWitness]:
@@ -94,18 +136,9 @@ def coboundary_basis(p: ExtProblem) -> list[CocycleWitness]:
     whenever that image is nonzero).
     """
     span = coboundary_span(p)
-    maps = [witness_coeff_map(w) for w in span]
-    allkeys = sorted({k for m in maps for k in m}, key=key_rank)
-    index = {k: i for i, k in enumerate(allkeys)}
-    rs = RowSpace(len(allkeys))
-    out = []
-    for w, m in zip(span, maps):
-        vec = [Fraction(0)] * len(allkeys)
-        for key, c in m.items():
-            vec[index[key]] = c
-        if rs.add(vec):
-            out.append(w)
-    return out
+    rows, _ = coeff_rows([witness_coeff_map(w) for w in span])
+    rs = RowSpace(len(rows[0]) if rows else 0)
+    return [w for w, row in zip(span, _concrete(rows)) if rs.add(row)]
 
 
 def _cob_vectors_in_caps(p: ExtProblem, keys) -> list[list]:
@@ -119,22 +152,9 @@ def _cob_vectors_in_caps(p: ExtProblem, keys) -> list[list]:
     span = coboundary_span(p)
     if not span:
         return []
-    index = {k: i for i, k in enumerate(keys)}
-    maps = [witness_coeff_map(w) for w in span]
-    over = sorted({k for m in maps for k in m if k not in index}, key=key_rank)
-    oindex = {k: i for i, k in enumerate(over)}
-    width = len(over) + len(keys)
-    rows = []
-    for m in maps:
-        row = [Fraction(0)] * width
-        for key, c in m.items():
-            if key in oindex:
-                row[oindex[key]] = c
-            else:
-                row[len(over) + index[key]] = c
-        rows.append(row)
-    reduced, pivots = rref(rows, width)
-    return [row[len(over):] for row, piv in zip(reduced, pivots) if piv >= len(over)]
+    rows, over = coeff_rows([witness_coeff_map(w) for w in span], keys)
+    reduced, pivots = rref(_concrete(rows), over + len(keys))
+    return [row[over:] for row, piv in zip(reduced, pivots) if piv >= over]
 
 
 def _normalize(vec):
@@ -146,10 +166,12 @@ def _normalize(vec):
     return list(vec)
 
 
-_CORE_CACHE: dict = {}
-
-
-def solve_core(p: ExtProblem, redundant: bool = True) -> ExtSolution:
+# A full ``replay --table all`` solves 70 cases, each at its caps and at
+# caps+2: at most 140 core solves and 70 full ones, which both caches hold
+# with room for a scan's specialised solves.  Older entries are evicted, so
+# a long sweep stays bounded in memory.
+@lru_cache(maxsize=256)
+def solve_core(p: ExtProblem) -> ExtSolution:
     """One truncated solve: kernel, capped coboundaries, representatives.
 
     Raises :class:`ArithmeticError` if internal cross-checks fail (a capped
@@ -157,11 +179,8 @@ def solve_core(p: ExtProblem, redundant: bool = True) -> ExtSolution:
     disagrees with the dimension arithmetic) -- both would mean the
     equations and the basis-change images were transcribed inconsistently.
     """
-    cached = _CORE_CACHE.get((p, redundant))
-    if cached is not None:
-        return cached
     keys = unknown_basis(p.shape, p.caps, p.sector)
-    system = assemble_linear_system(build_equations(p, redundant=redundant), keys)
+    system = assemble_linear_system(build_equations(p), keys)
     rows = system.concrete_rows()
     cocycles = nullspace(rows, len(keys))
     cob = _cob_vectors_in_caps(p, keys)
@@ -190,59 +209,42 @@ def solve_core(p: ExtProblem, redundant: bool = True) -> ExtSolution:
     ext_dim = len(cocycles) - len(cob)
     if len(reps) != ext_dim:
         raise ArithmeticError("representative count disagrees with dimension arithmetic")
-    sol = ExtSolution(
+    return ExtSolution(
         problem=p,
         cocycle_dim=len(cocycles),
         coboundary_dim=len(cob),
         ext_dim=ext_dim,
         basis=[witness_from_vector(v, keys, p.shape) for v in reps],
-        diagnostics={},
     )
-    _CORE_CACHE[(p, redundant)] = sol
-    return sol
 
 
-_CACHE: dict = {}
-
-
-def solve_ext(
-    p: ExtProblem,
-    redundant: bool = True,
-    stabilize: bool = True,
-    check: bool = True,
-) -> ExtSolution:
+@lru_cache(maxsize=128)
+def solve_ext(p: ExtProblem, stabilize: bool = True, check: bool = True) -> ExtSolution:
     """Full solve with cap-stability re-run and independent verification.
 
     ``stabilize`` repeats the solve with all caps raised by 2 and records
     whether the dimension moved (``diagnostics["stable"]``); ``check``
     pushes every basis witness through the naive-composition checker.
-    Results are cached per problem; treat them as read-only.
+    Results are cached per call and immutable.
     """
-    cache_key = (p, redundant, stabilize, check)
-    hit = _CACHE.get(cache_key)
-    if hit is not None:
-        return hit
-    core = solve_core(p, redundant=redundant)
-    sol = replace(core, diagnostics=dict(core.diagnostics))
-    diag = sol.diagnostics
-    diag["caps"] = (p.caps.f, p.caps.g, p.caps.h, p.caps.phi)
+    core = solve_core(p)
+    diag = {"caps": (p.caps.f, p.caps.g, p.caps.h, p.caps.phi)}
     notes = p.degenerate_weights()
     if notes:
-        diag["degenerate"] = notes
+        diag["degenerate"] = tuple(notes)
     if stabilize:
-        bumped = solve_core(p.with_caps(p.caps.bumped(2)), redundant=redundant)
-        diag["stable"] = bumped.ext_dim == sol.ext_dim
+        bumped = solve_core(p.with_caps(p.caps.bumped(2)))
+        diag["stable"] = bumped.ext_dim == core.ext_dim
         if not diag["stable"]:
             diag["cap_too_small"] = (
-                f"dimension moved from {sol.ext_dim} to {bumped.ext_dim} "
+                f"dimension moved from {core.ext_dim} to {bumped.ext_dim} "
                 "when caps were raised by 2"
             )
     if check:
-        for w in sol.basis:
+        for w in core.basis:
             report = oracle.verify_witness(p, w)
             if not report.passed:
                 raise ArithmeticError(
                     f"solver produced a witness the checker rejects:\n{report}"
                 )
-    _CACHE[cache_key] = sol
-    return sol
+    return replace(core, diagnostics=diag)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .poly import D, L, MultiPoly, U
 from .problems import Caps, ExtProblem
@@ -81,7 +82,7 @@ def key_rank(key):
 
 
 class _Powers:
-    """Cached monomial images under the slot substitutions used by the identities."""
+    """Monomial images under the slot substitutions used by the identities."""
 
     def __init__(self, cap: int):
         n = cap + 2
@@ -108,20 +109,26 @@ class _Powers:
         return self.d[j] * self.lu[k]
 
 
-def build_equations(p: ExtProblem, redundant: bool = False) -> list:
+# The powers depend only on the cap and MultiPoly is immutable, so every
+# solve at one cap shares them; a solve and its caps+2 re-run use two caps.
+@lru_cache(maxsize=16)
+def _powers(cap: int) -> _Powers:
+    return _Powers(cap)
+
+
+def build_equations(p: ExtProblem) -> list:
     """Identities for a concrete problem; see :func:`build_equations_env`."""
-    return build_equations_env(p.shape, p.env(), p.caps, p.sector, redundant)
+    return build_equations_env(p.shape, p.env(), p.caps, p.sector)
 
 
-def build_equations_env(
-    shape: int, env: dict, caps: Caps, sector: str, redundant: bool = False
-) -> list:
+def build_equations_env(shape: int, env: dict, caps: Caps, sector: str) -> list:
     """Build the identity list for one extension shape.
 
-    With ``redundant=False`` this returns exactly the defining identity set
-    (one per commutator actually used in the derivation); ``redundant=True``
-    additionally imposes the swapped L-H commutator forms, which are implied
-    but kept as a cross-check in the solver.
+    Besides the defining identities (one per commutator used in the
+    derivation), the list imposes the swapped L-H commutator forms: ``"HL"``
+    for shapes 1 and 3, ``"LH"`` and ``"HL"`` for shape 2.  They are implied
+    by the defining ones, so they leave the kernel unchanged and act as a
+    cross-check on the transcription.
     """
     alpha = env["alpha"]
     b = env.get("b")
@@ -139,7 +146,7 @@ def build_equations_env(
     if shape == 1:
         gamma = env["gamma"]
         A = alpha + gamma
-        pw = _Powers(max(caps.f, caps.g))
+        pw = _powers(max(caps.f, caps.g))
         if want_f:
             cols = {}
             for _, _, k in f_keys:
@@ -154,16 +161,15 @@ def build_equations_env(
             for _, _, k in g_keys:
                 cols[("g", 0, k)] = (b * L + U) * pw.lu[k] - (A + U + delta * L) * pw.u[k]
             identities.append(Identity("LH", cols))
-            if redundant:
-                cols = {}
-                for _, _, k in g_keys:
-                    cols[("g", 0, k)] = (L + b * U) * pw.lu[k] - (A + L + delta * U) * pw.l[k]
-                identities.append(Identity("HL", cols))
+            cols = {}
+            for _, _, k in g_keys:
+                cols[("g", 0, k)] = (L + b * U) * pw.lu[k] - (A + L + delta * U) * pw.l[k]
+            identities.append(Identity("HL", cols))
         return identities
 
     if shape == 2:
         gamma = env["gamma"]
-        pw = _Powers(max(caps.f, caps.g, caps.h))
+        pw = _powers(max(caps.f, caps.g, caps.h))
         act = D + alpha + delta * L  # L-action coefficient on the submodule generator
         act_u = D + alpha + delta * U
         if want_f:
@@ -186,21 +192,20 @@ def build_equations_env(
             for _, j, k in g_keys:
                 cols[("g", j, k)] = (D + L - gamma) * pw.m(j, k)
             identities.append(Identity("dH", cols))
-            if redundant:
-                cols = {}
-                for _, j, k in g_keys:
-                    cols[("g", j, k)] = act * pw.m_dl_u(j, k) + (b * L + U) * pw.m_lu(j, k)
-                identities.append(Identity("LH", cols))
-                cols = {}
-                for _, j, k in g_keys:
-                    cols[("g", j, k)] = act_u * pw.m_du_l(j, k) + (L + b * U) * pw.m_lu(j, k)
-                identities.append(Identity("HL", cols))
+            cols = {}
+            for _, j, k in g_keys:
+                cols[("g", j, k)] = act * pw.m_dl_u(j, k) + (b * L + U) * pw.m_lu(j, k)
+            identities.append(Identity("LH", cols))
+            cols = {}
+            for _, j, k in g_keys:
+                cols[("g", j, k)] = act_u * pw.m_du_l(j, k) + (L + b * U) * pw.m_lu(j, k)
+            identities.append(Identity("HL", cols))
         return identities
 
     # shape 3
     abar = env["abar"]
     dbar = env["dbar"]
-    pw = _Powers(max(caps.f, caps.g))
+    pw = _powers(max(caps.f, caps.g))
     top_l = D + L + delta * U + alpha  # quotient action pieces
     top_u = D + U + delta * L + alpha
     sub_l = D + dbar * L + abar  # submodule action pieces
@@ -223,13 +228,12 @@ def build_equations_env(
                 sub_l * pw.m_dl_u(j, k) - top_u * pw.m_u(j, k) + (b * L + U) * pw.m_lu(j, k)
             )
         identities.append(Identity("LH", cols))
-        if redundant:
-            cols = {}
-            for _, j, k in g_keys:
-                cols[("g", j, k)] = (
-                    top_l * pw.m(j, k) - sub_u * pw.m_du_l(j, k) - (L + b * U) * pw.m_lu(j, k)
-                )
-            identities.append(Identity("HL", cols))
+        cols = {}
+        for _, j, k in g_keys:
+            cols[("g", j, k)] = (
+                top_l * pw.m(j, k) - sub_u * pw.m_du_l(j, k) - (L + b * U) * pw.m_lu(j, k)
+            )
+        identities.append(Identity("HL", cols))
     return identities
 
 

@@ -4,20 +4,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from types import MappingProxyType
 
 from .poly import MultiPoly
-from .qext import QuadExt
+from .qext import scalar
 
 __all__ = ["Caps", "ExtProblem", "CocycleWitness", "ExtSolution", "SECTORS"]
 
 SECTORS = ("full", "f", "g")
-
-
-def _scalar(x):
-    """Accept rational or quadratic-irrational parameter values."""
-    if isinstance(x, QuadExt):
-        return x
-    return Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -72,7 +66,7 @@ class ExtProblem:
         if self.b is None:
             if self.sector != "f":
                 raise ValueError("b may be omitted only for the f-only sector")
-        elif _scalar(self.b) == 0:
+        elif scalar(self.b) == 0:
             raise ValueError("b = 0 is excluded: out of scope for this family")
         self.caps.validate()
         if self.shape in (1, 2):
@@ -88,13 +82,13 @@ class ExtProblem:
 
     def env(self) -> dict:
         """Parameter environment as constant polynomials (scanner overrides some)."""
-        out = {"alpha": MultiPoly.const(_scalar(self.alpha))}
+        out = {"alpha": MultiPoly.const(scalar(self.alpha))}
         if self.b is not None:
-            out["b"] = MultiPoly.const(_scalar(self.b))
+            out["b"] = MultiPoly.const(scalar(self.b))
         for name in ("gamma", "abar", "delta", "dbar"):
             v = getattr(self, name)
             if v is not None:
-                out[name] = MultiPoly.const(_scalar(v))
+                out[name] = MultiPoly.const(scalar(v))
         return out
 
     def with_caps(self, caps: Caps) -> "ExtProblem":
@@ -134,13 +128,22 @@ class CocycleWitness:
         return "; ".join(bits)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExtSolution:
-    """Outcome of one extension-space computation, all dimensions exact."""
+    """Outcome of one extension-space computation, all dimensions exact.
+
+    Solutions are cached and shared between callers, so they are immutable:
+    ``basis`` is stored as a tuple and ``diagnostics`` as a read-only view of
+    a private copy.
+    """
 
     problem: ExtProblem
     cocycle_dim: int
     coboundary_dim: int
     ext_dim: int
-    basis: list  # list[CocycleWitness], canonical representatives mod coboundaries
-    diagnostics: dict = field(default_factory=dict)
+    basis: tuple  # CocycleWitness representatives mod coboundaries
+    diagnostics: MappingProxyType = field(default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "basis", tuple(self.basis))
+        object.__setattr__(self, "diagnostics", MappingProxyType(dict(self.diagnostics)))

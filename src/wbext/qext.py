@@ -16,6 +16,7 @@ __all__ = [
     "Rational",
     "QuadExt",
     "quad",
+    "scalar",
     "parse_rational",
     "format_rational",
     "split_square",
@@ -232,3 +233,11 @@ def quad(p, q, disc: int):
     if r == 1:
         return p + q * s
     return QuadExt(p, q * s, r)
+
+
+def scalar(x):
+    """Accept a rational or quadratic-irrational value: ``QuadExt`` as is,
+    anything else as ``Fraction``."""
+    if isinstance(x, QuadExt):
+        return x
+    return Fraction(x)

@@ -17,10 +17,10 @@ from functools import lru_cache
 from math import comb
 
 from . import engine
-from .equations import assemble_linear_system, build_equations_env, key_rank, unknown_basis
+from .equations import assemble_linear_system, build_equations_env, unknown_basis
 from .linalg import rank as matrix_rank
 from .oracle import verify_witness_env
-from .poly import D, L, MultiPoly, T, UniPoly, uni_factor_special
+from .poly import MultiPoly, T, UniPoly, uni_factor_special
 from .problems import Caps, CocycleWitness, ExtProblem
 from .qext import QuadExt, quad, split_square
 
@@ -228,9 +228,7 @@ class _LineData:
 
 def _symbolic_system(sp: ScanProblem):
     keys = unknown_basis(3, sp.base.caps, sp.base.sector)
-    idents = build_equations_env(
-        3, sp.env_t(), sp.base.caps, sp.base.sector, redundant=True
-    )
+    idents = build_equations_env(3, sp.env_t(), sp.base.caps, sp.base.sector)
     system = assemble_linear_system(idents, keys)
     rows = [[UniPoly.from_multipoly(e) for e in row] for row in system.rows]
     return keys, rows
@@ -266,33 +264,10 @@ def _cob_rows_t(sp: ScanProblem, keys):
     """Basis-change image matrix over Q[t], columns ordered overflow-first."""
     if sp.base.sector == "g":
         return [], []
-    env = sp.env_t()
-    quot = D + env["alpha"] + env["delta"] * L
-    sub = D + env["abar"] + env["dbar"] * L
-    maps = []
-    for j in range(sp.base.caps.phi + 1):
-        phi = MultiPoly.monomial((j, 0, 0, 0), Fraction(1))
-        image = quot * phi - sub * phi.shift("d", L)
-        entries = {
-            ("f", exps[0], exps[1]): UniPoly.from_multipoly(c)
-            for exps, c in image.coeffs_by(("d", "l"))
-        }
-        if entries:
-            maps.append(entries)
-    index = {k: i for i, k in enumerate(keys)}
-    over = sorted({k for m in maps for k in m if k not in index}, key=key_rank)
-    zero = UniPoly()
-    full_rows, over_rows = [], []
-    for m in maps:
-        row = [zero] * (len(over) + len(keys))
-        for key, val in m.items():
-            if key in index:
-                row[len(over) + index[key]] = val
-            else:
-                row[over.index(key)] = val
-        full_rows.append(row)
-        over_rows.append(row[: len(over)])
-    return full_rows, over_rows
+    span = engine.coboundary_span_env(3, sp.env_t(), sp.base.caps.phi)
+    rows, over = engine.coeff_rows([engine.witness_coeff_map(w) for w in span], keys)
+    full_rows = [[UniPoly.from_multipoly(e) for e in row] for row in rows]
+    return full_rows, [row[:over] for row in full_rows]
 
 
 # One classify call reuses 7 Virasoro-layer lines and 4 per-b lines; older
@@ -541,9 +516,6 @@ def g_family_witness(m: int, b, symbolic: bool = True, at=None) -> CocycleWitnes
     return CocycleWitness(f=MultiPoly.zero(), g=g)
 
 
-_LAYER_CACHE: dict = {}
-
-
 def _line_specials(sp: ScanProblem, rep: ScanReport) -> list:
     out = []
     for value, dim in rep.special_values:
@@ -616,13 +588,11 @@ def _line_entry(b, diff, sector, caps, m=None) -> LineEntry:
     )
 
 
-def _virasoro_layer(caps) -> list:
-    cached = _LAYER_CACHE.get(caps)
-    if cached is not None:
-        return cached
-    entries = [_line_entry(None, Fraction(s), "f", caps) for s in range(7)]
-    _LAYER_CACHE[caps] = entries
-    return entries
+# The b-independent layer is the same for every b at one caps setting;
+# classify pays for it once per caps and reuses it for every later b.
+@lru_cache(maxsize=4)
+def _virasoro_layer(caps) -> tuple:
+    return tuple(_line_entry(None, Fraction(s), "f", caps) for s in range(7))
 
 
 def candidate_diffs(b, sector: str) -> list[Fraction]:
@@ -654,6 +624,6 @@ def classify(b, caps=None) -> ClassifyReport:
     if b == 0:
         raise ValueError("b = 0 is outside this family of algebras")
     caps = caps if caps is not None else Caps()
-    layer = _virasoro_layer(caps)
+    layer = list(_virasoro_layer(caps))
     per_b = [_line_entry(b, Fraction(m) + b, "full", caps, m=m) for m in range(4)]
     return ClassifyReport(b=b, layer=layer, per_b=per_b)

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import engine
-from .equations import key_rank
 from .linalg import rank as matrix_rank
 from .oracle import verify_witness
 from .poly import MultiPoly
@@ -733,29 +732,15 @@ def _classes_match(problem: ExtProblem, listed, basis) -> tuple[bool, str]:
     span and lie inside the span of (basis changes + solver basis) — i.e.
     they represent the same quotient classes, scalar normalization aside.
     """
-    cob_maps = [engine.witness_coeff_map(w) for w in engine.coboundary_span(problem)]
-    listed_maps = [engine.witness_coeff_map(w) for w in listed]
-    basis_maps = [engine.witness_coeff_map(w) for w in basis]
-    keys = sorted(
-        {k for m in cob_maps + listed_maps + basis_maps for k in m},
-        key=key_rank,
-    )
-    index = {k: i for i, k in enumerate(keys)}
-
-    def rows(maps):
-        out = []
-        for m in maps:
-            row = [Fraction(0)] * len(keys)
-            for k, v in m.items():
-                row[index[k]] = v
-            out.append(row)
-        return out
-
-    ncols = len(keys)
-    r_cob = matrix_rank(rows(cob_maps), ncols)
-    r_listed = matrix_rank(rows(cob_maps + listed_maps), ncols)
-    r_basis = matrix_rank(rows(cob_maps + basis_maps), ncols)
-    r_joint = matrix_rank(rows(cob_maps + listed_maps + basis_maps), ncols)
+    cob = engine.coboundary_span(problem)
+    rows, _ = engine.coeff_rows([engine.witness_coeff_map(w) for w in [*cob, *listed, *basis]])
+    rows = [[e.constant_value() for e in row] for row in rows]
+    ncols = len(rows[0]) if rows else 0
+    n_cob, n_listed = len(cob), len(cob) + len(listed)
+    r_cob = matrix_rank(rows[:n_cob], ncols)
+    r_listed = matrix_rank(rows[:n_listed], ncols)
+    r_basis = matrix_rank(rows[:n_cob] + rows[n_listed:], ncols)
+    r_joint = matrix_rank(rows, ncols)
     if r_listed - r_cob != len(listed):
         return False, (
             f"listed witnesses span only {r_listed - r_cob} classes, "

@@ -42,6 +42,39 @@ def test_solution_is_cached():
     assert solve_ext(p) is solve_ext(p)
 
 
+def _mutate_basis(sol):
+    sol.basis.clear()
+
+
+def _mutate_diagnostics(sol):
+    sol.diagnostics["stable"] = False
+
+
+def _mutate_degenerate_notes(sol):
+    sol.diagnostics["degenerate"].append("corrupted")
+
+
+def _rebind_basis(sol):
+    sol.basis = []
+
+
+@pytest.mark.parametrize(
+    "mutate", [_mutate_basis, _mutate_diagnostics, _mutate_degenerate_notes, _rebind_basis]
+)
+def test_mutating_a_result_cannot_corrupt_the_caches(mutate):
+    p = ExtProblem(shape=3, b=1, alpha=0, abar=0, delta=1, dbar=0)
+    before = solve_ext(p)
+    expected = (list(before.basis), dict(before.diagnostics))
+    assert expected[0] and expected[1]["stable"] and expected[1]["degenerate"]
+    try:
+        mutate(before)
+    except (AttributeError, TypeError):
+        pass
+    for sol in (solve_ext(p), solve_core(p)):
+        assert list(sol.basis) == expected[0]
+    assert dict(solve_ext(p).diagnostics) == expected[1]
+
+
 def test_shift_invariance_single_case():
     base = ExtProblem(shape=3, b=3, alpha=0, abar=0, delta=1, dbar=-4)
     shifted = ExtProblem(
@@ -146,6 +179,6 @@ def test_self_check_rejects_a_non_cocycle_coboundary(monkeypatch, p):
     assert not oracle.verify_witness(p, bad).passed
     span = engine.coboundary_span
     monkeypatch.setattr(engine, "coboundary_span", lambda q: span(q) + [bad])
-    monkeypatch.setattr(engine, "_CORE_CACHE", {})
+    solve_core.cache_clear()
     with pytest.raises(ArithmeticError, match="capped coboundary fails"):
         solve_core(p)

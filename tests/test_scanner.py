@@ -4,9 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wbext import scanner
-from wbext.engine import solve_ext
+from wbext.engine import solve_core, solve_ext
 from wbext.oracle import verify_witness
 from wbext.poly import MultiPoly, UniPoly
 from wbext.problems import Caps
@@ -78,6 +80,32 @@ def test_line_consistency_random_points():
         slow = solve_ext(sp.specialize(t0), stabilize=False, check=False).ext_dim
         assert fast == slow == report.generic_dim
         done += 1
+
+
+_SMALL_CAPS = Caps(f=3, g=2, h=3, phi=3)
+_SMALL_Q = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    b=_SMALL_Q.filter(bool),
+    diff=_SMALL_Q,
+    alpha=st.one_of(st.just(Fraction(0)), _SMALL_Q.filter(bool)),
+    sector=st.sampled_from(["full", "f"]),
+    data=st.data(),
+)
+def test_line_agrees_with_the_engine_at_any_point(b, diff, alpha, sector, data):
+    """The symbolic line and the specialised engine solve build their
+    coboundaries with one builder; they must agree off and on the
+    certificate's roots."""
+    sp = scan_dbar(b, diff, sector=sector, alpha=alpha, caps=_SMALL_CAPS)
+    roots, quadratics, _cert, _notes = scanner._factor_pivots(generic_ext_dim(sp)[1])
+    roots = roots + [r for q in quadratics for r in scanner._quad_roots(q)]
+    points = st.fractions(min_value=-12, max_value=12, max_denominator=4)
+    if roots:
+        points = st.one_of(st.sampled_from(roots), points)
+    t0 = data.draw(points)
+    assert ext_dim_at(sp, t0) == solve_core(sp.specialize(t0)).ext_dim
 
 
 def test_certificate_completeness_probes():
