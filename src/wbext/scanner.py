@@ -1,20 +1,38 @@
 """Parametric weight scans: generic dimensions over Q(t) and special values.
 
 One weight (or the weight difference) is promoted to a polynomial variable
-``t``; the cocycle system then has entries in Q[t] and is reduced by
-division-free elimination.  The recorded pivot polynomials certify the
-result: at any rational or quadratic-irrational point where no pivot
-vanishes, the elimination replays verbatim and the dimension equals the
-generic one, so every jump hides among the certificate's roots.  Each root
-is specialized exactly (in Q or Q(sqrt(d))) to confirm or dismiss the jump.
-"""
+``t``; the cocycle system then has entries in Q[t].  Each scan line is
+lowered once, straight from its ``MultiPoly`` entries, to one row form:
+every row is scaled by a positive constant to integer coefficients, so an
+entry is a tuple of ``int`` coefficients of a polynomial in Z[t], and every
+zero entry is the shared ``()``.  Scaling a row moves no rank, at t or at
+any point.  That form feeds three consumers:
 
+* Bareiss fraction-free elimination over Z[t] (:func:`fraction_free_rank`),
+  in pure ``int`` arithmetic with exact divisions.  The recorded pivot
+  polynomials certify the result: at any rational or quadratic-irrational
+  point where no pivot vanishes, the elimination replays verbatim and the
+  dimension equals the generic one, so every jump hides among the
+  certificate's roots.  The pivots are integer-scaled (non-zero constants
+  times those of the unscaled rational rows); the certificate, built from
+  their square-free primitive parts, is the same.
+* A modular screen at each candidate root t0 (:func:`_screen`).  For the
+  first of a few fixed primes p with a ring map from Z[1/n][t0] into F_p,
+  the rows are evaluated at t0 modulo p and ranked.  Specialising t and
+  reducing modulo p can only lower a rank, so when every rank modulo p
+  equals its generic value the exact ranks at t0 do too, and t0 is
+  rigorously not special.
+* The exact point check :func:`ext_dim_at`, which evaluates the same rows
+  in Q or Q(sqrt(d)).  Every root the screen does not clear goes there, so
+  each reported value and dimension is exact.
+"""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from itertools import zip_longest
+from math import comb, gcd, lcm
 
 from . import engine
 from .equations import assemble_linear_system, build_equations_env, unknown_basis
@@ -44,6 +62,7 @@ __all__ = [
 ]
 
 _PROMOTE = ("delta", "dbar", "diff")
+_ZERO_Q = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -131,7 +150,13 @@ def scan_diff(b, dbar, sector="full", alpha=0, caps=None) -> ScanProblem:
     return ScanProblem(base=base, promote="diff")
 
 
-@dataclass
+def _freeze(obj, *names) -> None:
+    """Store the named fields of a frozen dataclass as tuples."""
+    for name in names:
+        object.__setattr__(obj, name, tuple(getattr(obj, name)))
+
+
+@dataclass(frozen=True)
 class ScanReport:
     """Generic dimension on a scan line plus all confirmed jump points.
 
@@ -139,51 +164,141 @@ class ScanReport:
     contain every parameter value where any elimination pivot vanishes; all
     its rational and quadratic-irrational roots were specialized and tested.
     ``special_values`` holds ``(value, ext dimension at value)`` pairs with
-    the dimension strictly above ``generic_dim``.
+    the dimension strictly above ``generic_dim``.  Reports are shared
+    through the classification cache, so they are immutable, with tuple
+    fields.
     """
 
     problem: ScanProblem
     generic_dim: int
-    special_values: list
+    special_values: tuple
     certificate: MultiPoly
-    notes: list = field(default_factory=list)
+    notes: tuple = ()
+
+    def __post_init__(self):
+        _freeze(self, "special_values", "notes")
 
 
 # ---------------------------------------------------------------------------
-# division-free elimination over Q[t]
+# integer row form over Z[t]
 # ---------------------------------------------------------------------------
+
+_ZERO = ()  # the zero polynomial: every zero entry of a row is this one tuple
+
+
+def _int_rows(rows) -> list:
+    """Lower rows of ``MultiPoly`` entries in t to integer coefficient tuples.
+
+    The entry ``(c0, c1, ..., ck)`` stands for ``c0 + c1*t + ... + ck*t^k``
+    with ``ck != 0``.  Each row is multiplied by the positive constant that
+    clears its denominators and divides out the gcd of its coefficients,
+    which moves no rank, at t or at any point.
+    """
+    out = []
+    for row in rows:
+        nonzero = [(j, e) for j, e in enumerate(row) if e.terms]
+        den = 1
+        for _j, e in nonzero:
+            for exps, c in e.terms.items():
+                if exps[0] or exps[1] or exps[2] or isinstance(c, QuadExt):
+                    raise ValueError(f"scan entries must be rational polynomials in t: {e}")
+                den = lcm(den, c.denominator)
+        content = 0
+        lowered = []
+        for j, e in nonzero:
+            cs = [0] * (max(exps[3] for exps in e.terms) + 1)
+            for exps, c in e.terms.items():
+                cs[exps[3]] = c.numerator * (den // c.denominator)
+                content = gcd(content, cs[exps[3]])
+            lowered.append((j, cs))
+        int_row = [_ZERO] * len(row)
+        for j, cs in lowered:
+            int_row[j] = tuple(c // content for c in cs)
+        out.append(int_row)
+    return out
+
+
+def _mul(a, b):
+    if not a or not b:
+        return _ZERO
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+def _sub(a, b):
+    out = [x - y for x, y in zip_longest(a, b, fillvalue=0)]
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def _exact_quotient(num, den):
+    """``num / den`` in Z[t]; raises ``ArithmeticError`` unless it is exact."""
+    if not num:
+        return _ZERO
+    lead = den[-1]
+    rem = list(num)
+    quo = [0] * max(len(num) - len(den) + 1, 0)
+    for k in range(len(quo) - 1, -1, -1):
+        q, r = divmod(rem[k + len(den) - 1], lead)
+        if r:
+            break
+        quo[k] = q
+        for j, c in enumerate(den):
+            rem[k + j] -= q * c
+    if any(rem):
+        raise ArithmeticError(f"inexact division in Z[t]: {num} by {den}")
+    return tuple(quo)
 
 
 def fraction_free_rank(rows) -> tuple[int, list]:
-    """Bareiss elimination on UniPoly rows; returns (rank, pivot polynomials).
+    """Bareiss elimination over Z[t]; returns (rank, pivot polynomials).
 
-    All divisions are by the previous pivot and exact; at any point t0 where
-    no returned pivot vanishes the same row operations replay over Q, so the
+    ``rows`` are in the integer row form (see :func:`_int_rows`).  Each new
+    entry is ``(pivot*a - c*b) / previous pivot``, a minor of the input and
+    hence in Z[t], so every division is exact in pure ``int`` arithmetic;
+    an inexact one raises ``ArithmeticError``.  At any point t0 where no
+    returned pivot vanishes the same row operations replay over Q, so the
     specialized rank can differ from the generic one only at pivot roots.
+    The pivots are those of the same elimination over the unscaled rational
+    rows times non-zero constants (the row scales), so their square-free
+    primitive parts, and with them the certificate, do not depend on the
+    scaling.  Rows that cancel to zero are dropped as they appear.
     """
-    work = [list(r) for r in rows if any(e for e in r)]
+    work = [list(r) for r in rows if any(r)]
     pivots = []
     if not work:
         return 0, pivots
     ncols = len(work[0])
     r = 0
-    prev = UniPoly.const(Fraction(1))
+    prev = (1,)
     for col in range(ncols):
         piv_i = None
         for i in range(r, len(work)):
             e = work[i][col]
-            if e and (piv_i is None or e.degree() < work[piv_i][col].degree()):
+            # the lowest-degree entry; len(e) is its degree plus one
+            if e and (piv_i is None or len(e) < len(work[piv_i][col])):
                 piv_i = i
         if piv_i is None:
             continue
         work[r], work[piv_i] = work[piv_i], work[r]
-        piv = work[r][col]
-        pivots.append(piv)
-        for i in range(r + 1, len(work)):
-            ci = work[i][col]
-            work[i] = [
-                (piv * a - ci * bb) // prev for a, bb in zip(work[i], work[r])
-            ]
+        prow = work[r]
+        piv = prow[col]
+        pivots.append(UniPoly(piv))
+        kept = work[: r + 1]
+        for row in work[r + 1 :]:
+            ci = row[col]
+            row[col] = _ZERO
+            for j in range(col + 1, ncols):
+                a, b = row[j], prow[j]
+                if a or (ci and b):
+                    row[j] = _exact_quotient(_sub(_mul(piv, a), _mul(ci, b)), prev)
+            if any(row):
+                kept.append(row)
+        work = kept
         prev = piv
         r += 1
         if r == len(work):
@@ -193,16 +308,19 @@ def fraction_free_rank(rows) -> tuple[int, list]:
 
 @dataclass
 class _LineData:
-    """Everything reusable about one scan line's symbolic systems."""
+    """Everything reusable about one scan line's symbolic systems.
+
+    Every matrix is in the integer row form of :func:`_int_rows`.
+    """
 
     keys: list
-    blocks: list  # (part, column keys, UniPoly rows) per independent block
+    blocks: list  # (part, column keys, rows) per independent block
     block_ranks: list
     cob_full: list
     cob_over: list
     rank_full: int
     rank_over: int
-    pivots: list  # all pivot polynomials, certificate input
+    pivots: tuple  # all pivot polynomials, certificate input
     g_unknowns: int
     g_rank: int
 
@@ -225,13 +343,24 @@ class _LineData:
             raise ValueError("g-sector split unavailable on inhomogeneous lines")
         return self.g_unknowns - self.g_rank
 
+    def matrices(self):
+        """(rows, column count, generic rank) for every matrix of the line."""
+        out = [
+            (rows, len(cols), rank)
+            for (_part, cols, rows), rank in zip(self.blocks, self.block_ranks)
+        ]
+        width = len(self.cob_full[0]) if self.cob_full else 0
+        over = len(self.cob_over[0]) if self.cob_over else 0
+        out.append((self.cob_full, width, self.rank_full))
+        out.append((self.cob_over, over, self.rank_over))
+        return out
+
 
 def _symbolic_system(sp: ScanProblem):
     keys = unknown_basis(3, sp.base.caps, sp.base.sector)
     idents = build_equations_env(3, sp.env_t(), sp.base.caps, sp.base.sector)
     system = assemble_linear_system(idents, keys)
-    rows = [[UniPoly.from_multipoly(e) for e in row] for row in system.rows]
-    return keys, rows
+    return keys, _int_rows(system.rows)
 
 
 def _block_split(keys, rows):
@@ -261,12 +390,12 @@ def _block_split(keys, rows):
 
 
 def _cob_rows_t(sp: ScanProblem, keys):
-    """Basis-change image matrix over Q[t], columns ordered overflow-first."""
+    """Basis-change image matrix over Z[t], columns ordered overflow-first."""
     if sp.base.sector == "g":
         return [], []
     span = engine.coboundary_span_env(3, sp.env_t(), sp.base.caps.phi)
     rows, over = engine.coeff_rows([engine.witness_coeff_map(w) for w in span], keys)
-    full_rows = [[UniPoly.from_multipoly(e) for e in row] for row in rows]
+    full_rows = _int_rows(rows)
     return full_rows, [row[:over] for row in full_rows]
 
 
@@ -304,7 +433,7 @@ def _line_data(sp: ScanProblem) -> _LineData:
         cob_over=cob_over,
         rank_full=rank_full,
         rank_over=rank_over,
-        pivots=pivots + piv_full + piv_over,
+        pivots=tuple(pivots + piv_full + piv_over),
         g_unknowns=g_unknowns,
         g_rank=g_rank,
     )
@@ -324,36 +453,128 @@ def generic_sector_dims(sp: ScanProblem) -> tuple[int, int]:
     return data.generic_ext - g, g
 
 
-def generic_ext_dim(sp: ScanProblem) -> tuple[int, list]:
-    """Generic ext dimension over Q(t) plus the supporting pivot list.
+def generic_ext_dim(sp: ScanProblem) -> tuple[int, tuple]:
+    """Generic ext dimension over Q(t) plus the supporting pivot polynomials.
 
     Kernel dimension minus the generic count of basis-change images that
     fit inside the caps; pivots from every elimination feed the certificate.
+    The pivots come from the integer rows, so each is a non-zero constant
+    times the pivot of the unscaled rational rows: the certificate built
+    from their square-free primitive parts is the same either way.
     """
     data = _line_data(sp)
     return data.generic_ext, data.pivots
 
 
-def _eval_rows(rows, t0):
-    return [[e.eval(t0) for e in row] for row in rows]
+# ---------------------------------------------------------------------------
+# point checks: a sound modular screen, then exact ranks
+# ---------------------------------------------------------------------------
+
+# Each screen prime is 3 (mod 4), so a square D modulo p has the square root
+# D**((p + 1) // 4) there.
+_SCREEN_PRIMES = (2**61 - 1, 2**31 - 1, 10**9 + 7)
+
+
+def _screen_point(t0):
+    """``(p, x)``: the first screen prime p with a ring map from Z[1/n][t0]
+    to the field F_p (n the denominators of t0), and the image x of t0.
+
+    A point ``a + c*sqrt(D)`` needs p to divide no denominator of a or c and
+    D to be a square modulo p; a rational point is the case c = 0, D = 1.
+    None when no screen prime qualifies.
+    """
+    if isinstance(t0, QuadExt):
+        a, c, disc = t0.p, t0.q, t0.disc
+    else:
+        a, c, disc = Fraction(t0), Fraction(0), 1
+    for p in _SCREEN_PRIMES:
+        if a.denominator % p == 0 or c.denominator % p == 0:
+            continue
+        root = pow(disc % p, (p + 1) // 4, p)
+        if root * root % p != disc % p:
+            continue
+        x = a.numerator * pow(a.denominator, -1, p)
+        x += c.numerator * pow(c.denominator, -1, p) * root
+        return p, x % p
+    return None
+
+
+def _rank_mod(rows, x, p, target) -> int:
+    """Rank modulo p of the integer rows at t = x, at most ``target``.
+
+    Stops as soon as the rank reaches ``target``.
+    """
+    prows: dict[int, dict] = {}  # leading column -> row scaled to lead 1
+    for row in rows:
+        if len(prows) == target:
+            break
+        vec = {}
+        for j, e in enumerate(row):
+            if e:
+                v = 0
+                for c in reversed(e):
+                    v = v * x + c
+                v %= p
+                if v:
+                    vec[j] = v
+        while vec:
+            lead = min(vec)
+            prow = prows.get(lead)
+            if prow is None:
+                inv = pow(vec[lead], -1, p)
+                prows[lead] = {j: v * inv % p for j, v in vec.items()}
+                break
+            f = vec[lead]
+            for j, v in prow.items():
+                nv = (vec.get(j, 0) - f * v) % p
+                if nv:
+                    vec[j] = nv
+                else:
+                    vec.pop(j, None)
+    return len(prows)
+
+
+def _screen(data: _LineData, t0) -> bool:
+    """True when ranks modulo a prime prove the dimension at t0 generic.
+
+    Evaluating at t0 and reducing modulo p are ring maps, and a ring map
+    sends a vanishing minor to a vanishing minor, so each rank modulo p is
+    at most the exact rank at t0, which is at most the generic rank.  When
+    every block rank and both coboundary ranks modulo p reach their generic
+    values, the exact ranks at t0 equal them too, and so does the dimension.
+    A False result proves nothing; the caller then runs the exact check.
+    """
+    point = _screen_point(t0)
+    if point is None:
+        return False
+    p, x = point
+    return all(_rank_mod(rows, x, p, rank) == rank for rows, _n, rank in data.matrices())
+
+
+def _rows_at(rows, t0) -> list:
+    """The rows evaluated at t = t0, one Horner pass per non-zero entry."""
+    out = []
+    for row in rows:
+        vals = []
+        for e in row:
+            v = _ZERO_Q
+            for c in reversed(e):
+                v = v * t0 + c
+            vals.append(v)
+        out.append(vals)
+    return out
 
 
 def ext_dim_at(sp: ScanProblem, t0) -> int:
     """Exact ext dimension at t = t0, from the specialized line systems.
 
-    Equals solve_ext on the specialized problem (same matrices, evaluated),
+    Equals solve_ext on the specialized problem (the same integer rows,
+    evaluated; each row differs from the engine's by a positive constant),
     at a fraction of the cost; works for Fraction and QuadExt points.
     """
     data = _line_data(sp)
-    rank_at = 0
-    for (_part, cols, subrows) in data.blocks:
-        rank_at += matrix_rank(_eval_rows(subrows, t0), len(cols))
-    cob_at = matrix_rank(
-        _eval_rows(data.cob_full, t0), len(data.cob_full[0]) if data.cob_full else 0
-    ) - matrix_rank(
-        _eval_rows(data.cob_over, t0), len(data.cob_over[0]) if data.cob_over else 0
-    )
-    return (data.nunk - rank_at) - cob_at
+    ranks = [matrix_rank(_rows_at(rows, t0), ncols) for rows, ncols, _r in data.matrices()]
+    return (data.nunk - sum(ranks[:-2])) - (ranks[-2] - ranks[-1])
 
 
 def _factor_pivots(pivots):
@@ -421,6 +642,8 @@ def special_values(sp: ScanProblem) -> ScanReport:
         candidates.extend(_quad_roots(q))
     specials = []
     for value in sorted(candidates, key=_value_sort_key):
+        if _screen(data, value):
+            continue
         dim = ext_dim_at(sp, value)
         delta, dbar = sp.weights_at(value)
         if dim > generic:
@@ -449,19 +672,26 @@ def special_values(sp: ScanProblem) -> ScanReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpecialPoint:
     delta: object
     dbar: object
     t_value: object
     dim: int
     degenerate: bool
-    witnesses: list = field(default_factory=list)  # engine class representatives
+    witnesses: tuple = ()  # engine class representatives
+
+    def __post_init__(self):
+        _freeze(self, "witnesses")
 
 
-@dataclass
+@dataclass(frozen=True)
 class LineEntry:
-    """One candidate line delta - dbar = diff in a classification."""
+    """One candidate line delta - dbar = diff in a classification.
+
+    Layer entries are cached and shared by every later classify at the same
+    caps, so entries are immutable, with tuple fields.
+    """
 
     diff: Fraction
     sector: str
@@ -470,19 +700,25 @@ class LineEntry:
     f_generic: int
     report: ScanReport
     m: int | None = None  # homogeneous g-degree when the line is m + b
-    families: list = field(default_factory=list)  # (CocycleWitness, note)
-    specials: list = field(default_factory=list)  # SpecialPoint
+    families: tuple = ()  # (CocycleWitness, note)
+    specials: tuple = ()  # SpecialPoint
+
+    def __post_init__(self):
+        _freeze(self, "families", "specials")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClassifyReport:
     """Everything classify(b) found: the b-independent layer (witnesses with
     no second-generator deformation, identical for every b) and the per-b
     lines tied to the g-sector degree law."""
 
     b: Fraction
-    layer: list
-    per_b: list
+    layer: tuple
+    per_b: tuple
+
+    def __post_init__(self):
+        _freeze(self, "layer", "per_b")
 
     def family_diffs(self) -> list[Fraction]:
         """Per-b lines carrying a one-parameter family with g-content."""
@@ -521,7 +757,7 @@ def _line_specials(sp: ScanProblem, rep: ScanReport) -> list:
     for value, dim in rep.special_values:
         delta, dbar = sp.weights_at(value)
         degenerate = delta == 0 or dbar == 0
-        witnesses = []
+        witnesses = ()
         if not degenerate:
             sol = engine.solve_ext(sp.specialize(value), stabilize=False, check=False)
             if sol.ext_dim != dim:
@@ -529,7 +765,7 @@ def _line_specials(sp: ScanProblem, rep: ScanReport) -> list:
                     "scan specialization and direct solve disagree "
                     f"at t={value}: {dim} vs {sol.ext_dim}"
                 )
-            witnesses = list(sol.basis)
+            witnesses = sol.basis
         out.append(
             SpecialPoint(
                 delta=delta,
@@ -624,6 +860,5 @@ def classify(b, caps=None) -> ClassifyReport:
     if b == 0:
         raise ValueError("b = 0 is outside this family of algebras")
     caps = caps if caps is not None else Caps()
-    layer = list(_virasoro_layer(caps))
     per_b = [_line_entry(b, Fraction(m) + b, "full", caps, m=m) for m in range(4)]
-    return ClassifyReport(b=b, layer=layer, per_b=per_b)
+    return ClassifyReport(b=b, layer=_virasoro_layer(caps), per_b=per_b)

@@ -1,5 +1,6 @@
 """Weight-line scans: generic dimensions, certificates, special values."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ from wbext.engine import solve_core, solve_ext
 from wbext.oracle import verify_witness
 from wbext.poly import MultiPoly, UniPoly
 from wbext.problems import Caps
-from wbext.qext import quad
+from wbext.qext import quad, split_square
 from wbext.scanner import (
     candidate_diffs,
     classify,
@@ -243,3 +244,225 @@ def test_scan_is_deterministic():
     b = special_values(scan_dbar(2, 3, caps=CAPS))
     assert str(a.certificate) == str(b.certificate)
     assert a.special_values == b.special_values
+
+
+# ---------------------------------------------------------------------------
+# classify results are immutable and cannot leak into later calls
+# ---------------------------------------------------------------------------
+
+_LAYER_CAPS = Caps(f=4, g=3, h=4, phi=4)
+
+
+def _layer_snapshot(rep):
+    return [
+        (
+            e.diff,
+            len(e.families),
+            list(e.report.special_values),
+            list(e.report.notes),
+            [(s.t_value, s.dim, len(s.witnesses)) for s in e.specials],
+        )
+        for e in rep.layer
+    ]
+
+
+def _clear_families(rep):
+    rep.layer[0].families.clear()
+
+
+def _append_special_value(rep):
+    rep.layer[1].report.special_values.append((Fraction(7), 9))
+
+
+def _append_note(rep):
+    rep.layer[1].report.notes.append("corrupted")
+
+
+def _clear_specials(rep):
+    rep.layer[1].specials.clear()
+
+
+def _rebind_families(rep):
+    rep.layer[0].families = []
+
+
+def _clear_layer(rep):
+    rep.layer.clear()
+
+
+def _clear_witnesses(rep):
+    next(s for e in rep.per_b for s in e.specials if s.witnesses).witnesses.clear()
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        _clear_families,
+        _append_special_value,
+        _append_note,
+        _clear_specials,
+        _rebind_families,
+        _clear_layer,
+        _clear_witnesses,
+    ],
+)
+def test_mutating_a_classify_result_raises_and_cannot_leak(mutate):
+    expected = _layer_snapshot(classify(3, caps=_LAYER_CAPS))
+    assert expected[0][1] == 2 and expected[1][2]  # something to corrupt
+    with pytest.raises(AttributeError):
+        mutate(classify(2, caps=_LAYER_CAPS))
+    assert _layer_snapshot(classify(5, caps=_LAYER_CAPS)) == expected
+
+
+# ---------------------------------------------------------------------------
+# the modular screen at certificate roots
+# ---------------------------------------------------------------------------
+
+
+def _certificate_roots(sp):
+    roots, quadratics, _cert, _notes = scanner._factor_pivots(generic_ext_dim(sp)[1])
+    return roots + [r for q in quadratics for r in scanner._quad_roots(q)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    b=_SMALL_Q.filter(bool),
+    diff=_SMALL_Q,
+    alpha=st.one_of(st.just(Fraction(0)), _SMALL_Q.filter(bool)),
+    sector=st.sampled_from(["full", "f"]),
+)
+def test_screen_is_sound_at_every_certificate_root(b, diff, alpha, sector):
+    """A "generic" verdict of the screen is never wrong, and the screen
+    changes no scan result."""
+    sp = scan_dbar(b, diff, sector=sector, alpha=alpha, caps=_SMALL_CAPS)
+    data = scanner._line_data(sp)
+    for t0 in _certificate_roots(sp):
+        if scanner._screen(data, t0):
+            assert ext_dim_at(sp, t0) == data.generic_ext
+    screened = special_values(sp)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scanner, "_screen", lambda data, t0: False)
+        exact = special_values(sp)
+    assert screened.generic_dim == exact.generic_dim
+    assert screened.special_values == exact.special_values
+    assert screened.notes == exact.notes
+    assert screened.certificate == exact.certificate
+
+
+def _is_square_mod(d, p):
+    return pow(d % p, (p - 1) // 2, p) == 1
+
+
+def test_screen_declines_a_field_without_a_map_to_any_screen_prime():
+    primes = scanner._SCREEN_PRIMES
+    assert all(p % 4 == 3 for p in primes)
+    disc = next(
+        d
+        for d in range(2, 1000)
+        if split_square(d) == (1, d) and not any(_is_square_mod(d, p) for p in primes)
+    )
+    point = quad(Fraction(1, 2), Fraction(1, 3), disc)
+    assert scanner._screen_point(point) is None
+    data = scanner._line_data(scan_dbar(None, 6, sector="f", caps=_SMALL_CAPS))
+    assert not scanner._screen(data, point)
+    # a rational point whose denominator every screen prime divides
+    assert scanner._screen_point(Fraction(1, math.prod(primes))) is None
+
+
+def test_declined_quadratic_roots_still_get_the_exact_answer(monkeypatch):
+    """With a screen prime at which 19 is no square, the Q(sqrt(19)) roots on
+    the difference-6 line reach the exact check and are still reported."""
+    sp = scan_dbar(None, 6, sector="f", caps=CAPS)
+    expected = special_values(sp)
+    lo = quad(Fraction(-5, 2), Fraction(-1, 2), 19)
+    hi = quad(Fraction(-5, 2), Fraction(1, 2), 19)
+    assert {(lo, 1), (hi, 1)} <= set(expected.special_values)
+    p = 10**9 + 7
+    assert p % 4 == 3 and not _is_square_mod(19, p)
+    monkeypatch.setattr(scanner, "_SCREEN_PRIMES", (p,))
+    checked = []
+    exact = scanner.ext_dim_at
+    monkeypatch.setattr(
+        scanner, "ext_dim_at", lambda sp, t0: checked.append(t0) or exact(sp, t0)
+    )
+    assert scanner._screen_point(lo) is None and scanner._screen_point(hi) is None
+    report = special_values(sp)
+    assert {lo, hi} <= set(checked)
+    assert report.special_values == expected.special_values
+    assert report.notes == expected.notes
+
+
+# ---------------------------------------------------------------------------
+# integer Bareiss against a Fraction reference
+# ---------------------------------------------------------------------------
+
+
+def _reference_bareiss(rows):
+    """Bareiss over Q[t] with Fraction UniPoly entries, as a plain reference."""
+    work = [list(r) for r in rows if any(e for e in r)]
+    pivots = []
+    if not work:
+        return 0, pivots
+    r = 0
+    prev = UniPoly.const(Fraction(1))
+    for col in range(len(work[0])):
+        piv_i = None
+        for i in range(r, len(work)):
+            e = work[i][col]
+            if e and (piv_i is None or e.degree() < work[piv_i][col].degree()):
+                piv_i = i
+        if piv_i is None:
+            continue
+        work[r], work[piv_i] = work[piv_i], work[r]
+        piv = work[r][col]
+        pivots.append(piv)
+        for i in range(r + 1, len(work)):
+            ci = work[i][col]
+            work[i] = [(piv * a - ci * bb) // prev for a, bb in zip(work[i], work[r])]
+        prev = piv
+        r += 1
+        if r == len(work):
+            break
+    return r, pivots
+
+
+_BIG_Q = st.fractions(max_denominator=10**12).map(lambda q: q * 10**6)
+
+
+@st.composite
+def _uni_matrices(draw):
+    nrows = draw(st.integers(0, 5))
+    ncols = draw(st.integers(1, 5))
+    zero_cols = draw(st.sets(st.integers(0, ncols - 1), max_size=ncols))
+    entry = st.one_of(
+        st.just(UniPoly()),
+        st.lists(st.one_of(st.just(Fraction(0)), _BIG_Q), min_size=1, max_size=3).map(UniPoly),
+    )
+    rows = []
+    for _ in range(nrows):
+        if draw(st.booleans()) and draw(st.booleans()):
+            rows.append([UniPoly()] * ncols)  # an all-zero row
+            continue
+        rows.append([UniPoly() if j in zero_cols else draw(entry) for j in range(ncols)])
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=_uni_matrices())
+def test_integer_bareiss_matches_the_fraction_reference(rows):
+    int_rows = scanner._int_rows([[e.to_multipoly() for e in row] for row in rows])
+    rank, pivots = scanner.fraction_free_rank(int_rows)
+    ref_rank, ref_pivots = _reference_bareiss(rows)
+    assert rank == ref_rank
+    assert [p.squarefree_part() for p in pivots] == [p.squarefree_part() for p in ref_pivots]
+    assert [p.degree() for p in pivots] == [p.degree() for p in ref_pivots]
+
+
+def test_inexact_division_in_the_integer_kernel_raises():
+    assert scanner._exact_quotient((2, 3, 1), (1, 1)) == (2, 1)  # (t+1)(t+2)
+    with pytest.raises(ArithmeticError):
+        scanner._exact_quotient((1, 0, 1), (1, 1))  # t^2 + 1 by t + 1
+    with pytest.raises(ArithmeticError):
+        scanner._exact_quotient((3,), (2,))
+    with pytest.raises(ArithmeticError):
+        scanner._exact_quotient((1,), (0, 1))  # 1 by t
