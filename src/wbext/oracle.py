@@ -6,7 +6,10 @@ arithmetic.  An element of the extension is a pair ``(top, sub)`` of
 coefficients against the two generators; the generator actions are applied
 literally and the six commutator identities are expanded on both generators.
 Dimensions come from a plain forward elimination written here, so the solver
-and this oracle can only agree when both transcriptions are right.
+and this oracle can only agree when both transcriptions are right.  The
+elimination skips the columns where the pivot row is zero, which changes
+none of its pivots, its field or its result, and it shares no code with the
+solver's sparse kernel in ``linalg``.
 """
 
 from __future__ import annotations
@@ -202,7 +205,13 @@ def _unit_witness(shape: int, part: str, j: int, k: int) -> CocycleWitness:
 
 
 def _rank(rows) -> int:
-    """Forward elimination over the first field met; no pivoting refinements."""
+    """Forward elimination over the first field met; no pivoting refinements.
+
+    Dense rows, first non-zero entry of each column as the pivot.  A row
+    update touches only the columns where the pivot row is non-zero: at the
+    others ``a - factor * 0 == a``, so every intermediate row, and with it
+    every pivot and the rank, is what the full-row update gives.
+    """
     work = [list(r) for r in rows]
     if not work:
         return 0
@@ -217,12 +226,17 @@ def _rank(rows) -> int:
         if piv is None:
             continue
         work[r], work[piv] = work[piv], work[r]
-        lead = work[r][col]
+        prow = work[r]
+        lead = prow[col]
+        # columns left of col are zero in every row from r on
+        support = [j for j in range(col, ncols) if prow[j] != 0]
         for i in range(r + 1, len(work)):
-            c = work[i][col]
+            row = work[i]
+            c = row[col]
             if c:
                 factor = c / lead
-                work[i] = [a - factor * bb for a, bb in zip(work[i], work[r])]
+                for j in support:
+                    row[j] = row[j] - factor * prow[j]
         r += 1
         if r == len(work):
             break

@@ -9,6 +9,13 @@ makes substitution, coefficient extraction and rendering entirely canonical.
 Coefficients are ``Fraction`` or :class:`~wbext.qext.QuadExt`; mixing the two
 promotes rationals into the quadratic field, while two different quadratic
 fields refuse to mix.
+
+Every ``MultiPoly`` holds a ``terms`` dict with 4-tuple int exponents and
+non-zero ``Fraction`` or ``QuadExt`` coefficients, never ``int``.  The public
+constructor establishes this by validating its input.  The arithmetic in
+this module (``+``, ``-``, negation, ``*`` by a polynomial or a scalar, and
+``subst``) builds dicts that already hold it and wraps them with the private
+``MultiPoly._clean``, which checks nothing; no other code may call it.
 """
 
 from __future__ import annotations
@@ -65,6 +72,14 @@ class MultiPoly:
                     continue
                 clean[tuple(exps)] = c
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _clean(cls, terms: dict) -> "MultiPoly":
+        """Wrap a fresh dict that already holds the ``terms`` invariant (see
+        the module docstring) as is, without validating it."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "terms", terms)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
@@ -134,55 +149,61 @@ class MultiPoly:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        if _is_scalar(other):
-            other = MultiPoly.const(other)
         if not isinstance(other, MultiPoly):
-            return NotImplemented
+            if not _is_scalar(other):
+                return NotImplemented
+            other = MultiPoly.const(other)
         out = dict(self.terms)
         for exps, c in other.terms.items():
             acc = out.get(exps)
             acc = c if acc is None else acc + c
-            if acc == 0:
-                out.pop(exps, None)
-            else:
+            if acc:
                 out[exps] = acc
-        return MultiPoly(out)
+            else:
+                del out[exps]
+        return MultiPoly._clean(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly({e: -c for e, c in self.terms.items()})
+        return MultiPoly._clean({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if _is_scalar(other):
-            other = MultiPoly.const(other)
         if not isinstance(other, MultiPoly):
-            return NotImplemented
-        return self + (-other)
+            if not _is_scalar(other):
+                return NotImplemented
+            other = MultiPoly.const(other)
+        out = dict(self.terms)
+        for exps, c in other.terms.items():
+            acc = out.get(exps)
+            acc = -c if acc is None else acc - c
+            if acc:
+                out[exps] = acc
+            else:
+                del out[exps]
+        return MultiPoly._clean(out)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if _is_scalar(other):
+        if not isinstance(other, MultiPoly):
+            if not _is_scalar(other):
+                return NotImplemented
             c = _as_coeff(other)
             if c == 0:
                 return MultiPoly.zero()
-            return MultiPoly({e: cc * c for e, cc in self.terms.items()})
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
+            # a field has no zero divisors, so no product term vanishes
+            return MultiPoly._clean({e: cc * c for e, cc in self.terms.items()})
         out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
-                c = c1 * c2
-                acc = out.get(e)
-                acc = c if acc is None else acc + c
-                if acc == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = acc
-        return MultiPoly(out)
+        get = out.get
+        right = other.terms.items()
+        for (a0, a1, a2, a3), c1 in self.terms.items():
+            for (b0, b1, b2, b3), c2 in right:
+                e = (a0 + b0, a1 + b1, a2 + b2, a3 + b3)
+                acc = get(e)
+                out[e] = c1 * c2 if acc is None else acc + c1 * c2
+        return MultiPoly._clean({e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -221,18 +242,25 @@ class MultiPoly:
         i = _VAR_INDEX[name]
         if not self.uses_var(name):
             return self
-        powers = {0: MultiPoly.const(1), 1: value}
+        powers = {1: value}
         maxk = max(e[i] for e in self.terms)
         for k in range(2, maxk + 1):
             powers[k] = powers[k - 1] * value
-        out = MultiPoly.zero()
+        out = {}
+        get = out.get
         for exps, c in self.terms.items():
             k = exps[i]
-            rest = list(exps)
-            rest[i] = 0
-            base = MultiPoly({tuple(rest): c})
-            out = out + (base * powers[k] if k else base)
-        return out
+            rest = exps[:i] + (0,) + exps[i + 1 :]
+            if not k:
+                acc = get(rest)
+                out[rest] = c if acc is None else acc + c
+                continue
+            r0, r1, r2, r3 = rest
+            for (b0, b1, b2, b3), c2 in powers[k].terms.items():
+                e = (r0 + b0, r1 + b1, r2 + b2, r3 + b3)
+                acc = get(e)
+                out[e] = c * c2 if acc is None else acc + c * c2
+        return MultiPoly._clean({e: c for e, c in out.items() if c})
 
     def shift(self, name: str, by) -> "MultiPoly":
         """Substitute ``name -> name + by`` where ``by`` must not contain ``name``."""

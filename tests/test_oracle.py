@@ -2,10 +2,15 @@
 
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from wbext.engine import solve_ext
-from wbext.oracle import brute_dims, verify_witness
+from wbext.linalg import rank
+from wbext.oracle import _rank, brute_dims, verify_witness
 from wbext.poly import MultiPoly
-from wbext.problems import CocycleWitness, ExtProblem
+from wbext.problems import Caps, CocycleWitness, ExtProblem
+from wbext.qext import quad
 
 
 def _w(f="0", g="0", h=None):
@@ -81,3 +86,95 @@ def test_brute_dims_virasoro_sector():
     p = ExtProblem(shape=3, b=None, sector="f", alpha=0, abar=0, delta=3, dbar=3)
     sol = solve_ext(p)
     assert brute_dims(p)[2] == sol.ext_dim == 2
+
+
+# ---------------------------------------------------------------------------
+# property tests: the oracle's own elimination, and the oracle against the
+# solver on random problems
+# ---------------------------------------------------------------------------
+
+_SMALL = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+@st.composite
+def _sparse_matrices(draw):
+    """Mostly-zero matrices over Q or one Q(sqrt(D)), with zero rows and
+    columns and repeated, negated and summed rows, so that elimination
+    cancels entries to zero part-way through."""
+    disc = draw(st.sampled_from((None, 2, 19)))
+    scalar = _SMALL
+    if disc is not None:
+        scalar = st.one_of(_SMALL, st.builds(lambda p, q: quad(p, q, disc), _SMALL, _SMALL))
+    entry = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), st.just(Fraction(0)), scalar)
+    ncols = draw(st.integers(1, 8))
+    nrows = draw(st.integers(1, 7))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    if draw(st.booleans()):
+        col = draw(st.integers(0, ncols - 1))
+        for row in rows:
+            row[col] = Fraction(0)
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [Fraction(0)] * ncols)
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(rows) - 1))
+        j = draw(st.integers(0, len(rows) - 1))
+        sign = draw(st.sampled_from((1, -1)))
+        new = [sign * a for a in rows[i]] if draw(st.booleans()) else [
+            a + sign * b for a, b in zip(rows[i], rows[j])
+        ]
+        rows.insert(draw(st.integers(0, len(rows))), new)
+    return rows, ncols
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sparse_matrices())
+def test_oracle_rank_matches_linalg_and_transpose(case):
+    rows, ncols = case
+    before = [list(r) for r in rows]
+    r = _rank(rows)
+    assert rows == before  # the input rows are not eliminated in place
+    assert r == rank(rows, ncols)
+    assert r == _rank([list(col) for col in zip(*rows)])
+
+
+def _weight(draw, disc):
+    """A rational weight or, about half the time, one in Q(sqrt(disc))."""
+    if draw(st.booleans()):
+        return quad(draw(_SMALL), draw(st.sampled_from((1, -1, Fraction(1, 2)))), disc)
+    return draw(_SMALL)
+
+
+@st.composite
+def _problems(draw):
+    """Small-cap problems over every shape and sector.  "live" draws sit on
+    the loci where the extension space is non-zero (as criterion 9 draws
+    them), the rest draw every weight freely; some weights are quadratic."""
+    shape = draw(st.integers(1, 3))
+    sector = draw(st.sampled_from(("full", "f", "g")))
+    live = draw(st.booleans())
+    disc = draw(st.sampled_from((2, 5)))
+    b = draw(_SMALL.filter(bool))
+    alpha = draw(_SMALL)
+    caps = Caps(3, 2, 3, 3)
+    if shape in (1, 2):
+        if live:
+            gamma, delta = -alpha, draw(st.sampled_from((Fraction(1), Fraction(2), b)))
+        else:
+            gamma, delta = draw(_SMALL), _weight(draw, disc)
+        return ExtProblem(shape=shape, b=b, alpha=alpha, gamma=gamma, delta=delta,
+                          caps=caps, sector=sector)
+    dbar = _weight(draw, disc)
+    delta = dbar + draw(st.integers(0, 2)) + b if live else _weight(draw, disc)
+    abar = alpha if live else draw(_SMALL)
+    return ExtProblem(shape=3, b=b, alpha=alpha, abar=abar, delta=delta, dbar=dbar,
+                      caps=caps, sector=sector)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_problems())
+def test_solver_matches_brute_dims_on_random_problems(p):
+    sol = solve_ext(p)
+    assert (sol.cocycle_dim, sol.coboundary_dim, sol.ext_dim) == brute_dims(p)
+    for w in sol.basis:
+        assert verify_witness(p, w).passed

@@ -4,8 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wbext.poly import (
+    VARS,
     D,
     L,
     MultiPoly,
@@ -14,7 +17,7 @@ from wbext.poly import (
     UniPoly,
     uni_factor_special,
 )
-from wbext.qext import quad
+from wbext.qext import QuadExt, quad
 
 
 def test_constructors_and_predicates():
@@ -187,3 +190,90 @@ def test_factor_special_reports_unfactored_residual():
     assert rep.roots == []
     assert rep.residual.total_degree() == 4
     assert rep.reconstruct() == p.to_multipoly()
+
+
+# ---------------------------------------------------------------------------
+# MultiPoly arithmetic keeps the term invariant and matches a naive reference
+# ---------------------------------------------------------------------------
+
+
+def _assert_clean(p):
+    for exps, c in p.terms.items():
+        assert type(exps) is tuple and len(exps) == 4
+        assert all(type(k) is int for k in exps)
+        assert type(c) in (Fraction, QuadExt) and c != 0
+    assert p == MultiPoly(dict(p.terms))
+
+
+def _ref_add(a, b, sign=1):
+    out = dict(a.terms)
+    for exps, c in b.terms.items():
+        out[exps] = out.get(exps, Fraction(0)) + sign * c
+    return MultiPoly(out)
+
+
+def _ref_mul(a, b):
+    """Pairwise product, summed in a plain dict, through the validating
+    constructor."""
+    out = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return MultiPoly(out)
+
+
+def _ref_subst(p, name, value):
+    """Per-term substitution: each term becomes its own polynomial, times
+    the power of ``value``, and is added to the running sum."""
+    i = VARS.index(name)
+    out = MultiPoly()
+    for exps, c in p.terms.items():
+        rest = list(exps)
+        rest[i] = 0
+        term = MultiPoly({tuple(rest): c})
+        for _ in range(exps[i]):
+            term = _ref_mul(term, value)
+        out = _ref_add(out, term)
+    return out
+
+
+_SMALL = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+_EXPS = st.tuples(*[st.integers(0, 2)] * 4)
+
+
+@st.composite
+def _poly_cases(draw):
+    """Three polynomials and a scalar over Q or over one Q(sqrt(disc))."""
+    disc = draw(st.sampled_from((2, 19)))
+    quadratic = st.builds(lambda p, q: quad(p, q, disc), _SMALL, _SMALL)
+    coeff = draw(st.sampled_from((_SMALL, st.one_of(_SMALL, quadratic))))
+    polys = st.builds(MultiPoly, st.dictionaries(_EXPS, coeff, max_size=5))
+    a, b, c = draw(polys), draw(polys), draw(polys)
+    scalar = draw(st.one_of(st.integers(-3, 3), _SMALL, quadratic))
+    return a, b, c, scalar
+
+
+@settings(max_examples=150, deadline=None)
+@given(_poly_cases(), st.sampled_from(VARS))
+def test_multipoly_arithmetic_is_clean_and_matches_reference(case, name):
+    a, b, c, s = case
+    by = MultiPoly({e: x for e, x in c.terms.items() if not e[VARS.index(name)]})
+    checks = [
+        (a + b, _ref_add(a, b)),
+        (a - b, _ref_add(a, b, -1)),
+        (-a, _ref_add(MultiPoly(), a, -1)),
+        (a * b, _ref_mul(a, b)),
+        ((a + b) * (a - b), _ref_mul(_ref_add(a, b), _ref_add(a, b, -1))),
+        (a * s, _ref_mul(a, MultiPoly.const(s))),
+        (s * a, _ref_mul(a, MultiPoly.const(s))),
+        (a.subst(name, b), _ref_subst(a, name, b)),
+        # a constant in the value sends terms onto the untouched ones
+        (a.subst(name, b + 1), _ref_subst(a, name, _ref_add(b, MultiPoly.const(1)))),
+        (a.shift(name, by), _ref_subst(a, name, _ref_add(MultiPoly.var(name), by))),
+    ]
+    for got, want in checks:
+        _assert_clean(got)
+        assert got == want
+    assert (a - a).terms == {}
+    assert (a + (-a)).terms == {}
