@@ -21,13 +21,18 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import oracle
-from .equations import assemble_linear_system, build_equations, key_rank, unknown_basis
+from .equations import (
+    assemble_linear_system,
+    build_equations,
+    constant_rows,
+    key_rank,
+    unknown_basis,
+)
 from .linalg import RowSpace, nullspace, rref
 from .poly import D, L, MultiPoly
 from .problems import CocycleWitness, ExtProblem, ExtSolution
 
 __all__ = [
-    "coboundary_basis",
     "coboundary_span",
     "coboundary_span_env",
     "coeff_rows",
@@ -41,8 +46,8 @@ __all__ = [
 def witness_coeff_map(w: CocycleWitness) -> dict:
     """Flatten a witness into {(part, d-degree, l-degree): coefficient}.
 
-    Coefficients are polynomials in the remaining variables: constants for
-    a concrete problem, polynomials in t for a scan line.
+    Coefficients are constants for a concrete problem and polynomials in t
+    for a scan line.
     """
     coeffs = {}
     for name, poly in w.parts().items():
@@ -124,23 +129,6 @@ def coboundary_span_env(shape: int, env: dict, phi_cap: int) -> list[CocycleWitn
     return [w for w in out if not w.is_zero()]
 
 
-def _concrete(rows) -> list[list]:
-    return [[e.constant_value() for e in row] for row in rows]
-
-
-def coboundary_basis(p: ExtProblem) -> list[CocycleWitness]:
-    """Linearly independent subset of the change-of-basis images.
-
-    Kept in move order, so low-degree moves appear verbatim (for shape 2,
-    the first basis member is ``f = d + alpha + delta*l``, ``h = d - gamma``
-    whenever that image is nonzero).
-    """
-    span = coboundary_span(p)
-    rows, _ = coeff_rows([witness_coeff_map(w) for w in span])
-    rs = RowSpace(len(rows[0]) if rows else 0)
-    return [w for w, row in zip(span, _concrete(rows)) if rs.add(row)]
-
-
 def _cob_vectors_in_caps(p: ExtProblem, keys) -> list[list]:
     """Coboundary vectors that fit entirely inside the unknown basis.
 
@@ -153,7 +141,7 @@ def _cob_vectors_in_caps(p: ExtProblem, keys) -> list[list]:
     if not span:
         return []
     rows, over = coeff_rows([witness_coeff_map(w) for w in span], keys)
-    reduced, pivots = rref(_concrete(rows), over + len(keys))
+    reduced, pivots = rref(constant_rows(rows), over + len(keys))
     return [row[over:] for row, piv in zip(reduced, pivots) if piv >= over]
 
 

@@ -31,6 +31,7 @@ __all__ = [
     "build_equations_env",
     "LinearSystem",
     "assemble_linear_system",
+    "constant_rows",
 ]
 
 
@@ -246,9 +247,14 @@ class LinearSystem:
     row_labels: list  # (identity name, (jd, jl, ju))
 
     def concrete_rows(self):
-        """Rows with entries lowered to scalars (requires no ``t`` dependence)."""
-        zero = Fraction(0)
-        return [[e.constant_value() if e else zero for e in row] for row in self.rows]
+        """The rows lowered to scalars; see :func:`constant_rows`."""
+        return constant_rows(self.rows)
+
+
+def constant_rows(rows) -> list[list]:
+    """Rows of constant ``MultiPoly`` entries lowered to scalars."""
+    zero = Fraction(0)
+    return [[e.constant_value() if e else zero for e in row] for row in rows]
 
 
 def assemble_linear_system(identities, unknowns) -> LinearSystem:

@@ -4,7 +4,8 @@ Entries are ``Fraction`` or ``QuadExt`` values.  The systems this package
 builds are about 2% non-zero, so the one elimination kernel,
 :class:`RowSpace`, keeps each row sparse, as a ``{column: value}`` dict, and
 touches only non-zero entries.  The public functions accept dense rows and
-return dense vectors.
+return dense vectors.  :meth:`RowSpace.reduce` is the one reduction of a
+vector modulo a row space; membership is ``not any(rs.reduce(vec))``.
 
 The kernel holds the reduced row-echelon form (RREF) of everything added to
 it.  The RREF of a matrix is unique, so pivots, RREF rows, nullspace bases
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-__all__ = ["rref", "rank", "nullspace", "reduce_mod_rowspace", "RowSpace"]
+__all__ = ["rref", "rank", "nullspace", "RowSpace"]
 
 
 def _sparse(row) -> dict:
@@ -90,9 +91,6 @@ class RowSpace:
         """Residue of ``vec`` modulo the span; zero at every pivot column."""
         return _dense(_reduce(_sparse(vec), self._prows), self.ncols)
 
-    def contains(self, vec) -> bool:
-        return not _reduce(_sparse(vec), self._prows)
-
     def dim(self) -> int:
         return len(self._prows)
 
@@ -154,8 +152,3 @@ def nullspace(rows, ncols: int):
         basis.append(vec)
     return basis
 
-
-def reduce_mod_rowspace(vec, rr, pivots):
-    """Reduce ``vec`` against an RREF row space; the result has zeros at pivots."""
-    prows = {p: _sparse(row) for row, p in zip(rr, pivots)}
-    return _dense(_reduce(_sparse(vec), prows), len(vec))

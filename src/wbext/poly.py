@@ -55,7 +55,7 @@ def _as_coeff(x):
 
 
 class MultiPoly:
-    """Sparse exact polynomial in the fixed variables ``d``, ``l``, ``u``, ``t``.
+    """Sparse exact polynomial in the fixed universe ``d``, ``l``, ``u``, ``t``.
 
     Immutable; all arithmetic returns new instances.  Term order everywhere is
     graded lexicographic with ``d > l > u > t``, descending.
@@ -112,12 +112,6 @@ class MultiPoly:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def total_degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def degree_in(self, name: str) -> int:
         if not self.terms:
             return -1
@@ -127,9 +121,6 @@ class MultiPoly:
     def uses_var(self, name: str) -> bool:
         i = _VAR_INDEX[name]
         return any(e[i] for e in self.terms)
-
-    def variables(self) -> tuple[str, ...]:
-        return tuple(v for v in VARS if self.uses_var(v))
 
     def coeff(self, exps):
         return self.terms.get(tuple(exps), Fraction(0))
@@ -141,10 +132,6 @@ class MultiPoly:
         if list(self.terms) != [_ZERO4]:
             raise ValueError(f"polynomial is not constant: {self}")
         return self.terms[_ZERO4]
-
-    def is_homogeneous(self) -> bool:
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
 
     # -- arithmetic --------------------------------------------------------
 
@@ -278,9 +265,9 @@ class MultiPoly:
         """Group terms by their monomial in ``names``.
 
         Returns ``[(exps, coefficient_poly)]`` where ``exps`` runs over the
-        distinct exponent patterns in the chosen variables (tuple aligned with
-        ``names``) and each coefficient is a polynomial in the remaining
-        variables.  Pairs are sorted graded-lex descending on ``exps``.
+        distinct exponent patterns in ``names`` (tuple aligned with
+        ``names``) and each coefficient is a polynomial in the others.  Pairs
+        are sorted graded-lex descending on ``exps``.
         """
         idxs = [_VAR_INDEX[n] for n in names]
         groups: dict[tuple, dict] = {}
@@ -741,15 +728,6 @@ class FactorReport:
     quadratics: list = field(default_factory=list)  # monic MultiPoly in t
     residual: MultiPoly = field(default_factory=lambda: MultiPoly.const(1))
     notes: list = field(default_factory=list)
-
-    def reconstruct(self) -> MultiPoly:
-        t = MultiPoly.var("t")
-        out = MultiPoly.const(self.lead)
-        for r, m in self.roots:
-            out = out * (t - r) ** m
-        for q in self.quadratics:
-            out = out * q
-        return out * self.residual
 
 
 def _divisors(n: int, limit: int = 10**12) -> list[int] | None:

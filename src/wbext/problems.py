@@ -29,7 +29,7 @@ class Caps:
     def validate(self):
         for name in ("f", "g", "h", "phi"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
+            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
                 raise ValueError(f"cap {name} must be a positive integer, got {v!r}")
 
 

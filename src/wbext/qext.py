@@ -13,18 +13,12 @@ import re
 from fractions import Fraction
 
 __all__ = [
-    "Rational",
     "QuadExt",
     "quad",
     "scalar",
     "parse_rational",
-    "format_rational",
     "split_square",
 ]
-
-# The canonical exact rational type.  ``Fraction`` already guarantees lowest
-# terms and a positive denominator, which is exactly the contract we need.
-Rational = Fraction
 
 _RAT_RE = re.compile(r"([+-]?\d+)(?:\s*/\s*(-?\d+))?\Z")
 
@@ -39,10 +33,6 @@ def parse_rational(text: str) -> Fraction:
     if den == 0:
         raise ValueError(f"zero denominator in rational: {text!r}")
     return Fraction(num, den)
-
-
-def format_rational(x: Fraction) -> str:
-    return str(Fraction(x))
 
 
 def split_square(n: int, bound: int = 100_000) -> tuple[int, int]:
@@ -109,9 +99,6 @@ class QuadExt:
         if isinstance(other, (int, Fraction)):
             return Fraction(other), Fraction(0)
         return None
-
-    def conjugate(self) -> "QuadExt":
-        return QuadExt(self.p, -self.q, self.disc)
 
     def norm(self) -> Fraction:
         """Field norm ``p^2 - disc*q^2`` (rational, nonzero for nonzero elements)."""

@@ -88,7 +88,7 @@ def poly_str(p: MultiPoly) -> str:
 
 
 def parse_poly(text: str, field_name: str = "poly") -> MultiPoly:
-    """Parse a canonical polynomial string in the variables d, l, u, t."""
+    """Parse a canonical polynomial string in d, l, u and t."""
     if not isinstance(text, str):
         raise RecordError(field_name, f"expected a polynomial string, got {text!r}")
     try:
@@ -231,7 +231,7 @@ def _parse_problem(mapping) -> ExtProblem:
         kwargs[name] = None if value is None else parse_scalar(value, f"problem.{name}")
     caps = mapping.get("caps")
     if caps is not None:
-        if not (isinstance(caps, list) and len(caps) == 4 and all(isinstance(c, int) for c in caps)):
+        if not (isinstance(caps, list) and len(caps) == 4 and all(type(c) is int for c in caps)):
             raise RecordError("problem.caps", f"expected four integers, got {caps!r}")
         kwargs["caps"] = Caps(*caps)
     if "sector" in mapping:

@@ -1,12 +1,13 @@
 """Parametric weight scans: generic dimensions over Q(t) and special values.
 
-One weight (or the weight difference) is promoted to a polynomial variable
-``t``; the cocycle system then has entries in Q[t].  Each scan line is
-lowered once, straight from its ``MultiPoly`` entries, to one row form:
-every row is scaled by a positive constant to integer coefficients, so an
-entry is a tuple of ``int`` coefficients of a polynomial in Z[t], and every
-zero entry is the shared ``()``.  Scaling a row moves no rank, at t or at
-any point.  That form feeds three consumers:
+A scan line fixes ``delta - dbar`` and promotes one weight to a polynomial
+variable ``t``, in one of two charts: ``t = dbar`` (:func:`scan_dbar`) or
+``t = delta`` (:func:`scan_delta`).  The cocycle system then has entries in
+Q[t].  Each scan line is lowered once, straight from its ``MultiPoly``
+entries, to one row form: every row is scaled by a positive constant to
+integer coefficients, so an entry is a tuple of ``int`` coefficients of a
+polynomial in Z[t], and every zero entry is the shared ``()``.  Scaling a
+row moves no rank, at t or at any point.  That form feeds three consumers:
 
 * Bareiss fraction-free elimination over Z[t] (:func:`fraction_free_rank`),
   in pure ``int`` arithmetic with exact divisions.  The recorded pivot
@@ -57,11 +58,10 @@ __all__ = [
     "g_family_witness",
     "scan_dbar",
     "scan_delta",
-    "scan_diff",
     "special_values",
 ]
 
-_PROMOTE = ("delta", "dbar", "diff")
+_PROMOTE = ("delta", "dbar")
 _ZERO_Q = Fraction(0)
 
 
@@ -69,10 +69,10 @@ _ZERO_Q = Fraction(0)
 class ScanProblem:
     """A two-free-generator extension problem with one weight made variable.
 
-    ``promote`` picks the chart: ``"dbar"`` sets the sub-module weight to t
-    (quotient weight follows at fixed difference), ``"delta"`` does the
-    mirror image, and ``"diff"`` pins the sub-module weight while the
-    difference itself becomes t.
+    ``promote`` picks one of two charts of the line ``delta - dbar = diff``:
+    ``"dbar"`` sets the sub-module weight to t and the quotient weight
+    follows at the fixed difference; ``"delta"`` sets the quotient weight to
+    t and the sub-module weight follows.
     """
 
     base: ExtProblem
@@ -97,20 +97,16 @@ class ScanProblem:
         if self.promote == "dbar":
             env["dbar"] = T
             env["delta"] = T + self.diff
-        elif self.promote == "delta":
+        else:
             env["delta"] = T
             env["dbar"] = T - self.diff
-        else:
-            env["delta"] = env["dbar"] + T
         return env
 
     def weights_at(self, t0):
         """Concrete (delta, dbar) at the specialization t = t0."""
         if self.promote == "dbar":
             return (t0 + self.diff, t0)
-        if self.promote == "delta":
-            return (t0, t0 - self.diff)
-        return (Fraction(self.base.dbar) + t0, Fraction(self.base.dbar))
+        return (t0, t0 - self.diff)
 
     def specialize(self, t0) -> ExtProblem:
         delta, dbar = self.weights_at(t0)
@@ -139,15 +135,6 @@ def scan_delta(b, diff, sector="full", alpha=0, caps=None) -> ScanProblem:
     """Scan along the line delta - dbar = diff with t = delta."""
     sp = scan_dbar(b, diff, sector=sector, alpha=alpha, caps=caps)
     return ScanProblem(base=sp.base, promote="delta")
-
-
-def scan_diff(b, dbar, sector="full", alpha=0, caps=None) -> ScanProblem:
-    """Scan the weight difference itself, with the sub-module weight pinned."""
-    caps = caps if caps is not None else Caps()
-    base = ExtProblem(
-        shape=3, b=b, alpha=alpha, abar=alpha, delta=dbar, dbar=dbar, caps=caps, sector=sector
-    )
-    return ScanProblem(base=base, promote="diff")
 
 
 def _freeze(obj, *names) -> None:

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import engine
+from .equations import constant_rows
 from .linalg import rank as matrix_rank
 from .oracle import verify_witness
 from .poly import MultiPoly
@@ -673,11 +674,11 @@ _TABLES = {
     "vir-th3": VIR_TH3,
     "vir-th4": VIR_TH4,
 }
-_TABLES["all"] = tuple(c for name in ("theo1", "theo2", "theo3", "lemma-g", "vir-th2", "vir-th3", "vir-th4") for c in _TABLES[name])
+_TABLES["all"] = tuple(c for cases in _TABLES.values() for c in cases)
 
 
 def table_names() -> list[str]:
-    return ["theo1", "theo2", "theo3", "lemma-g", "vir-th2", "vir-th3", "vir-th4", "all"]
+    return list(_TABLES)
 
 
 def iter_cases(name: str) -> tuple:
@@ -734,7 +735,7 @@ def _classes_match(problem: ExtProblem, listed, basis) -> tuple[bool, str]:
     """
     cob = engine.coboundary_span(problem)
     rows, _ = engine.coeff_rows([engine.witness_coeff_map(w) for w in [*cob, *listed, *basis]])
-    rows = [[e.constant_value() for e in row] for row in rows]
+    rows = constant_rows(rows)
     ncols = len(rows[0]) if rows else 0
     n_cob, n_listed = len(cob), len(cob) + len(listed)
     r_cob = matrix_rank(rows[:n_cob], ncols)

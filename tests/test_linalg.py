@@ -6,7 +6,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wbext.linalg import RowSpace, nullspace, rank, reduce_mod_rowspace, rref
+from wbext.linalg import RowSpace, nullspace, rank, rref
 from wbext.qext import quad
 
 
@@ -48,8 +48,10 @@ def test_nullspace_vectors_are_lead_normalized():
 
 
 def test_reduce_mod_rowspace_zeroes_pivot_columns():
-    rows, pivots = rref([F(1, 0, 2), F(0, 1, -1)], 3)
-    red = reduce_mod_rowspace(F(3, 4, 0), rows, pivots)
+    rs = RowSpace(3)
+    rs.add(F(1, 0, 2))
+    rs.add(F(0, 1, -1))
+    red = rs.reduce(F(3, 4, 0))
     assert red[0] == 0 and red[1] == 0
     assert red[2] == -3 * 2 - 4 * (-1) + 0
 
@@ -60,8 +62,8 @@ def test_rowspace_tracks_dimension():
     assert not rs.add(F(2, 2, 0))  # dependent
     assert rs.add(F(0, 0, 1))
     assert rs.dim() == 2
-    assert rs.contains(F(3, 3, 5))
-    assert not rs.contains(F(1, 0, 0))
+    assert not any(rs.reduce(F(3, 3, 5)))
+    assert any(rs.reduce(F(1, 0, 0)))
 
 
 def test_rank_matches_rowspace_random():
@@ -155,8 +157,14 @@ def _check_kernel(rows, ncols, vec):
     for row in rows:
         rs.add(row)
     assert (rs.rows, rs.pivots) == (rr, pivots)
-    assert rs.reduce(vec) == reduce_mod_rowspace(vec, rr, pivots)
-    assert rs.contains(vec) == (rank(rows + [vec], ncols) == len(pivots))
+    # the residue is the unique vector that is zero at every pivot column
+    # and differs from ``vec`` by an element of the row span
+    residue = rs.reduce(vec)
+    assert all(residue[p] == 0 for p in pivots)
+    moved = [a - b for a, b in zip(vec, residue)]
+    assert len(_reference_rref(rr + [moved], ncols)[1]) == len(pivots)
+    in_span = len(_reference_rref(rows + [vec], ncols)[1]) == len(pivots)
+    assert (not any(residue)) == in_span
 
 
 @settings(max_examples=200, deadline=None)

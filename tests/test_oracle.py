@@ -1,10 +1,13 @@
 """Independent checker: witness verification and brute-force dimensions."""
 
+import ast
+import sys
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wbext import oracle
 from wbext.engine import solve_ext
 from wbext.linalg import rank
 from wbext.oracle import _rank, brute_dims, verify_witness
@@ -19,6 +22,28 @@ def _w(f="0", g="0", h=None):
         g=MultiPoly.parse(g),
         h=None if h is None else MultiPoly.parse(h),
     )
+
+
+def test_oracle_imports_only_the_stdlib_poly_and_problems():
+    """The oracle's independence is its point: it may use raw polynomial
+    arithmetic and the problem types, but no solver code."""
+    with open(oracle.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    package = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:  # relative: names inside the package
+                package.extend([node.module] if node.module else [a.name for a in node.names])
+                continue
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            assert name.split(".")[0] in sys.stdlib_module_names, name
+    # in particular nothing from linalg, engine, equations or scanner
+    assert set(package) <= {"poly", "problems"}, package
 
 
 def test_known_witness_passes():

@@ -30,17 +30,10 @@ def test_constructors_and_predicates():
 
 def test_degrees_and_variables():
     p = D**2 * L + 5 * T
-    assert p.total_degree() == 3
     assert p.degree_in("d") == 2
     assert p.degree_in("u") == 0
     assert p.uses_var("t") and not p.uses_var("u")
-    assert p.variables() == ("d", "l", "t")
-
-
-def test_homogeneity():
-    assert (D**2 + D * L).is_homogeneous()
-    assert not (D**2 + L).is_homogeneous()
-    assert MultiPoly.zero().is_homogeneous()
+    assert [v for v in VARS if p.uses_var(v)] == ["d", "l", "t"]
 
 
 def test_ring_laws_random():
@@ -164,14 +157,25 @@ def test_unipoly_eval_supports_quadratic_points():
     assert p.eval(Fraction(1)) == 3
 
 
+def _reconstruct(rep):
+    """``lead * prod((t - r)^m) * prod(quadratics) * residual``, the identity
+    every factor report satisfies."""
+    out = MultiPoly.const(rep.lead)
+    for r, m in rep.roots:
+        out = out * (T - r) ** m
+    for q in rep.quadratics:
+        out = out * q
+    return out * rep.residual
+
+
 def test_factor_special_finds_rational_and_quadratic_parts():
     t = UniPoly.t()
     p = (t - 2) * (t + Fraction(1, 3)) * (2 * t**2 - 14 * t + 15)
     rep = uni_factor_special(p.to_multipoly())
     assert sorted(rep.roots) == [(Fraction(-1, 3), 1), (Fraction(2), 1)]
     assert len(rep.quadratics) == 1
-    assert rep.residual.total_degree() == 0
-    assert rep.reconstruct() == p.to_multipoly()
+    assert rep.residual.degree_in("t") == 0
+    assert _reconstruct(rep) == p.to_multipoly()
 
 
 def test_factor_special_handles_multiplicities():
@@ -180,7 +184,7 @@ def test_factor_special_handles_multiplicities():
     rep = uni_factor_special(p.to_multipoly())
     assert rep.lead == 3
     assert sorted(rep.roots) == [(Fraction(0), 1), (Fraction(1), 2)]
-    assert rep.reconstruct() == p.to_multipoly()
+    assert _reconstruct(rep) == p.to_multipoly()
 
 
 def test_factor_special_reports_unfactored_residual():
@@ -188,8 +192,8 @@ def test_factor_special_reports_unfactored_residual():
     p = t**4 + t + 1  # no rational roots, no small quadratic factors
     rep = uni_factor_special(p.to_multipoly())
     assert rep.roots == []
-    assert rep.residual.total_degree() == 4
-    assert rep.reconstruct() == p.to_multipoly()
+    assert rep.residual.degree_in("t") == 4
+    assert _reconstruct(rep) == p.to_multipoly()
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from wbext.engine import solve_ext
-from wbext.problems import ExtProblem
+from wbext.problems import Caps, ExtProblem
 from wbext.qext import quad
 from wbext.records import (
     OutputRecord,
@@ -91,6 +91,21 @@ def test_parse_record_rejects_bad_problem_parameter():
     with pytest.raises(RecordError) as err:
         parse_record(json.dumps(doc))
     assert err.value.field == "problem.b"
+
+
+@pytest.mark.parametrize("cap", [True, False, 2.0, "8"])
+def test_parse_record_rejects_non_integer_caps(cap):
+    rec = _record(ExtProblem(shape=1, b=1, alpha=0, gamma=0, delta=1))
+    doc = json.loads(rec.to_json())
+    doc["problem"]["caps"][0] = cap
+    with pytest.raises(RecordError) as err:
+        parse_record(json.dumps(doc))
+    assert err.value.field == "problem.caps"
+
+
+def test_boolean_caps_fail_validation():
+    with pytest.raises(ValueError):
+        Caps(True, 5, 8, 8).validate()
 
 
 def test_parse_record_rejects_missing_dimension():

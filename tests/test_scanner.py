@@ -23,7 +23,6 @@ from wbext.scanner import (
     generic_sector_dims,
     scan_dbar,
     scan_delta,
-    scan_diff,
     special_values,
 )
 
@@ -35,8 +34,6 @@ def test_weights_at_respects_promotion():
     assert line.weights_at(Fraction(1)) == (Fraction(4), Fraction(1))
     chart = scan_delta(2, 3)
     assert chart.weights_at(Fraction(4)) == (Fraction(4), Fraction(1))
-    ray = scan_diff(2, Fraction(1))
-    assert ray.weights_at(Fraction(3)) == (Fraction(4), Fraction(1))
 
 
 def test_specialize_builds_concrete_problem():
@@ -123,15 +120,6 @@ def test_certificate_completeness_probes():
             continue
         assert ext_dim_at(sp, t0) == report.generic_dim
         probes += 1
-
-
-def test_diff_scan_finds_the_two_family_lines():
-    sp = scan_diff(2, Fraction(1), caps=CAPS)
-    report = special_values(sp)
-    special_ts = [value for value, _dim in report.special_values]
-    assert Fraction(2) in special_ts and Fraction(3) in special_ts
-    cert = UniPoly.from_multipoly(report.certificate)
-    assert cert.eval(Fraction(2)) == 0 and cert.eval(Fraction(3)) == 0
 
 
 def test_degree2_solutions_pinned_at_dbar():
