@@ -35,7 +35,7 @@ for delta, dbar in report.isolated_points():
 
 print("\n=== a family witness, verified by substitution ===\n")
 dbar = Fraction(7)
-witness = g_family_witness(1, B, symbolic=False, at=dbar)
+witness = g_family_witness(1, B, dbar=dbar)
 problem = ExtProblem(shape=3, b=B, alpha=0, abar=0, delta=dbar + 1 + B, dbar=dbar)
 print(f"degree-1 witness at dbar = {dbar}: {witness}")
 print(f"substitution check: {verify_witness(problem, witness)}")

@@ -178,18 +178,6 @@ def _scan_lines(args, caps):
     return out
 
 
-def _line_family_g(args, diff, sp, report):
-    """Symbolic second-part family on a line ``diff = m + b``, if there is one."""
-    if args.sector == "f":
-        return None
-    m = Fraction(diff) - Fraction(args.b)
-    if m.denominator != 1 or not 0 <= m <= 3:
-        return None
-    if scanner.generic_sector_dims(sp)[1] <= 0:
-        return None
-    return scanner.g_family_witness(int(m), args.b).g
-
-
 def _cmd_scan(args) -> tuple[str, int]:
     try:
         caps = _caps(args)
@@ -206,12 +194,12 @@ def _cmd_scan(args) -> tuple[str, int]:
             "lines": [],
         }
         for diff, sp, report in lines:
-            family = _line_family_g(args, diff, sp, report)
+            family = scanner.line_family(sp)
             doc["lines"].append(
                 {
                     "diff": scalar_str(diff),
                     "generic_dim": report.generic_dim,
-                    "family_g": None if family is None else poly_str(family),
+                    "family_g": None if family is None else poly_str(family.g),
                     "certificate": poly_str(report.certificate),
                     "specials": [
                         {
@@ -233,10 +221,10 @@ def _cmd_scan(args) -> tuple[str, int]:
     for diff, sp, report in lines:
         out.append(f"line diff={scalar_str(diff)}")
         out.append(f"  generic_dim {report.generic_dim}")
-        family = _line_family_g(args, diff, sp, report)
+        family = scanner.line_family(sp)
         if family is not None:
             out.append(
-                f"  family g = {family.str_in(('d', 'l'))}"
+                f"  family g = {family.g.str_in(('d', 'l'))}"
                 "  [valid at every non-special t]"
             )
         out.append(f"  certificate: {poly_str(report.certificate)}")
@@ -301,7 +289,10 @@ def _cmd_verify(args) -> tuple[str, int]:
     out = []
     failures = 0
     for i, witness in enumerate(record.basis):
-        report = verify_witness(record.problem, witness)
+        try:
+            report = verify_witness(record.problem, witness)
+        except ValueError as exc:  # a witness that does not fit the problem's shape
+            raise UsageError(f"basis[{i}]: {exc}") from None
         verdict = "ok" if report.passed else "FAIL"
         out.append(f"witness [{i}] {witness}: {verdict}")
         if not report.passed:

@@ -7,7 +7,7 @@ from fractions import Fraction
 from types import MappingProxyType
 
 from .poly import MultiPoly
-from .qext import scalar
+from .qext import QuadExt, scalar
 
 __all__ = ["Caps", "ExtProblem", "CocycleWitness", "ExtSolution", "SECTORS"]
 
@@ -79,6 +79,9 @@ class ExtProblem:
                 raise ValueError("shape 3 needs alpha, abar, delta and dbar")
             if self.gamma is not None:
                 raise ValueError("shape 3 takes no gamma parameter")
+        params = (self.b, self.alpha, self.gamma, self.abar, self.delta, self.dbar)
+        if len({v.disc for v in params if isinstance(v, QuadExt)}) > 1:
+            raise ValueError("parameters must lie in one quadratic field Q(sqrt(D))")
 
     def env(self) -> dict:
         """Parameter environment as constant polynomials (scanner overrides some)."""

@@ -210,11 +210,11 @@ def quad(p, q, disc: int):
 
     Square parts of ``disc`` are folded into ``q`` so that, for example,
     ``quad(0, 1, 12) == quad(0, 2, 3)``; a perfect-square ``disc`` yields a
-    plain rational.
+    plain rational, and ``disc = 0`` yields ``p``.
     """
     p = Fraction(p)
     q = Fraction(q)
-    if q == 0:
+    if q == 0 or disc == 0:
         return p
     s, r = split_square(disc)
     if r == 1:

@@ -95,6 +95,8 @@ def parse_poly(text: str, field_name: str = "poly") -> MultiPoly:
         return MultiPoly.parse(text)
     except ValueError as exc:
         raise RecordError(field_name, str(exc)) from None
+    except ZeroDivisionError:
+        raise RecordError(field_name, f"division by zero in {text!r}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,19 @@
 
 A scan line fixes ``delta - dbar`` and promotes one weight to a polynomial
 variable ``t``, in one of two charts: ``t = dbar`` (:func:`scan_dbar`) or
-``t = delta`` (:func:`scan_delta`).  The cocycle system then has entries in
-Q[t].  Each scan line is lowered once, straight from its ``MultiPoly``
-entries, to one row form: every row is scaled by a positive constant to
-integer coefficients, so an entry is a tuple of ``int`` coefficients of a
+``t = delta`` (:func:`scan_delta`).  Lines are homogeneous: both shift
+parameters vanish, which loses nothing, since an equal shift of alpha and
+abar moves no dimension.  The cocycle system then has entries in Q[t] and
+splits into independent blocks by part and degree.
+
+Each line is lowered once, straight from its ``MultiPoly`` entries, to one
+row form: every row is scaled by a positive constant to integer
+coefficients, so an entry is a tuple of ``int`` coefficients of a
 polynomial in Z[t], and every zero entry is the shared ``()``.  Scaling a
-row moves no rank, at t or at any point.  That form feeds three consumers:
+row moves no rank, at t or at any point.  A line keeps one list of
+matrices (the equation blocks, then the full and the overflow coboundary
+matrices) and one formula that turns their ranks into an ext dimension.
+That list feeds three consumers:
 
 * Bareiss fraction-free elimination over Z[t] (:func:`fraction_free_rank`),
   in pure ``int`` arithmetic with exact divisions.  The recorded pivot
@@ -26,10 +33,14 @@ row moves no rank, at t or at any point.  That form feeds three consumers:
 * The exact point check :func:`ext_dim_at`, which evaluates the same rows
   in Q or Q(sqrt(d)).  Every root the screen does not clear goes there, so
   each reported value and dimension is exact.
+
+:func:`line_family` is the one derivation of a line's second-generator
+family; it verifies the family before returning it, and both
+:func:`classify` and the command line use it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
@@ -53,9 +64,8 @@ __all__ = [
     "classify",
     "ext_dim_at",
     "fraction_free_rank",
-    "generic_ext_dim",
-    "generic_sector_dims",
     "g_family_witness",
+    "line_family",
     "scan_dbar",
     "scan_delta",
     "special_values",
@@ -72,7 +82,8 @@ class ScanProblem:
     ``promote`` picks one of two charts of the line ``delta - dbar = diff``:
     ``"dbar"`` sets the sub-module weight to t and the quotient weight
     follows at the fixed difference; ``"delta"`` sets the quotient weight to
-    t and the sub-module weight follows.
+    t and the sub-module weight follows.  Both shifts ``alpha`` and ``abar``
+    are zero.
     """
 
     base: ExtProblem
@@ -83,7 +94,12 @@ class ScanProblem:
             raise ValueError("weight scans need shape 3 (two free generators)")
         if self.promote not in _PROMOTE:
             raise ValueError(f"promote must be one of {_PROMOTE}, not {self.promote!r}")
-        for name in ("alpha", "abar", "delta", "dbar"):
+        if self.base.alpha != 0 or self.base.abar != 0:
+            raise ValueError(
+                "scan lines have zero shifts alpha = abar = 0; an equal shift "
+                "of both moves no dimension, so scan the unshifted line"
+            )
+        for name in ("delta", "dbar"):
             if isinstance(getattr(self.base, name), QuadExt):
                 raise ValueError("scan lines must have rational parameters")
 
@@ -110,30 +126,21 @@ class ScanProblem:
 
     def specialize(self, t0) -> ExtProblem:
         delta, dbar = self.weights_at(t0)
-        return ExtProblem(
-            shape=3,
-            b=self.base.b,
-            alpha=self.base.alpha,
-            abar=self.base.abar,
-            delta=delta,
-            dbar=dbar,
-            caps=self.base.caps,
-            sector=self.base.sector,
-        )
+        return replace(self.base, delta=delta, dbar=dbar)
 
 
-def scan_dbar(b, diff, sector="full", alpha=0, caps=None) -> ScanProblem:
+def scan_dbar(b, diff, sector="full", caps=None) -> ScanProblem:
     """Scan along the line delta - dbar = diff with t = dbar."""
     caps = caps if caps is not None else Caps()
     base = ExtProblem(
-        shape=3, b=b, alpha=alpha, abar=alpha, delta=diff, dbar=0, caps=caps, sector=sector
+        shape=3, b=b, alpha=0, abar=0, delta=diff, dbar=0, caps=caps, sector=sector
     )
     return ScanProblem(base=base, promote="dbar")
 
 
-def scan_delta(b, diff, sector="full", alpha=0, caps=None) -> ScanProblem:
+def scan_delta(b, diff, sector="full", caps=None) -> ScanProblem:
     """Scan along the line delta - dbar = diff with t = delta."""
-    sp = scan_dbar(b, diff, sector=sector, alpha=alpha, caps=caps)
+    sp = scan_dbar(b, diff, sector=sector, caps=caps)
     return ScanProblem(base=sp.base, promote="delta")
 
 
@@ -293,54 +300,30 @@ def fraction_free_rank(rows) -> tuple[int, list]:
     return r, pivots
 
 
-@dataclass
+@dataclass(frozen=True)
 class _LineData:
-    """Everything reusable about one scan line's symbolic systems.
+    """Everything reusable about one scan line's systems over Q[t].
 
-    Every matrix is in the integer row form of :func:`_int_rows`.
+    ``matrices`` holds ``(rows, column count, generic rank)`` for the
+    equation blocks, then the full and the overflow coboundary matrices,
+    every one in the integer row form of :func:`_int_rows`.  ``pivots`` are
+    the pivot polynomials of all of them, in that order: the certificate
+    input.
     """
 
-    keys: list
-    blocks: list  # (part, column keys, rows) per independent block
-    block_ranks: list
-    cob_full: list
-    cob_over: list
-    rank_full: int
-    rank_over: int
-    pivots: tuple  # all pivot polynomials, certificate input
-    g_unknowns: int
-    g_rank: int
+    nunk: int
+    matrices: tuple
+    pivots: tuple
+    g_generic: int  # basis moves never produce g-parts: no coboundary term
 
-    @property
-    def nunk(self) -> int:
-        return len(self.keys)
-
-    @property
-    def rank(self) -> int:
-        return sum(self.block_ranks)
+    def ext_dim(self, ranks) -> int:
+        """Ext dimension from the ranks of ``matrices``, in their order."""
+        *blocks, full, over = ranks
+        return (self.nunk - sum(blocks)) - (full - over)
 
     @property
     def generic_ext(self) -> int:
-        return (self.nunk - self.rank) - (self.rank_full - self.rank_over)
-
-    @property
-    def g_generic(self) -> int:
-        # basis moves never produce g-parts, so no coboundary correction here
-        if self.g_rank < 0:
-            raise ValueError("g-sector split unavailable on inhomogeneous lines")
-        return self.g_unknowns - self.g_rank
-
-    def matrices(self):
-        """(rows, column count, generic rank) for every matrix of the line."""
-        out = [
-            (rows, len(cols), rank)
-            for (_part, cols, rows), rank in zip(self.blocks, self.block_ranks)
-        ]
-        width = len(self.cob_full[0]) if self.cob_full else 0
-        over = len(self.cob_over[0]) if self.cob_over else 0
-        out.append((self.cob_full, width, self.rank_full))
-        out.append((self.cob_over, over, self.rank_over))
-        return out
+        return self.ext_dim([rank for _rows, _n, rank in self.matrices])
 
 
 def _symbolic_system(sp: ScanProblem):
@@ -353,10 +336,12 @@ def _symbolic_system(sp: ScanProblem):
 def _block_split(keys, rows):
     """Split into independent blocks keyed by (part, homogeneous degree).
 
-    Sound whenever both shift parameters vanish: every identity then maps a
-    homogeneous witness monomial to equations of a single adjacent degree,
-    so distinct degrees never mix and each small block can be eliminated on
-    its own.
+    Sound because scan lines are homogeneous (both shift parameters vanish):
+    every identity then maps a homogeneous witness monomial to equations of
+    a single adjacent degree, so distinct degrees never mix and each small
+    block can be eliminated on its own.  Returns ``(part, rows)`` per block;
+    the blocks lead the line's one matrix list.  A mixed row would break
+    that argument, so it raises ``ArithmeticError``.
     """
     group_of = {i: (key[0], key[1] + key[2]) for i, key in enumerate(keys)}
     buckets: dict = {}
@@ -370,9 +355,7 @@ def _block_split(keys, rows):
     blocks = []
     for group in sorted(buckets):
         cols = [i for i in range(len(keys)) if group_of[i] == group]
-        blocks.append(
-            (group[0], [keys[i] for i in cols], [[row[i] for i in cols] for row in buckets[group]])
-        )
+        blocks.append((group[0], [[row[i] for i in cols] for row in buckets[group]]))
     return blocks
 
 
@@ -391,66 +374,22 @@ def _cob_rows_t(sp: ScanProblem, keys):
 @lru_cache(maxsize=16)
 def _line_data(sp: ScanProblem) -> _LineData:
     keys, rows = _symbolic_system(sp)
-    homogeneous = Fraction(sp.base.alpha) == 0 and Fraction(sp.base.abar) == 0
-    if homogeneous:
-        blocks = _block_split(keys, rows)
-    else:
-        blocks = [("all", list(keys), rows)]
-    block_ranks = []
+    blocks = _block_split(keys, rows)
+    matrices = []
     pivots = []
     g_rank = 0
-    for part, _cols, subrows in blocks:
-        br, bp = fraction_free_rank(subrows)
-        block_ranks.append(br)
-        pivots.extend(bp)
+    for part, mat in blocks + [(None, cob) for cob in _cob_rows_t(sp, keys)]:
+        rank, piv = fraction_free_rank(mat)
+        matrices.append((mat, len(mat[0]) if mat else 0, rank))
+        pivots.extend(piv)
         if part == "g":
-            g_rank += br
-    cob_full, cob_over = _cob_rows_t(sp, keys)
-    rank_full, piv_full = fraction_free_rank(cob_full)
-    rank_over, piv_over = fraction_free_rank(cob_over)
-    g_unknowns = sum(1 for k in keys if k[0] == "g")
-    if not homogeneous:
-        # sector split by block is unavailable; report the g-count as unknown
-        g_rank = -1
+            g_rank += rank
     return _LineData(
-        keys=keys,
-        blocks=blocks,
-        block_ranks=block_ranks,
-        cob_full=cob_full,
-        cob_over=cob_over,
-        rank_full=rank_full,
-        rank_over=rank_over,
-        pivots=tuple(pivots + piv_full + piv_over),
-        g_unknowns=g_unknowns,
-        g_rank=g_rank,
+        nunk=len(keys),
+        matrices=tuple(matrices),
+        pivots=tuple(pivots),
+        g_generic=sum(1 for k in keys if k[0] == "g") - g_rank,
     )
-
-
-def generic_sector_dims(sp: ScanProblem) -> tuple[int, int]:
-    """Generic (first-part, second-part) dimensions on the line.
-
-    The second-generator part carries no basis-change corrections, so the
-    split is exact; requires the homogeneous situation (zero shifts) unless
-    the problem is already restricted to one sector.
-    """
-    data = _line_data(sp)
-    if sp.base.sector == "f":
-        return data.generic_ext, 0
-    g = data.g_generic
-    return data.generic_ext - g, g
-
-
-def generic_ext_dim(sp: ScanProblem) -> tuple[int, tuple]:
-    """Generic ext dimension over Q(t) plus the supporting pivot polynomials.
-
-    Kernel dimension minus the generic count of basis-change images that
-    fit inside the caps; pivots from every elimination feed the certificate.
-    The pivots come from the integer rows, so each is a non-zero constant
-    times the pivot of the unscaled rational rows: the certificate built
-    from their square-free primitive parts is the same either way.
-    """
-    data = _line_data(sp)
-    return data.generic_ext, data.pivots
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +474,7 @@ def _screen(data: _LineData, t0) -> bool:
     if point is None:
         return False
     p, x = point
-    return all(_rank_mod(rows, x, p, rank) == rank for rows, _n, rank in data.matrices())
+    return all(_rank_mod(rows, x, p, rank) == rank for rows, _n, rank in data.matrices)
 
 
 def _rows_at(rows, t0) -> list:
@@ -560,8 +499,9 @@ def ext_dim_at(sp: ScanProblem, t0) -> int:
     at a fraction of the cost; works for Fraction and QuadExt points.
     """
     data = _line_data(sp)
-    ranks = [matrix_rank(_rows_at(rows, t0), ncols) for rows, ncols, _r in data.matrices()]
-    return (data.nunk - sum(ranks[:-2])) - (ranks[-2] - ranks[-1])
+    return data.ext_dim(
+        [matrix_rank(_rows_at(rows, t0), ncols) for rows, ncols, _r in data.matrices]
+    )
 
 
 def _factor_pivots(pivots):
@@ -721,15 +661,18 @@ class ClassifyReport:
         ]
 
 
-def g_family_witness(m: int, b, symbolic: bool = True, at=None) -> CocycleWitness:
+def g_family_witness(m: int, b, dbar=None) -> CocycleWitness:
     """The homogeneous degree-m g-sector family on the line diff = m + b.
 
     Coefficients follow the recursion b*a_i = -a_0*C(m, i+1) - a_0*dbar*C(m, i)
-    with a_0 = 1; ``symbolic`` keeps dbar as the scan variable t, otherwise
-    ``at`` supplies a concrete dbar.
+    with a_0 = 1.  ``dbar`` is a concrete weight or a polynomial in t; the
+    default is the scan variable t itself (the ``t = dbar`` chart).
     """
     b = Fraction(b)
-    dbar = T if symbolic else MultiPoly.const(at)
+    if dbar is None:
+        dbar = T
+    elif not isinstance(dbar, MultiPoly):
+        dbar = MultiPoly.const(dbar)
     g = MultiPoly.monomial((m, 0, 0, 0), Fraction(1))
     for i in range(1, m + 1):
         coeff = (MultiPoly.const(Fraction(comb(m, i + 1))) + dbar * comb(m, i)) * (
@@ -737,6 +680,27 @@ def g_family_witness(m: int, b, symbolic: bool = True, at=None) -> CocycleWitnes
         )
         g = g + coeff * MultiPoly.monomial((m - i, i, 0, 0), Fraction(1))
     return CocycleWitness(f=MultiPoly.zero(), g=g)
+
+
+def line_family(sp: ScanProblem) -> CocycleWitness | None:
+    """The verified g family on a line diff = m + b, or None if it has none.
+
+    A line carries a family when it has generic g-sector solutions; the
+    degree law puts those only on lines where m = diff - b is an integer in
+    0..3.  The family is built at the line's own ``dbar`` (t in one chart,
+    t - diff in the other) and checked by substitution with t left free.  A
+    line off the degree law, or a failed check, raises ``ArithmeticError``.
+    """
+    if _line_data(sp).g_generic <= 0:
+        return None
+    m = sp.diff - Fraction(sp.base.b)
+    if m.denominator != 1 or not 0 <= m <= 3:
+        raise ArithmeticError(f"generic g-sector solutions at m = {m}, off the degree law")
+    env = sp.env_t()
+    fam = g_family_witness(int(m), sp.base.b, dbar=env["dbar"])
+    if not verify_witness_env(3, env, fam).passed:
+        raise ArithmeticError(f"derived degree-{m} family fails verification over Q[t]")
+    return fam
 
 
 def _line_specials(sp: ScanProblem, rep: ScanReport) -> list:
@@ -780,17 +744,11 @@ def _sample_t(sp: ScanProblem, rep: ScanReport) -> Fraction:
 def _line_entry(b, diff, sector, caps, m=None) -> LineEntry:
     sp = scan_dbar(b, diff, sector=sector, caps=caps)
     rep = special_values(sp)
-    data = _line_data(sp)
-    g_generic = data.g_generic if sector != "f" else 0
+    g_generic = _line_data(sp).g_generic
     f_generic = rep.generic_dim - g_generic
     families = []
-    if g_generic > 0 and m is not None:
-        fam = g_family_witness(m, b)
-        check = verify_witness_env(3, sp.env_t(), fam)
-        if not check.passed:
-            raise ArithmeticError(
-                f"derived degree-{m} family fails symbolic verification"
-            )
+    fam = line_family(sp)
+    if fam is not None:
         families.append((fam, "g family, valid for every t on the line"))
     if f_generic > 0:
         t0 = _sample_t(sp, rep)

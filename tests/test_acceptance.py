@@ -181,7 +181,7 @@ def _g_sector_problem(b, m, dbar) -> ExtProblem:
 def _check_family(b, m, dbar):
     """The degree-m polynomial verifies by substitution and obeys the
     coefficient recursion b*a_i = -C(m, i+1) - dbar*C(m, i), a_0 = 1."""
-    w = g_family_witness(m, b, symbolic=False, at=dbar)
+    w = g_family_witness(m, b, dbar=dbar)
     p = _g_sector_problem(b, m, dbar)
     assert p.delta - p.dbar == m + F(b)
     report = verify_witness(p, w)

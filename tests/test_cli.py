@@ -6,13 +6,20 @@ shell user sees: 0 success, 1 mathematical mismatch, 2 usage error.
 """
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from wbext import scanner
 from wbext.cli import main
-from wbext.problems import Caps, ExtProblem
-from wbext.records import parse_record
+from wbext.oracle import verify_witness_env
+from wbext.poly import MultiPoly
+from wbext.problems import Caps, CocycleWitness, ExtProblem
+from wbext.records import parse_poly, parse_record
 
 SOLVE_T1 = ["solve", "--type", "1", "--b", "1", "--alpha", "0", "--gamma", "0", "--delta", "1"]
 SOLVE_T3 = [
@@ -131,6 +138,27 @@ def test_scan_delta_promotion_labels_t(capsys):
     assert "(t is the quotient weight)" in out
 
 
+@pytest.mark.parametrize("promote", ["dbar", "delta"])
+@pytest.mark.parametrize("b", ["2", "-2/3"])
+def test_scan_family_verifies_on_its_own_line(capsys, promote, b):
+    """Each printed family g is a cocycle on its line, in either chart: on
+    the t = delta chart dbar is t - diff, not t."""
+    rc, out, _ = run(capsys, ["scan", "--b", b, "--sector", "g", "--promote", promote, "--json"])
+    assert rc == 0
+    lines = json.loads(out)["lines"]
+    assert [Fraction(line["diff"]) - Fraction(b) for line in lines] == [0, 1, 2, 3]
+    maker = scanner.scan_delta if promote == "delta" else scanner.scan_dbar
+    families = 0
+    for line in lines:
+        if line["family_g"] is None:
+            continue
+        sp = maker(Fraction(b), Fraction(line["diff"]), sector="g")
+        fam = CocycleWitness(f=MultiPoly.zero(), g=parse_poly(line["family_g"]))
+        assert verify_witness_env(3, sp.env_t(), fam).passed, line
+        families += 1
+    assert families == 2  # the degree-0 and degree-1 lines
+
+
 def test_caps_environment_variable(capsys, monkeypatch):
     monkeypatch.setenv("WB_EXT_CAPS", "9,6,9,9")
     rc, out, _ = run(capsys, SOLVE_T1 + ["--json"])
@@ -244,6 +272,50 @@ def test_verify_malformed_document_is_a_usage_error(capsys, tmp_path):
     assert rc == 2
     assert "problem.b" in err
 
+    mixed = {"shape": 3, "b": "2", "abar": "0", "delta": "sqrt(2)", "dbar": "sqrt(3)"}
+    target.write_text(json.dumps({"problem": mixed, "ext_dim": 0}))
+    rc, _, err = run(capsys, ["verify", "--input", str(target)])
+    assert rc == 2
+    assert "field 'problem'" in err and "quadratic field" in err
+
+
+def _solve_doc(tmp_path, argv):
+    target = tmp_path / "result.json"
+    assert main(argv + ["--json", "--out", str(target)]) == 0
+    return target, json.loads(target.read_text())
+
+
+def test_verify_reads_a_zero_square_root_as_zero(capsys, tmp_path):
+    target, doc = _solve_doc(tmp_path, SOLVE_T1)
+    capsys.readouterr()
+    doc["problem"]["delta"] = "0"
+    target.write_text(json.dumps(doc))
+    expected = run(capsys, ["verify", "--input", str(target)])
+    doc["problem"]["delta"] = "sqrt(0)"
+    target.write_text(json.dumps(doc))
+    assert run(capsys, ["verify", "--input", str(target)]) == expected
+
+
+def test_verify_division_by_zero_in_a_witness_is_a_usage_error(capsys, tmp_path):
+    target, doc = _solve_doc(tmp_path, SOLVE_T3)
+    capsys.readouterr()
+    doc["basis"][0]["f"] = "1/0*l"
+    target.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, ["verify", "--input", str(target)])
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "basis[0].f" in err
+
+
+def test_verify_witness_of_the_wrong_shape_is_a_usage_error(capsys, tmp_path):
+    for argv, index, entry in ((SOLVE_T1, 0, {"f": "d"}), (SOLVE_T3, 1, {"h": "d"})):
+        target, doc = _solve_doc(tmp_path, argv)
+        capsys.readouterr()
+        doc["basis"][index].update(entry)
+        target.write_text(json.dumps(doc))
+        rc, out, err = run(capsys, ["verify", "--input", str(target)])
+        assert rc == 2 and out == ""
+        assert err.startswith("error:") and f"basis[{index}]" in err
+
 
 def test_verify_missing_file_is_a_usage_error(capsys, tmp_path):
     rc, _, err = run(capsys, ["verify", "--input", str(tmp_path / "absent.json")])
@@ -264,3 +336,31 @@ def test_output_is_byte_deterministic(capsys):
         assert rc == 0
         scans.append(out)
     assert scans[0] == scans[1]
+
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
+
+_HASH_SCRIPT = """
+import sys
+from wbext.cli import main
+for argv in (
+    "solve --type 1 --b 1 --alpha 0 --gamma 0 --delta 1 --json",
+    "solve --type 2 --b 3 --alpha 1 --gamma -1 --delta 1 --json",
+    "solve --type 3 --b 2 --alpha 0 --abar 0 --delta 3 --dbar 1 --json",
+    "scan --b -2/3 --sector full --json",
+):
+    assert main(argv.split()) == 0
+"""
+
+
+def test_output_bytes_do_not_depend_on_the_hash_seed():
+    outputs = []
+    for seed in ("1", "4242"):
+        env = {**os.environ, "PYTHONPATH": str(_SRC), "PYTHONHASHSEED": seed}
+        proc = subprocess.run(
+            [sys.executable, "-c", _HASH_SCRIPT], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count('"ext_dim"') >= 3  # the three solves printed

@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -19,8 +20,7 @@ from wbext.scanner import (
     classify,
     ext_dim_at,
     g_family_witness,
-    generic_ext_dim,
-    generic_sector_dims,
+    line_family,
     scan_dbar,
     scan_delta,
     special_values,
@@ -88,17 +88,15 @@ _SMALL_Q = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 @given(
     b=_SMALL_Q.filter(bool),
     diff=_SMALL_Q,
-    alpha=st.one_of(st.just(Fraction(0)), _SMALL_Q.filter(bool)),
     sector=st.sampled_from(["full", "f"]),
     data=st.data(),
 )
-def test_line_agrees_with_the_engine_at_any_point(b, diff, alpha, sector, data):
+def test_line_agrees_with_the_engine_at_any_point(b, diff, sector, data):
     """The symbolic line and the specialised engine solve build their
     coboundaries with one builder; they must agree off and on the
     certificate's roots."""
-    sp = scan_dbar(b, diff, sector=sector, alpha=alpha, caps=_SMALL_CAPS)
-    roots, quadratics, _cert, _notes = scanner._factor_pivots(generic_ext_dim(sp)[1])
-    roots = roots + [r for q in quadratics for r in scanner._quad_roots(q)]
+    sp = scan_dbar(b, diff, sector=sector, caps=_SMALL_CAPS)
+    roots = _certificate_roots(sp)
     points = st.fractions(min_value=-12, max_value=12, max_denominator=4)
     if roots:
         points = st.one_of(st.sampled_from(roots), points)
@@ -172,26 +170,50 @@ def test_family_witness_follows_coefficient_law():
 
 def test_family_witness_specializes_consistently():
     w_sym = g_family_witness(2, 3)
-    w_at = g_family_witness(2, 3, symbolic=False, at=Fraction(-4))
+    w_at = g_family_witness(2, 3, dbar=Fraction(-4))
     assert w_sym.g.subst("t", MultiPoly.const(Fraction(-4))) == w_at.g
     p = scan_dbar(3, 5, sector="g").specialize(Fraction(-4))
     assert verify_witness(p, w_at).passed
+    # a polynomial dbar, as on the t = delta chart where dbar = t - diff
+    w_poly = g_family_witness(2, 3, dbar=MultiPoly.var("t") - 5)
+    assert w_poly.g.subst("t", MultiPoly.const(Fraction(1))) == w_at.g
 
 
 def test_sector_split_matches_joint_scan():
     b = Fraction(2)
     joint = scan_dbar(b, 3, caps=CAPS)
-    f_dim, g_dim = generic_sector_dims(joint)
+    g_dim = scanner._line_data(joint).g_generic
     g_only = special_values(scan_dbar(b, 3, sector="g", caps=CAPS))
     assert g_dim == g_only.generic_dim
-    assert f_dim + g_dim == special_values(joint).generic_dim
+    f_only = special_values(scan_dbar(b, 3, sector="f", caps=CAPS))
+    assert f_only.generic_dim + g_dim == special_values(joint).generic_dim
 
 
 def test_generic_ext_dim_exposes_pivots():
     sp = scan_dbar(1, 2, sector="g", caps=CAPS)
-    dim, pivots = generic_ext_dim(sp)
-    assert dim == 1
-    assert pivots  # elimination always produces at least one pivot here
+    data = scanner._line_data(sp)
+    assert data.generic_ext == 1
+    assert data.pivots  # elimination always produces at least one pivot here
+
+
+def test_scan_lines_reject_a_shift():
+    """Scan lines are unshifted; an equal shift of both weights moves no
+    dimension, so a shifted line is refused rather than scanned."""
+    base = scan_dbar(2, 3).base
+    for shift in ({"alpha": 1, "abar": 1}, {"alpha": Fraction(1, 2)}, {"abar": -1}):
+        with pytest.raises(ValueError, match="shift"):
+            scanner.ScanProblem(base=replace(base, **shift))
+
+
+def test_line_family_needs_generic_g_solutions_on_the_degree_law(monkeypatch):
+    assert line_family(scan_dbar(2, 4, sector="g")) is None  # degree 2 is pinned
+    assert line_family(scan_dbar(2, 3, sector="f")) is None
+    off_law = scan_dbar(2, Fraction(5, 2), sector="g")
+    assert line_family(off_law) is None
+    fake = replace(scanner._line_data(off_law), g_generic=1)
+    monkeypatch.setattr(scanner, "_line_data", lambda sp: fake)
+    with pytest.raises(ArithmeticError, match="degree law"):
+        line_family(off_law)
 
 
 def test_virasoro_layer_line_has_quadratic_specials():
@@ -308,7 +330,7 @@ def test_mutating_a_classify_result_raises_and_cannot_leak(mutate):
 
 
 def _certificate_roots(sp):
-    roots, quadratics, _cert, _notes = scanner._factor_pivots(generic_ext_dim(sp)[1])
+    roots, quadratics, _cert, _notes = scanner._factor_pivots(scanner._line_data(sp).pivots)
     return roots + [r for q in quadratics for r in scanner._quad_roots(q)]
 
 
@@ -316,13 +338,12 @@ def _certificate_roots(sp):
 @given(
     b=_SMALL_Q.filter(bool),
     diff=_SMALL_Q,
-    alpha=st.one_of(st.just(Fraction(0)), _SMALL_Q.filter(bool)),
     sector=st.sampled_from(["full", "f"]),
 )
-def test_screen_is_sound_at_every_certificate_root(b, diff, alpha, sector):
+def test_screen_is_sound_at_every_certificate_root(b, diff, sector):
     """A "generic" verdict of the screen is never wrong, and the screen
     changes no scan result."""
-    sp = scan_dbar(b, diff, sector=sector, alpha=alpha, caps=_SMALL_CAPS)
+    sp = scan_dbar(b, diff, sector=sector, caps=_SMALL_CAPS)
     data = scanner._line_data(sp)
     for t0 in _certificate_roots(sp):
         if scanner._screen(data, t0):
