@@ -27,7 +27,7 @@ from .engine import solve_ext
 from .oracle import verify_witness
 from .problems import Caps, ExtProblem
 from .qext import parse_rational
-from .records import OutputRecord, RecordError, parse_record, poly_str, scalar_str
+from .records import OutputRecord, RecordError, parse_record, scalar_str
 
 __all__ = ["main"]
 
@@ -199,8 +199,8 @@ def _cmd_scan(args) -> tuple[str, int]:
                 {
                     "diff": scalar_str(diff),
                     "generic_dim": report.generic_dim,
-                    "family_g": None if family is None else poly_str(family.g),
-                    "certificate": poly_str(report.certificate),
+                    "family_g": None if family is None else str(family.g),
+                    "certificate": str(report.certificate),
                     "specials": [
                         {
                             "t": scalar_str(value),
@@ -227,7 +227,7 @@ def _cmd_scan(args) -> tuple[str, int]:
                 f"  family g = {family.g.str_in(('d', 'l'))}"
                 "  [valid at every non-special t]"
             )
-        out.append(f"  certificate: {poly_str(report.certificate)}")
+        out.append(f"  certificate: {report.certificate}")
         if report.special_values:
             out.append("  specials:")
             for value, dim in report.special_values:
@@ -283,7 +283,7 @@ def _cmd_verify(args) -> tuple[str, int]:
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read --input file: {exc}") from None
     record = parse_record(text)  # RecordError propagates as a usage failure
     out = []
@@ -324,20 +324,20 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         text, code = _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RecordError as exc:
+        if getattr(args, "out", None):
+            try:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise UsageError(f"cannot write --out file: {exc}") from None
+        else:
+            sys.stdout.write(text)
+    except (UsageError, RecordError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:
         print(f"internal cross-check failed: {exc}", file=sys.stderr)
         return 1
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return code
 
 

@@ -16,6 +16,11 @@ constructor establishes this by validating its input.  The arithmetic in
 this module (``+``, ``-``, negation, ``*`` by a polynomial or a scalar, and
 ``subst``) builds dicts that already hold it and wraps them with the private
 ``MultiPoly._clean``, which checks nothing; no other code may call it.
+
+A polynomial in the scan variable alone is a :class:`UniPoly`: a dense
+coefficient tuple in ``t`` over Q.  :func:`uni_factor_special` takes a
+``UniPoly`` and reports its factors as ``UniPoly`` values; only rendering
+goes through ``MultiPoly``, so both print alike.
 """
 
 from __future__ import annotations
@@ -112,18 +117,9 @@ class MultiPoly:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def degree_in(self, name: str) -> int:
-        if not self.terms:
-            return -1
-        i = _VAR_INDEX[name]
-        return max(e[i] for e in self.terms)
-
     def uses_var(self, name: str) -> bool:
         i = _VAR_INDEX[name]
         return any(e[i] for e in self.terms)
-
-    def coeff(self, exps):
-        return self.terms.get(tuple(exps), Fraction(0))
 
     def constant_value(self):
         """The value of a constant polynomial (raises if any variable occurs)."""
@@ -525,19 +521,6 @@ class UniPoly:
     def t(cls) -> "UniPoly":
         return cls((0, 1))
 
-    @classmethod
-    def from_multipoly(cls, p: MultiPoly) -> "UniPoly":
-        bad = [v for v in ("d", "l", "u") if p.uses_var(v)]
-        if bad:
-            raise ValueError(f"polynomial is not univariate in t (uses {bad}): {p}")
-        n = p.degree_in("t")
-        cs = [Fraction(0)] * (n + 1)
-        for exps, c in p.terms.items():
-            if isinstance(c, QuadExt):
-                raise ValueError("UniPoly coefficients must be rational")
-            cs[exps[3]] = c
-        return cls(cs)
-
     def to_multipoly(self) -> MultiPoly:
         return MultiPoly({(0, 0, 0, k): c for k, c in enumerate(self.coeffs)})
 
@@ -715,7 +698,7 @@ class UniPoly:
 
 @dataclass
 class FactorReport:
-    """Outcome of :func:`uni_factor_special`.
+    """Outcome of :func:`uni_factor_special`, every factor a ``UniPoly``.
 
     ``poly == lead * prod((t - r)^m) * prod(quadratics) * residual`` with the
     quadratics monic and irreducible over Q.  ``residual`` keeps whatever the
@@ -725,8 +708,8 @@ class FactorReport:
 
     lead: Fraction
     roots: list  # [(Fraction root, int multiplicity)], sorted
-    quadratics: list = field(default_factory=list)  # monic MultiPoly in t
-    residual: MultiPoly = field(default_factory=lambda: MultiPoly.const(1))
+    quadratics: list = field(default_factory=list)  # monic UniPoly
+    residual: UniPoly = field(default_factory=lambda: UniPoly.const(1))
     notes: list = field(default_factory=list)
 
 
@@ -856,19 +839,19 @@ def _quadratic_factors(p: UniPoly, budget: int = 200_000) -> tuple[list, UniPoly
     return quads, p, notes
 
 
-def uni_factor_special(p: MultiPoly) -> FactorReport:
-    """Factor a univariate polynomial in ``t`` for special-value reporting.
+def uni_factor_special(p: UniPoly) -> FactorReport:
+    """Factor a ``UniPoly`` for special-value reporting.
 
     Extracts rational roots with multiplicity and monic irreducible quadratic
-    factors; any remaining factor of degree >= 3 is reported unresolved in
-    ``residual`` rather than silently dropped.  The reconstruction identity
-    ``lead * roots * quadratics * residual == p`` always holds exactly.
+    factors (``UniPoly``); any remaining factor of degree >= 3 is reported
+    unresolved in ``residual`` (a ``UniPoly``) rather than silently dropped.
+    The reconstruction identity ``lead * roots * quadratics * residual == p``
+    always holds exactly.
     """
-    up = UniPoly.from_multipoly(p)
-    if up.is_zero():
+    if p.is_zero():
         raise ValueError("cannot factor the zero polynomial")
-    lead = up.lead()
-    monic = up.monic()
+    lead = p.lead()
+    monic = p.monic()
     if monic.degree() == 0:
         return FactorReport(lead=lead, roots=[])
     roots, rest, notes1 = _rational_roots(monic)
@@ -876,8 +859,8 @@ def uni_factor_special(p: MultiPoly) -> FactorReport:
     report = FactorReport(
         lead=lead,
         roots=list(roots),
-        quadratics=[q.to_multipoly() for q in quads],
-        residual=residual.to_multipoly() if residual.degree() >= 1 else MultiPoly.const(1),
+        quadratics=quads,
+        residual=residual if residual.degree() >= 1 else UniPoly.const(1),
         notes=notes1 + notes2,
     )
     if residual.degree() >= 3:

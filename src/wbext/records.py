@@ -25,7 +25,6 @@ __all__ = [
     "parse_poly",
     "parse_record",
     "parse_scalar",
-    "poly_str",
     "scalar_str",
 ]
 
@@ -81,10 +80,6 @@ def parse_scalar(text: str, field_name: str = "value"):
 # ---------------------------------------------------------------------------
 # polynomials
 # ---------------------------------------------------------------------------
-
-
-def poly_str(p: MultiPoly) -> str:
-    return str(p)
 
 
 def parse_poly(text: str, field_name: str = "poly") -> MultiPoly:
@@ -192,9 +187,9 @@ def _diag_str(value) -> str:
 
 
 def _witness_mapping(w: CocycleWitness) -> dict:
-    out = {"f": poly_str(w.f), "g": poly_str(w.g)}
+    out = {"f": str(w.f), "g": str(w.g)}
     if w.h is not None:
-        out["h"] = poly_str(w.h)
+        out["h"] = str(w.h)
     return out
 
 

@@ -23,7 +23,8 @@ That list feeds three consumers:
   dimension equals the generic one, so every jump hides among the
   certificate's roots.  The pivots are integer-scaled (non-zero constants
   times those of the unscaled rational rows); the certificate, built from
-  their square-free primitive parts, is the same.
+  their square-free primitive parts, is the same.  Pivots, their factors
+  and the certificate in :class:`ScanReport` are all ``UniPoly`` values.
 * A modular screen at each candidate root t0 (:func:`_screen`).  For the
   first of a few fixed primes p with a ring map from Z[1/n][t0] into F_p,
   the rows are evaluated at t0 modulo p and ranked.  Specialising t and
@@ -110,16 +111,11 @@ class ScanProblem:
     def env_t(self) -> dict:
         """Parameter environment with the scan variable t substituted."""
         env = self.base.env()
-        if self.promote == "dbar":
-            env["dbar"] = T
-            env["delta"] = T + self.diff
-        else:
-            env["delta"] = T
-            env["dbar"] = T - self.diff
+        env["delta"], env["dbar"] = self.weights_at(T)
         return env
 
     def weights_at(self, t0):
-        """Concrete (delta, dbar) at the specialization t = t0."""
+        """(delta, dbar) at t = t0: a concrete point, or the scan variable T."""
         if self.promote == "dbar":
             return (t0 + self.diff, t0)
         return (t0, t0 - self.diff)
@@ -154,7 +150,7 @@ def _freeze(obj, *names) -> None:
 class ScanReport:
     """Generic dimension on a scan line plus all confirmed jump points.
 
-    ``certificate`` is a square-free primitive polynomial in t whose roots
+    ``certificate`` is a square-free primitive ``UniPoly`` in t whose roots
     contain every parameter value where any elimination pivot vanishes; all
     its rational and quadratic-irrational roots were specialized and tested.
     ``special_values`` holds ``(value, ext dimension at value)`` pairs with
@@ -166,7 +162,7 @@ class ScanReport:
     problem: ScanProblem
     generic_dim: int
     special_values: tuple
-    certificate: MultiPoly
+    certificate: UniPoly
     notes: tuple = ()
 
     def __post_init__(self):
@@ -524,7 +520,7 @@ def _factor_pivots(pivots):
         if extra.degree() <= 0:
             continue
         cert = cert * extra
-        fac = uni_factor_special(extra.to_multipoly())
+        fac = uni_factor_special(extra)
         for r, _mult in fac.roots:
             if r not in roots:
                 roots.append(r)
@@ -536,14 +532,13 @@ def _factor_pivots(pivots):
     return roots, quadratics, prim, notes
 
 
-def _quad_roots(q: MultiPoly):
+def _quad_roots(q: UniPoly):
     """Both roots of a monic irreducible quadratic in t, as QuadExt values."""
-    b_coeff = q.coeff((0, 0, 0, 1))
-    c_coeff = q.coeff((0, 0, 0, 0))
-    disc = b_coeff * b_coeff - 4 * c_coeff
+    c, b, _ = q.coeffs
+    disc = b * b - 4 * c
     s, r = split_square(disc.numerator * disc.denominator)
     half = Fraction(s, 2 * disc.denominator)
-    return [quad(-b_coeff / 2, half, r), quad(-b_coeff / 2, -half, r)]
+    return [quad(-b / 2, half, r), quad(-b / 2, -half, r)]
 
 
 def _value_sort_key(v):
@@ -589,7 +584,7 @@ def special_values(sp: ScanProblem) -> ScanReport:
         problem=sp,
         generic_dim=generic,
         special_values=specials,
-        certificate=cert.to_multipoly(),
+        certificate=cert,
         notes=notes,
     )
 
@@ -732,11 +727,10 @@ def _line_specials(sp: ScanProblem, rep: ScanReport) -> list:
 
 def _sample_t(sp: ScanProblem, rep: ScanReport) -> Fraction:
     """First small integer t that avoids certificate roots and zero weights."""
-    cert = UniPoly.from_multipoly(rep.certificate)
     t0 = Fraction(1)
     while True:
         delta, dbar = sp.weights_at(t0)
-        if delta != 0 and dbar != 0 and cert.eval(t0) != 0:
+        if delta != 0 and dbar != 0 and rep.certificate.eval(t0) != 0:
             return t0
         t0 += 1
 

@@ -225,6 +225,27 @@ def test_out_flag_writes_file_instead_of_stdout(capsys, tmp_path):
     assert doc["ext_dim"] == 2
 
 
+def test_out_file_in_a_missing_directory_is_a_usage_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.txt"
+    rc, out, err = run(capsys, ["check-axioms", "--b", "2", "--out", str(target)])
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: cannot write --out file:")
+
+
+def test_out_path_that_is_a_directory_is_a_usage_error(capsys, tmp_path):
+    rc, out, err = run(capsys, ["check-axioms", "--b", "2", "--out", str(tmp_path)])
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: cannot write --out file:")
+
+
+def test_verify_input_that_is_not_utf8_is_a_usage_error(capsys, tmp_path):
+    target = tmp_path / "result.json"
+    target.write_bytes(b"\xff\xfe{")
+    rc, out, err = run(capsys, ["verify", "--input", str(target)])
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: cannot read --input file:")
+
+
 def test_verify_accepts_solver_output(capsys, tmp_path):
     target = tmp_path / "result.json"
     main(SOLVE_T3 + ["--json", "--out", str(target)])

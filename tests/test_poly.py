@@ -1,5 +1,6 @@
 """Polynomial layer: multivariate arithmetic, parsing, and the univariate kit."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -30,8 +31,7 @@ def test_constructors_and_predicates():
 
 def test_degrees_and_variables():
     p = D**2 * L + 5 * T
-    assert p.degree_in("d") == 2
-    assert p.degree_in("u") == 0
+    assert max(e[0] for e in p.terms) == 2  # degree in d
     assert p.uses_var("t") and not p.uses_var("u")
     assert [v for v in VARS if p.uses_var(v)] == ["d", "l", "t"]
 
@@ -125,13 +125,6 @@ def test_parse_rejects_malformed_input(bad):
         MultiPoly.parse(bad)
 
 
-def test_unipoly_round_trip_with_multipoly():
-    p = UniPoly((Fraction(1), Fraction(0), Fraction(-2)))  # 1 - 2t^2
-    assert UniPoly.from_multipoly(p.to_multipoly()) == p
-    with pytest.raises(ValueError):
-        UniPoly.from_multipoly(D + T)  # not univariate in t
-
-
 def test_unipoly_division_and_gcd():
     t = UniPoly.t()
     p = (t - 1) * (t - 2)
@@ -160,9 +153,9 @@ def test_unipoly_eval_supports_quadratic_points():
 def _reconstruct(rep):
     """``lead * prod((t - r)^m) * prod(quadratics) * residual``, the identity
     every factor report satisfies."""
-    out = MultiPoly.const(rep.lead)
+    out = UniPoly.const(rep.lead)
     for r, m in rep.roots:
-        out = out * (T - r) ** m
+        out = out * (UniPoly.t() - r) ** m
     for q in rep.quadratics:
         out = out * q
     return out * rep.residual
@@ -171,29 +164,71 @@ def _reconstruct(rep):
 def test_factor_special_finds_rational_and_quadratic_parts():
     t = UniPoly.t()
     p = (t - 2) * (t + Fraction(1, 3)) * (2 * t**2 - 14 * t + 15)
-    rep = uni_factor_special(p.to_multipoly())
+    rep = uni_factor_special(p)
     assert sorted(rep.roots) == [(Fraction(-1, 3), 1), (Fraction(2), 1)]
     assert len(rep.quadratics) == 1
-    assert rep.residual.degree_in("t") == 0
-    assert _reconstruct(rep) == p.to_multipoly()
+    assert rep.residual.degree() == 0
+    assert _reconstruct(rep) == p
 
 
 def test_factor_special_handles_multiplicities():
     t = UniPoly.t()
     p = 3 * (t - 1) * (t - 1) * t
-    rep = uni_factor_special(p.to_multipoly())
+    rep = uni_factor_special(p)
     assert rep.lead == 3
     assert sorted(rep.roots) == [(Fraction(0), 1), (Fraction(1), 2)]
-    assert _reconstruct(rep) == p.to_multipoly()
+    assert _reconstruct(rep) == p
 
 
 def test_factor_special_reports_unfactored_residual():
     t = UniPoly.t()
     p = t**4 + t + 1  # no rational roots, no small quadratic factors
-    rep = uni_factor_special(p.to_multipoly())
+    rep = uni_factor_special(p)
     assert rep.roots == []
-    assert rep.residual.degree_in("t") == 4
-    assert _reconstruct(rep) == p.to_multipoly()
+    assert rep.residual.degree() == 4
+    assert _reconstruct(rep) == p
+
+
+_IRREDUCIBLE_QUADRATICS = tuple(
+    UniPoly((-disc, 0, 1)) for disc in (-3, -1, 2, 3, 5, 19)  # t^2 - D, D no square
+) + (UniPoly((15, -14, 2)),)  # 2t^2 - 14t + 15, discriminant 76
+
+
+def _is_rational_square(x: Fraction) -> bool:
+    return x >= 0 and all(
+        math.isqrt(n) ** 2 == n for n in (x.numerator, x.denominator)
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.fractions(min_value=-7, max_value=7, max_denominator=5).filter(bool),
+    st.dictionaries(
+        st.fractions(min_value=-6, max_value=6, max_denominator=4),
+        st.integers(1, 3),
+        max_size=3,
+    ),
+    st.lists(st.sampled_from(_IRREDUCIBLE_QUADRATICS), max_size=2),
+)
+def test_factor_special_recovers_built_factorizations(lead, roots, quadratics):
+    """A constant times rational linear factors (with multiplicity) times
+    irreducible quadratics factors back into exactly those roots, and into
+    monic quadratics that divide the input and have no rational root."""
+    t = UniPoly.t()
+    p = UniPoly.const(lead)
+    for r, m in roots.items():
+        p = p * (t - r) ** m
+    for q in quadratics:
+        p = p * q
+    rep = uni_factor_special(p)
+    assert isinstance(rep.residual, UniPoly)
+    assert _reconstruct(rep) == p
+    assert rep.roots == sorted(roots.items())
+    for q in rep.quadratics:
+        assert isinstance(q, UniPoly) and q.degree() == 2 and q.lead() == 1
+        c, b, _ = q.coeffs
+        assert not _is_rational_square(b * b - 4 * c)
+        assert (p % q).is_zero()
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from wbext.records import (
     parse_poly,
     parse_record,
     parse_scalar,
-    poly_str,
     scalar_str,
 )
 
@@ -37,7 +36,7 @@ def test_parse_scalar_rejects_floats_and_noise():
 
 def test_poly_round_trip_with_quadratic_coefficients():
     text = "(2-sqrt(19))*d^3*l^4 + 1/2*l"
-    assert poly_str(parse_poly(text, "f")) == text
+    assert str(parse_poly(text, "f")) == text
 
 
 def test_json_round_trip_rational():

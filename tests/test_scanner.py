@@ -34,6 +34,13 @@ def test_weights_at_respects_promotion():
     assert line.weights_at(Fraction(1)) == (Fraction(4), Fraction(1))
     chart = scan_delta(2, 3)
     assert chart.weights_at(Fraction(4)) == (Fraction(4), Fraction(1))
+    # the symbolic environment specializes to the concrete problem's
+    rng = random.Random(20240814)
+    for sp in (line, chart):
+        t0 = Fraction(rng.randint(-20, 20), rng.randint(1, 6))
+        concrete = sp.specialize(t0).env()
+        for k in ("delta", "dbar"):
+            assert sp.env_t()[k].subst("t", t0) == concrete[k]
 
 
 def test_specialize_builds_concrete_problem():
@@ -67,7 +74,8 @@ def test_line_consistency_random_points():
     rng = random.Random(20240815)
     sp = scan_dbar(2, 3, caps=CAPS)
     report = special_values(sp)
-    cert = UniPoly.from_multipoly(report.certificate)
+    cert = report.certificate
+    assert isinstance(cert, UniPoly)
     done = 0
     while done < 4:
         t0 = Fraction(rng.randint(-12, 12), rng.randint(1, 4))
@@ -109,7 +117,7 @@ def test_certificate_completeness_probes():
     rng = random.Random(20240816)
     sp = scan_dbar(Fraction(9, 7), 2 + Fraction(9, 7), sector="g", caps=CAPS)
     report = special_values(sp)
-    cert = UniPoly.from_multipoly(report.certificate)
+    cert = report.certificate
     probes = 0
     while probes < 10:
         t0 = Fraction(rng.randint(-30, 30), rng.choice([1, 2, 5]))
