@@ -59,12 +59,10 @@ def witness_coeff_map(w: CocycleWitness) -> dict:
 
 
 def witness_from_vector(vec, keys, shape: int) -> CocycleWitness:
-    """Rebuild a witness from coordinates against an unknown-key list."""
+    """Rebuild a witness from a sparse vector against an unknown-key list."""
     parts = {"f": MultiPoly.zero(), "g": MultiPoly.zero(), "h": MultiPoly.zero()}
-    for c, key in zip(vec, keys):
-        if not c:
-            continue
-        name, j, k = key
+    for i, c in vec:
+        name, j, k = keys[i]
         parts[name] = parts[name] + MultiPoly.monomial((j, k, 0, 0), c)
     return CocycleWitness(
         f=parts["f"], g=parts["g"], h=parts["h"] if shape == 2 else None
@@ -75,20 +73,14 @@ def coeff_rows(maps, keys=()) -> tuple[list, int]:
     """Lay out ``{unknown key: coefficient}`` maps as rows, overflow-first.
 
     Keys outside ``keys`` come first, in :func:`key_rank` order, then
-    ``keys`` in their given order; absent entries are ``MultiPoly.zero()``.
+    ``keys`` in their given order, as sparse rows (see :mod:`wbext.linalg`).
     Returns the rows and the width of the overflow block.  With no ``keys``
     this is the plain ``key_rank`` layout of every key the maps use.
     """
     inside = set(keys)
     over = sorted({k for m in maps for k in m if k not in inside}, key=key_rank)
     index = {k: i for i, k in enumerate(over + list(keys))}
-    zero = MultiPoly.zero()
-    rows = []
-    for m in maps:
-        row = [zero] * len(index)
-        for key, c in m.items():
-            row[index[key]] = c
-        rows.append(row)
+    rows = [tuple(sorted((index[key], c) for key, c in m.items())) for m in maps]
     return rows, len(over)
 
 
@@ -129,29 +121,21 @@ def coboundary_span_env(shape: int, env: dict, phi_cap: int) -> list[CocycleWitn
     return [w for w in out if not w.is_zero()]
 
 
-def _cob_vectors_in_caps(p: ExtProblem, keys) -> list[list]:
+def _cob_vectors_in_caps(p: ExtProblem, keys) -> list[tuple]:
     """Coboundary vectors that fit entirely inside the unknown basis.
 
     Columns are ordered overflow-first, so after row reduction a row whose
     pivot sits past the overflow block has no out-of-cap coefficients at
     all: exactly the part of the coboundary space visible to the truncated
-    system.
+    system.  Its columns, shifted by the overflow width, index ``keys``.
     """
     span = coboundary_span(p)
     if not span:
         return []
     rows, over = coeff_rows([witness_coeff_map(w) for w in span], keys)
-    reduced, pivots = rref(constant_rows(rows), over + len(keys))
-    return [row[over:] for row, piv in zip(reduced, pivots) if piv >= over]
-
-
-def _normalize(vec):
-    for c in vec:
-        if c:
-            if c == 1:
-                return list(vec)
-            return [x / c for x in vec]
-    return list(vec)
+    reduced, pivots = rref(constant_rows(rows))
+    kept = [row for row, piv in zip(reduced, pivots) if piv >= over]
+    return [tuple([(c - over, v) for c, v in row]) for row in kept]
 
 
 # A full ``replay --table all`` solves 70 cases, each at its caps and at
@@ -173,25 +157,24 @@ def solve_core(p: ExtProblem) -> ExtSolution:
     cocycles = nullspace(rows, len(keys))
     cob = _cob_vectors_in_caps(p, keys)
     # every capped coboundary against every assembled row, independently of
-    # the nullspace just computed; zero entries, in a row or in the vector,
-    # cannot change a row's sum
-    supports = [[(i, c) for i, c in enumerate(row) if c] for row in rows]
+    # the nullspace just computed
     for vec in cob:
-        nz = {i: x for i, x in enumerate(vec) if x}
-        for row in supports:
+        nz = dict(vec)
+        for row in rows:
             if sum(c * nz[i] for i, c in row if i in nz) != 0:
                 raise ArithmeticError(
                     "capped coboundary fails the cocycle equations; "
                     "basis-change images and identities disagree"
                 )
-    rs = RowSpace(len(keys))
+    rs = RowSpace()
     for vec in cob:
         rs.add(vec)
     reps = []
     for vec in cocycles:
         residue = rs.reduce(vec)
-        if any(residue):
-            residue = _normalize(residue)
+        if residue:
+            lead = residue[0][1]
+            residue = tuple([(c, x / lead) for c, x in residue])
             reps.append(residue)
             rs.add(residue)
     ext_dim = len(cocycles) - len(cob)

@@ -17,10 +17,9 @@ so a weight promoted to the scan variable ``t`` flows through unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
-from .poly import D, L, MultiPoly, U
+from .poly import D, L, U
 from .problems import Caps, ExtProblem
 
 __all__ = [
@@ -243,42 +242,33 @@ class LinearSystem:
     """Exact linear system: one row per (identity, monomial in d,l,u)."""
 
     unknowns: list  # unknown keys, fixed order
-    rows: list  # list of coefficient-entry lists (entries: MultiPoly in t)
-    row_labels: list  # (identity name, (jd, jl, ju))
+    rows: list  # sparse rows (see wbext.linalg) of MultiPoly values in t
 
     def concrete_rows(self):
         """The rows lowered to scalars; see :func:`constant_rows`."""
         return constant_rows(self.rows)
 
 
-def constant_rows(rows) -> list[list]:
-    """Rows of constant ``MultiPoly`` entries lowered to scalars."""
-    zero = Fraction(0)
-    return [[e.constant_value() if e else zero for e in row] for row in rows]
+def constant_rows(rows) -> list[tuple]:
+    """Sparse rows of constant ``MultiPoly`` values lowered to scalars."""
+    return [tuple([(c, e.constant_value()) for c, e in row]) for row in rows]
 
 
 def assemble_linear_system(identities, unknowns) -> LinearSystem:
-    """Expand identities into coefficient rows, one per monomial in (d, l, u).
+    """Expand identities into sparse coefficient rows, one per monomial in (d, l, u).
 
     Row order is deterministic: identities in build order, monomials graded-lex
     descending.  Raises if an identity references an undeclared unknown.
     """
     index = {k: i for i, k in enumerate(unknowns)}
     rows = []
-    labels = []
-    zero = MultiPoly.zero()
     for ident in identities:
-        per_mono: dict[tuple, list] = {}
+        per_mono: dict[tuple, dict] = {}
         for key, poly in ident.cols.items():
             if key not in index:
                 raise ValueError(f"identity {ident.name} uses undeclared unknown {key}")
             for mono, coeff in poly.coeffs_by(("d", "l", "u")):
-                row = per_mono.get(mono)
-                if row is None:
-                    row = [zero] * len(unknowns)
-                    per_mono[mono] = row
-                row[index[key]] = coeff
+                per_mono.setdefault(mono, {})[index[key]] = coeff
         for mono in sorted(per_mono, key=lambda m: (sum(m), m), reverse=True):
-            rows.append(per_mono[mono])
-            labels.append((ident.name, mono))
-    return LinearSystem(unknowns=list(unknowns), rows=rows, row_labels=labels)
+            rows.append(tuple(sorted(per_mono[mono].items())))
+    return LinearSystem(unknowns=list(unknowns), rows=rows)

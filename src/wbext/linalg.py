@@ -1,11 +1,13 @@
 """Exact Gaussian elimination over any field with Python operator support.
 
-Entries are ``Fraction`` or ``QuadExt`` values.  The systems this package
-builds are about 2% non-zero, so the one elimination kernel,
-:class:`RowSpace`, keeps each row sparse, as a ``{column: value}`` dict, and
-touches only non-zero entries.  The public functions accept dense rows and
-return dense vectors.  :meth:`RowSpace.reduce` is the one reduction of a
-vector modulo a row space; membership is ``not any(rs.reduce(vec))``.
+Entries are ``Fraction`` or ``QuadExt`` values.  Every row and vector the
+package builds, from assembly to this kernel, is a *sparse row*: a tuple of
+``(column, value)`` pairs in strictly ascending column order, every value
+non-zero; the zero row is ``()``.  The systems are about 2% non-zero, and
+iterating a sparse row visits exactly those entries.  The one elimination
+kernel, :class:`RowSpace`, reduces rows as ``{column: value}`` dicts;
+:meth:`RowSpace.reduce` is the one reduction of a vector modulo a row
+space, and membership is ``not rs.reduce(vec)``.
 
 The kernel holds the reduced row-echelon form (RREF) of everything added to
 it.  The RREF of a matrix is unique, so pivots, RREF rows, nullspace bases
@@ -20,15 +22,8 @@ from fractions import Fraction
 __all__ = ["rref", "rank", "nullspace", "RowSpace"]
 
 
-def _sparse(row) -> dict:
-    return {c: v for c, v in enumerate(row) if v}
-
-
-def _dense(row: dict, ncols: int) -> list:
-    out = [Fraction(0)] * ncols
-    for c, v in row.items():
-        out[c] = v
-    return out
+def _pairs(row: dict) -> tuple:
+    return tuple(sorted(row.items()))
 
 
 def _subtract(row: dict, factor, prow: dict) -> None:
@@ -64,9 +59,8 @@ class RowSpace:
     the stored rows always form the RREF of the span.
     """
 
-    def __init__(self, ncols: int):
-        self.ncols = ncols
-        self._prows: dict[int, dict] = {}  # pivot column -> sparse RREF row
+    def __init__(self):
+        self._prows: dict[int, dict] = {}  # pivot column -> RREF row as a dict
 
     def _insert(self, row: dict) -> bool:
         row = _reduce(row, self._prows)
@@ -85,11 +79,11 @@ class RowSpace:
 
     def add(self, vec) -> bool:
         """Insert ``vec`` if independent of the current span.  Returns True if added."""
-        return self._insert(_sparse(vec))
+        return self._insert(dict(vec))
 
-    def reduce(self, vec):
+    def reduce(self, vec) -> tuple:
         """Residue of ``vec`` modulo the span; zero at every pivot column."""
-        return _dense(_reduce(_sparse(vec), self._prows), self.ncols)
+        return _pairs(_reduce(dict(vec), self._prows))
 
     def dim(self) -> int:
         return len(self._prows)
@@ -99,38 +93,38 @@ class RowSpace:
         return sorted(self._prows)
 
     @property
-    def rows(self) -> list[list]:
-        """Dense RREF rows in pivot order."""
-        return [_dense(self._prows[p], self.ncols) for p in self.pivots]
+    def rows(self) -> list[tuple]:
+        """RREF rows in pivot order."""
+        return [_pairs(self._prows[p]) for p in self.pivots]
 
 
-def _eliminate(rows, ncols: int) -> RowSpace:
-    rs = RowSpace(ncols)
+def _eliminate(rows) -> RowSpace:
+    rs = RowSpace()
     for row in rows:
-        rs._insert(_sparse(row))
+        rs._insert(dict(row))
     return rs
 
 
-def rref(rows, ncols: int):
+def rref(rows):
     """Reduced row-echelon form.  Returns ``(rref_rows, pivot_cols)``.
 
     Zero rows are dropped; input rows are not mutated.
     """
-    rs = _eliminate(rows, ncols)
+    rs = _eliminate(rows)
     return rs.rows, rs.pivots
 
 
-def rank(rows, ncols: int) -> int:
-    return _eliminate(rows, ncols).dim()
+def rank(rows) -> int:
+    return _eliminate(rows).dim()
 
 
 def nullspace(rows, ncols: int):
-    """Canonical nullspace basis.
+    """Canonical nullspace basis; ``ncols`` counts the columns.
 
     One vector per free column, ordered by free-column index; each vector is
     scaled so its first nonzero coordinate equals 1.
     """
-    prows = _eliminate(rows, ncols)._prows
+    prows = _eliminate(rows)._prows
     # free column -> [(pivot column, RREF entry)], pivot columns ascending
     entries: dict[int, list] = {}
     for pcol in sorted(prows):
@@ -145,10 +139,5 @@ def nullspace(rows, ncols: int):
         # the vector is e_fc minus the RREF column; every pivot column that
         # meets fc lies left of it, so the first of them leads
         lead = -col[0][1] if col else Fraction(1)
-        vec = [Fraction(0)] * ncols
-        vec[fc] = 1 / lead
-        for pcol, v in col:
-            vec[pcol] = -v / lead
-        basis.append(vec)
+        basis.append(tuple([(pcol, -v / lead) for pcol, v in col] + [(fc, 1 / lead)]))
     return basis
-

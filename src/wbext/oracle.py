@@ -61,6 +61,7 @@ class _Model:
         self.f = w.f
         self.g = w.g
         self.h = w.h if w.h is not None else MultiPoly.zero()
+        _reject_var(w, "u")
         if shape == 1 and self.f.uses_var("d"):
             raise ValueError("shape-1 witnesses depend on the bracket variable only")
         if w.h is not None and shape != 2:
@@ -158,6 +159,12 @@ class _Model:
         return out
 
 
+def _reject_var(w: CocycleWitness, var: str) -> None:
+    for name, part in w.parts().items():
+        if part.uses_var(var):
+            raise ValueError(f"{name} uses {var}; a witness is a polynomial in d and l")
+
+
 def verify_witness_env(shape: int, env: dict, w: CocycleWitness) -> VerifyReport:
     """Check a witness against an explicit parameter environment.
 
@@ -171,7 +178,12 @@ def verify_witness_env(shape: int, env: dict, w: CocycleWitness) -> VerifyReport
 
 
 def verify_witness(p: ExtProblem, w: CocycleWitness) -> VerifyReport:
-    """Check a solver witness by direct substitution into the module identities."""
+    """Check a solver witness by direct substitution into the module identities.
+
+    A witness is a polynomial in d and l; one that uses t or u raises
+    ``ValueError``.
+    """
+    _reject_var(w, "t")
     return verify_witness_env(p.shape, p.env(), w)
 
 

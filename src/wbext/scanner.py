@@ -176,32 +176,33 @@ class ScanReport:
 _ZERO = ()  # the zero polynomial: every zero entry of a row is this one tuple
 
 
-def _int_rows(rows) -> list:
-    """Lower rows of ``MultiPoly`` entries in t to integer coefficient tuples.
+def _int_rows(rows, ncols: int) -> list:
+    """Lower sparse rows (see :mod:`wbext.linalg`) of ``MultiPoly`` values in t
+    to dense rows of ``ncols`` integer coefficient tuples.
 
-    The entry ``(c0, c1, ..., ck)`` stands for ``c0 + c1*t + ... + ck*t^k``
-    with ``ck != 0``.  Each row is multiplied by the positive constant that
-    clears its denominators and divides out the gcd of its coefficients,
-    which moves no rank, at t or at any point.
+    The rows stay dense because Bareiss fills in and :func:`_rank_mod`
+    indexes by column.  The entry ``(c0, c1, ..., ck)`` stands for
+    ``c0 + c1*t + ... + ck*t^k`` with ``ck != 0``.  Each row is multiplied by
+    the positive constant that clears its denominators and divides out the
+    gcd of its coefficients, which moves no rank, at t or at any point.
     """
     out = []
     for row in rows:
-        nonzero = [(j, e) for j, e in enumerate(row) if e.terms]
         den = 1
-        for _j, e in nonzero:
+        for _j, e in row:
             for exps, c in e.terms.items():
                 if exps[0] or exps[1] or exps[2] or isinstance(c, QuadExt):
                     raise ValueError(f"scan entries must be rational polynomials in t: {e}")
                 den = lcm(den, c.denominator)
         content = 0
         lowered = []
-        for j, e in nonzero:
+        for j, e in row:
             cs = [0] * (max(exps[3] for exps in e.terms) + 1)
             for exps, c in e.terms.items():
                 cs[exps[3]] = c.numerator * (den // c.denominator)
                 content = gcd(content, cs[exps[3]])
             lowered.append((j, cs))
-        int_row = [_ZERO] * len(row)
+        int_row = [_ZERO] * ncols
         for j, cs in lowered:
             int_row[j] = tuple(c // content for c in cs)
         out.append(int_row)
@@ -300,9 +301,10 @@ def fraction_free_rank(rows) -> tuple[int, list]:
 class _LineData:
     """Everything reusable about one scan line's systems over Q[t].
 
-    ``matrices`` holds ``(rows, column count, generic rank)`` for the
-    equation blocks, then the full and the overflow coboundary matrices,
-    every one in the integer row form of :func:`_int_rows`.  ``pivots`` are
+    ``matrices`` holds ``(rows, generic rank)`` for the equation blocks,
+    then the full and the overflow coboundary matrices, every one in the
+    dense integer row form of :func:`_int_rows` (:func:`_rows_at` turns it
+    into sparse rows at a point).  ``pivots`` are
     the pivot polynomials of all of them, in that order: the certificate
     input.
     """
@@ -319,14 +321,14 @@ class _LineData:
 
     @property
     def generic_ext(self) -> int:
-        return self.ext_dim([rank for _rows, _n, rank in self.matrices])
+        return self.ext_dim([rank for _rows, rank in self.matrices])
 
 
 def _symbolic_system(sp: ScanProblem):
     keys = unknown_basis(3, sp.base.caps, sp.base.sector)
     idents = build_equations_env(3, sp.env_t(), sp.base.caps, sp.base.sector)
     system = assemble_linear_system(idents, keys)
-    return keys, _int_rows(system.rows)
+    return keys, _int_rows(system.rows, len(keys))
 
 
 def _block_split(keys, rows):
@@ -361,7 +363,7 @@ def _cob_rows_t(sp: ScanProblem, keys):
         return [], []
     span = engine.coboundary_span_env(3, sp.env_t(), sp.base.caps.phi)
     rows, over = engine.coeff_rows([engine.witness_coeff_map(w) for w in span], keys)
-    full_rows = _int_rows(rows)
+    full_rows = _int_rows(rows, over + len(keys))
     return full_rows, [row[:over] for row in full_rows]
 
 
@@ -376,7 +378,7 @@ def _line_data(sp: ScanProblem) -> _LineData:
     g_rank = 0
     for part, mat in blocks + [(None, cob) for cob in _cob_rows_t(sp, keys)]:
         rank, piv = fraction_free_rank(mat)
-        matrices.append((mat, len(mat[0]) if mat else 0, rank))
+        matrices.append((mat, rank))
         pivots.extend(piv)
         if part == "g":
             g_rank += rank
@@ -470,20 +472,21 @@ def _screen(data: _LineData, t0) -> bool:
     if point is None:
         return False
     p, x = point
-    return all(_rank_mod(rows, x, p, rank) == rank for rows, _n, rank in data.matrices)
+    return all(_rank_mod(rows, x, p, rank) == rank for rows, rank in data.matrices)
 
 
 def _rows_at(rows, t0) -> list:
-    """The rows evaluated at t = t0, one Horner pass per non-zero entry."""
+    """The integer rows evaluated at t = t0 as sparse rows (see :mod:`wbext.linalg`)."""
     out = []
     for row in rows:
         vals = []
-        for e in row:
+        for j, e in enumerate(row):
             v = _ZERO_Q
             for c in reversed(e):
                 v = v * t0 + c
-            vals.append(v)
-        out.append(vals)
+            if v:
+                vals.append((j, v))
+        out.append(tuple(vals))
     return out
 
 
@@ -496,7 +499,7 @@ def ext_dim_at(sp: ScanProblem, t0) -> int:
     """
     data = _line_data(sp)
     return data.ext_dim(
-        [matrix_rank(_rows_at(rows, t0), ncols) for rows, ncols, _r in data.matrices]
+        [matrix_rank(_rows_at(rows, t0)) for rows, _r in data.matrices]
     )
 
 

@@ -736,12 +736,11 @@ def _classes_match(problem: ExtProblem, listed, basis) -> tuple[bool, str]:
     cob = engine.coboundary_span(problem)
     rows, _ = engine.coeff_rows([engine.witness_coeff_map(w) for w in [*cob, *listed, *basis]])
     rows = constant_rows(rows)
-    ncols = len(rows[0]) if rows else 0
     n_cob, n_listed = len(cob), len(cob) + len(listed)
-    r_cob = matrix_rank(rows[:n_cob], ncols)
-    r_listed = matrix_rank(rows[:n_listed], ncols)
-    r_basis = matrix_rank(rows[:n_cob] + rows[n_listed:], ncols)
-    r_joint = matrix_rank(rows, ncols)
+    r_cob = matrix_rank(rows[:n_cob])
+    r_listed = matrix_rank(rows[:n_listed])
+    r_basis = matrix_rank(rows[:n_cob] + rows[n_listed:])
+    r_joint = matrix_rank(rows)
     if r_listed - r_cob != len(listed):
         return False, (
             f"listed witnesses span only {r_listed - r_cob} classes, "

@@ -338,6 +338,25 @@ def test_verify_witness_of_the_wrong_shape_is_a_usage_error(capsys, tmp_path):
         assert err.startswith("error:") and f"basis[{index}]" in err
 
 
+@pytest.mark.parametrize(
+    "witness, named",
+    [
+        ({"f": "0", "g": "u"}, "g uses u"),
+        ({"f": "0", "g": "t"}, "g uses t"),
+        ({"f": "t*l", "g": "0"}, "f uses t"),
+    ],
+    ids=["g-u", "g-t", "f-t"],
+)
+def test_verify_witness_in_u_or_t_is_a_usage_error(capsys, tmp_path, witness, named):
+    target, doc = _solve_doc(tmp_path, SOLVE_T3)
+    capsys.readouterr()
+    doc["basis"] = [witness]
+    target.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, ["verify", "--input", str(target)])
+    assert rc == 2 and out == ""
+    assert err.startswith("error: basis[0]:") and named in err
+
+
 def test_verify_missing_file_is_a_usage_error(capsys, tmp_path):
     rc, _, err = run(capsys, ["verify", "--input", str(tmp_path / "absent.json")])
     assert rc == 2

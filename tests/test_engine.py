@@ -16,8 +16,13 @@ from wbext.engine import (
     witness_coeff_map,
     witness_from_vector,
 )
-from wbext.equations import constant_rows
-from wbext.linalg import rank
+from wbext.equations import (
+    assemble_linear_system,
+    build_equations,
+    constant_rows,
+    unknown_basis,
+)
+from wbext.linalg import RowSpace, nullspace, rank, rref
 from wbext.poly import MultiPoly
 from wbext.problems import Caps, CocycleWitness, ExtProblem
 from wbext.qext import quad
@@ -127,7 +132,7 @@ def test_solve_core_skips_diagnostics():
 def _span_rank(p: ExtProblem) -> int:
     """Dimension of the span of the change-of-basis images."""
     rows, _ = coeff_rows([witness_coeff_map(w) for w in coboundary_span(p)])
-    return rank(constant_rows(rows), len(rows[0]) if rows else 0)
+    return rank(constant_rows(rows))
 
 
 def test_coboundary_span_shape1():
@@ -156,7 +161,7 @@ def test_shape1_coboundary_dim_matches_span():
 
 def test_witness_vector_round_trip():
     keys = [("f", 0, 2), ("f", 0, 1), ("g", 0, 0)]
-    vec = [Fraction(3), Fraction(0), Fraction(-1)]
+    vec = ((0, Fraction(3)), (2, Fraction(-1)))  # sparse: column 1 is zero
     w = witness_from_vector(vec, keys, 1)
     assert w.f == MultiPoly.parse("3*l^2")
     assert w.g == MultiPoly.parse("-1")
@@ -249,3 +254,37 @@ def test_curated_dimensions_are_shift_invariant(case, c):
 @given(_small_problems(), _SMALL)
 def test_random_dimensions_are_shift_invariant(p, c):
     assert _dims(_shifted(p, c)) == _dims(p)
+
+
+# ---------------------------------------------------------------------------
+# the one row format: (column, value) pairs, ascending columns, no zeros
+# ---------------------------------------------------------------------------
+
+
+def _assert_sparse_rows(rows):
+    for row in rows:
+        assert type(row) is tuple
+        assert all(type(pair) is tuple and len(pair) == 2 for pair in row)
+        cols = [c for c, _v in row]
+        assert all(a < b for a, b in zip(cols, cols[1:])), cols
+        assert all(v for _c, v in row)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_problems())
+def test_every_row_producer_emits_sparse_rows(p):
+    keys = unknown_basis(p.shape, p.caps, p.sector)
+    system = assemble_linear_system(build_equations(p), keys)
+    rows = constant_rows(system.rows)
+    cob_rows, _over = coeff_rows([witness_coeff_map(w) for w in coboundary_span(p)], keys)
+    # each producer is checked before its output feeds the kernel
+    for produced in (system.rows, rows, cob_rows, constant_rows(cob_rows)):
+        _assert_sparse_rows(produced)
+    reduced, _pivots = rref(rows)
+    null = nullspace(rows, len(keys))
+    rs = RowSpace()
+    for row in rows[::2]:
+        rs.add(row)
+    residues = [rs.reduce(vec) for vec in rows[1::2] + null]
+    for produced in (reduced, null, rs.rows, residues):
+        _assert_sparse_rows(produced)

@@ -1,4 +1,8 @@
-"""Exact elimination: RREF, rank, nullspace, and the incremental row space."""
+"""Exact elimination: RREF, rank, nullspace, and the incremental row space.
+
+The kernel reads and writes sparse ``(column, value)`` rows; these tests
+write their matrices densely and convert at the boundary.
+"""
 
 import random
 from fractions import Fraction
@@ -14,26 +18,41 @@ def F(*vals):
     return [Fraction(v) for v in vals]
 
 
+def _sparse(row) -> tuple:
+    return tuple((c, v) for c, v in enumerate(row) if v)
+
+
+def _sparse_rows(rows) -> list:
+    return [_sparse(r) for r in rows]
+
+
+def _dense(row, ncols: int) -> list:
+    out = [Fraction(0)] * ncols
+    for c, v in row:
+        out[c] = v
+    return out
+
+
 def test_rref_identity_like():
-    rows, pivots = rref([F(2, 0), F(0, 3)], 2)
+    rows, pivots = rref(_sparse_rows([F(2, 0), F(0, 3)]))
     assert pivots == [0, 1]
-    assert rows == [F(1, 0), F(0, 1)]
+    assert [_dense(r, 2) for r in rows] == [F(1, 0), F(0, 1)]
 
 
 def test_rref_drops_zero_and_dependent_rows():
-    rows, pivots = rref([F(1, 2, 3), F(2, 4, 6), F(0, 0, 0)], 3)
+    rows, pivots = rref(_sparse_rows([F(1, 2, 3), F(2, 4, 6), F(0, 0, 0)]))
     assert pivots == [0]
-    assert rows == [F(1, 2, 3)]
+    assert [_dense(r, 3) for r in rows] == [F(1, 2, 3)]
 
 
 def test_rank_of_singular_system():
-    assert rank([F(1, 1), F(1, 1)], 2) == 1
-    assert rank([], 3) == 0
+    assert rank(_sparse_rows([F(1, 1), F(1, 1)])) == 1
+    assert rank([]) == 0
 
 
 def test_nullspace_annihilates_rows():
     rows = [F(1, 2, 0, -1), F(0, 1, 1, 1)]
-    basis = nullspace(rows, 4)
+    basis = [_dense(v, 4) for v in nullspace(_sparse_rows(rows), 4)]
     assert len(basis) == 2
     for vec in basis:
         for row in rows:
@@ -41,62 +60,62 @@ def test_nullspace_annihilates_rows():
 
 
 def test_nullspace_vectors_are_lead_normalized():
-    basis = nullspace([F(1, 2)], 2)
+    basis = [_dense(v, 2) for v in nullspace(_sparse_rows([F(1, 2)]), 2)]
     assert len(basis) == 1
     lead = next(c for c in basis[0] if c != 0)
     assert lead == 1
 
 
 def test_reduce_mod_rowspace_zeroes_pivot_columns():
-    rs = RowSpace(3)
-    rs.add(F(1, 0, 2))
-    rs.add(F(0, 1, -1))
-    red = rs.reduce(F(3, 4, 0))
+    rs = RowSpace()
+    rs.add(_sparse(F(1, 0, 2)))
+    rs.add(_sparse(F(0, 1, -1)))
+    red = _dense(rs.reduce(_sparse(F(3, 4, 0))), 3)
     assert red[0] == 0 and red[1] == 0
     assert red[2] == -3 * 2 - 4 * (-1) + 0
 
 
 def test_rowspace_tracks_dimension():
-    rs = RowSpace(3)
-    assert rs.add(F(1, 1, 0))
-    assert not rs.add(F(2, 2, 0))  # dependent
-    assert rs.add(F(0, 0, 1))
+    rs = RowSpace()
+    assert rs.add(_sparse(F(1, 1, 0)))
+    assert not rs.add(_sparse(F(2, 2, 0)))  # dependent
+    assert rs.add(_sparse(F(0, 0, 1)))
     assert rs.dim() == 2
-    assert not any(rs.reduce(F(3, 3, 5)))
-    assert any(rs.reduce(F(1, 0, 0)))
+    assert not rs.reduce(_sparse(F(3, 3, 5)))
+    assert rs.reduce(_sparse(F(1, 0, 0)))
 
 
 def test_rank_matches_rowspace_random():
     rng = random.Random(20240813)
     for _ in range(25):
         nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
-        rows = [
+        rows = _sparse_rows(
             [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(ncols)]
             for _ in range(nrows)
-        ]
-        rs = RowSpace(ncols)
+        )
+        rs = RowSpace()
         for row in rows:
             rs.add(row)
-        assert rs.dim() == rank(rows, ncols)
+        assert rs.dim() == rank(rows)
         # rank-nullity: every nullspace vector is annihilated and counts add up
         null = nullspace(rows, ncols)
-        assert len(null) + rank(rows, ncols) == ncols
+        assert len(null) + rank(rows) == ncols
 
 
 def test_elimination_over_quadratic_field():
     r19 = quad(0, 1, 19)
-    rows = [[r19, Fraction(19)], [Fraction(1), r19]]  # second row = first / sqrt(19)
-    assert rank(rows, 2) == 1
+    rows = _sparse_rows([[r19, Fraction(19)], [Fraction(1), r19]])  # second = first / sqrt(19)
+    assert rank(rows) == 1
     basis = nullspace(rows, 2)
     assert len(basis) == 1
-    vec = basis[0]
+    vec = _dense(basis[0], 2)
     assert r19 * vec[0] + 19 * vec[1] == 0
 
 
 def test_rref_deterministic():
-    rows = [F(0, 2, 1), F(1, 1, 1), F(1, 3, 2)]
-    first = rref(rows, 3)
-    second = rref(rows, 3)
+    rows = _sparse_rows([F(0, 2, 1), F(1, 1, 1), F(1, 3, 2)])
+    first = rref(rows)
+    second = rref(rows)
     assert first == second
 
 
@@ -145,21 +164,23 @@ def _matrices(draw, entries):
 
 
 def _check_kernel(rows, ncols, vec):
-    rr, pivots = rref(rows, ncols)
+    sparse = _sparse_rows(rows)
+    rr, pivots = rref(sparse)
+    rr = [_dense(r, ncols) for r in rr]
     assert (rr, pivots) == _reference_rref(rows, ncols)
-    null = nullspace(rows, ncols)
+    null = [_dense(v, ncols) for v in nullspace(sparse, ncols)]
     for v in null:
         assert next(c for c in v if c != 0) == 1
         for row in rows:
             assert sum(a * b for a, b in zip(row, v)) == 0
-    assert rank(rows, ncols) + len(null) == ncols
-    rs = RowSpace(ncols)
-    for row in rows:
+    assert rank(sparse) + len(null) == ncols
+    rs = RowSpace()
+    for row in sparse:
         rs.add(row)
-    assert (rs.rows, rs.pivots) == (rr, pivots)
+    assert ([_dense(r, ncols) for r in rs.rows], rs.pivots) == (rr, pivots)
     # the residue is the unique vector that is zero at every pivot column
     # and differs from ``vec`` by an element of the row span
-    residue = rs.reduce(vec)
+    residue = _dense(rs.reduce(_sparse(vec)), ncols)
     assert all(residue[p] == 0 for p in pivots)
     moved = [a - b for a, b in zip(vec, residue)]
     assert len(_reference_rref(rr + [moved], ncols)[1]) == len(pivots)
@@ -175,7 +196,7 @@ def test_kernel_matches_dense_reference_rational(case, rng):
     # the RREF is unique, so row order cannot change it
     shuffled = list(rows)
     rng.shuffle(shuffled)
-    assert rref(shuffled, ncols) == rref(rows, ncols)
+    assert rref(_sparse_rows(shuffled)) == rref(_sparse_rows(rows))
 
 
 @settings(max_examples=100, deadline=None)

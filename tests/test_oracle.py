@@ -4,6 +4,7 @@ import ast
 import sys
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -83,6 +84,15 @@ def test_shape3_quadratic_coefficient_law():
     assert not verify_witness(p, _w(g="d^2 + 2*d*l + 4/3*l^2")).passed
 
 
+def test_witness_in_u_or_t_is_rejected():
+    # a witness is a polynomial in d and l; u is the second bracket slot and
+    # t the scan variable, and neither belongs in a concrete problem's witness
+    p = ExtProblem(shape=3, b=2, alpha=0, abar=0, delta=3, dbar=1)
+    for w, var in ((_w(g="u"), "u"), (_w(g="t"), "t"), (_w(f="t*l"), "t")):
+        with pytest.raises(ValueError, match=f"uses {var}"):
+            verify_witness(p, w)
+
+
 def test_zero_witness_always_passes():
     p = ExtProblem(shape=3, b=2, alpha=0, abar=0, delta=3, dbar=1)
     assert verify_witness(p, _w()).passed
@@ -155,11 +165,11 @@ def _sparse_matrices(draw):
 @settings(max_examples=200, deadline=None)
 @given(_sparse_matrices())
 def test_oracle_rank_matches_linalg_and_transpose(case):
-    rows, ncols = case
+    rows, _ncols = case
     before = [list(r) for r in rows]
     r = _rank(rows)
     assert rows == before  # the input rows are not eliminated in place
-    assert r == rank(rows, ncols)
+    assert r == rank([tuple((c, v) for c, v in enumerate(row) if v) for row in rows])
     assert r == _rank([list(col) for col in zip(*rows)])
 
 

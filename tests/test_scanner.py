@@ -467,7 +467,9 @@ def _uni_matrices(draw):
 @settings(max_examples=150, deadline=None)
 @given(rows=_uni_matrices())
 def test_integer_bareiss_matches_the_fraction_reference(rows):
-    int_rows = scanner._int_rows([[e.to_multipoly() for e in row] for row in rows])
+    ncols = len(rows[0]) if rows else 0
+    sparse = [tuple((j, e.to_multipoly()) for j, e in enumerate(row) if e) for row in rows]
+    int_rows = scanner._int_rows(sparse, ncols)
     rank, pivots = scanner.fraction_free_rank(int_rows)
     ref_rank, ref_pivots = _reference_bareiss(rows)
     assert rank == ref_rank
