@@ -10,6 +10,21 @@ and this oracle can only agree when both transcriptions are right.  The
 elimination skips the columns where the pivot row is zero, which changes
 none of its pivots, its field or its result, and it shares no code with the
 solver's sparse kernel in ``linalg``.
+
+Memoisation.  ``brute_dims`` builds one model per unit witness, and the split
+extension's action is the same in all of them.  So one memo dict, created by
+each ``brute_dims`` call and dropped when it returns, is shared by its models:
+it holds ``D + alpha + delta*slot`` per (slot, weight pair) and, per
+(generator, slot, top coefficient), the shifted top and the generator's action
+on it.  Each model also substitutes its own f and g at each of the three slots
+L, U and L+U once.  ``verify_witness_env`` and ``verify_witness`` give each
+call a fresh memo, and nothing is cached at module level, so memory is bounded
+by one call.  The checker stays independent: every identity is still composed
+literally from ``apply_gen`` and ``apply_d``, and only pure functions of the
+call's parameters, a generator, a slot and a polynomial are reused.  Nothing
+read from a witness is shared between models.  Keys are object identities
+(hashing a ``MultiPoly`` costs more than the work saved), and every entry holds
+its key objects, so no id is reused while the memo lives.
 """
 
 from __future__ import annotations
@@ -23,6 +38,10 @@ from .problems import Caps, CocycleWitness, ExtProblem
 __all__ = ["VerifyReport", "verify_witness", "verify_witness_env", "brute_dims"]
 
 _LU = L + U
+# the generators' unit coefficients, one object each, so that every model of a
+# brute_dims call meets the same keys in the shared memo
+_ONE = MultiPoly.const(Fraction(1))
+_ZERO = MultiPoly.zero()
 
 
 @dataclass
@@ -48,9 +67,14 @@ class _Model:
     (free quotient, one-dim sub), shape 2 is (one-dim quotient, free sub) with
     a deformed translation action, shape 3 is (free, free).  Parameters come
     from an environment of constant (or scan-variable) polynomials.
+
+    ``memo`` is shared by the models of one call with one environment; it
+    keeps only the witness-free pieces of the action (``_l_coeff`` and
+    ``_top_action``), keyed by the ids of their arguments and holding those
+    arguments.  ``_at_slot`` is the model's own: its f and g at each slot.
     """
 
-    def __init__(self, shape: int, env: dict, w: CocycleWitness):
+    def __init__(self, shape: int, env: dict, w: CocycleWitness, memo: dict):
         self.shape = shape
         self.alpha = env["alpha"]
         self.b = env.get("b")
@@ -68,10 +92,37 @@ class _Model:
             raise ValueError("only shape 2 carries the translation deformation h")
         if w.h is not None and w.h.uses_var("l"):
             raise ValueError("h must be a polynomial in d alone")
+        self._memo = memo
+        self._at_slot = {}  # id(slot) -> (slot, f at slot, g at slot)
 
     # an action of L with bracket variable `slot` on the free generator
     def _l_coeff(self, slot, alpha, delta):
-        return D + alpha + delta * slot
+        # three ids; a _top_action key starts with a string, so none collide
+        key = (id(slot), id(alpha), id(delta))
+        hit = self._memo.get(key)
+        if hit is None:
+            hit = self._memo[key] = (slot, alpha, delta, D + alpha + delta * slot)
+        return hit[3]
+
+    def _witness_at(self, slot):
+        hit = self._at_slot.get(id(slot))
+        if hit is None:
+            fs, gs = self.f.subst("l", slot), self.g.subst("l", slot)
+            hit = self._at_slot[id(slot)] = (slot, fs, gs)
+        return hit[1], hit[2]
+
+    def _top_action(self, gen: str, slot, top):
+        """(top shifted by slot, gen's action on the top): the quotient's own action."""
+        key = (gen, id(slot), id(top))
+        hit = self._memo.get(key)
+        if hit is None:
+            shifted = top.shift("d", slot)
+            if gen == "L":
+                new_top = shifted * self._l_coeff(slot, self.alpha, self.delta)
+            else:
+                new_top = MultiPoly.zero()
+            hit = self._memo[key] = (slot, top, shifted, new_top)
+        return hit[2], hit[3]
 
     def apply_d(self, elem):
         top, sub = elem
@@ -83,15 +134,12 @@ class _Model:
 
     def apply_gen(self, gen: str, slot: MultiPoly, elem):
         top, sub = elem
-        fs = self.f.subst("l", slot)
-        gs = self.g.subst("l", slot)
+        fs, gs = self._witness_at(slot)
         if self.shape == 1:
-            shifted = top.shift("d", slot)
+            shifted, new_top = self._top_action(gen, slot, top)
             if gen == "L":
-                new_top = shifted * self._l_coeff(slot, self.alpha, self.delta)
                 new_sub = (shifted * fs).subst("d", self.gamma)
             else:
-                new_top = MultiPoly.zero()
                 new_sub = (shifted * gs).subst("d", self.gamma)
             return (new_top, new_sub)
         if self.shape == 2:
@@ -102,14 +150,12 @@ class _Model:
             else:
                 new_sub = top * gs
             return (MultiPoly.zero(), new_sub)
-        shifted = top.shift("d", slot)
+        shifted, new_top = self._top_action(gen, slot, top)
         if gen == "L":
-            new_top = shifted * self._l_coeff(slot, self.alpha, self.delta)
             new_sub = shifted * fs + sub.shift("d", slot) * self._l_coeff(
                 slot, self.abar, self.dbar
             )
         else:
-            new_top = MultiPoly.zero()
             new_sub = shifted * gs
         return (new_top, new_sub)
 
@@ -144,13 +190,11 @@ class _Model:
         return self._sub(comm, self._scale(-L, self.apply_gen(a, L, elem)))
 
     def all_residuals(self) -> dict:
-        one = MultiPoly.const(Fraction(1))
-        zero = MultiPoly.zero()
         gens = ("L",) if self.b is None else ("L", "H")
         if self.b is None and not self.g.is_zero():
             raise ValueError("a nonzero g needs the second generator; supply b")
         out = {}
-        for tag, elem in (("top", (one, zero)), ("sub", (zero, one))):
+        for tag, elem in (("top", (_ONE, _ZERO)), ("sub", (_ZERO, _ONE))):
             for a in gens:
                 for bgen in gens:
                     out[f"[{a},{bgen}] on {tag}"] = self.commutator_residual(a, bgen, elem)
@@ -171,7 +215,7 @@ def verify_witness_env(shape: int, env: dict, w: CocycleWitness) -> VerifyReport
     Environment values are polynomials, so a weight left as the scan variable
     ``t`` verifies the whole one-parameter family at once.
     """
-    model = _Model(shape, env, w)
+    model = _Model(shape, env, w, {})
     residuals = model.all_residuals()
     violations = [k for k, (rt, rs) in residuals.items() if rt or rs]
     return VerifyReport(passed=not violations, residuals=residuals, violations=violations)
@@ -266,9 +310,9 @@ def _columns_to_rows(columns):
     return rows
 
 
-def _residual_column(shape: int, env: dict, w: CocycleWitness) -> dict:
+def _residual_column(shape: int, env: dict, w: CocycleWitness, memo: dict) -> dict:
     col = {}
-    for label, (top, sub) in _Model(shape, env, w).all_residuals().items():
+    for label, (top, sub) in _Model(shape, env, w, memo).all_residuals().items():
         for part_tag, poly in (("t", top), ("s", sub)):
             for exps, c in poly.terms.items():
                 col[(label, part_tag, exps)] = c
@@ -299,8 +343,9 @@ def brute_dims(p: ExtProblem) -> tuple[int, int, int]:
         for part in _sector_parts(p.shape, p.sector)
         for j, k in _monomials(p.shape, part, p.caps)
     ]
+    memo = {}
     columns = [
-        _residual_column(p.shape, env, _unit_witness(p.shape, part, j, k))
+        _residual_column(p.shape, env, _unit_witness(p.shape, part, j, k), memo)
         for part, j, k in unknowns
     ]
     nullity = len(unknowns) - _rank(_columns_to_rows(columns))

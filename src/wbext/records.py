@@ -243,7 +243,10 @@ def parse_record(text: str) -> OutputRecord:
     """Parse a machine-format document back into an OutputRecord.
 
     Inverse of :meth:`OutputRecord.to_json`; raises :class:`RecordError`
-    naming the offending field on any malformed content.
+    naming the offending field on any malformed content, and on dimensions
+    that contradict each other: a negative one, an ``ext_dim`` other than
+    ``cocycle_dim - coboundary_dim`` when both are given, or a ``basis`` whose
+    length is not ``ext_dim``.
     """
     try:
         doc = json.loads(text)
@@ -264,11 +267,24 @@ def parse_record(text: str) -> OutputRecord:
     diagnostics = dict(diagnostics)
     if "caps" in diagnostics and isinstance(diagnostics["caps"], list):
         diagnostics["caps"] = tuple(diagnostics["caps"])
+    dims = {key: _parse_int(doc, key) for key in ("cocycle_dim", "coboundary_dim") if key in doc}
+    dims["ext_dim"] = _require_int(doc, "ext_dim")
+    for key, value in dims.items():
+        if value < 0:
+            raise RecordError(key, f"a dimension cannot be negative, got {value}")
+    if len(dims) == 3 and dims["cocycle_dim"] - dims["coboundary_dim"] != dims["ext_dim"]:
+        raise RecordError(
+            "ext_dim",
+            f"{dims['ext_dim']} is not cocycle_dim - coboundary_dim = "
+            f"{dims['cocycle_dim']} - {dims['coboundary_dim']}",
+        )
+    if "basis" in doc and len(basis) != dims["ext_dim"]:
+        raise RecordError("basis", f"lists {len(basis)} witness(es) but ext_dim is {dims['ext_dim']}")
     return OutputRecord(
         problem=problem,
-        cocycle_dim=_parse_int(doc, "cocycle_dim") if "cocycle_dim" in doc else 0,
-        coboundary_dim=_parse_int(doc, "coboundary_dim") if "coboundary_dim" in doc else 0,
-        ext_dim=_require_int(doc, "ext_dim"),
+        cocycle_dim=dims.get("cocycle_dim", 0),
+        coboundary_dim=dims.get("coboundary_dim", 0),
+        ext_dim=dims["ext_dim"],
         basis=basis,
         diagnostics=diagnostics,
     )

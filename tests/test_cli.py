@@ -270,15 +270,33 @@ def test_verify_flags_tampered_witness(capsys, tmp_path):
 
 
 def test_verify_empty_basis_is_fine(capsys, tmp_path):
-    target = tmp_path / "result.json"
-    main(SOLVE_T3 + ["--json", "--out", str(target)])
+    # delta = 2 splits every extension: ext_dim 0 and an empty basis
+    split = SOLVE_T3[:-4] + ["--delta", "2", "--dbar", "1"]
+    target, doc = _solve_doc(tmp_path, split)
     capsys.readouterr()
-    doc = json.loads(target.read_text())
-    doc["basis"] = []
-    target.write_text(json.dumps(doc))
+    assert (doc["ext_dim"], doc["basis"]) == (0, [])
     rc, out, _ = run(capsys, ["verify", "--input", str(target)])
     assert rc == 0
     assert "no witnesses listed" in out
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        ({"ext_dim": 5}, "field 'ext_dim'"),
+        ({"basis": []}, "field 'basis'"),
+        ({"ext_dim": -1, "cocycle_dim": 6, "coboundary_dim": 7}, "field 'ext_dim'"),
+    ],
+    ids=["ext-dim", "empty-basis", "negative"],
+)
+def test_verify_contradictory_dimensions_are_a_usage_error(capsys, tmp_path, edit, named):
+    target, doc = _solve_doc(tmp_path, SOLVE_T3)
+    capsys.readouterr()
+    doc.update(edit)
+    target.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, ["verify", "--input", str(target)])
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and named in err
 
 
 def test_verify_malformed_document_is_a_usage_error(capsys, tmp_path):
@@ -350,7 +368,7 @@ def test_verify_witness_of_the_wrong_shape_is_a_usage_error(capsys, tmp_path):
 def test_verify_witness_in_u_or_t_is_a_usage_error(capsys, tmp_path, witness, named):
     target, doc = _solve_doc(tmp_path, SOLVE_T3)
     capsys.readouterr()
-    doc["basis"] = [witness]
+    doc["basis"][0] = witness
     target.write_text(json.dumps(doc))
     rc, out, err = run(capsys, ["verify", "--input", str(target)])
     assert rc == 2 and out == ""

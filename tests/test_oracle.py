@@ -2,7 +2,9 @@
 
 import ast
 import sys
+from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -213,3 +215,53 @@ def test_solver_matches_brute_dims_on_random_problems(p):
     assert (sol.cocycle_dim, sol.coboundary_dim, sol.ext_dim) == brute_dims(p)
     for w in sol.basis:
         assert verify_witness(p, w).passed
+
+
+# ---------------------------------------------------------------------------
+# the memo a brute_dims call shares between its unit witnesses
+# ---------------------------------------------------------------------------
+
+
+class _Forgetful(dict):
+    """A memo that keeps nothing, so every lookup misses and every piece of
+    the action is computed afresh, as it was before the memo."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+_REAL_COLUMN = oracle._residual_column
+
+
+def _unshared_column(shape, env, w, memo):
+    """brute_dims's column, with the call's memo replaced by a forgetful one."""
+    return _REAL_COLUMN(shape, env, w, _Forgetful())
+
+
+def _unit_witnesses(p):
+    return [
+        oracle._unit_witness(p.shape, part, j, k)
+        for part in oracle._sector_parts(p.shape, p.sector)
+        for j, k in oracle._monomials(p.shape, part, p.caps)
+    ]
+
+
+@settings(max_examples=25, deadline=None)
+@given(_problems(), st.randoms(use_true_random=False))
+def test_shared_memo_gives_each_unit_witness_its_own_column(p, rnd):
+    env = p.env()
+    witnesses = _unit_witnesses(p)
+    rnd.shuffle(witnesses)
+    memo = {}
+    for w in witnesses:
+        shared = oracle._residual_column(p.shape, env, w, memo)
+        assert shared == oracle._residual_column(p.shape, env, w, _Forgetful()), w
+
+
+@settings(max_examples=20, deadline=None)
+@given(_problems(), _SMALL.filter(bool))
+def test_brute_dims_leaves_nothing_for_the_next_call(p2, step):
+    p1 = replace(p2, delta=p2.delta + step)
+    with mock.patch.object(oracle, "_residual_column", _unshared_column):
+        alone = [brute_dims(p1), brute_dims(p2)]
+    assert [brute_dims(p1), brute_dims(p2)] == alone

@@ -116,6 +116,50 @@ def test_parse_record_rejects_missing_dimension():
     assert err.value.field == "ext_dim"
 
 
+def _solved_doc():
+    # cocycle_dim 9, coboundary_dim 7, ext_dim 2, two basis witnesses
+    return json.loads(_record(ExtProblem(shape=3, b=2, alpha=0, abar=0, delta=3, dbar=1)).to_json())
+
+
+@pytest.mark.parametrize("key", ["cocycle_dim", "coboundary_dim", "ext_dim"])
+def test_parse_record_rejects_a_negative_dimension(key):
+    doc = _solved_doc()
+    doc[key] = -1
+    with pytest.raises(RecordError, match="negative") as err:
+        parse_record(json.dumps(doc))
+    assert err.value.field == key
+
+
+def test_parse_record_rejects_ext_dim_other_than_the_quotient_dimension():
+    doc = _solved_doc()
+    doc["ext_dim"] = 5
+    with pytest.raises(RecordError) as err:
+        parse_record(json.dumps(doc))
+    assert err.value.field == "ext_dim"
+    # without both quotient dimensions there is nothing to contradict, but
+    # the basis still has to list ext_dim witnesses
+    del doc["coboundary_dim"]
+    with pytest.raises(RecordError) as err:
+        parse_record(json.dumps(doc))
+    assert err.value.field == "basis"
+    doc["ext_dim"] = 2
+    assert parse_record(json.dumps(doc)).ext_dim == 2
+
+
+def test_parse_record_rejects_a_basis_of_the_wrong_length():
+    doc = _solved_doc()
+    basis = doc["basis"]
+    for wrong in ([], basis[:1], basis + basis[:1]):
+        doc["basis"] = wrong
+        with pytest.raises(RecordError) as err:
+            parse_record(json.dumps(doc))
+        assert err.value.field == "basis"
+    # a document that lists no basis at all is still read, as before
+    del doc["basis"]
+    assert parse_record(json.dumps(doc)).basis == []
+    assert parse_record(json.dumps({"problem": doc["problem"], "ext_dim": 0})).ext_dim == 0
+
+
 def test_parse_record_rejects_unknown_witness_entry():
     rec = _record(ExtProblem(shape=1, b=1, alpha=0, gamma=0, delta=1))
     doc = json.loads(rec.to_json())
