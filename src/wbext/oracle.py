@@ -184,10 +184,11 @@ class _Model:
 
     def translation_residual(self, a: str, elem):
         """[d, a_l] + l*a_l applied to elem (must vanish)."""
-        e1 = self.apply_d(self.apply_gen(a, L, elem))
+        a_elem = self.apply_gen(a, L, elem)
+        e1 = self.apply_d(a_elem)
         e2 = self.apply_gen(a, L, self.apply_d(elem))
         comm = self._sub(e1, e2)
-        return self._sub(comm, self._scale(-L, self.apply_gen(a, L, elem)))
+        return self._sub(comm, self._scale(-L, a_elem))
 
     def all_residuals(self) -> dict:
         gens = ("L",) if self.b is None else ("L", "H")

@@ -9,9 +9,11 @@ from types import MappingProxyType
 from .poly import MultiPoly
 from .qext import QuadExt, scalar
 
-__all__ = ["Caps", "ExtProblem", "CocycleWitness", "ExtSolution", "SECTORS"]
+__all__ = ["Caps", "ExtProblem", "CocycleWitness", "ExtSolution", "PARAM_FIELDS", "SECTORS"]
 
 SECTORS = ("full", "f", "g")
+# the weight parameters of a problem, in the order documents list them
+PARAM_FIELDS = ("b", "alpha", "gamma", "abar", "delta", "dbar")
 
 
 @dataclass(frozen=True)
@@ -63,6 +65,12 @@ class ExtProblem:
             raise ValueError(f"shape must be 1, 2 or 3, got {self.shape!r}")
         if self.sector not in SECTORS:
             raise ValueError(f"sector must be one of {SECTORS}, got {self.sector!r}")
+        params = [getattr(self, name) for name in PARAM_FIELDS]
+        for name, v in zip(PARAM_FIELDS, params):
+            if isinstance(v, bool) or not isinstance(v, (int, Fraction, QuadExt, type(None))):
+                raise ValueError(f"{name} must be an int, a Fraction or a QuadExt, got {v!r}")
+        if len({v.disc for v in params if isinstance(v, QuadExt)}) > 1:
+            raise ValueError("parameters must lie in one quadratic field Q(sqrt(D))")
         if self.b is None:
             if self.sector != "f":
                 raise ValueError("b may be omitted only for the f-only sector")
@@ -70,18 +78,15 @@ class ExtProblem:
             raise ValueError("b = 0 is excluded: out of scope for this family")
         self.caps.validate()
         if self.shape in (1, 2):
-            if self.gamma is None or self.delta is None:
+            if any(v is None for v in (self.alpha, self.gamma, self.delta)):
                 raise ValueError(f"shape {self.shape} needs alpha, gamma and delta")
             if self.abar is not None or self.dbar is not None:
                 raise ValueError(f"shape {self.shape} takes no abar/dbar parameters")
         else:
-            if self.abar is None or self.delta is None or self.dbar is None:
+            if any(v is None for v in (self.alpha, self.abar, self.delta, self.dbar)):
                 raise ValueError("shape 3 needs alpha, abar, delta and dbar")
             if self.gamma is not None:
                 raise ValueError("shape 3 takes no gamma parameter")
-        params = (self.b, self.alpha, self.gamma, self.abar, self.delta, self.dbar)
-        if len({v.disc for v in params if isinstance(v, QuadExt)}) > 1:
-            raise ValueError("parameters must lie in one quadratic field Q(sqrt(D))")
 
     def env(self) -> dict:
         """Parameter environment as constant polynomials (scanner overrides some)."""

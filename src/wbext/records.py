@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .poly import MultiPoly
-from .problems import Caps, CocycleWitness, ExtProblem, ExtSolution
+from .problems import PARAM_FIELDS, Caps, CocycleWitness, ExtProblem, ExtSolution
 from .qext import QuadExt, parse_rational, quad
 
 __all__ = [
@@ -98,8 +98,6 @@ def parse_poly(text: str, field_name: str = "poly") -> MultiPoly:
 # records
 # ---------------------------------------------------------------------------
 
-_PARAM_FIELDS = ("b", "alpha", "gamma", "abar", "delta", "dbar")
-
 
 @dataclass
 class OutputRecord:
@@ -132,7 +130,7 @@ class OutputRecord:
     def to_mapping(self) -> dict:
         p = self.problem
         problem = {"shape": p.shape, "sector": p.sector}
-        for name in _PARAM_FIELDS:
+        for name in PARAM_FIELDS:
             value = getattr(p, name)
             problem[name] = None if value is None else scalar_str(value)
         problem["caps"] = [p.caps.f, p.caps.g, p.caps.h, p.caps.phi]
@@ -156,7 +154,7 @@ class OutputRecord:
     def render_table(self) -> str:
         p = self.problem
         rows = [("shape", str(p.shape)), ("sector", p.sector)]
-        for name in _PARAM_FIELDS:
+        for name in PARAM_FIELDS:
             value = getattr(p, name)
             if value is not None:
                 rows.append((name, scalar_str(value)))
@@ -223,7 +221,7 @@ def _parse_problem(mapping) -> ExtProblem:
     if not isinstance(mapping, dict):
         raise RecordError("problem", "expected an object")
     kwargs = {"shape": _parse_int(mapping, "shape", "problem.shape")}
-    for name in _PARAM_FIELDS:
+    for name in PARAM_FIELDS:
         value = mapping.get(name)
         kwargs[name] = None if value is None else parse_scalar(value, f"problem.{name}")
     caps = mapping.get("caps")

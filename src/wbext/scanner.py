@@ -14,7 +14,7 @@ polynomial in Z[t], and every zero entry is the shared ``()``.  Scaling a
 row moves no rank, at t or at any point.  A line keeps one list of
 matrices (the equation blocks, then the full and the overflow coboundary
 matrices) and one formula that turns their ranks into an ext dimension.
-That list feeds three consumers:
+That list feeds two consumers:
 
 * Bareiss fraction-free elimination over Z[t] (:func:`fraction_free_rank`),
   in pure ``int`` arithmetic with exact divisions.  The recorded pivot
@@ -25,15 +25,13 @@ That list feeds three consumers:
   times those of the unscaled rational rows); the certificate, built from
   their square-free primitive parts, is the same.  Pivots, their factors
   and the certificate in :class:`ScanReport` are all ``UniPoly`` values.
-* A modular screen at each candidate root t0 (:func:`_screen`).  For the
-  first of a few fixed primes p with a ring map from Z[1/n][t0] into F_p,
-  the rows are evaluated at t0 modulo p and ranked.  Specialising t and
-  reducing modulo p can only lower a rank, so when every rank modulo p
-  equals its generic value the exact ranks at t0 do too, and t0 is
-  rigorously not special.
-* The exact point check :func:`ext_dim_at`, which evaluates the same rows
-  in Q or Q(sqrt(d)).  Every root the screen does not clear goes there, so
-  each reported value and dimension is exact.
+* The exact point check :func:`ext_dim_at` at each candidate root t0.  By
+  Sylvester's identity every Bareiss pivot is a minor of the input, and
+  the last one of a matrix of generic rank r is a non-zero r x r minor.
+  Where it does not vanish at t0 that minor survives, so the rank at t0
+  is r: specialising t can only lower a rank.  Only the matrices whose
+  last pivot vanishes at t0 are evaluated in Q or Q(sqrt(d)) and ranked,
+  so each reported value and dimension is exact.
 
 :func:`line_family` is the one derivation of a line's second-generator
 family; it verifies the family before returning it, and both
@@ -180,11 +178,11 @@ def _int_rows(rows, ncols: int) -> list:
     """Lower sparse rows (see :mod:`wbext.linalg`) of ``MultiPoly`` values in t
     to dense rows of ``ncols`` integer coefficient tuples.
 
-    The rows stay dense because Bareiss fills in and :func:`_rank_mod`
-    indexes by column.  The entry ``(c0, c1, ..., ck)`` stands for
-    ``c0 + c1*t + ... + ck*t^k`` with ``ck != 0``.  Each row is multiplied by
-    the positive constant that clears its denominators and divides out the
-    gcd of its coefficients, which moves no rank, at t or at any point.
+    The rows stay dense because Bareiss fills in.  The entry
+    ``(c0, c1, ..., ck)`` stands for ``c0 + c1*t + ... + ck*t^k`` with
+    ``ck != 0``.  Each row is multiplied by the positive constant that
+    clears its denominators and divides out the gcd of its coefficients,
+    which moves no rank, at t or at any point.
     """
     out = []
     for row in rows:
@@ -301,12 +299,13 @@ def fraction_free_rank(rows) -> tuple[int, list]:
 class _LineData:
     """Everything reusable about one scan line's systems over Q[t].
 
-    ``matrices`` holds ``(rows, generic rank)`` for the equation blocks,
-    then the full and the overflow coboundary matrices, every one in the
-    dense integer row form of :func:`_int_rows` (:func:`_rows_at` turns it
-    into sparse rows at a point).  ``pivots`` are
-    the pivot polynomials of all of them, in that order: the certificate
-    input.
+    ``matrices`` holds ``(rows, generic rank, last pivot)`` for the equation
+    blocks, then the full and the overflow coboundary matrices, every one in
+    the dense integer row form of :func:`_int_rows` (:func:`_rows_at` turns
+    it into sparse rows at a point).  The last pivot, None for a matrix of
+    rank 0, is the minor that keeps the generic rank wherever it does not
+    vanish.  ``pivots`` are the pivot polynomials of all of them, in that
+    order: the certificate input.
     """
 
     nunk: int
@@ -321,7 +320,7 @@ class _LineData:
 
     @property
     def generic_ext(self) -> int:
-        return self.ext_dim([rank for _rows, rank in self.matrices])
+        return self.ext_dim([rank for _rows, rank, _last in self.matrices])
 
 
 def _symbolic_system(sp: ScanProblem):
@@ -378,7 +377,7 @@ def _line_data(sp: ScanProblem) -> _LineData:
     g_rank = 0
     for part, mat in blocks + [(None, cob) for cob in _cob_rows_t(sp, keys)]:
         rank, piv = fraction_free_rank(mat)
-        matrices.append((mat, rank))
+        matrices.append((mat, rank, piv[-1] if piv else None))
         pivots.extend(piv)
         if part == "g":
             g_rank += rank
@@ -391,88 +390,8 @@ def _line_data(sp: ScanProblem) -> _LineData:
 
 
 # ---------------------------------------------------------------------------
-# point checks: a sound modular screen, then exact ranks
+# the point check: generic ranks where the last pivot survives, else exact
 # ---------------------------------------------------------------------------
-
-# Each screen prime is 3 (mod 4), so a square D modulo p has the square root
-# D**((p + 1) // 4) there.
-_SCREEN_PRIMES = (2**61 - 1, 2**31 - 1, 10**9 + 7)
-
-
-def _screen_point(t0):
-    """``(p, x)``: the first screen prime p with a ring map from Z[1/n][t0]
-    to the field F_p (n the denominators of t0), and the image x of t0.
-
-    A point ``a + c*sqrt(D)`` needs p to divide no denominator of a or c and
-    D to be a square modulo p; a rational point is the case c = 0, D = 1.
-    None when no screen prime qualifies.
-    """
-    if isinstance(t0, QuadExt):
-        a, c, disc = t0.p, t0.q, t0.disc
-    else:
-        a, c, disc = Fraction(t0), Fraction(0), 1
-    for p in _SCREEN_PRIMES:
-        if a.denominator % p == 0 or c.denominator % p == 0:
-            continue
-        root = pow(disc % p, (p + 1) // 4, p)
-        if root * root % p != disc % p:
-            continue
-        x = a.numerator * pow(a.denominator, -1, p)
-        x += c.numerator * pow(c.denominator, -1, p) * root
-        return p, x % p
-    return None
-
-
-def _rank_mod(rows, x, p, target) -> int:
-    """Rank modulo p of the integer rows at t = x, at most ``target``.
-
-    Stops as soon as the rank reaches ``target``.
-    """
-    prows: dict[int, dict] = {}  # leading column -> row scaled to lead 1
-    for row in rows:
-        if len(prows) == target:
-            break
-        vec = {}
-        for j, e in enumerate(row):
-            if e:
-                v = 0
-                for c in reversed(e):
-                    v = v * x + c
-                v %= p
-                if v:
-                    vec[j] = v
-        while vec:
-            lead = min(vec)
-            prow = prows.get(lead)
-            if prow is None:
-                inv = pow(vec[lead], -1, p)
-                prows[lead] = {j: v * inv % p for j, v in vec.items()}
-                break
-            f = vec[lead]
-            for j, v in prow.items():
-                nv = (vec.get(j, 0) - f * v) % p
-                if nv:
-                    vec[j] = nv
-                else:
-                    vec.pop(j, None)
-    return len(prows)
-
-
-def _screen(data: _LineData, t0) -> bool:
-    """True when ranks modulo a prime prove the dimension at t0 generic.
-
-    Evaluating at t0 and reducing modulo p are ring maps, and a ring map
-    sends a vanishing minor to a vanishing minor, so each rank modulo p is
-    at most the exact rank at t0, which is at most the generic rank.  When
-    every block rank and both coboundary ranks modulo p reach their generic
-    values, the exact ranks at t0 equal them too, and so does the dimension.
-    A False result proves nothing; the caller then runs the exact check.
-    """
-    point = _screen_point(t0)
-    if point is None:
-        return False
-    p, x = point
-    return all(_rank_mod(rows, x, p, rank) == rank for rows, rank in data.matrices)
 
 
 def _rows_at(rows, t0) -> list:
@@ -493,13 +412,20 @@ def _rows_at(rows, t0) -> list:
 def ext_dim_at(sp: ScanProblem, t0) -> int:
     """Exact ext dimension at t = t0, from the specialized line systems.
 
-    Equals solve_ext on the specialized problem (the same integer rows,
-    evaluated; each row differs from the engine's by a positive constant),
-    at a fraction of the cost; works for Fraction and QuadExt points.
+    A matrix whose last pivot does not vanish at t0 (or that has none, at
+    rank 0) keeps its generic rank there: that pivot is a non-zero minor of
+    the generic rank's size, and specialising t raises no rank.  Only the
+    other matrices are evaluated at t0 and ranked exactly.  The result
+    equals solve_ext on the specialized problem (the same integer rows;
+    each row differs from the engine's by a positive constant), at a
+    fraction of the cost; works for Fraction and QuadExt points.
     """
     data = _line_data(sp)
     return data.ext_dim(
-        [matrix_rank(_rows_at(rows, t0)) for rows, _r in data.matrices]
+        [
+            rank if last is None or last.eval(t0) else matrix_rank(_rows_at(rows, t0))
+            for rows, rank, last in data.matrices
+        ]
     )
 
 
@@ -554,10 +480,10 @@ def special_values(sp: ScanProblem) -> ScanReport:
     """Scan one line: generic dimension, certificate, and confirmed jumps.
 
     Every rational root of the certificate, and both conjugates of every
-    irreducible quadratic factor, is specialized and tested exactly; only
-    values whose ext dimension exceeds the generic one are reported.  A
-    residual certificate factor of degree >= 3 is surfaced as a note rather
-    than silently dropped.
+    irreducible quadratic factor, goes through the exact point check
+    :func:`ext_dim_at`; only values whose ext dimension exceeds the generic
+    one are reported.  A residual certificate factor of degree >= 3 is
+    surfaced as a note rather than silently dropped.
     """
     data = _line_data(sp)
     generic = data.generic_ext
@@ -567,8 +493,6 @@ def special_values(sp: ScanProblem) -> ScanReport:
         candidates.extend(_quad_roots(q))
     specials = []
     for value in sorted(candidates, key=_value_sort_key):
-        if _screen(data, value):
-            continue
         dim = ext_dim_at(sp, value)
         delta, dbar = sp.weights_at(value)
         if dim > generic:

@@ -5,6 +5,7 @@ inspects the return code plus captured stdout/stderr, the same contract a
 shell user sees: 0 success, 1 mathematical mismatch, 2 usage error.
 """
 
+import copy
 import json
 import os
 import subprocess
@@ -13,6 +14,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wbext import scanner
 from wbext.cli import main
@@ -324,6 +327,59 @@ def _solve_doc(tmp_path, argv):
     return target, json.loads(target.read_text())
 
 
+def test_verify_document_without_alpha_is_a_usage_error(capsys, tmp_path):
+    target, doc = _solve_doc(tmp_path, SOLVE_T3)
+    capsys.readouterr()
+    del doc["problem"]["alpha"]
+    target.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, ["verify", "--input", str(target)])
+    assert rc == 2 and out == ""
+    assert err.startswith("error: field 'problem'") and "alpha" in err
+
+
+@pytest.fixture(scope="module")
+def t3_document(tmp_path_factory):
+    return _solve_doc(tmp_path_factory.mktemp("t3"), SOLVE_T3)
+
+
+def _doc_paths(node, path=()):
+    """The path of every object member and list item in a JSON document."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from _doc_paths(child, path + (key,))
+
+
+_DROP = object()
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_verify_survives_any_single_field_mutation(t3_document, data):
+    """A document with one field dropped or of the wrong JSON type is
+    verified, refused as a mismatch or refused as a usage error; it never
+    raises."""
+    target, doc = t3_document
+    path = data.draw(st.sampled_from(list(_doc_paths(doc))))
+    value = data.draw(st.sampled_from([_DROP, None, 0.5, True, False, [], ["1"], 7, -1]))
+    doc = copy.deepcopy(doc)
+    *head, last = path
+    parent = doc
+    for key in head:
+        parent = parent[key]
+    if value is _DROP:
+        del parent[last]
+    else:
+        parent[last] = value
+    target.write_text(json.dumps(doc))
+    assert main(["verify", "--input", str(target)]) in (0, 1, 2)
+
+
 def test_verify_reads_a_zero_square_root_as_zero(capsys, tmp_path):
     target, doc = _solve_doc(tmp_path, SOLVE_T1)
     capsys.readouterr()
@@ -399,7 +455,7 @@ def test_output_is_byte_deterministic(capsys):
 _SRC = Path(__file__).resolve().parents[1] / "src"
 
 _HASH_SCRIPT = """
-import sys
+import contextlib, hashlib, io
 from wbext.cli import main
 for argv in (
     "solve --type 1 --b 1 --alpha 0 --gamma 0 --delta 1 --json",
@@ -407,8 +463,20 @@ for argv in (
     "solve --type 3 --b 2 --alpha 0 --abar 0 --delta 3 --dbar 1 --json",
     "scan --b -2/3 --sector full --json",
 ):
-    assert main(argv.split()) == 0
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv.split()) == 0
+    print(hashlib.sha256(out.getvalue().encode()).hexdigest())
 """
+
+# sha256 of each command's stdout above, in order; a change to any printed
+# byte (a dimension, a basis polynomial, a certificate, a note) shows here
+_PINNED_OUTPUT_HASHES = [
+    "6784532625015caa5a50dd8ad505768032423b41f76eced41c2ab4e00e424eee",
+    "5f6f2ac49212d0745db5a96f28a265ea56d2b83a9a1545f2a3e23ceca22c560c",
+    "3c8ef7c0169fc78f333e1268e2f71a9c9c653b8006f68ad498db52015fd7eb06",
+    "2ccc2458508cc3e5fbe307a2db526b39301fea85cbf427fa799b8bec1e2cf49f",
+]
 
 
 def test_output_bytes_do_not_depend_on_the_hash_seed():
@@ -419,6 +487,5 @@ def test_output_bytes_do_not_depend_on_the_hash_seed():
             [sys.executable, "-c", _HASH_SCRIPT], env=env, capture_output=True, text=True
         )
         assert proc.returncode == 0, proc.stderr
-        outputs.append(proc.stdout)
-    assert outputs[0] == outputs[1]
-    assert outputs[0].count('"ext_dim"') >= 3  # the three solves printed
+        outputs.append(proc.stdout.split())
+    assert outputs[0] == outputs[1] == _PINNED_OUTPUT_HASHES

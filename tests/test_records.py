@@ -102,6 +102,18 @@ def test_parse_record_rejects_non_integer_caps(cap):
     assert err.value.field == "problem.caps"
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [{"alpha": None}, {"alpha": 0.1}, {"b": True}, {"b": "2"}, {"gamma": False}, {"delta": 1.0}],
+    ids=["alpha-none", "alpha-float", "b-bool", "b-str", "gamma-bool", "delta-float"],
+)
+def test_problem_parameters_must_be_exact_numbers(bad):
+    """Parameters are int, Fraction or QuadExt; a float would be read as its
+    binary value, and a bool or a string is no weight at all."""
+    with pytest.raises(ValueError):
+        ExtProblem(**{"shape": 1, "b": 2, "alpha": 0, "gamma": 0, "delta": 1, **bad})
+
+
 def test_boolean_caps_fail_validation():
     with pytest.raises(ValueError):
         Caps(True, 5, 8, 8).validate()

@@ -1,6 +1,5 @@
 """Weight-line scans: generic dimensions, certificates, special values."""
 
-import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -11,10 +10,11 @@ from hypothesis import strategies as st
 
 from wbext import scanner
 from wbext.engine import solve_core, solve_ext
+from wbext.linalg import rank
 from wbext.oracle import verify_witness
 from wbext.poly import MultiPoly, UniPoly
 from wbext.problems import Caps
-from wbext.qext import quad, split_square
+from wbext.qext import quad
 from wbext.scanner import (
     candidate_diffs,
     classify,
@@ -333,7 +333,7 @@ def test_mutating_a_classify_result_raises_and_cannot_leak(mutate):
 
 
 # ---------------------------------------------------------------------------
-# the modular screen at certificate roots
+# the point check at certificate roots
 # ---------------------------------------------------------------------------
 
 
@@ -342,71 +342,41 @@ def _certificate_roots(sp):
     return roots + [r for q in quadratics for r in scanner._quad_roots(q)]
 
 
+def _exact_ext_dim_at(sp, t0):
+    """The ext dimension at t0 with every matrix of the line ranked exactly."""
+    data = scanner._line_data(sp)
+    return data.ext_dim([rank(scanner._rows_at(rows, t0)) for rows, _r, _last in data.matrices])
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     b=_SMALL_Q.filter(bool),
     diff=_SMALL_Q,
-    sector=st.sampled_from(["full", "f"]),
+    sector=st.sampled_from(["full", "f", "g"]),
 )
-def test_screen_is_sound_at_every_certificate_root(b, diff, sector):
-    """A "generic" verdict of the screen is never wrong, and the screen
-    changes no scan result."""
+def test_point_check_is_exact_at_every_certificate_root(b, diff, sector):
+    """Keeping the generic rank where a matrix's last pivot survives gives
+    the exact dimension at every root, and so the same scan result."""
     sp = scan_dbar(b, diff, sector=sector, caps=_SMALL_CAPS)
-    data = scanner._line_data(sp)
     for t0 in _certificate_roots(sp):
-        if scanner._screen(data, t0):
-            assert ext_dim_at(sp, t0) == data.generic_ext
-    screened = special_values(sp)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(scanner, "_screen", lambda data, t0: False)
-        exact = special_values(sp)
-    assert screened.generic_dim == exact.generic_dim
-    assert screened.special_values == exact.special_values
-    assert screened.notes == exact.notes
-    assert screened.certificate == exact.certificate
-
-
-def _is_square_mod(d, p):
-    return pow(d % p, (p - 1) // 2, p) == 1
-
-
-def test_screen_declines_a_field_without_a_map_to_any_screen_prime():
-    primes = scanner._SCREEN_PRIMES
-    assert all(p % 4 == 3 for p in primes)
-    disc = next(
-        d
-        for d in range(2, 1000)
-        if split_square(d) == (1, d) and not any(_is_square_mod(d, p) for p in primes)
-    )
-    point = quad(Fraction(1, 2), Fraction(1, 3), disc)
-    assert scanner._screen_point(point) is None
-    data = scanner._line_data(scan_dbar(None, 6, sector="f", caps=_SMALL_CAPS))
-    assert not scanner._screen(data, point)
-    # a rational point whose denominator every screen prime divides
-    assert scanner._screen_point(Fraction(1, math.prod(primes))) is None
-
-
-def test_declined_quadratic_roots_still_get_the_exact_answer(monkeypatch):
-    """With a screen prime at which 19 is no square, the Q(sqrt(19)) roots on
-    the difference-6 line reach the exact check and are still reported."""
-    sp = scan_dbar(None, 6, sector="f", caps=CAPS)
-    expected = special_values(sp)
-    lo = quad(Fraction(-5, 2), Fraction(-1, 2), 19)
-    hi = quad(Fraction(-5, 2), Fraction(1, 2), 19)
-    assert {(lo, 1), (hi, 1)} <= set(expected.special_values)
-    p = 10**9 + 7
-    assert p % 4 == 3 and not _is_square_mod(19, p)
-    monkeypatch.setattr(scanner, "_SCREEN_PRIMES", (p,))
-    checked = []
-    exact = scanner.ext_dim_at
-    monkeypatch.setattr(
-        scanner, "ext_dim_at", lambda sp, t0: checked.append(t0) or exact(sp, t0)
-    )
-    assert scanner._screen_point(lo) is None and scanner._screen_point(hi) is None
+        assert ext_dim_at(sp, t0) == _exact_ext_dim_at(sp, t0)
     report = special_values(sp)
-    assert {lo, hi} <= set(checked)
-    assert report.special_values == expected.special_values
-    assert report.notes == expected.notes
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scanner, "ext_dim_at", _exact_ext_dim_at)
+        assert special_values(sp) == report
+
+
+def test_quadratic_roots_reach_the_exact_ranks():
+    """At the Q(sqrt(19)) roots of the difference-6 line some last pivot
+    vanishes, so the point check ranks that matrix over Q(sqrt(19))."""
+    sp = scan_dbar(None, 6, sector="f", caps=CAPS)
+    data = scanner._line_data(sp)
+    specials = special_values(sp).special_values
+    for half in (Fraction(-1, 2), Fraction(1, 2)):
+        t0 = quad(Fraction(-5, 2), half, 19)
+        assert any(last is not None and not last.eval(t0) for _rows, _r, last in data.matrices)
+        assert ext_dim_at(sp, t0) == _exact_ext_dim_at(sp, t0) == 1
+        assert (t0, 1) in specials
 
 
 # ---------------------------------------------------------------------------
