@@ -18,9 +18,12 @@ this module (``+``, ``-``, negation, ``*`` by a polynomial or a scalar, and
 ``MultiPoly._clean``, which checks nothing; no other code may call it.
 
 A polynomial in the scan variable alone is a :class:`UniPoly`: a dense
-coefficient tuple in ``t`` over Q.  :func:`uni_factor_special` takes a
-``UniPoly`` and reports its factors as ``UniPoly`` values; only rendering
-goes through ``MultiPoly``, so both print alike.
+coefficient tuple in ``t`` over Q, with ring arithmetic, ``divmod``, the
+monic and primitive forms, and evaluation at a ``Fraction`` or ``QuadExt``
+point.  :func:`uni_factor_special` takes a ``UniPoly`` and reports its
+factors as ``UniPoly`` values; only rendering goes through ``MultiPoly``,
+so both print alike.  The scanner's gcds and square-free parts work on
+integer coefficient tuples in Z[t] instead (see :mod:`wbext.scanner`).
 """
 
 from __future__ import annotations
@@ -644,38 +647,6 @@ class UniPoly:
                 for j, dc in enumerate(div):
                     rem[k + j] -= c * dc
         return UniPoly(quo), UniPoly(rem)
-
-    def __mod__(self, other):
-        return self.divmod(other)[1]
-
-    def __floordiv__(self, other):
-        q, r = self.divmod(other)
-        if not r.is_zero():
-            raise ValueError(f"inexact polynomial division: {self} by {other}")
-        return q
-
-    def derivative(self) -> "UniPoly":
-        return UniPoly([c * k for k, c in enumerate(self.coeffs)][1:])
-
-    def gcd(self, other: "UniPoly") -> "UniPoly":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-            b, _ = b.primitive()  # keep coefficient growth in check
-        if a.is_zero():
-            return a
-        prim, _ = a.primitive()
-        return prim
-
-    def squarefree_part(self) -> "UniPoly":
-        if self.degree() <= 0:
-            return UniPoly.const(1) if self.coeffs else self
-        g = self.gcd(self.derivative())
-        if g.degree() <= 0:
-            prim, _ = self.primitive()
-            return prim
-        prim, _ = (self // g).primitive()
-        return prim
 
     def eval(self, x):
         """Evaluate at a Fraction or QuadExt point via Horner."""

@@ -61,7 +61,7 @@ class ExtProblem:
     sector: str = "full"
 
     def __post_init__(self):
-        if self.shape not in (1, 2, 3):
+        if type(self.shape) is not int or self.shape not in (1, 2, 3):
             raise ValueError(f"shape must be 1, 2 or 3, got {self.shape!r}")
         if self.sector not in SECTORS:
             raise ValueError(f"sector must be one of {SECTORS}, got {self.sector!r}")

@@ -7,11 +7,11 @@ parameters vanish, which loses nothing, since an equal shift of alpha and
 abar moves no dimension.  The cocycle system then has entries in Q[t] and
 splits into independent blocks by part and degree.
 
-Each line is lowered once, straight from its ``MultiPoly`` entries, to one
-row form: every row is scaled by a positive constant to integer
-coefficients, so an entry is a tuple of ``int`` coefficients of a
-polynomial in Z[t], and every zero entry is the shared ``()``.  Scaling a
-row moves no rank, at t or at any point.  A line keeps one list of
+Each line is lowered once, straight from its ``MultiPoly`` entries, to the
+package's one sparse row format (see :mod:`wbext.linalg`) over Z[t]: every
+row is scaled by a positive constant to integer coefficients, so a value is
+a tuple of ``int`` coefficients of a non-zero polynomial in Z[t].  Scaling
+a row moves no rank, at t or at any point.  A line keeps one list of
 matrices (the equation blocks, then the full and the overflow coboundary
 matrices) and one formula that turns their ranks into an ext dimension.
 That list feeds two consumers:
@@ -22,9 +22,11 @@ That list feeds two consumers:
   point where no pivot vanishes, the elimination replays verbatim and the
   dimension equals the generic one, so every jump hides among the
   certificate's roots.  The pivots are integer-scaled (non-zero constants
-  times those of the unscaled rational rows); the certificate, built from
-  their square-free primitive parts, is the same.  Pivots, their factors
-  and the certificate in :class:`ScanReport` are all ``UniPoly`` values.
+  times those of the unscaled rational rows); the certificate, the product
+  of their square-free primitive parts, is the same.  It is built in Z[t]
+  with gcds by the primitive remainder sequence, and its new factors go to
+  :func:`~wbext.poly.uni_factor_special` as ``UniPoly`` values; the pivots
+  and the certificate in :class:`ScanReport` are ``UniPoly`` values too.
 * The exact point check :func:`ext_dim_at` at each candidate root t0.  By
   Sylvester's identity every Bareiss pivot is a minor of the input, and
   the last one of a matrix of generic rank r is a non-zero r x r minor.
@@ -171,16 +173,12 @@ class ScanReport:
 # integer row form over Z[t]
 # ---------------------------------------------------------------------------
 
-_ZERO = ()  # the zero polynomial: every zero entry of a row is this one tuple
-
-
-def _int_rows(rows, ncols: int) -> list:
+def _int_rows(rows) -> list:
     """Lower sparse rows (see :mod:`wbext.linalg`) of ``MultiPoly`` values in t
-    to dense rows of ``ncols`` integer coefficient tuples.
+    to sparse rows of integer coefficient tuples.
 
-    The rows stay dense because Bareiss fills in.  The entry
-    ``(c0, c1, ..., ck)`` stands for ``c0 + c1*t + ... + ck*t^k`` with
-    ``ck != 0``.  Each row is multiplied by the positive constant that
+    The value ``(c0, c1, ..., ck)`` stands for ``c0 + c1*t + ... + ck*t^k``
+    with ``ck != 0``.  Each row is multiplied by the positive constant that
     clears its denominators and divides out the gcd of its coefficients,
     which moves no rank, at t or at any point.
     """
@@ -200,16 +198,13 @@ def _int_rows(rows, ncols: int) -> list:
                 cs[exps[3]] = c.numerator * (den // c.denominator)
                 content = gcd(content, cs[exps[3]])
             lowered.append((j, cs))
-        int_row = [_ZERO] * ncols
-        for j, cs in lowered:
-            int_row[j] = tuple(c // content for c in cs)
-        out.append(int_row)
+        out.append(tuple((j, tuple(c // content for c in cs)) for j, cs in lowered))
     return out
 
 
 def _mul(a, b):
     if not a or not b:
-        return _ZERO
+        return ()
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
@@ -227,7 +222,7 @@ def _sub(a, b):
 def _exact_quotient(num, den):
     """``num / den`` in Z[t]; raises ``ArithmeticError`` unless it is exact."""
     if not num:
-        return _ZERO
+        return ()
     lead = den[-1]
     rem = list(num)
     quo = [0] * max(len(num) - len(den) + 1, 0)
@@ -243,31 +238,51 @@ def _exact_quotient(num, den):
     return tuple(quo)
 
 
+def _primitive(p):
+    """A non-zero ``p`` in Z[t] divided by its content, with a positive lead."""
+    c = gcd(*p) if p[-1] > 0 else -gcd(*p)
+    return tuple(x // c for x in p)
+
+
+def _gcd(a, b):
+    """The primitive gcd of non-zero ``a`` and ``b`` in Z[t], by the
+    primitive remainder sequence (Collins 1967; Brown 1971): each
+    pseudo-remainder is divided by its content."""
+    b = _primitive(b)
+    while True:
+        while len(a) >= len(b):  # a's pseudo-remainder by b
+            a = _sub(_mul(a, (b[-1],)), (0,) * (len(a) - len(b)) + _mul(b, (a[-1],)))
+        if not a:
+            return b
+        a, b = b, _primitive(a)
+
+
 def fraction_free_rank(rows) -> tuple[int, list]:
     """Bareiss elimination over Z[t]; returns (rank, pivot polynomials).
 
-    ``rows`` are in the integer row form (see :func:`_int_rows`).  Each new
-    entry is ``(pivot*a - c*b) / previous pivot``, a minor of the input and
-    hence in Z[t], so every division is exact in pure ``int`` arithmetic;
-    an inexact one raises ``ArithmeticError``.  At any point t0 where no
-    returned pivot vanishes the same row operations replay over Q, so the
-    specialized rank can differ from the generic one only at pivot roots.
-    The pivots are those of the same elimination over the unscaled rational
-    rows times non-zero constants (the row scales), so their square-free
-    primitive parts, and with them the certificate, do not depend on the
-    scaling.  Rows that cancel to zero are dropped as they appear.
+    ``rows`` are sparse rows over Z[t] (see :func:`_int_rows`), worked as
+    ``{column: coefficient tuple}`` dicts over the occupied columns in
+    ascending order.  Each new entry is ``(pivot*a - c*b) / previous
+    pivot``, a minor of the input and hence in Z[t], so every division is
+    exact in pure ``int`` arithmetic; an inexact one raises
+    ``ArithmeticError``.  At any point t0 where no returned pivot vanishes
+    the same row operations replay over Q, so the specialized rank can
+    differ from the generic one only at pivot roots.  The pivots are those
+    of the same elimination over the unscaled rational rows times non-zero
+    constants (the row scales), so their square-free primitive parts, and
+    with them the certificate, do not depend on the scaling.  Rows that
+    cancel to zero are dropped as they appear.
     """
-    work = [list(r) for r in rows if any(r)]
+    work = [dict(row) for row in rows if row]
     pivots = []
-    if not work:
-        return 0, pivots
-    ncols = len(work[0])
     r = 0
     prev = (1,)
-    for col in range(ncols):
+    for col in sorted({j for row in work for j in row}):
+        if r == len(work):
+            break
         piv_i = None
         for i in range(r, len(work)):
-            e = work[i][col]
+            e = work[i].get(col)
             # the lowest-degree entry; len(e) is its degree plus one
             if e and (piv_i is None or len(e) < len(work[piv_i][col])):
                 piv_i = i
@@ -279,19 +294,18 @@ def fraction_free_rank(rows) -> tuple[int, list]:
         pivots.append(UniPoly(piv))
         kept = work[: r + 1]
         for row in work[r + 1 :]:
-            ci = row[col]
-            row[col] = _ZERO
-            for j in range(col + 1, ncols):
-                a, b = row[j], prow[j]
-                if a or (ci and b):
-                    row[j] = _exact_quotient(_sub(_mul(piv, a), _mul(ci, b)), prev)
-            if any(row):
-                kept.append(row)
+            ci = row.pop(col, ())
+            new = {}
+            for j in (row.keys() | prow.keys()) if ci else row:
+                if j != col:
+                    e = _sub(_mul(piv, row.get(j, ())), _mul(ci, prow.get(j, ())))
+                    if e:
+                        new[j] = _exact_quotient(e, prev)
+            if new:
+                kept.append(new)
         work = kept
         prev = piv
         r += 1
-        if r == len(work):
-            break
     return r, pivots
 
 
@@ -301,11 +315,11 @@ class _LineData:
 
     ``matrices`` holds ``(rows, generic rank, last pivot)`` for the equation
     blocks, then the full and the overflow coboundary matrices, every one in
-    the dense integer row form of :func:`_int_rows` (:func:`_rows_at` turns
-    it into sparse rows at a point).  The last pivot, None for a matrix of
-    rank 0, is the minor that keeps the generic rank wherever it does not
-    vanish.  ``pivots`` are the pivot polynomials of all of them, in that
-    order: the certificate input.
+    the sparse Z[t] rows of :func:`_int_rows` (:func:`_rows_at` evaluates
+    them at a point).  The last pivot, None for a matrix of rank 0, is the
+    minor that keeps the generic rank wherever it does not vanish.
+    ``pivots`` are the pivot polynomials of all of them, in that order: the
+    certificate input.
     """
 
     nunk: int
@@ -327,7 +341,7 @@ def _symbolic_system(sp: ScanProblem):
     keys = unknown_basis(3, sp.base.caps, sp.base.sector)
     idents = build_equations_env(3, sp.env_t(), sp.base.caps, sp.base.sector)
     system = assemble_linear_system(idents, keys)
-    return keys, _int_rows(system.rows, len(keys))
+    return keys, _int_rows(system.rows)
 
 
 def _block_split(keys, rows):
@@ -340,10 +354,10 @@ def _block_split(keys, rows):
     the blocks lead the line's one matrix list.  A mixed row would break
     that argument, so it raises ``ArithmeticError``.
     """
-    group_of = {i: (key[0], key[1] + key[2]) for i, key in enumerate(keys)}
+    group_of = [(key[0], key[1] + key[2]) for key in keys]
     buckets: dict = {}
     for row in rows:
-        support = {group_of[i] for i, e in enumerate(row) if e}
+        support = {group_of[j] for j, _e in row}
         if not support:
             continue
         if len(support) > 1:
@@ -351,8 +365,9 @@ def _block_split(keys, rows):
         buckets.setdefault(support.pop(), []).append(row)
     blocks = []
     for group in sorted(buckets):
-        cols = [i for i in range(len(keys)) if group_of[i] == group]
-        blocks.append((group[0], [[row[i] for i in cols] for row in buckets[group]]))
+        # block-local columns, in key order
+        local = {j: k for k, j in enumerate(j for j, g in enumerate(group_of) if g == group)}
+        blocks.append((group[0], [tuple((local[j], e) for j, e in row) for row in buckets[group]]))
     return blocks
 
 
@@ -362,8 +377,8 @@ def _cob_rows_t(sp: ScanProblem, keys):
         return [], []
     span = engine.coboundary_span_env(3, sp.env_t(), sp.base.caps.phi)
     rows, over = engine.coeff_rows([engine.witness_coeff_map(w) for w in span], keys)
-    full_rows = _int_rows(rows, over + len(keys))
-    return full_rows, [row[:over] for row in full_rows]
+    full_rows = _int_rows(rows)
+    return full_rows, [tuple((j, e) for j, e in row if j < over) for row in full_rows]
 
 
 # One classify call reuses 7 Virasoro-layer lines and 4 per-b lines; older
@@ -395,11 +410,11 @@ def _line_data(sp: ScanProblem) -> _LineData:
 
 
 def _rows_at(rows, t0) -> list:
-    """The integer rows evaluated at t = t0 as sparse rows (see :mod:`wbext.linalg`)."""
+    """The Z[t] rows evaluated at t = t0 as sparse rows (see :mod:`wbext.linalg`)."""
     out = []
     for row in rows:
         vals = []
-        for j, e in enumerate(row):
+        for j, e in row:
             v = _ZERO_Q
             for c in reversed(e):
                 v = v * t0 + c
@@ -432,24 +447,28 @@ def ext_dim_at(sp: ScanProblem, t0) -> int:
 def _factor_pivots(pivots):
     """Factor the pivot product incrementally; (roots, quadratics, cert, notes).
 
-    Each pivot's square-free part is reduced by what previous pivots already
-    contributed, so only small new factors ever reach the factorizer; the
-    accumulated product is exactly the square-free pivot certificate.
+    The certificate is built in Z[t] by the primitive remainder sequence of
+    :func:`_gcd`.  Each pivot's square-free part ``p / gcd(p, p')`` is
+    reduced by what previous pivots already contributed, so only small new
+    factors ever reach the factorizer; the accumulated product is exactly
+    the square-free pivot certificate.  Every factor is primitive with a
+    positive lead, and so, by Gauss's lemma, is the product.
     """
-    cert = UniPoly.const(Fraction(1))
+    cert = (1,)
     roots: list = []
     quadratics: list = []
     notes: list = []
     for piv in pivots:
-        sf = piv.squarefree_part()
-        if sf.degree() <= 0:
+        p = tuple(c.numerator for c in piv.coeffs)
+        if len(p) < 2:
             continue
-        g = cert.gcd(sf)
-        extra = sf // g if g.degree() > 0 else sf
-        if extra.degree() <= 0:
+        dp = tuple(k * c for k, c in enumerate(p))[1:]
+        sf = _primitive(_exact_quotient(p, _gcd(p, dp)))
+        extra = _exact_quotient(sf, _gcd(cert, sf))
+        if len(extra) < 2:
             continue
-        cert = cert * extra
-        fac = uni_factor_special(extra)
+        cert = _mul(cert, extra)
+        fac = uni_factor_special(UniPoly(extra))
         for r, _mult in fac.roots:
             if r not in roots:
                 roots.append(r)
@@ -457,8 +476,7 @@ def _factor_pivots(pivots):
             if q not in quadratics:
                 quadratics.append(q)
         notes.extend(fac.notes)
-    prim, _ = cert.primitive()
-    return roots, quadratics, prim, notes
+    return roots, quadratics, UniPoly(cert), notes
 
 
 def _quad_roots(q: UniPoly):

@@ -462,6 +462,8 @@ for argv in (
     "solve --type 2 --b 3 --alpha 1 --gamma -1 --delta 1 --json",
     "solve --type 3 --b 2 --alpha 0 --abar 0 --delta 3 --dbar 1 --json",
     "scan --b -2/3 --sector full --json",
+    "scan --b 5 --sector full --json",
+    "scan --b 2 --sector f --promote delta --diff 2",
 ):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -476,6 +478,8 @@ _PINNED_OUTPUT_HASHES = [
     "5f6f2ac49212d0745db5a96f28a265ea56d2b83a9a1545f2a3e23ceca22c560c",
     "3c8ef7c0169fc78f333e1268e2f71a9c9c653b8006f68ad498db52015fd7eb06",
     "2ccc2458508cc3e5fbe307a2db526b39301fea85cbf427fa799b8bec1e2cf49f",
+    "88c21d00c6addfb6a1c708158cbfc88f4601ba83dd2b36768e051ec95e1678c0",
+    "bfb451c261d6a02f7cace9a2d0ef8d235f5d30b83f79e6cfdaad17f8393ac007",
 ]
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wbext import scanner
 from wbext.poly import (
     VARS,
     D,
@@ -126,12 +127,15 @@ def test_parse_rejects_malformed_input(bad):
 
 
 def test_unipoly_division_and_gcd():
+    """``divmod`` is the one ``UniPoly`` division; gcds and square-free
+    parts are taken in Z[t], on integer coefficient tuples."""
     t = UniPoly.t()
     p = (t - 1) * (t - 2)
     q, r = p.divmod(t - 1)
     assert q == t - 2 and r.is_zero()
-    assert p.gcd(t - 1).monic() == (t - 1).monic()
-    assert ((t - 1) ** 2).squarefree_part().monic() == (t - 1).monic()
+    assert scanner._gcd((2, -3, 1), (-1, 1)) == (-1, 1)  # gcd(p, t - 1) = t - 1
+    square = (1, -2, 1)  # (t - 1)^2, derivative 2t - 2
+    assert scanner._exact_quotient(square, scanner._gcd(square, (-2, 2))) == (-1, 1)
 
 
 def test_unipoly_primitive_part():
@@ -228,7 +232,7 @@ def test_factor_special_recovers_built_factorizations(lead, roots, quadratics):
         assert isinstance(q, UniPoly) and q.degree() == 2 and q.lead() == 1
         c, b, _ = q.coeffs
         assert not _is_rational_square(b * b - 4 * c)
-        assert (p % q).is_zero()
+        assert p.divmod(q)[1].is_zero()
 
 
 # ---------------------------------------------------------------------------

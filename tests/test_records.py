@@ -114,6 +114,14 @@ def test_problem_parameters_must_be_exact_numbers(bad):
         ExtProblem(**{"shape": 1, "b": 2, "alpha": 0, "gamma": 0, "delta": 1, **bad})
 
 
+@pytest.mark.parametrize("shape", [True, 1.0, "1"], ids=["bool", "float", "str"])
+def test_problem_shape_must_be_an_int(shape):
+    """``shape=True`` or ``1.0`` would solve as shape 1 and then be written
+    as a shape that ``parse_record`` rejects."""
+    with pytest.raises(ValueError):
+        ExtProblem(shape=shape, b=1, alpha=0, gamma=0, delta=1)
+
+
 def test_boolean_caps_fail_validation():
     with pytest.raises(ValueError):
         Caps(True, 5, 8, 8).validate()

@@ -1,5 +1,6 @@
 """Weight-line scans: generic dimensions, certificates, special values."""
 
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -384,6 +385,12 @@ def test_quadratic_roots_reach_the_exact_ranks():
 # ---------------------------------------------------------------------------
 
 
+def _exact_div(num, den):
+    quo, rem = num.divmod(den)
+    assert rem.is_zero()
+    return quo
+
+
 def _reference_bareiss(rows):
     """Bareiss over Q[t] with Fraction UniPoly entries, as a plain reference."""
     work = [list(r) for r in rows if any(e for e in r)]
@@ -405,7 +412,7 @@ def _reference_bareiss(rows):
         pivots.append(piv)
         for i in range(r + 1, len(work)):
             ci = work[i][col]
-            work[i] = [(piv * a - ci * bb) // prev for a, bb in zip(work[i], work[r])]
+            work[i] = [_exact_div(piv * a - ci * bb, prev) for a, bb in zip(work[i], work[r])]
         prev = piv
         r += 1
         if r == len(work):
@@ -437,13 +444,12 @@ def _uni_matrices(draw):
 @settings(max_examples=150, deadline=None)
 @given(rows=_uni_matrices())
 def test_integer_bareiss_matches_the_fraction_reference(rows):
-    ncols = len(rows[0]) if rows else 0
     sparse = [tuple((j, e.to_multipoly()) for j, e in enumerate(row) if e) for row in rows]
-    int_rows = scanner._int_rows(sparse, ncols)
-    rank, pivots = scanner.fraction_free_rank(int_rows)
+    rank, pivots = scanner.fraction_free_rank(scanner._int_rows(sparse))
     ref_rank, ref_pivots = _reference_bareiss(rows)
     assert rank == ref_rank
-    assert [p.squarefree_part() for p in pivots] == [p.squarefree_part() for p in ref_pivots]
+    # equal up to the row scales: the same primitive parts
+    assert [p.primitive()[0] for p in pivots] == [p.primitive()[0] for p in ref_pivots]
     assert [p.degree() for p in pivots] == [p.degree() for p in ref_pivots]
 
 
@@ -455,3 +461,67 @@ def test_inexact_division_in_the_integer_kernel_raises():
         scanner._exact_quotient((3,), (2,))
     with pytest.raises(ArithmeticError):
         scanner._exact_quotient((1,), (0, 1))  # 1 by t
+
+
+# ---------------------------------------------------------------------------
+# gcds and square-free parts in Z[t] against a Fraction reference
+# ---------------------------------------------------------------------------
+
+
+def _ref_gcd(a, b):
+    """Euclid over Q on ``UniPoly`` values, as a plain reference."""
+    while not b.is_zero():
+        a, b = b, a.divmod(b)[1]
+        b, _ = b.primitive()
+    if a.is_zero():
+        return a
+    prim, _ = a.primitive()
+    return prim
+
+
+def _ref_squarefree_part(p):
+    if p.degree() <= 0:
+        return UniPoly.const(1) if p.coeffs else p
+    g = _ref_gcd(p, UniPoly([c * k for k, c in enumerate(p.coeffs)][1:]))
+    if g.degree() <= 0:
+        prim, _ = p.primitive()
+        return prim
+    prim, _ = _exact_div(p, g).primitive()
+    return prim
+
+
+def _squarefree_part(p):
+    """The square-free part as ``scanner._factor_pivots`` takes it."""
+    dp = tuple(k * c for k, c in enumerate(p))[1:]
+    return scanner._primitive(scanner._exact_quotient(p, scanner._gcd(p, dp)))
+
+
+_ZT_FACTOR = st.lists(st.integers(-9, 9), min_size=2, max_size=3).filter(lambda cs: cs[-1])
+
+
+@st.composite
+def _zt_products(draw):
+    """Two non-zero polynomials in Z[t] drawn from one pool of factors, with
+    repeated and shared factors, either sign and a large content."""
+    pool = draw(st.lists(_ZT_FACTOR.map(tuple), min_size=1, max_size=4))
+    out = []
+    for _ in range(2):
+        p = (draw(st.integers(-(10**12), 10**12).filter(bool)),)
+        for f in pool:
+            for _ in range(draw(st.integers(0, 2))):
+                p = scanner._mul(p, f)
+        out.append(p)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=_zt_products())
+def test_integer_gcd_and_squarefree_part_match_the_fraction_reference(pair):
+    a, b = pair
+    assert UniPoly(scanner._gcd(a, b)) == _ref_gcd(UniPoly(a), UniPoly(b))
+    for p in pair:
+        prim = scanner._primitive(p)
+        assert prim[-1] > 0 and math.gcd(*prim) == 1
+        assert UniPoly(prim) == UniPoly(p).primitive()[0]
+        if len(p) > 1:
+            assert UniPoly(_squarefree_part(p)) == _ref_squarefree_part(UniPoly(p))
