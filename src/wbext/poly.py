@@ -17,20 +17,19 @@ this module (``+``, ``-``, negation, ``*`` by a polynomial or a scalar, and
 ``subst``) builds dicts that already hold it and wraps them with the private
 ``MultiPoly._clean``, which checks nothing; no other code may call it.
 
-A polynomial in the scan variable alone is a :class:`UniPoly`: a dense
-coefficient tuple in ``t`` over Q, with ring arithmetic, ``divmod``, the
-monic and primitive forms, and evaluation at a ``Fraction`` or ``QuadExt``
-point.  :func:`uni_factor_special` takes a ``UniPoly`` and reports its
-factors as ``UniPoly`` values; only rendering goes through ``MultiPoly``,
-so both print alike.  The scanner's gcds and square-free parts work on
-integer coefficient tuples in Z[t] instead (see :mod:`wbext.scanner`).
+A polynomial in the scan variable alone is a :class:`UniPoly`, the public
+rational type in ``t``: a dense coefficient tuple over Q, with ring
+arithmetic, ``divmod``, the primitive form, and evaluation at a
+``Fraction`` or ``QuadExt`` point.  Only rendering goes through
+``MultiPoly``, so both print alike.  The scanner's gcds, square-free parts
+and root finding work on integer coefficient tuples in Z[t] instead (see
+:mod:`wbext.scanner`).
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .qext import QuadExt, quad
@@ -43,8 +42,6 @@ __all__ = [
     "U",
     "T",
     "UniPoly",
-    "FactorReport",
-    "uni_factor_special",
 ]
 
 VARS = ("d", "l", "u", "t")
@@ -362,6 +359,9 @@ T = MultiPoly.var("t")
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+)|(?P<name>sqrt|[dlut])|(?P<op>[-+*/^()]))"
 )
+# Each parenthesis level costs three parser frames, so a bound far above any
+# real input keeps a hostile string from exhausting Python's recursion limit.
+_MAX_NESTING = 100
 
 
 class _Tokens:
@@ -375,6 +375,7 @@ class _Tokens:
             pos = m.end()
             self.toks.append(m)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.toks[self.i] if self.i < len(self.toks) else None
@@ -449,7 +450,11 @@ def _parse_factor(toks) -> MultiPoly:
     if tok is None:
         raise ValueError("unexpected end of polynomial")
     if tok.group("op") == "(":
+        toks.depth += 1
+        if toks.depth > _MAX_NESTING:
+            raise ValueError(f"polynomial nests deeper than {_MAX_NESTING} parentheses")
         inner = _parse_sum(toks)
+        toks.depth -= 1
         closing = toks.next()
         if closing is None or closing.group("op") != ")":
             raise ValueError("unbalanced parenthesis in polynomial")
@@ -498,7 +503,7 @@ def _maybe_power(toks, base: MultiPoly) -> MultiPoly:
 
 
 # ---------------------------------------------------------------------------
-# dense univariate polynomials in t (scanner workhorse)
+# dense univariate polynomials in t
 # ---------------------------------------------------------------------------
 
 
@@ -601,17 +606,6 @@ class UniPoly:
             n >>= 1
         return out
 
-    def lead(self) -> Fraction:
-        if not self.coeffs:
-            return Fraction(0)
-        return self.coeffs[-1]
-
-    def monic(self) -> "UniPoly":
-        lc = self.lead()
-        if lc == 0 or lc == 1:
-            return self
-        return UniPoly([c / lc for c in self.coeffs])
-
     def primitive(self) -> tuple["UniPoly", Fraction]:
         """Integer-primitive form with positive leading coefficient.
 
@@ -660,180 +654,3 @@ class UniPoly:
 
     def __repr__(self):
         return f"UniPoly({self.to_multipoly()})"
-
-
-# ---------------------------------------------------------------------------
-# special-purpose factorisation in Q[t]
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class FactorReport:
-    """Outcome of :func:`uni_factor_special`, every factor a ``UniPoly``.
-
-    ``poly == lead * prod((t - r)^m) * prod(quadratics) * residual`` with the
-    quadratics monic and irreducible over Q.  ``residual`` keeps whatever the
-    implemented method could not split (degree >= 3, no rational roots, no
-    quadratic factor found); the reconstruction identity always holds exactly.
-    """
-
-    lead: Fraction
-    roots: list  # [(Fraction root, int multiplicity)], sorted
-    quadratics: list = field(default_factory=list)  # monic UniPoly
-    residual: UniPoly = field(default_factory=lambda: UniPoly.const(1))
-    notes: list = field(default_factory=list)
-
-
-def _divisors(n: int, limit: int = 10**12) -> list[int] | None:
-    """All positive divisors of ``|n|``, or None if ``n`` is too large to scan."""
-    n = abs(n)
-    if n == 0:
-        return None
-    if n > limit:
-        return None
-    out = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.append(i)
-            if i != n // i:
-                out.append(n // i)
-        i += 1
-    return sorted(out)
-
-
-def _rational_roots(p: UniPoly) -> tuple[list, UniPoly, list]:
-    """Strip all rational roots (with multiplicity) off a monic polynomial.
-
-    Returns ``(sorted roots, monic remainder, notes)``.  Root candidates come
-    from the primitive integer form via the rational-root theorem, so the
-    extraction is complete whenever the divisor scans fit the size limit.
-    """
-    roots: dict[Fraction, int] = {}
-    notes: list[str] = []
-    k = 0
-    cs = list(p.coeffs)
-    while cs and cs[0] == 0:
-        cs.pop(0)
-        k += 1
-    p = UniPoly(cs)
-    if k:
-        roots[Fraction(0)] = k
-    while p.degree() >= 1:
-        prim, _ = p.primitive()
-        num_divs = _divisors(int(prim.coeffs[0]))
-        den_divs = _divisors(int(prim.coeffs[-1]))
-        if num_divs is None or den_divs is None:
-            notes.append("rational-root search incomplete: coefficients too large")
-            break
-        found = None
-        for q in den_divs:
-            for a in num_divs:
-                for cand in (Fraction(a, q), Fraction(-a, q)):
-                    if p.eval(cand) == 0:
-                        found = cand
-                        break
-                if found is not None:
-                    break
-            if found is not None:
-                break
-        if found is None:
-            break
-        lin = UniPoly((-found, 1))
-        mult = 0
-        while True:
-            quo, rem = p.divmod(lin)
-            if rem.is_zero():
-                p = quo
-                mult += 1
-            else:
-                break
-        roots[found] = roots.get(found, 0) + mult
-    return sorted(roots.items()), p, notes
-
-
-def _quadratic_factors(p: UniPoly, budget: int = 200_000) -> tuple[list, UniPoly, list]:
-    """Split monic quadratic factors off a monic ``p`` with no rational roots.
-
-    Candidates are found by divisor interpolation on the primitive integer
-    form: an integer quadratic ``a*t^2 + b*t + c`` dividing it must have
-    ``a | lc``, ``c | constant term`` and ``a+b+c | value at 1``.  The search
-    is complete within the candidate budget; anything left stays in the
-    residual.
-    """
-    quads: list[UniPoly] = []
-    notes: list[str] = []
-    while p.degree() >= 2:
-        if p.degree() == 2:
-            quads.append(p.monic())
-            p = UniPoly.const(1)
-            break
-        if p.degree() == 3:
-            # a cubic with no rational root is irreducible over Q
-            break
-        prim, _ = p.primitive()
-        lc_divs = _divisors(int(prim.coeffs[-1]))
-        c0_divs = _divisors(int(prim.coeffs[0]))
-        p1 = prim.eval(Fraction(1))  # nonzero: 1 is not a root
-        s_divs = _divisors(int(p1))
-        if lc_divs is None or c0_divs is None or s_divs is None:
-            notes.append("quadratic-factor search incomplete: coefficients too large")
-            break
-        if len(lc_divs) * len(c0_divs) * len(s_divs) * 4 > budget:
-            notes.append("quadratic-factor search incomplete: candidate budget exceeded")
-            break
-        found = None
-        for a in lc_divs:
-            for c in c0_divs:
-                for cs in (c, -c):
-                    for s in s_divs:
-                        for ss in (s, -s):
-                            b = ss - a - cs
-                            cand = UniPoly((cs, b, a)).monic()
-                            quo, rem = p.divmod(cand)
-                            if rem.is_zero():
-                                found = (cand, quo)
-                                break
-                        if found:
-                            break
-                    if found:
-                        break
-                if found:
-                    break
-            if found:
-                break
-        if found is None:
-            break
-        cand, quo = found
-        quads.append(cand)
-        p = quo
-    return quads, p, notes
-
-
-def uni_factor_special(p: UniPoly) -> FactorReport:
-    """Factor a ``UniPoly`` for special-value reporting.
-
-    Extracts rational roots with multiplicity and monic irreducible quadratic
-    factors (``UniPoly``); any remaining factor of degree >= 3 is reported
-    unresolved in ``residual`` (a ``UniPoly``) rather than silently dropped.
-    The reconstruction identity ``lead * roots * quadratics * residual == p``
-    always holds exactly.
-    """
-    if p.is_zero():
-        raise ValueError("cannot factor the zero polynomial")
-    lead = p.lead()
-    monic = p.monic()
-    if monic.degree() == 0:
-        return FactorReport(lead=lead, roots=[])
-    roots, rest, notes1 = _rational_roots(monic)
-    quads, residual, notes2 = _quadratic_factors(rest)
-    report = FactorReport(
-        lead=lead,
-        roots=list(roots),
-        quadratics=quads,
-        residual=residual if residual.degree() >= 1 else UniPoly.const(1),
-        notes=notes1 + notes2,
-    )
-    if residual.degree() >= 3:
-        report.notes.append(f"unresolved factor of degree {residual.degree()}")
-    return report

@@ -24,9 +24,10 @@ That list feeds two consumers:
   certificate's roots.  The pivots are integer-scaled (non-zero constants
   times those of the unscaled rational rows); the certificate, the product
   of their square-free primitive parts, is the same.  It is built in Z[t]
-  with gcds by the primitive remainder sequence, and its new factors go to
-  :func:`~wbext.poly.uni_factor_special` as ``UniPoly`` values; the pivots
-  and the certificate in :class:`ScanReport` are ``UniPoly`` values too.
+  with gcds by the primitive remainder sequence, and
+  :func:`uni_factor_special` finds each new factor's rational roots and
+  quadratic factors there too, by exact division; the pivots and the
+  certificate in :class:`ScanReport` are ``UniPoly`` values.
 * The exact point check :func:`ext_dim_at` at each candidate root t0.  By
   Sylvester's identity every Bareiss pivot is a minor of the input, and
   the last one of a matrix of generic rank r is a non-zero r x r minor.
@@ -44,16 +45,16 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import zip_longest
-from math import comb, gcd, lcm
+from itertools import product, zip_longest
+from math import comb, gcd, isqrt, lcm
 
 from . import engine
 from .equations import assemble_linear_system, build_equations_env, unknown_basis
 from .linalg import rank as matrix_rank
 from .oracle import verify_witness_env
-from .poly import MultiPoly, T, UniPoly, uni_factor_special
+from .poly import MultiPoly, T, UniPoly
 from .problems import Caps, CocycleWitness, ExtProblem
-from .qext import QuadExt, quad, split_square
+from .qext import QuadExt, quad
 
 __all__ = [
     "ClassifyReport",
@@ -219,8 +220,8 @@ def _sub(a, b):
     return tuple(out)
 
 
-def _exact_quotient(num, den):
-    """``num / den`` in Z[t]; raises ``ArithmeticError`` unless it is exact."""
+def _quotient(num, den):
+    """``num / den`` in Z[t], or None unless the division is exact."""
     if not num:
         return ()
     lead = den[-1]
@@ -229,13 +230,21 @@ def _exact_quotient(num, den):
     for k in range(len(quo) - 1, -1, -1):
         q, r = divmod(rem[k + len(den) - 1], lead)
         if r:
-            break
+            return None
         quo[k] = q
         for j, c in enumerate(den):
             rem[k + j] -= q * c
     if any(rem):
-        raise ArithmeticError(f"inexact division in Z[t]: {num} by {den}")
+        return None
     return tuple(quo)
+
+
+def _exact_quotient(num, den):
+    """``num / den`` in Z[t]; raises ``ArithmeticError`` unless it is exact."""
+    quo = _quotient(num, den)
+    if quo is None:
+        raise ArithmeticError(f"inexact division in Z[t]: {num} by {den}")
+    return quo
 
 
 def _primitive(p):
@@ -444,19 +453,104 @@ def ext_dim_at(sp: ScanProblem, t0) -> int:
     )
 
 
+# The root finder's search limits; a search cut short by either leaves a note.
+_DIVISOR_LIMIT = 10**12  # largest coefficient whose divisors are scanned
+_QUADRATIC_BUDGET = 200_000  # most candidates one quadratic search may try
+
+
+def _divisors(n: int) -> list[int] | None:
+    """The positive divisors of ``|n|`` in ascending order, or None if ``n``
+    is 0 or above ``_DIVISOR_LIMIT``."""
+    n = abs(n)
+    if n == 0 or n > _DIVISOR_LIMIT:
+        return None
+    small = [i for i in range(1, isqrt(n) + 1) if n % i == 0]
+    return small + [n // i for i in reversed(small) if i * i != n]
+
+
+def uni_factor_special(p) -> tuple[list, list, list]:
+    """Rational roots and quadratic factors of ``p`` in Z[t].
+
+    ``p`` is a square-free primitive coefficient tuple with a positive lead.
+    Returns ``(roots, quadratics, notes)``: the rational roots as
+    ``Fraction`` values, the quadratic factors as primitive tuples ``(c, b,
+    a)`` of ``a*t^2 + b*t + c`` with ``a > 0``, and a note for each search
+    cut short and for a factor of degree >= 3 left unresolved.
+
+    Every candidate is tested by exact division in Z[t], and by Gauss's
+    lemma each quotient is again primitive with a positive lead.  A root
+    ``a/q`` has ``a | p(0)`` and ``q | lead``, and then ``q*t - a`` divides
+    ``p``; a candidate not in lowest terms has content and never divides.
+    A quadratic factor has ``a | lead``, ``c | p(0)`` and ``a + b + c |
+    p(1)``.  Once no rational root is left, a remaining cubic is
+    irreducible and a remaining quadratic is one of the quadratic factors.
+    """
+    roots: list = []
+    quadratics: list = []
+    notes: list = []
+    if not p[0]:
+        roots.append(Fraction(0))
+        p = p[1:]
+    if len(p) > 1:
+        consts, leads = _divisors(p[0]), _divisors(p[-1])
+        if consts is None or leads is None:
+            notes.append("rational-root search incomplete: coefficients too large")
+        else:
+            one, minus_one = sum(p), sum(p[::2]) - sum(p[1::2])
+            for q, c in product(leads, consts):
+                for a in (c, -c):
+                    # if q*t - a divides p, q - a divides p(1) and q + a divides p(-1)
+                    if (q - a and one % (q - a)) or (q + a and minus_one % (q + a)):
+                        continue
+                    rest = _quotient(p, (-a, q))
+                    if rest is not None:
+                        roots.append(Fraction(a, q))
+                        p = rest
+    while len(p) > 4:
+        leads, consts, ones = _divisors(p[-1]), _divisors(p[0]), _divisors(sum(p))
+        if leads is None or consts is None or ones is None:
+            notes.append("quadratic-factor search incomplete: coefficients too large")
+            break
+        if len(leads) * len(consts) * len(ones) * 4 > _QUADRATIC_BUDGET:
+            notes.append("quadratic-factor search incomplete: candidate budget exceeded")
+            break
+        candidates = (
+            (c, s - a - c, a)
+            for a in leads
+            for c0 in consts
+            for c in (c0, -c0)
+            for s0 in ones
+            for s in (s0, -s0)
+        )
+        for factor in candidates:
+            rest = _quotient(p, factor)
+            if rest is not None:
+                quadratics.append(factor)
+                p = rest
+                break
+        else:
+            break
+    if len(p) == 3:
+        quadratics.append(p)
+    elif len(p) > 3:
+        notes.append(f"unresolved factor of degree {len(p) - 1}")
+    return roots, quadratics, notes
+
+
 def _factor_pivots(pivots):
-    """Factor the pivot product incrementally; (roots, quadratics, cert, notes).
+    """Factor the pivot product incrementally; (candidates, cert, notes).
 
     The certificate is built in Z[t] by the primitive remainder sequence of
     :func:`_gcd`.  Each pivot's square-free part ``p / gcd(p, p')`` is
     reduced by what previous pivots already contributed, so only small new
-    factors ever reach the factorizer; the accumulated product is exactly
-    the square-free pivot certificate.  Every factor is primitive with a
-    positive lead, and so, by Gauss's lemma, is the product.
+    factors ever reach :func:`uni_factor_special`; the accumulated product
+    is exactly the square-free pivot certificate.  Every factor is primitive
+    with a positive lead, and so, by Gauss's lemma, is the product.  The
+    candidates are the factors' rational roots and both roots of each
+    quadratic factor; the factors are pairwise coprime, so none repeats.
     """
     cert = (1,)
-    roots: list = []
-    quadratics: list = []
+    candidates: list = []
     notes: list = []
     for piv in pivots:
         p = tuple(c.numerator for c in piv.coeffs)
@@ -468,24 +562,13 @@ def _factor_pivots(pivots):
         if len(extra) < 2:
             continue
         cert = _mul(cert, extra)
-        fac = uni_factor_special(UniPoly(extra))
-        for r, _mult in fac.roots:
-            if r not in roots:
-                roots.append(r)
-        for q in fac.quadratics:
-            if q not in quadratics:
-                quadratics.append(q)
-        notes.extend(fac.notes)
-    return roots, quadratics, UniPoly(cert), notes
-
-
-def _quad_roots(q: UniPoly):
-    """Both roots of a monic irreducible quadratic in t, as QuadExt values."""
-    c, b, _ = q.coeffs
-    disc = b * b - 4 * c
-    s, r = split_square(disc.numerator * disc.denominator)
-    half = Fraction(s, 2 * disc.denominator)
-    return [quad(-b / 2, half, r), quad(-b / 2, -half, r)]
+        roots, quadratics, found = uni_factor_special(extra)
+        candidates.extend(roots)
+        for c, b, a in quadratics:
+            for s in (1, -1):
+                candidates.append(quad(Fraction(-b, 2 * a), Fraction(s, 2 * a), b * b - 4 * a * c))
+        notes.extend(found)
+    return candidates, UniPoly(cert), notes
 
 
 def _value_sort_key(v):
@@ -505,10 +588,7 @@ def special_values(sp: ScanProblem) -> ScanReport:
     """
     data = _line_data(sp)
     generic = data.generic_ext
-    roots, quadratics, cert, notes = _factor_pivots(data.pivots)
-    candidates = list(roots)
-    for q in quadratics:
-        candidates.extend(_quad_roots(q))
+    candidates, cert, notes = _factor_pivots(data.pivots)
     specials = []
     for value in sorted(candidates, key=_value_sort_key):
         dim = ext_dim_at(sp, value)

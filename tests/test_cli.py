@@ -401,6 +401,18 @@ def test_verify_division_by_zero_in_a_witness_is_a_usage_error(capsys, tmp_path)
     assert err.startswith("error:") and "basis[0].f" in err
 
 
+def test_verify_deeply_nested_witness_is_a_usage_error(capsys, tmp_path):
+    """Nesting past the parser's bound is reported against its field, with
+    exit 2, rather than as a RecursionError."""
+    target, doc = _solve_doc(tmp_path, SOLVE_T1)
+    capsys.readouterr()
+    doc["basis"][0]["f"] = "(" * 2000 + "l" + ")" * 2000
+    target.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, ["verify", "--input", str(target)])
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "basis[0].f" in err
+
+
 def test_verify_witness_of_the_wrong_shape_is_a_usage_error(capsys, tmp_path):
     for argv, index, entry in ((SOLVE_T1, 0, {"f": "d"}), (SOLVE_T3, 1, {"h": "d"})):
         target, doc = _solve_doc(tmp_path, argv)

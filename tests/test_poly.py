@@ -17,9 +17,9 @@ from wbext.poly import (
     T,
     U,
     UniPoly,
-    uni_factor_special,
 )
 from wbext.qext import QuadExt, quad
+from wbext.scanner import uni_factor_special
 
 
 def test_constructors_and_predicates():
@@ -126,6 +126,15 @@ def test_parse_rejects_malformed_input(bad):
         MultiPoly.parse(bad)
 
 
+def test_parse_bounds_parenthesis_nesting():
+    """Nesting up to the bound parses; deeper input is a ValueError rather
+    than a RecursionError."""
+    assert MultiPoly.parse("(" * 100 + "l" + ")" * 100) == L
+    for depth in (101, 2000):
+        with pytest.raises(ValueError, match="nests deeper"):
+            MultiPoly.parse("(" * depth + "l" + ")" * depth)
+
+
 def test_unipoly_division_and_gcd():
     """``divmod`` is the one ``UniPoly`` division; gcds and square-free
     parts are taken in Z[t], on integer coefficient tuples."""
@@ -154,85 +163,82 @@ def test_unipoly_eval_supports_quadratic_points():
     assert p.eval(Fraction(1)) == 3
 
 
-def _reconstruct(rep):
-    """``lead * prod((t - r)^m) * prod(quadratics) * residual``, the identity
-    every factor report satisfies."""
-    out = UniPoly.const(rep.lead)
-    for r, m in rep.roots:
-        out = out * (UniPoly.t() - r) ** m
-    for q in rep.quadratics:
-        out = out * q
-    return out * rep.residual
+def _zt_product(*factors):
+    """The product in Z[t] of integer coefficient tuples."""
+    out = (1,)
+    for f in factors:
+        out = scanner._mul(out, f)
+    return out
 
 
 def test_factor_special_finds_rational_and_quadratic_parts():
-    t = UniPoly.t()
-    p = (t - 2) * (t + Fraction(1, 3)) * (2 * t**2 - 14 * t + 15)
-    rep = uni_factor_special(p)
-    assert sorted(rep.roots) == [(Fraction(-1, 3), 1), (Fraction(2), 1)]
-    assert len(rep.quadratics) == 1
-    assert rep.residual.degree() == 0
-    assert _reconstruct(rep) == p
-
-
-def test_factor_special_handles_multiplicities():
-    t = UniPoly.t()
-    p = 3 * (t - 1) * (t - 1) * t
-    rep = uni_factor_special(p)
-    assert rep.lead == 3
-    assert sorted(rep.roots) == [(Fraction(0), 1), (Fraction(1), 2)]
-    assert _reconstruct(rep) == p
+    # (t - 2) * (3t + 1) * (2t^2 - 14t + 15), the quadratic's roots (7 +- sqrt(19))/2
+    p = _zt_product((-2, 1), (1, 3), (15, -14, 2))
+    roots, quadratics, notes = uni_factor_special(p)
+    assert sorted(roots) == [Fraction(-1, 3), Fraction(2)]
+    assert quadratics == [(15, -14, 2)]
+    assert notes == []
+    # the factor t is split off first: t * (t^2 - 2)
+    assert uni_factor_special((0, -2, 0, 1)) == ([Fraction(0)], [(-2, 0, 1)], [])
 
 
 def test_factor_special_reports_unfactored_residual():
-    t = UniPoly.t()
-    p = t**4 + t + 1  # no rational roots, no small quadratic factors
-    rep = uni_factor_special(p)
-    assert rep.roots == []
-    assert rep.residual.degree() == 4
-    assert _reconstruct(rep) == p
+    # t^4 + t + 1: no rational root, no quadratic factor
+    assert uni_factor_special((1, 1, 0, 0, 1)) == ([], [], ["unresolved factor of degree 4"])
+    # t^3 - 2: a cubic with no rational root is irreducible
+    assert uni_factor_special((-2, 0, 0, 1)) == ([], [], ["unresolved factor of degree 3"])
+
+
+_TOO_LARGE = [
+    "rational-root search incomplete: coefficients too large",
+    "quadratic-factor search incomplete: coefficients too large",
+    "unresolved factor of degree 4",
+]
+_OVER_BUDGET = [
+    "quadratic-factor search incomplete: candidate budget exceeded",
+    "unresolved factor of degree 4",
+]
+
+
+@pytest.mark.parametrize(
+    "p, notes",
+    [
+        ((10**12 + 1, 1, 0, 0, 1), _TOO_LARGE),  # a constant above the divisor limit
+        ((1, 1, 0, 0, 10**12 + 1), _TOO_LARGE),  # a lead above it
+        # 720720 has 240 divisors: more quadratic candidates than the budget
+        ((720720, 1, 0, 0, 720720), _OVER_BUDGET),
+    ],
+    ids=["constant", "lead", "budget"],
+)
+def test_factor_special_notes_searches_cut_short(p, notes):
+    assert uni_factor_special(p) == ([], [], notes)
 
 
 _IRREDUCIBLE_QUADRATICS = tuple(
-    UniPoly((-disc, 0, 1)) for disc in (-3, -1, 2, 3, 5, 19)  # t^2 - D, D no square
-) + (UniPoly((15, -14, 2)),)  # 2t^2 - 14t + 15, discriminant 76
-
-
-def _is_rational_square(x: Fraction) -> bool:
-    return x >= 0 and all(
-        math.isqrt(n) ** 2 == n for n in (x.numerator, x.denominator)
-    )
+    (-disc, 0, 1) for disc in (-3, -1, 2, 3, 5, 19)  # t^2 - D, D no square
+) + ((15, -14, 2),)  # 2t^2 - 14t + 15, discriminant 76
 
 
 @settings(max_examples=80, deadline=None)
 @given(
-    st.fractions(min_value=-7, max_value=7, max_denominator=5).filter(bool),
-    st.dictionaries(
-        st.fractions(min_value=-6, max_value=6, max_denominator=4),
-        st.integers(1, 3),
-        max_size=3,
-    ),
-    st.lists(st.sampled_from(_IRREDUCIBLE_QUADRATICS), max_size=2),
+    st.sets(st.fractions(min_value=-6, max_value=6, max_denominator=4), max_size=4),
+    st.sets(st.sampled_from(_IRREDUCIBLE_QUADRATICS), max_size=2),
 )
-def test_factor_special_recovers_built_factorizations(lead, roots, quadratics):
-    """A constant times rational linear factors (with multiplicity) times
-    irreducible quadratics factors back into exactly those roots, and into
-    monic quadratics that divide the input and have no rational root."""
-    t = UniPoly.t()
-    p = UniPoly.const(lead)
-    for r, m in roots.items():
-        p = p * (t - r) ** m
-    for q in quadratics:
-        p = p * q
-    rep = uni_factor_special(p)
-    assert isinstance(rep.residual, UniPoly)
-    assert _reconstruct(rep) == p
-    assert rep.roots == sorted(roots.items())
-    for q in rep.quadratics:
-        assert isinstance(q, UniPoly) and q.degree() == 2 and q.lead() == 1
-        c, b, _ = q.coeffs
-        assert not _is_rational_square(b * b - 4 * c)
-        assert p.divmod(q)[1].is_zero()
+def test_factor_special_recovers_built_factorizations(roots, quadratics):
+    """A product of distinct rational linear factors and irreducible
+    quadratics, square-free and primitive, factors back into exactly those
+    roots and quadratics, each quadratic dividing the input with a
+    non-square discriminant, and with no note."""
+    linear = [(-r.numerator, r.denominator) for r in roots]  # q*t - a for a/q
+    p = _zt_product(*linear, *quadratics)
+    got_roots, got_quadratics, notes = uni_factor_special(p)
+    assert sorted(got_roots) == sorted(roots)
+    assert sorted(got_quadratics) == sorted(quadratics)
+    for c, b, a in got_quadratics:
+        disc = b * b - 4 * a * c
+        assert disc < 0 or math.isqrt(disc) ** 2 != disc
+        assert scanner._quotient(p, (c, b, a)) is not None
+    assert notes == []
 
 
 # ---------------------------------------------------------------------------

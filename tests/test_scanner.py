@@ -339,8 +339,8 @@ def test_mutating_a_classify_result_raises_and_cannot_leak(mutate):
 
 
 def _certificate_roots(sp):
-    roots, quadratics, _cert, _notes = scanner._factor_pivots(scanner._line_data(sp).pivots)
-    return roots + [r for q in quadratics for r in scanner._quad_roots(q)]
+    candidates, _cert, _notes = scanner._factor_pivots(scanner._line_data(sp).pivots)
+    return candidates
 
 
 def _exact_ext_dim_at(sp, t0):

@@ -1,10 +1,15 @@
 """Tests for the curated replay suite: case data, runners, and rendering."""
 
+import hashlib
 from fractions import Fraction
 
 from wbext.engine import solve_ext
 from wbext.oracle import verify_witness
 from wbext.tables import iter_cases, run_case, run_table, table_names
+
+# sha256 of the rendering `wbext replay --table all` prints: every case's
+# dimensions, witness checks and notes, and the summary
+_TABLE_ALL_SHA256 = "c2773d60191fd753b1832ec14267954e80b08ab9fe1089b95ea41321ccb58250"
 
 
 def test_table_names_lists_every_suite():
@@ -125,3 +130,9 @@ def test_case_dimensions_match_solver_on_a_sample():
     sample = [c for c in iter_cases("theo1")][:4]
     for case in sample:
         assert solve_ext(case.problem).ext_dim == case.golden_ext
+
+
+def test_replay_table_all_output_is_pinned():
+    table = run_table("all")
+    assert table.passed
+    assert hashlib.sha256(table.render().encode()).hexdigest() == _TABLE_ALL_SHA256
