@@ -168,14 +168,8 @@ def _cmd_solve(args) -> tuple[str, int]:
 
 def _scan_lines(args, caps):
     maker = scanner.scan_delta if args.promote == "delta" else scanner.scan_dbar
-    if args.diff is not None:
-        sp = maker(args.b, args.diff, sector=args.sector, caps=caps)
-        return [(Fraction(args.diff), sp, scanner.special_values(sp))]
-    out = []
-    for diff in scanner.candidate_diffs(args.b, args.sector):
-        sp = maker(args.b, diff, sector=args.sector, caps=caps)
-        out.append((diff, sp, scanner.special_values(sp)))
-    return out
+    diffs = scanner.candidate_diffs(args.b, args.sector) if args.diff is None else [args.diff]
+    return [scanner.special_values(maker(args.b, d, sector=args.sector, caps=caps)) for d in diffs]
 
 
 def _cmd_scan(args) -> tuple[str, int]:
@@ -193,11 +187,12 @@ def _cmd_scan(args) -> tuple[str, int]:
             "t_role": t_role,
             "lines": [],
         }
-        for diff, sp, report in lines:
+        for report in lines:
+            sp = report.problem
             family = scanner.line_family(sp)
             doc["lines"].append(
                 {
-                    "diff": scalar_str(diff),
+                    "diff": scalar_str(sp.diff),
                     "generic_dim": report.generic_dim,
                     "family_g": None if family is None else str(family.g),
                     "certificate": str(report.certificate),
@@ -218,8 +213,9 @@ def _cmd_scan(args) -> tuple[str, int]:
         f"scan b={scalar_str(args.b)} sector={args.sector} promote={args.promote} "
         f"(t is the {t_role})"
     ]
-    for diff, sp, report in lines:
-        out.append(f"line diff={scalar_str(diff)}")
+    for report in lines:
+        sp = report.problem
+        out.append(f"line diff={scalar_str(sp.diff)}")
         out.append(f"  generic_dim {report.generic_dim}")
         family = scanner.line_family(sp)
         if family is not None:

@@ -30,7 +30,7 @@ from .equations import (
 )
 from .linalg import RowSpace, nullspace, rref
 from .poly import D, L, MultiPoly
-from .problems import CocycleWitness, ExtProblem, ExtSolution
+from .problems import Caps, CocycleWitness, ExtProblem, ExtSolution
 
 __all__ = [
     "coboundary_span",
@@ -204,7 +204,8 @@ def solve_ext(p: ExtProblem, stabilize: bool = True, check: bool = True) -> ExtS
     if notes:
         diag["degenerate"] = tuple(notes)
     if stabilize:
-        bumped = solve_core(p.with_caps(p.caps.bumped(2)))
+        c = p.caps
+        bumped = solve_core(replace(p, caps=Caps(c.f + 2, c.g + 2, c.h + 2, c.phi + 2)))
         diag["stable"] = bumped.ext_dim == core.ext_dim
         if not diag["stable"]:
             diag["cap_too_small"] = (

@@ -43,42 +43,25 @@ class Identity:
 _PART_ORDER = {"f": 0, "g": 1, "h": 2}
 
 
-def _graded_desc(monos):
-    return sorted(monos, key=lambda jk: (jk[0] + jk[1], jk), reverse=True)
+def key_rank(key):
+    """Canonical unknown order: part (f, g, h), then graded-lex descending."""
+    name, j, k = key
+    return (_PART_ORDER[name], -(j + k), -j, -k)
 
 
 def unknown_basis(shape: int, caps: Caps, sector: str) -> list:
-    """Canonical unknown ordering: f block, then g, then h; graded-lex descending."""
-    keys = []
-    if sector in ("full", "f"):
-        if shape == 1:
-            f_monos = [(0, k) for k in range(caps.f + 1)]
-        else:
-            f_monos = [
-                (j, k)
-                for j in range(caps.f + 1)
-                for k in range(caps.f + 1 - j)
-            ]
-        keys.extend(("f", j, k) for j, k in _graded_desc(f_monos))
-    if sector in ("full", "g"):
-        if shape == 1:
-            g_monos = [(0, k) for k in range(caps.g + 1)]
-        else:
-            g_monos = [
-                (j, k)
-                for j in range(caps.g + 1)
-                for k in range(caps.g + 1 - j)
-            ]
-        keys.extend(("g", j, k) for j, k in _graded_desc(g_monos))
-    if shape == 2 and sector in ("full", "f"):
-        keys.extend(("h", j, 0) for j in range(caps.h, -1, -1))
-    return keys
-
-
-def key_rank(key):
-    """Sort key matching :func:`unknown_basis`: part, then graded-lex descending."""
-    name, j, k = key
-    return (_PART_ORDER[name], -(j + k), -j, -k)
+    """The unknown keys in :func:`key_rank` order: the monomials of f and g up
+    to their caps (in l alone for shape 1), and of h in d for shape 2."""
+    parts = ("f", "g") if sector == "full" else (sector,)
+    keys = [
+        (name, j, k)
+        for name in parts
+        for j in range(1 if shape == 1 else getattr(caps, name) + 1)
+        for k in range(getattr(caps, name) + 1 - j)
+    ]
+    if shape == 2 and sector != "g":
+        keys.extend(("h", j, 0) for j in range(caps.h + 1))
+    return sorted(keys, key=key_rank)
 
 
 class _Powers:
@@ -133,21 +116,19 @@ def build_equations_env(shape: int, env: dict, caps: Caps, sector: str) -> list:
     alpha = env["alpha"]
     b = env.get("b")
     delta = env.get("delta")
-    want_f = sector in ("full", "f")
-    want_g = sector in ("full", "g")
-    if want_g and b is None:
-        raise ValueError("the g sector needs the parameter b")
     keys = unknown_basis(shape, caps, sector)
     f_keys = [k for k in keys if k[0] == "f"]
     g_keys = [k for k in keys if k[0] == "g"]
     h_keys = [k for k in keys if k[0] == "h"]
+    if g_keys and b is None:
+        raise ValueError("the g sector needs the parameter b")
     identities: list[Identity] = []
 
     if shape == 1:
         gamma = env["gamma"]
         A = alpha + gamma
         pw = _powers(max(caps.f, caps.g))
-        if want_f:
+        if f_keys:
             cols = {}
             for _, _, k in f_keys:
                 cols[("f", 0, k)] = (
@@ -156,7 +137,7 @@ def build_equations_env(shape: int, env: dict, caps: Caps, sector: str) -> list:
                     - (L - U) * pw.lu[k]
                 )
             identities.append(Identity("LL", cols))
-        if want_g:
+        if g_keys:
             cols = {}
             for _, _, k in g_keys:
                 cols[("g", 0, k)] = (b * L + U) * pw.lu[k] - (A + U + delta * L) * pw.u[k]
@@ -172,7 +153,7 @@ def build_equations_env(shape: int, env: dict, caps: Caps, sector: str) -> list:
         pw = _powers(max(caps.f, caps.g, caps.h))
         act = D + alpha + delta * L  # L-action coefficient on the submodule generator
         act_u = D + alpha + delta * U
-        if want_f:
+        if f_keys:
             cols = {}
             for _, j, k in f_keys:
                 cols[("f", j, k)] = (
@@ -187,7 +168,7 @@ def build_equations_env(shape: int, env: dict, caps: Caps, sector: str) -> list:
             for _, j, _ in h_keys:
                 cols[("h", j, 0)] = -act * pw.dl[j]
             identities.append(Identity("dL", cols))
-        if want_g:
+        if g_keys:
             cols = {}
             for _, j, k in g_keys:
                 cols[("g", j, k)] = (D + L - gamma) * pw.m(j, k)
@@ -210,7 +191,7 @@ def build_equations_env(shape: int, env: dict, caps: Caps, sector: str) -> list:
     top_u = D + U + delta * L + alpha
     sub_l = D + dbar * L + abar  # submodule action pieces
     sub_u = D + dbar * U + abar
-    if want_f:
+    if f_keys:
         cols = {}
         for _, j, k in f_keys:
             cols[("f", j, k)] = (
@@ -221,7 +202,7 @@ def build_equations_env(shape: int, env: dict, caps: Caps, sector: str) -> list:
                 - (L - U) * pw.m_lu(j, k)
             )
         identities.append(Identity("LL", cols))
-    if want_g:
+    if g_keys:
         cols = {}
         for _, j, k in g_keys:
             cols[("g", j, k)] = (
@@ -241,7 +222,6 @@ def build_equations_env(shape: int, env: dict, caps: Caps, sector: str) -> list:
 class LinearSystem:
     """Exact linear system: one row per (identity, monomial in d,l,u)."""
 
-    unknowns: list  # unknown keys, fixed order
     rows: list  # sparse rows (see wbext.linalg) of MultiPoly values in t
 
     def concrete_rows(self):
@@ -271,4 +251,4 @@ def assemble_linear_system(identities, unknowns) -> LinearSystem:
                 per_mono.setdefault(mono, {})[index[key]] = coeff
         for mono in sorted(per_mono, key=lambda m: (sum(m), m), reverse=True):
             rows.append(tuple(sorted(per_mono[mono].items())))
-    return LinearSystem(unknowns=list(unknowns), rows=rows)
+    return LinearSystem(rows=rows)

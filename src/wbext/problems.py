@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -24,9 +24,6 @@ class Caps:
     g: int = 5
     h: int = 8
     phi: int = 8
-
-    def bumped(self, by: int = 2) -> "Caps":
-        return Caps(self.f + by, self.g + by, self.h + by, self.phi + by)
 
     def validate(self):
         for name in ("f", "g", "h", "phi"):
@@ -98,9 +95,6 @@ class ExtProblem:
             if v is not None:
                 out[name] = MultiPoly.const(scalar(v))
         return out
-
-    def with_caps(self, caps: Caps) -> "ExtProblem":
-        return replace(self, caps=caps)
 
     def degenerate_weights(self) -> list[str]:
         """Weights at which the rank-one module fails to be irreducible."""

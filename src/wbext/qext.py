@@ -21,6 +21,7 @@ __all__ = [
 ]
 
 _RAT_RE = re.compile(r"([+-]?\d+)(?:\s*/\s*(-?\d+))?\Z")
+_TRIAL_BOUND = 100_000  # split_square's largest trial divisor
 
 
 def parse_rational(text: str) -> Fraction:
@@ -35,11 +36,11 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(num, den)
 
 
-def split_square(n: int, bound: int = 100_000) -> tuple[int, int]:
+def split_square(n: int) -> tuple[int, int]:
     """Write ``n = s^2 * r`` with ``r`` square-free (best effort) and return ``(s, r)``.
 
-    Trial division runs up to ``bound``; if a larger square factor remains it is
-    left inside ``r``.  That only affects normalisation, never exactness: the
+    Trial division stops at ``_TRIAL_BOUND``; a larger square factor stays
+    inside ``r``.  That only affects normalisation, never exactness: the
     field Q(sqrt(r)) is the same either way.
     """
     if n == 0:
@@ -48,7 +49,7 @@ def split_square(n: int, bound: int = 100_000) -> tuple[int, int]:
     n = abs(n)
     s = 1
     p = 2
-    while p * p <= n and p <= bound:
+    while p * p <= n and p <= _TRIAL_BOUND:
         while n % (p * p) == 0:
             n //= p * p
             s *= p

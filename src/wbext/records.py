@@ -191,17 +191,24 @@ def _witness_mapping(w: CocycleWitness) -> dict:
     return out
 
 
-def _parse_witness(entry, index: int) -> CocycleWitness:
+def _parse_witness(entry, index: int, caps: Caps) -> CocycleWitness:
     where = f"basis[{index}]"
     if not isinstance(entry, dict):
         raise RecordError(where, "expected an object with f/g entries")
     unknown = set(entry) - {"f", "g", "h"}
     if unknown:
         raise RecordError(where, f"unknown entries {sorted(unknown)}")
-    f = parse_poly(entry.get("f", "0"), f"{where}.f")
-    g = parse_poly(entry.get("g", "0"), f"{where}.g")
-    h = parse_poly(entry["h"], f"{where}.h") if "h" in entry else None
-    return CocycleWitness(f=f, g=g, h=h)
+    parts = {name: parse_poly(entry.get(name, "0"), f"{where}.{name}") for name in ("f", "g")}
+    if "h" in entry:
+        parts["h"] = parse_poly(entry["h"], f"{where}.h")
+    for name, poly in parts.items():
+        degree = max(map(sum, poly.terms), default=0)
+        cap = getattr(caps, name)
+        if degree > cap:
+            raise RecordError(
+                f"{where}.{name}", f"total degree {degree} exceeds the cap {name} = {cap}"
+            )
+    return CocycleWitness(**parts)
 
 
 def _parse_int(mapping, key: str, field_name: str | None = None) -> int:
@@ -241,8 +248,10 @@ def parse_record(text: str) -> OutputRecord:
     """Parse a machine-format document back into an OutputRecord.
 
     Inverse of :meth:`OutputRecord.to_json`; raises :class:`RecordError`
-    naming the offending field on any malformed content, and on dimensions
-    that contradict each other: a negative one, an ``ext_dim`` other than
+    naming the offending field on any malformed content, on a witness part
+    above the document's degree cap for it (every solver witness lies inside
+    its caps, and checking a far larger one can take arbitrarily long), and
+    on dimensions that contradict each other: a negative one, an ``ext_dim`` other than
     ``cocycle_dim - coboundary_dim`` when both are given, or a ``basis`` whose
     length is not ``ext_dim``.
     """
@@ -258,7 +267,7 @@ def parse_record(text: str) -> OutputRecord:
     basis_doc = doc.get("basis", [])
     if not isinstance(basis_doc, list):
         raise RecordError("basis", "expected a list")
-    basis = [_parse_witness(entry, i) for i, entry in enumerate(basis_doc)]
+    basis = [_parse_witness(entry, i, problem.caps) for i, entry in enumerate(basis_doc)]
     diagnostics = doc.get("diagnostics", {})
     if not isinstance(diagnostics, dict):
         raise RecordError("diagnostics", "expected an object")

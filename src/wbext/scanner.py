@@ -390,8 +390,10 @@ def _cob_rows_t(sp: ScanProblem, keys):
     return full_rows, [tuple((j, e) for j, e in row if j < over) for row in full_rows]
 
 
-# One classify call reuses 7 Virasoro-layer lines and 4 per-b lines; older
-# lines are evicted so a long sweep over b stays bounded in memory.
+# Each line is built once and then re-read by its own special_values,
+# line_family and ext_dim_at calls, and by ``wbext scan``'s family pass; the
+# lines of one classify share nothing (8 seeded classifies: 804 hits, 39
+# misses, one per line).  Eviction keeps a long sweep over b bounded.
 @lru_cache(maxsize=16)
 def _line_data(sp: ScanProblem) -> _LineData:
     keys, rows = _symbolic_system(sp)
@@ -592,10 +594,9 @@ def special_values(sp: ScanProblem) -> ScanReport:
     specials = []
     for value in sorted(candidates, key=_value_sort_key):
         dim = ext_dim_at(sp, value)
-        delta, dbar = sp.weights_at(value)
         if dim > generic:
             specials.append((value, dim))
-            if delta == 0 or dbar == 0:
+            if sp.specialize(value).degenerate_weights():
                 notes.append(
                     f"special value t={value} makes a weight vanish; the module "
                     "there is outside the irreducible classification"
@@ -640,18 +641,21 @@ class LineEntry:
     caps, so entries are immutable, with tuple fields.
     """
 
-    diff: Fraction
-    sector: str
-    generic_dim: int
-    g_generic: int
-    f_generic: int
     report: ScanReport
-    m: int | None = None  # homogeneous g-degree when the line is m + b
+    g_generic: int
     families: tuple = ()  # (CocycleWitness, note)
     specials: tuple = ()  # SpecialPoint
 
     def __post_init__(self):
         _freeze(self, "families", "specials")
+
+    @property
+    def diff(self) -> Fraction:
+        return self.report.problem.diff
+
+    @property
+    def generic_dim(self) -> int:
+        return self.report.generic_dim
 
 
 @dataclass(frozen=True)
@@ -723,14 +727,19 @@ def line_family(sp: ScanProblem) -> CocycleWitness | None:
     return fam
 
 
+def _solve_at(sp: ScanProblem, t0):
+    """The engine's solve of the line at t = t0, unstabilized and unchecked."""
+    return engine.solve_ext(sp.specialize(t0), stabilize=False, check=False)
+
+
 def _line_specials(sp: ScanProblem, rep: ScanReport) -> list:
     out = []
     for value, dim in rep.special_values:
-        delta, dbar = sp.weights_at(value)
-        degenerate = delta == 0 or dbar == 0
+        point = sp.specialize(value)
+        degenerate = bool(point.degenerate_weights())
         witnesses = ()
         if not degenerate:
-            sol = engine.solve_ext(sp.specialize(value), stabilize=False, check=False)
+            sol = _solve_at(sp, value)
             if sol.ext_dim != dim:
                 raise ArithmeticError(
                     "scan specialization and direct solve disagree "
@@ -739,8 +748,8 @@ def _line_specials(sp: ScanProblem, rep: ScanReport) -> list:
             witnesses = sol.basis
         out.append(
             SpecialPoint(
-                delta=delta,
-                dbar=dbar,
+                delta=point.delta,
+                dbar=point.dbar,
                 t_value=value,
                 dim=dim,
                 degenerate=degenerate,
@@ -753,39 +762,25 @@ def _line_specials(sp: ScanProblem, rep: ScanReport) -> list:
 def _sample_t(sp: ScanProblem, rep: ScanReport) -> Fraction:
     """First small integer t that avoids certificate roots and zero weights."""
     t0 = Fraction(1)
-    while True:
-        delta, dbar = sp.weights_at(t0)
-        if delta != 0 and dbar != 0 and rep.certificate.eval(t0) != 0:
-            return t0
+    while sp.specialize(t0).degenerate_weights() or not rep.certificate.eval(t0):
         t0 += 1
+    return t0
 
 
-def _line_entry(b, diff, sector, caps, m=None) -> LineEntry:
+def _line_entry(b, diff, sector, caps) -> LineEntry:
     sp = scan_dbar(b, diff, sector=sector, caps=caps)
     rep = special_values(sp)
     g_generic = _line_data(sp).g_generic
-    f_generic = rep.generic_dim - g_generic
     families = []
     fam = line_family(sp)
     if fam is not None:
         families.append((fam, "g family, valid for every t on the line"))
-    if f_generic > 0:
+    if rep.generic_dim > g_generic:
         t0 = _sample_t(sp, rep)
-        sol = engine.solve_ext(sp.specialize(t0), stabilize=False, check=False)
-        for w in sol.basis:
+        for w in _solve_at(sp, t0).basis:
             if w.g.is_zero():
                 families.append((w, f"f family member at sample t={t0}"))
-    return LineEntry(
-        diff=Fraction(diff),
-        sector=sector,
-        generic_dim=rep.generic_dim,
-        g_generic=g_generic,
-        f_generic=f_generic,
-        report=rep,
-        m=m,
-        families=families,
-        specials=_line_specials(sp, rep),
-    )
+    return LineEntry(rep, g_generic, families, _line_specials(sp, rep))
 
 
 # The b-independent layer is the same for every b at one caps setting;
@@ -824,5 +819,5 @@ def classify(b, caps=None) -> ClassifyReport:
     if b == 0:
         raise ValueError("b = 0 is outside this family of algebras")
     caps = caps if caps is not None else Caps()
-    per_b = [_line_entry(b, Fraction(m) + b, "full", caps, m=m) for m in range(4)]
+    per_b = [_line_entry(b, Fraction(m) + b, "full", caps) for m in range(4)]
     return ClassifyReport(b=b, layer=_virasoro_layer(caps), per_b=per_b)

@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -411,6 +412,34 @@ def test_verify_deeply_nested_witness_is_a_usage_error(capsys, tmp_path):
     rc, out, err = run(capsys, ["verify", "--input", str(target)])
     assert rc == 2 and out == ""
     assert err.startswith("error:") and "basis[0].f" in err
+
+
+def test_verify_witness_above_its_cap_is_a_usage_error(capsys, tmp_path):
+    """A short string of huge degree is refused against the document's cap
+    before any checking starts, rather than expanded and verified."""
+    target, doc = _solve_doc(tmp_path, SOLVE_T1)
+    capsys.readouterr()
+    doc["basis"][0]["f"] = "l^5000"
+    target.write_text(json.dumps(doc))
+    start = time.monotonic()
+    rc, out, err = run(capsys, ["verify", "--input", str(target)])
+    assert time.monotonic() - start < 5
+    assert rc == 2 and out == ""
+    assert err.startswith("error: field 'basis[0].f'") and "cap f = 8" in err
+
+
+def test_verify_witness_at_its_cap_still_verifies(capsys, tmp_path):
+    # at caps f = 2, g = 1 the shape-1 basis is l^2 and 1, each at its cap
+    target, doc = _solve_doc(tmp_path, SOLVE_T1 + ["--cap-f", "2", "--cap-g", "1"])
+    capsys.readouterr()
+    assert doc["basis"] == [{"f": "l^2", "g": "0"}, {"f": "0", "g": "1"}]
+    rc, out, _ = run(capsys, ["verify", "--input", str(target)])
+    assert rc == 0 and "2/2 witness(es) verified" in out
+    doc["basis"][1]["g"] = "l^2"
+    target.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, ["verify", "--input", str(target)])
+    assert rc == 2 and out == ""
+    assert err.startswith("error: field 'basis[1].g'") and "cap g = 1" in err
 
 
 def test_verify_witness_of_the_wrong_shape_is_a_usage_error(capsys, tmp_path):

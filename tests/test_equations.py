@@ -8,6 +8,7 @@ from wbext.equations import (
     Identity,
     assemble_linear_system,
     build_equations,
+    key_rank,
     unknown_basis,
 )
 from wbext.linalg import nullspace, rank
@@ -50,6 +51,25 @@ def test_unknown_basis_is_graded_lex_descending():
     assert keys[-1] == ("f", 0, 0)
 
 
+@pytest.mark.parametrize("shape", [1, 2, 3])
+@pytest.mark.parametrize("sector", ["full", "f", "g"])
+def test_unknown_basis_counts_and_key_rank_order(shape, sector):
+    caps = Caps(f=4, g=3, h=5, phi=4)
+    keys = unknown_basis(shape, caps, sector)
+
+    def monomials(cap):  # univariate in l for shape 1, else (d, l) of degree <= cap
+        return cap + 1 if shape == 1 else (cap + 1) * (cap + 2) // 2
+
+    expected = {
+        "f": monomials(caps.f) if sector != "g" else 0,
+        "g": monomials(caps.g) if sector != "f" else 0,
+        "h": caps.h + 1 if shape == 2 and sector != "g" else 0,
+    }
+    assert {name: sum(k[0] == name for k in keys) for name in "fgh"} == expected
+    assert len(set(keys)) == len(keys)
+    assert keys == sorted(keys, key=key_rank)
+
+
 def test_sector_restriction():
     caps = Caps(f=2, g=2, h=2, phi=2)
     assert all(k[0] == "g" for k in unknown_basis(3, caps, "g"))
@@ -79,11 +99,9 @@ def test_shape1_zero_sum_system_has_known_kernel():
     # alpha + gamma = 0, delta = 2, b = 1: the classification gives two
     # independent cocycles before quotienting (f = l^2 line and g = const)
     p = ExtProblem(shape=1, b=1, alpha=0, gamma=0, delta=2)
-    system = assemble_linear_system(
-        build_equations(p), unknown_basis(1, p.caps, p.sector)
-    )
-    rows = system.concrete_rows()
-    ncols = len(system.unknowns)
+    keys = unknown_basis(1, p.caps, p.sector)
+    rows = assemble_linear_system(build_equations(p), keys).concrete_rows()
+    ncols = len(keys)
     kernel = nullspace(rows, ncols)
     assert len(kernel) == ncols - rank(rows)
     assert len(kernel) >= 2
@@ -92,10 +110,9 @@ def test_shape1_zero_sum_system_has_known_kernel():
 def test_shape1_nonzero_sum_system_is_rigid():
     # alpha + gamma != 0 forces the trivial solution apart from coboundaries
     p = ExtProblem(shape=1, b=5, alpha=2, gamma=1, delta=4)
-    system = assemble_linear_system(
-        build_equations(p), unknown_basis(1, p.caps, p.sector)
-    )
-    kernel = nullspace(system.concrete_rows(), len(system.unknowns))
+    keys = unknown_basis(1, p.caps, p.sector)
+    system = assemble_linear_system(build_equations(p), keys)
+    kernel = nullspace(system.concrete_rows(), len(keys))
     assert len(kernel) == 1  # exactly the coboundary direction
 
 
