@@ -1,10 +1,18 @@
 """Cocycle solver: linear systems, coboundary reduction, canonical classes.
 
-The pipeline is: build the functional-equation system for the problem
-(defining identities plus the implied swapped ones, as a cross-check), take
-its kernel (cocycles inside the degree caps), intersect the change-of-basis
-images with the caps (coboundaries), and reduce kernel vectors modulo that
-intersection to get representatives.
+The pipeline is: evaluate the functional-equation system (defining
+identities plus the implied swapped ones, as a cross-check) at the problem's
+weights, take its kernel (cocycles inside the degree caps), intersect the
+change-of-basis images with the caps (coboundaries), and reduce kernel
+vectors modulo that intersection to get representatives.
+
+The system is built once per (shape, caps, sector), as an integer affine
+template in the weights (see :mod:`wbext.equations`), and kept in a
+32-entry LRU cache that fills on first use, never at import.  Each solve
+evaluates its template at its weights.  That is exact, not an
+approximation: the weight symbols refuse any non-affine product, so the
+template is affine by construction and its rows equal a direct build's at
+that point, value for value and in order.
 
 :func:`coboundary_span_env` is the one construction of the change-of-basis
 images and :func:`coeff_rows` the one layout of ``{unknown key:
@@ -16,16 +24,19 @@ Results are cached in bounded caches and are immutable.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 
 from . import oracle
 from .equations import (
+    LinearSystem,
     assemble_linear_system,
     build_equations,
     constant_rows,
     key_rank,
+    template_point,
     unknown_basis,
 )
 from .linalg import RowSpace, nullspace, rref
@@ -138,6 +149,16 @@ def _cob_vectors_in_caps(p: ExtProblem, keys) -> list[tuple]:
     return [tuple([(c - over, v) for c, v in row]) for row in kept]
 
 
+# A replay of every table meets 14 (shape, caps, sector) keys and the
+# seeded solve_sweep 18; its 18 templates hold 1.3 MB of shared int tuples.
+@lru_cache(maxsize=32)
+def _template(shape: int, caps: Caps, sector: str) -> LinearSystem:
+    """The integer affine template of every problem with this key."""
+    return assemble_linear_system(
+        build_equations(shape, caps, sector), unknown_basis(shape, caps, sector)
+    )
+
+
 # A full ``replay --table all`` solves 70 cases, each at its caps and at
 # caps+2: at most 140 core solves and 70 full ones, which both caches hold
 # with room for a scan's specialised solves.  Older entries are evicted, so
@@ -152,16 +173,20 @@ def solve_core(p: ExtProblem) -> ExtSolution:
     equations and the basis-change images were transcribed inconsistently.
     """
     keys = unknown_basis(p.shape, p.caps, p.sector)
-    system = assemble_linear_system(build_equations(p), keys)
-    rows = system.concrete_rows()
+    rows = _template(p.shape, p.caps, p.sector).concrete_rows(template_point(p))
     cocycles = nullspace(rows, len(keys))
     cob = _cob_vectors_in_caps(p, keys)
     # every capped coboundary against every assembled row, independently of
-    # the nullspace just computed
+    # the nullspace just computed; a row that shares no column with the
+    # vector sums to zero, so only the rows meeting its support are summed
+    rows_at = defaultdict(list)
+    for r, row in enumerate(rows):
+        for i, _c in row:
+            rows_at[i].append(r)
     for vec in cob:
         nz = dict(vec)
-        for row in rows:
-            if sum(c * nz[i] for i, c in row if i in nz) != 0:
+        for r in {r for i in nz for r in rows_at.get(i, ())}:
+            if sum(c * nz[i] for i, c in rows[r] if i in nz) != 0:
                 raise ArithmeticError(
                     "capped coboundary fails the cocycle equations; "
                     "basis-change images and identities disagree"

@@ -10,17 +10,37 @@ so the identity reads ``sum_k  c_k * cols[k] == 0`` over the unknown
 coefficients ``c_k``.  Keys are ``("f", j, k)`` for the coefficient of
 ``d^j l^k`` in f, likewise ``("g", j, k)`` and ``("h", j, 0)``.
 
-The builder works over a parameter environment whose values are polynomials,
-so a weight promoted to the scan variable ``t`` flows through unchanged.
+:func:`build_equations_env` is the one transcription.  It works over a
+parameter environment whose values are polynomials, so a weight promoted to
+the scan variable ``t`` flows through unchanged, and so do affine parameter
+symbols.  :func:`build_equations` runs it once per (shape, caps, sector) with
+every weight a symbol, and :func:`assemble_linear_system` lays the result
+out as a template: the sparse rows of a direct build, in the same order,
+each value a tuple of ints ``(c0, c_1, ..., c_k)`` standing for ``c0 + sum
+c_i w_i`` over the weights ``w_i`` of :func:`template_point`.
+:meth:`LinearSystem.concrete_rows` evaluates a template at a problem's
+weights; :mod:`wbext.engine` keeps the templates in a 32-entry LRU cache,
+filled on first use.
+
+The template is exact, not interpolated: the symbol type supports only
+``+``, ``-`` and ``*`` by a parameter-free polynomial and raises on a product
+of two parameter-dependent factors, so a build that goes through is affine in
+the weights by construction; assembly checks that every coefficient is an
+integer.  Evaluated at a point it equals the direct build there, entry for
+entry.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
-from .poly import D, L, U
+from .poly import D, L, U, MultiPoly
 from .problems import Caps, ExtProblem
+from .qext import QuadExt, quad, scalar
 
 __all__ = [
     "Identity",
@@ -31,6 +51,7 @@ __all__ = [
     "LinearSystem",
     "assemble_linear_system",
     "constant_rows",
+    "template_point",
 ]
 
 
@@ -65,7 +86,11 @@ def unknown_basis(shape: int, caps: Caps, sector: str) -> list:
 
 
 class _Powers:
-    """Monomial images under the slot substitutions used by the identities."""
+    """Monomial images under the slot substitutions used by the identities.
+
+    A slot product depends only on ``(j, k)``, so each is computed on first
+    use and kept.
+    """
 
     def __init__(self, cap: int):
         n = cap + 2
@@ -75,33 +100,122 @@ class _Powers:
         self.dl = [(D + L) ** j for j in range(n)]
         self.du = [(D + U) ** j for j in range(n)]
         self.lu = [(L + U) ** k for k in range(n)]
+        self._products = {}
+
+    def _slot(self, name, j, k, left, right):
+        key = (name, j, k)
+        out = self._products.get(key)
+        if out is None:
+            out = self._products[key] = left[j] * right[k]
+        return out
 
     def m(self, j, k):  # m(d, l)
-        return self.d[j] * self.l[k]
+        return self._slot("m", j, k, self.d, self.l)
 
     def m_u(self, j, k):  # m(d, u)
-        return self.d[j] * self.u[k]
+        return self._slot("m_u", j, k, self.d, self.u)
 
     def m_dl_u(self, j, k):  # m(d+l, u)
-        return self.dl[j] * self.u[k]
+        return self._slot("m_dl_u", j, k, self.dl, self.u)
 
     def m_du_l(self, j, k):  # m(d+u, l)
-        return self.du[j] * self.l[k]
+        return self._slot("m_du_l", j, k, self.du, self.l)
 
     def m_lu(self, j, k):  # m(d, l+u)
-        return self.d[j] * self.lu[k]
+        return self._slot("m_lu", j, k, self.d, self.lu)
 
 
-# The powers depend only on the cap and MultiPoly is immutable, so every
-# solve at one cap shares them; a solve and its caps+2 re-run use two caps.
+# The powers and slot products depend only on the cap and MultiPoly is
+# immutable, so every build at one cap shares them, the engine's templates
+# and the scanner's line builds alike; a solve and its caps+2 re-run use two.
 @lru_cache(maxsize=16)
 def _powers(cap: int) -> _Powers:
     return _Powers(cap)
 
 
-def build_equations(p: ExtProblem) -> list:
-    """Identities for a concrete problem; see :func:`build_equations_env`."""
-    return build_equations_env(p.shape, p.env(), p.caps, p.sector)
+class _Affine:
+    """An affine form ``c0 + sum c_i w_i`` in the template weights ``w_i``, each
+    ``c_i`` a ``MultiPoly`` in (d, l, u): what a weight symbol becomes on its
+    way through :func:`build_equations_env`.
+
+    Only ``+``, ``-`` and ``*`` by a parameter-free polynomial or scalar are
+    defined; a product of two forms raises ``TypeError``, so whatever the
+    transcription builds from the symbols is affine in them.
+    """
+
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple):
+        self.parts = parts
+
+    @classmethod
+    def symbol(cls, i: int, n: int) -> "_Affine":
+        """The ``i``-th of ``n`` weights."""
+        zero, one = MultiPoly.zero(), MultiPoly.const(1)
+        return cls(tuple(one if j == i + 1 else zero for j in range(n + 1)))
+
+    def __add__(self, other):
+        if isinstance(other, _Affine):
+            return _Affine(tuple([a + b for a, b in zip(self.parts, other.parts)]))
+        return _Affine((self.parts[0] + other,) + self.parts[1:])
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Affine(tuple([-a for a in self.parts]))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if isinstance(other, _Affine):
+            raise TypeError("a product of two parameter-dependent factors is not affine")
+        return _Affine(tuple([a * other for a in self.parts]))
+
+    __rmul__ = __mul__
+
+    def coeffs_by(self, names):
+        """``[(exps in (d, l, u), (c0, c_1, ..., c_k))]``: the template entries
+        of this form, one per monomial, with integer components."""
+        if names != ("d", "l", "u"):
+            raise ValueError(f"a template groups by (d, l, u), not {names}")
+        groups: dict[tuple, list] = {}
+        for i, part in enumerate(self.parts):
+            for (a, b, c, t), coeff in part.terms.items():
+                if t or type(coeff) is not Fraction or coeff.denominator != 1:
+                    raise ValueError(f"template coefficients must be integers in (d, l, u): {part}")
+                groups.setdefault((a, b, c), [0] * len(self.parts))[i] = coeff.numerator
+        return [(mono, _shared(tuple(vec))) for mono, vec in groups.items()]
+
+
+# A few hundred distinct template values make up thousands of entries, so
+# equal ones are stored once; the bound keeps a long sweep's memory flat.
+@lru_cache(maxsize=4096)
+def _shared(vec: tuple) -> tuple:
+    return vec
+
+
+def _weights(shape: int, sector: str) -> tuple:
+    """The weights a (shape, sector) system depends on, in template order."""
+    names = ("alpha", "gamma", "delta") if shape in (1, 2) else ("alpha", "abar", "delta", "dbar")
+    return names if sector == "f" else ("b",) + names
+
+
+def template_point(p: ExtProblem) -> tuple:
+    """``p``'s weights in the order of a template value's components."""
+    return tuple(scalar(getattr(p, name)) for name in _weights(p.shape, p.sector))
+
+
+def build_equations(shape: int, caps: Caps, sector: str) -> list:
+    """Identities of one (shape, caps, sector) with every weight an affine
+    symbol; assembled, they are the template of every problem with that key.
+    See :func:`build_equations_env`."""
+    names = _weights(shape, sector)
+    env = {name: _Affine.symbol(i, len(names)) for i, name in enumerate(names)}
+    return build_equations_env(shape, env, caps, sector)
 
 
 def build_equations_env(shape: int, env: dict, caps: Caps, sector: str) -> list:
@@ -218,15 +332,51 @@ def build_equations_env(shape: int, env: dict, caps: Caps, sector: str) -> list:
     return identities
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinearSystem:
-    """Exact linear system: one row per (identity, monomial in d,l,u)."""
+    """Exact linear system: one row per (identity, monomial in d,l,u).
 
-    rows: list  # sparse rows (see wbext.linalg) of MultiPoly values in t
+    ``rows`` are sparse rows (see :mod:`wbext.linalg`), held as tuples so a
+    cached system cannot be changed through them.  Their values are
+    ``MultiPoly`` (constants, or polynomials in t on a scan line), or, in a
+    template assembled from :func:`build_equations`, integer tuples over the
+    weights of :func:`template_point`.
+    """
 
-    def concrete_rows(self):
-        """The rows lowered to scalars; see :func:`constant_rows`."""
-        return constant_rows(self.rows)
+    rows: tuple
+
+    def concrete_rows(self, point: tuple) -> list[tuple]:
+        """A template's rows at the weights ``point`` (see
+        :func:`template_point`), as a fresh list of scalar rows.
+
+        At a rational point each entry is one integer dot product over a
+        common denominator and one ``Fraction``; a point in Q(sqrt D)
+        evaluates in ``QuadExt``, which collapses to ``Fraction`` exactly as
+        ``MultiPoly`` arithmetic does.  Zero entries and then empty rows are
+        dropped, so the result equals the direct build's rows at that point
+        (lowered by :func:`constant_rows`), value for value and in order.
+        """
+        disc = next((w.disc for w in point if isinstance(w, QuadExt)), None)
+        rat = [w.p if isinstance(w, QuadExt) else w for w in point]
+        irr = [w.q if isinstance(w, QuadExt) else Fraction(0) for w in point]
+        den = math.lcm(*(w.denominator for w in rat + irr))
+        rat = (den, *[w.numerator * (den // w.denominator) for w in rat])
+        irr = (0, *[w.numerator * (den // w.denominator) for w in irr])
+        out = []
+        for row in self.rows:
+            entries = []
+            for col, vec in row:
+                num = sum(map(mul, vec, rat))
+                if disc is None:
+                    if num:
+                        entries.append((col, Fraction(num, den)))
+                    continue
+                value = quad(Fraction(num, den), Fraction(sum(map(mul, vec, irr)), den), disc)
+                if value:
+                    entries.append((col, value))
+            if entries:
+                out.append(tuple(entries))
+        return out
 
 
 def constant_rows(rows) -> list[tuple]:
@@ -239,6 +389,8 @@ def assemble_linear_system(identities, unknowns) -> LinearSystem:
 
     Row order is deterministic: identities in build order, monomials graded-lex
     descending.  Raises if an identity references an undeclared unknown.
+    Identities from :func:`build_equations` give a template (see
+    :class:`LinearSystem`).
     """
     index = {k: i for i, k in enumerate(unknowns)}
     rows = []
@@ -251,4 +403,4 @@ def assemble_linear_system(identities, unknowns) -> LinearSystem:
                 per_mono.setdefault(mono, {})[index[key]] = coeff
         for mono in sorted(per_mono, key=lambda m: (sum(m), m), reverse=True):
             rows.append(tuple(sorted(per_mono[mono].items())))
-    return LinearSystem(rows=rows)
+    return LinearSystem(rows=tuple(rows))

@@ -36,6 +36,7 @@ from .qext import QuadExt, quad
 
 __all__ = [
     "VARS",
+    "DegreeError",
     "MultiPoly",
     "D",
     "L",
@@ -116,6 +117,10 @@ class MultiPoly:
 
     def __bool__(self) -> bool:
         return bool(self.terms)
+
+    def total_degree(self) -> int:
+        """The largest total degree of a term; 0 for the zero polynomial."""
+        return max(map(sum, self.terms), default=0)
 
     def uses_var(self, name: str) -> bool:
         i = _VAR_INDEX[name]
@@ -342,8 +347,14 @@ class MultiPoly:
         return f"MultiPoly({self})"
 
     @classmethod
-    def parse(cls, text: str) -> "MultiPoly":
-        return _parse_poly(text)
+    def parse(cls, text: str, max_degree: int | None = None) -> "MultiPoly":
+        """Parse a rendering back to a polynomial.
+
+        With ``max_degree``, every factor and product is refused with
+        :class:`DegreeError` before it is expanded if its total degree would
+        exceed it, so a short string of huge degree costs nothing.
+        """
+        return _parse_poly(text, max_degree)
 
 
 D = MultiPoly.var("d")
@@ -364,8 +375,16 @@ _TOKEN_RE = re.compile(
 _MAX_NESTING = 100
 
 
+class DegreeError(ValueError):
+    """A parsed polynomial would exceed its ``max_degree``."""
+
+    def __init__(self, degree: int, bound: int):
+        super().__init__(f"total degree {degree} exceeds {bound}")
+        self.degree = degree
+
+
 class _Tokens:
-    def __init__(self, text: str):
+    def __init__(self, text: str, max_degree: int | None = None):
         self.toks = []
         pos = 0
         while pos < len(text):
@@ -376,6 +395,11 @@ class _Tokens:
             self.toks.append(m)
         self.i = 0
         self.depth = 0
+        self.max_degree = max_degree
+
+    def check_degree(self, degree: int) -> None:
+        if degree > self.max_degree:
+            raise DegreeError(degree, self.max_degree)
 
     def peek(self):
         return self.toks[self.i] if self.i < len(self.toks) else None
@@ -387,9 +411,9 @@ class _Tokens:
         return tok
 
 
-def _parse_poly(text: str) -> MultiPoly:
+def _parse_poly(text: str, max_degree: int | None = None) -> MultiPoly:
     """Parse the canonical rendering (and reasonable variants) back to a poly."""
-    toks = _Tokens(text)
+    toks = _Tokens(text, max_degree)
     out = _parse_sum(toks)
     if toks.peek() is not None:
         raise ValueError(f"trailing input in polynomial: {text!r}")
@@ -431,18 +455,16 @@ def _parse_sum(toks) -> MultiPoly:
 
 
 def _parse_term(toks) -> MultiPoly:
-    factors = [_parse_factor(toks)]
+    out = _parse_factor(toks)
     while True:
         tok = toks.peek()
-        if tok is not None and tok.group("op") == "*":
-            toks.next()
-            factors.append(_parse_factor(toks))
-        else:
-            break
-    out = MultiPoly.const(1)
-    for f in factors:
-        out = out * f
-    return out
+        if tok is None or tok.group("op") != "*":
+            return out
+        toks.next()
+        factor = _parse_factor(toks)
+        if toks.max_degree is not None:
+            toks.check_degree(out.total_degree() + factor.total_degree())
+        out = out * factor
 
 
 def _parse_factor(toks) -> MultiPoly:
@@ -492,14 +514,17 @@ def _parse_factor(toks) -> MultiPoly:
 
 
 def _maybe_power(toks, base: MultiPoly) -> MultiPoly:
+    n = 1
     tok = toks.peek()
     if tok is not None and tok.group("op") == "^":
         toks.next()
         exp = toks.next()
         if exp is None or not exp.group("num"):
             raise ValueError("expected integer exponent after ^")
-        return base ** int(exp.group("num"))
-    return base
+        n = int(exp.group("num"))
+    if toks.max_degree is not None:
+        toks.check_degree(base.total_degree() * n)
+    return base if n == 1 else base**n
 
 
 # ---------------------------------------------------------------------------

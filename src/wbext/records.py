@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .poly import MultiPoly
+from .poly import DegreeError, MultiPoly
 from .problems import PARAM_FIELDS, Caps, CocycleWitness, ExtProblem, ExtSolution
 from .qext import QuadExt, parse_rational, quad
 
@@ -82,12 +82,20 @@ def parse_scalar(text: str, field_name: str = "value"):
 # ---------------------------------------------------------------------------
 
 
-def parse_poly(text: str, field_name: str = "poly") -> MultiPoly:
-    """Parse a canonical polynomial string in d, l, u and t."""
+def parse_poly(text: str, field_name: str = "poly", cap: tuple | None = None) -> MultiPoly:
+    """Parse a canonical polynomial string in d, l, u and t.
+
+    ``cap`` is a ``(name, degree)`` pair; a polynomial whose total degree
+    would exceed it is refused before it is expanded.
+    """
     if not isinstance(text, str):
         raise RecordError(field_name, f"expected a polynomial string, got {text!r}")
     try:
-        return MultiPoly.parse(text)
+        return MultiPoly.parse(text, cap and cap[1])
+    except DegreeError as exc:
+        raise RecordError(
+            field_name, f"total degree {exc.degree} exceeds the cap {cap[0]} = {cap[1]}"
+        ) from None
     except ValueError as exc:
         raise RecordError(field_name, str(exc)) from None
     except ZeroDivisionError:
@@ -198,16 +206,10 @@ def _parse_witness(entry, index: int, caps: Caps) -> CocycleWitness:
     unknown = set(entry) - {"f", "g", "h"}
     if unknown:
         raise RecordError(where, f"unknown entries {sorted(unknown)}")
-    parts = {name: parse_poly(entry.get(name, "0"), f"{where}.{name}") for name in ("f", "g")}
-    if "h" in entry:
-        parts["h"] = parse_poly(entry["h"], f"{where}.h")
-    for name, poly in parts.items():
-        degree = max(map(sum, poly.terms), default=0)
-        cap = getattr(caps, name)
-        if degree > cap:
-            raise RecordError(
-                f"{where}.{name}", f"total degree {degree} exceeds the cap {name} = {cap}"
-            )
+    parts = {
+        name: parse_poly(entry.get(name, "0"), f"{where}.{name}", (name, getattr(caps, name)))
+        for name in (("f", "g", "h") if "h" in entry else ("f", "g"))
+    }
     return CocycleWitness(**parts)
 
 
@@ -249,8 +251,9 @@ def parse_record(text: str) -> OutputRecord:
 
     Inverse of :meth:`OutputRecord.to_json`; raises :class:`RecordError`
     naming the offending field on any malformed content, on a witness part
-    above the document's degree cap for it (every solver witness lies inside
-    its caps, and checking a far larger one can take arbitrarily long), and
+    above the document's degree cap for it, refused while parsing before any
+    expansion (every solver witness lies inside its caps, and expanding or
+    checking a far larger one can take arbitrarily long), and
     on dimensions that contradict each other: a negative one, an ``ext_dim`` other than
     ``cocycle_dim - coboundary_dim`` when both are given, or a ``basis`` whose
     length is not ``ext_dim``.

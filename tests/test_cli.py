@@ -428,6 +428,21 @@ def test_verify_witness_above_its_cap_is_a_usage_error(capsys, tmp_path):
     assert err.startswith("error: field 'basis[0].f'") and "cap f = 8" in err
 
 
+def test_verify_witness_above_its_cap_is_refused_before_expanding(capsys, tmp_path):
+    """A short power whose expansion alone would take many seconds is refused
+    by the parser's degree bound, before it is expanded."""
+    target, doc = _solve_doc(tmp_path, SOLVE_T1)
+    capsys.readouterr()
+    doc["basis"][0]["f"] = "(d+l)^2000"
+    target.write_text(json.dumps(doc))
+    start = time.monotonic()
+    rc, out, err = run(capsys, ["verify", "--input", str(target)])
+    assert time.monotonic() - start < 2
+    assert rc == 2 and out == ""
+    assert err.startswith("error: field 'basis[0].f'")
+    assert "total degree 2000 exceeds the cap f = 8" in err
+
+
 def test_verify_witness_at_its_cap_still_verifies(capsys, tmp_path):
     # at caps f = 2, g = 1 the shape-1 basis is l^2 and 1, each at its cap
     target, doc = _solve_doc(tmp_path, SOLVE_T1 + ["--cap-f", "2", "--cap-g", "1"])

@@ -1,7 +1,11 @@
 """Extension solver: dimensions, witnesses, caches, and diagnostics."""
 
-from dataclasses import replace
+import os
+import subprocess
+import sys
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,8 +22,9 @@ from wbext.engine import (
 )
 from wbext.equations import (
     assemble_linear_system,
-    build_equations,
+    build_equations_env,
     constant_rows,
+    template_point,
     unknown_basis,
 )
 from wbext.linalg import RowSpace, nullspace, rank, rref
@@ -84,6 +89,37 @@ def test_mutating_a_result_cannot_corrupt_the_caches(mutate):
     for sol in (solve_ext(p), solve_core(p)):
         assert list(sol.basis) == expected[0]
     assert dict(solve_ext(p).diagnostics) == expected[1]
+
+
+def test_mutating_returned_rows_cannot_change_the_next_solve():
+    p = ExtProblem(shape=3, b=2, alpha=1, abar=1, delta=4, dbar=1, caps=Caps(4, 3, 4, 4))
+    template = engine._template(p.shape, p.caps, p.sector)
+    before = solve_core.__wrapped__(p)
+    rows = template.concrete_rows(template_point(p))
+    expected = list(rows)
+    rows[0] = ((0, Fraction(1)),)
+    rows.append(((1, Fraction(1)),))
+    del rows[1:5]
+    # the cached template is frozen and its rows and entries are tuples
+    with pytest.raises(TypeError):
+        template.rows[0] = ()
+    with pytest.raises(FrozenInstanceError):
+        template.rows = ()
+    assert template.concrete_rows(template_point(p)) == expected
+    assert solve_core.__wrapped__(p) == before
+
+
+def test_import_builds_no_template():
+    code = (
+        "import wbext, wbext.engine as e, wbext.equations as q\n"
+        "print(e._template.cache_info().currsize, q._powers.cache_info().currsize)\n"
+        "e.solve_core(wbext.ExtProblem(shape=1, b=1, alpha=0, gamma=0, delta=1))\n"
+        "print(e._template.cache_info().currsize)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0", "1"]
 
 
 def test_shift_invariance_single_case():
@@ -274,11 +310,13 @@ def _assert_sparse_rows(rows):
 @given(_small_problems())
 def test_every_row_producer_emits_sparse_rows(p):
     keys = unknown_basis(p.shape, p.caps, p.sector)
-    system = assemble_linear_system(build_equations(p), keys)
+    system = assemble_linear_system(build_equations_env(p.shape, p.env(), p.caps, p.sector), keys)
     rows = constant_rows(system.rows)
+    template = engine._template(p.shape, p.caps, p.sector)
     cob_rows, _over = coeff_rows([witness_coeff_map(w) for w in coboundary_span(p)], keys)
     # each producer is checked before its output feeds the kernel
-    for produced in (system.rows, rows, cob_rows, constant_rows(cob_rows)):
+    for produced in (system.rows, rows, template.rows, template.concrete_rows(template_point(p)),
+                     cob_rows, constant_rows(cob_rows)):
         _assert_sparse_rows(produced)
     reduced, _pivots = rref(rows)
     null = nullspace(rows, len(keys))

@@ -1,19 +1,28 @@
 """Functional-equation assembly: unknown ordering and coefficient extraction."""
 
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wbext.equations import (
     Identity,
+    _Affine,
+    _powers,
     assemble_linear_system,
     build_equations,
+    build_equations_env,
+    constant_rows,
     key_rank,
+    template_point,
     unknown_basis,
 )
 from wbext.linalg import nullspace, rank
 from wbext.poly import D, L, MultiPoly
 from wbext.problems import Caps, ExtProblem
+from wbext.qext import quad
 
 
 def test_unknown_basis_shape1_is_univariate():
@@ -100,7 +109,8 @@ def test_shape1_zero_sum_system_has_known_kernel():
     # independent cocycles before quotienting (f = l^2 line and g = const)
     p = ExtProblem(shape=1, b=1, alpha=0, gamma=0, delta=2)
     keys = unknown_basis(1, p.caps, p.sector)
-    rows = assemble_linear_system(build_equations(p), keys).concrete_rows()
+    identities = build_equations_env(p.shape, p.env(), p.caps, p.sector)
+    rows = constant_rows(assemble_linear_system(identities, keys).rows)
     ncols = len(keys)
     kernel = nullspace(rows, ncols)
     assert len(kernel) == ncols - rank(rows)
@@ -111,8 +121,8 @@ def test_shape1_nonzero_sum_system_is_rigid():
     # alpha + gamma != 0 forces the trivial solution apart from coboundaries
     p = ExtProblem(shape=1, b=5, alpha=2, gamma=1, delta=4)
     keys = unknown_basis(1, p.caps, p.sector)
-    system = assemble_linear_system(build_equations(p), keys)
-    kernel = nullspace(system.concrete_rows(), len(keys))
+    system = assemble_linear_system(build_equations_env(p.shape, p.env(), p.caps, p.sector), keys)
+    kernel = nullspace(constant_rows(system.rows), len(keys))
     assert len(kernel) == 1  # exactly the coboundary direction
 
 
@@ -120,10 +130,93 @@ def test_redundant_identities_do_not_change_the_kernel():
     p = ExtProblem(shape=3, b=2, alpha=0, abar=0, delta=3, dbar=1,
                    caps=Caps(f=5, g=4, h=5, phi=5))
     keys = unknown_basis(3, p.caps, p.sector)
-    identities = build_equations(p)
+    identities = build_equations_env(p.shape, p.env(), p.caps, p.sector)
     assert "HL" in [ident.name for ident in identities]
     # the swapped H-L form is implied by the defining identities
     base = assemble_linear_system([i for i in identities if i.name != "HL"], keys)
     extra = assemble_linear_system(identities, keys)
-    assert rank(base.concrete_rows()) == rank(extra.concrete_rows())
+    assert rank(constant_rows(base.rows)) == rank(constant_rows(extra.rows))
     assert len(extra.rows) > len(base.rows)
+
+
+# ---------------------------------------------------------------------------
+# the integer affine template: one symbolic build per (shape, caps, sector)
+# ---------------------------------------------------------------------------
+
+_RATIONAL = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def _weighted_problems(draw):
+    """Problems over every shape and sector at small caps, with each weight
+    rational or, about a third of the time, in one field Q(sqrt D)."""
+    shape = draw(st.integers(1, 3))
+    sector = draw(st.sampled_from(("full", "f", "g")))
+    caps = draw(st.sampled_from((Caps(3, 2, 3, 3), Caps(2, 3, 4, 2))))
+    disc = draw(st.sampled_from((2, 3, 5, 19)))
+
+    def weight(nonzero=False):
+        value = draw(_RATIONAL.filter(bool) if nonzero else _RATIONAL)
+        if draw(st.integers(0, 2)) == 0:
+            value = quad(value, draw(_RATIONAL.filter(bool)), disc)
+        return value
+
+    names = ("gamma", "delta") if shape in (1, 2) else ("abar", "delta", "dbar")
+    weights = {name: weight() for name in ("alpha",) + names}
+    return ExtProblem(shape=shape, b=weight(nonzero=True), caps=caps, sector=sector, **weights)
+
+
+@lru_cache(maxsize=None)
+def _template(shape, caps, sector):
+    return assemble_linear_system(
+        build_equations(shape, caps, sector), unknown_basis(shape, caps, sector)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_weighted_problems())
+def test_template_at_a_point_equals_the_direct_build_there(p):
+    keys = unknown_basis(p.shape, p.caps, p.sector)
+    direct = assemble_linear_system(build_equations_env(p.shape, p.env(), p.caps, p.sector), keys)
+    # value for value, Fraction against QuadExt included, and row for row
+    assert _template(p.shape, p.caps, p.sector).concrete_rows(template_point(p)) == (
+        constant_rows(direct.rows)
+    )
+
+
+def test_template_values_are_integer_tuples_over_the_weights():
+    caps = Caps(3, 2, 3, 3)
+    for shape in (1, 2, 3):
+        weights = 3 if shape in (1, 2) else 4  # without b
+        for sector, width in (("full", 2 + weights), ("g", 2 + weights), ("f", 1 + weights)):
+            values = [v for row in _template(shape, caps, sector).rows for _c, v in row]
+            assert values and all(len(v) == width for v in values)
+            assert all(type(c) is int for v in values for c in v)
+            assert all(any(v) for v in values)
+
+
+def test_weight_symbols_refuse_a_product_of_two_weights():
+    alpha, delta = _Affine.symbol(0, 2), _Affine.symbol(1, 2)
+    form = (D + alpha + delta * L) * (D - L) - 3 * alpha
+    # d^2 - d*l + alpha*(d - l - 3) + delta*(d*l - l^2), as (c0, c_alpha, c_delta)
+    assert dict(form.coeffs_by(("d", "l", "u"))) == {
+        (2, 0, 0): (1, 0, 0),
+        (1, 1, 0): (-1, 0, 1),
+        (1, 0, 0): (0, 1, 0),
+        (0, 1, 0): (0, -1, 0),
+        (0, 0, 0): (0, -3, 0),
+        (0, 2, 0): (0, 0, -1),
+    }
+    with pytest.raises(TypeError):
+        alpha * delta
+    with pytest.raises(TypeError):
+        (D + alpha) * (L - delta)
+
+
+def test_slot_products_are_computed_once_per_cap():
+    pw = _powers(4)
+    for name, left, right in (("m", pw.d, pw.l), ("m_u", pw.d, pw.u), ("m_dl_u", pw.dl, pw.u),
+                              ("m_du_l", pw.du, pw.l), ("m_lu", pw.d, pw.lu)):
+        product = getattr(pw, name)(2, 3)
+        assert product == left[2] * right[3]
+        assert getattr(pw, name)(2, 3) is product

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from wbext import scanner
 from wbext.poly import (
     VARS,
     D,
+    DegreeError,
     L,
     MultiPoly,
     T,
@@ -133,6 +135,27 @@ def test_parse_bounds_parenthesis_nesting():
     for depth in (101, 2000):
         with pytest.raises(ValueError, match="nests deeper"):
             MultiPoly.parse("(" * depth + "l" + ")" * depth)
+
+
+@pytest.mark.parametrize(
+    "text, degree",
+    [("(d+l)^2000", 2000), ("l^5000", 5000), ("d^5*l^4", 9), ("(d+l)^3*(d-u)^3*t^3", 9),
+     ("d + (l^2)^5", 10), ("((d+l)^3)^3", 9)],
+)
+def test_parse_refuses_a_degree_above_its_bound_before_expanding(text, degree):
+    start = time.perf_counter()
+    with pytest.raises(DegreeError, match=f"total degree {degree} exceeds 8") as info:
+        MultiPoly.parse(text, max_degree=8)
+    assert info.value.degree == degree
+    assert time.perf_counter() - start < 1
+
+
+def test_parse_within_its_degree_bound_is_unchanged():
+    for text in ("(d+l)^4*(d-u)^4", "d^8 - 3*l^2*u^6 + 7", "(l^2)^4", "0^9000", "1/2*sqrt(5)^2"):
+        assert MultiPoly.parse(text, max_degree=8) == MultiPoly.parse(text)
+    assert MultiPoly.parse("l", max_degree=1) == L
+    with pytest.raises(DegreeError):
+        MultiPoly.parse("l", max_degree=0)
 
 
 def test_unipoly_division_and_gcd():
