@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from . import scanner, tables
 from .engine import solve_ext
-from .oracle import verify_witness
+from .oracle import brute_dims, independent_mod_coboundaries, verify_witness
 from .problems import Caps, ExtProblem
 from .qext import parse_rational
 from .records import OutputRecord, RecordError, parse_record, scalar_str
@@ -302,6 +302,20 @@ def _cmd_verify(args) -> tuple[str, int]:
     else:
         out.append(
             f"{len(record.basis) - failures}/{len(record.basis)} witness(es) verified"
+        )
+    # the document's whole claim, re-derived by the oracle alone; a dimension
+    # the document leaves out is not claimed
+    claimed = json.loads(text)
+    found = dict(zip(("cocycle_dim", "coboundary_dim", "ext_dim"), brute_dims(record.problem)))
+    for key, dim in found.items():
+        if key in claimed and getattr(record, key) != dim:
+            failures += 1
+            out.append(f"claim FAILS: {key} = {getattr(record, key)}, the oracle finds {dim}")
+    if not independent_mod_coboundaries(record.problem, record.basis):
+        failures += 1
+        out.append(
+            f"claim FAILS: the {len(record.basis)} witness(es) are not independent "
+            "modulo the coboundaries inside the caps"
         )
     return "\n".join(out) + "\n", 0 if failures == 0 else 1
 

@@ -12,7 +12,11 @@ template in the weights (see :mod:`wbext.equations`), and kept in a
 evaluates its template at its weights.  That is exact, not an
 approximation: the weight symbols refuse any non-affine product, so the
 template is affine by construction and its rows equal a direct build's at
-that point, value for value and in order.
+that point, value for value and in order (at a rational point, as integer
+numerators over the point's common denominator).  Those rows go straight
+into the integer elimination kernel of :mod:`wbext.linalg`, which builds
+no ``Fraction`` until it hands back the kernel basis; the self-check's
+zero test reads the same integer rows.
 
 :func:`coboundary_span_env` is the one construction of the change-of-basis
 images and :func:`coeff_rows` the one layout of ``{unknown key:

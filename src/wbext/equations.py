@@ -19,15 +19,15 @@ out as a template: the sparse rows of a direct build, in the same order,
 each value a tuple of ints ``(c0, c_1, ..., c_k)`` standing for ``c0 + sum
 c_i w_i`` over the weights ``w_i`` of :func:`template_point`.
 :meth:`LinearSystem.concrete_rows` evaluates a template at a problem's
-weights; :mod:`wbext.engine` keeps the templates in a 32-entry LRU cache,
-filled on first use.
+weights, to integer numerators at a rational point; :mod:`wbext.engine`
+keeps the templates in a 32-entry LRU cache, filled on first use.
 
 The template is exact, not interpolated: the symbol type supports only
 ``+``, ``-`` and ``*`` by a parameter-free polynomial and raises on a product
 of two parameter-dependent factors, so a build that goes through is affine in
 the weights by construction; assembly checks that every coefficient is an
 integer.  Evaluated at a point it equals the direct build there, entry for
-entry.
+entry (times the point's common denominator at a rational point).
 """
 
 from __future__ import annotations
@@ -349,12 +349,16 @@ class LinearSystem:
         """A template's rows at the weights ``point`` (see
         :func:`template_point`), as a fresh list of scalar rows.
 
-        At a rational point each entry is one integer dot product over a
-        common denominator and one ``Fraction``; a point in Q(sqrt D)
-        evaluates in ``QuadExt``, which collapses to ``Fraction`` exactly as
-        ``MultiPoly`` arithmetic does.  Zero entries and then empty rows are
-        dropped, so the result equals the direct build's rows at that point
-        (lowered by :func:`constant_rows`), value for value and in order.
+        At a rational point each entry is one integer dot product: the
+        entry's numerator over the point's common denominator, which is left
+        out, so no ``Fraction`` is built.  A row scaled by that positive
+        constant has the same kernel, RREF and zero test (see
+        :mod:`wbext.linalg`).  A point in Q(sqrt D) evaluates in
+        ``QuadExt``, which collapses to ``Fraction`` exactly as ``MultiPoly``
+        arithmetic does.  Zero entries and then empty rows are dropped, so
+        the result is the direct build's rows at that point (lowered by
+        :func:`constant_rows`), value for value and in order, times the
+        common denominator at a rational point.
         """
         disc = next((w.disc for w in point if isinstance(w, QuadExt)), None)
         rat = [w.p if isinstance(w, QuadExt) else w for w in point]
@@ -364,16 +368,15 @@ class LinearSystem:
         irr = (0, *[w.numerator * (den // w.denominator) for w in irr])
         out = []
         for row in self.rows:
-            entries = []
-            for col, vec in row:
-                num = sum(map(mul, vec, rat))
-                if disc is None:
-                    if num:
-                        entries.append((col, Fraction(num, den)))
-                    continue
-                value = quad(Fraction(num, den), Fraction(sum(map(mul, vec, irr)), den), disc)
-                if value:
-                    entries.append((col, value))
+            if disc is None:
+                entries = [(col, num) for col, vec in row if (num := sum(map(mul, vec, rat)))]
+            else:
+                entries = []
+                for col, vec in row:
+                    num = sum(map(mul, vec, rat))
+                    value = quad(Fraction(num, den), Fraction(sum(map(mul, vec, irr)), den), disc)
+                    if value:
+                        entries.append((col, value))
             if entries:
                 out.append(tuple(entries))
         return out

@@ -1,54 +1,98 @@
-"""Exact Gaussian elimination over any field with Python operator support.
+"""Exact Gaussian elimination over Q and Q(sqrt D), in integer arithmetic.
 
-Entries are ``Fraction`` or ``QuadExt`` values.  Every row and vector the
-package builds, from assembly to this kernel, is a *sparse row*: a tuple of
-``(column, value)`` pairs in strictly ascending column order, every value
-non-zero; the zero row is ``()``.  The systems are about 2% non-zero, and
-iterating a sparse row visits exactly those entries.  The one elimination
-kernel, :class:`RowSpace`, reduces rows as ``{column: value}`` dicts;
-:meth:`RowSpace.reduce` is the one reduction of a vector modulo a row
-space, and membership is ``not rs.reduce(vec)``.
+Every row and vector the package builds, from assembly to this kernel, is a
+*sparse row*: a tuple of ``(column, value)`` pairs in strictly ascending
+column order, every value non-zero; the zero row is ``()``.  The systems are
+about 2% non-zero, and iterating a sparse row visits exactly those entries.
 
-The kernel holds the reduced row-echelon form (RREF) of everything added to
-it.  The RREF of a matrix is unique, so pivots, RREF rows, nullspace bases
-and reduction residues depend only on the row space, never on the order in
-which rows arrive or are eliminated: repeated runs give identical bases.
+Values that go in may be ``int``, ``Fraction`` or ``QuadExt``, mixed freely;
+a row scaled by a non-zero constant spans the same line, so a caller may
+hand in integer numerators over a common denominator it leaves out.  Values
+that come out (:attr:`RowSpace.rows`, :meth:`RowSpace.reduce`, :func:`rref`
+and :func:`nullspace`) are ``Fraction``, or ``QuadExt`` where irrational.
+
+Inside, each row has its denominators cleared: ``{column: numerator}`` over
+one positive ``int`` denominator, the numerators in Z, or in Z[sqrt D]
+(:class:`_Root`) once a Q(sqrt D) value arrives.  A stored row's numerator
+at its lead column *is* its denominator, so its lead value is 1; a new row
+gets there by multiplying by its lead's conjugate (when irrational) and the
+lead's sign.  Clearing a column multiplies a row by the least factor that
+lets the pivot row's multiple be subtracted in integers; after every update
+that scaled it, the row is divided by the gcd of its denominator and its
+numerators' integer components, which keeps the numbers small.  No
+``Fraction`` is built until a value is handed back.
+
+The one elimination kernel, :class:`RowSpace`, holds the reduced row-echelon
+form (RREF) of everything added to it; :meth:`RowSpace.reduce` is the one
+reduction of a vector modulo a row space, and membership is
+``not rs.reduce(vec)``.  The RREF of a matrix is unique, so pivots, RREF
+rows, nullspace bases and reduction residues depend only on the row space,
+never on the order in which rows arrive or are eliminated: repeated runs
+give identical bases.  This is fraction-free elimination with each row kept
+primitive (Geddes, Czapor & Labahn 1992, ch. 9), not Bareiss: a row is
+touched only when a pivot row meets it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+
+from .qext import QuadExt, quad
 
 __all__ = ["rref", "rank", "nullspace", "RowSpace"]
 
 
-def _pairs(row: dict) -> tuple:
-    return tuple(sorted(row.items()))
+class _Root:
+    """``a + b*sqrt(disc)`` with integers ``a`` and ``b != 0``: an irrational
+    numerator.  Products and differences collapse to ``int`` when the
+    irrational part cancels (see :func:`_root`)."""
+
+    __slots__ = ("a", "b", "disc")
+
+    def __init__(self, a: int, b: int, disc: int):
+        self.a, self.b, self.disc = a, b, disc
+
+    def __mul__(self, other):
+        if type(other) is int:
+            return _root(self.a * other, self.b * other, self.disc)
+        a, b = other.a, other.b
+        return _root(self.a * a + self.disc * self.b * b, self.a * b + self.b * a, self.disc)
+
+    __rmul__ = __mul__
+
+    def __sub__(self, other):
+        if type(other) is int:
+            return _Root(self.a - other, self.b, self.disc)
+        return _root(self.a - other.a, self.b - other.b, self.disc)
+
+    def __rsub__(self, other):
+        return _Root(other - self.a, -self.b, self.disc)
+
+    def __neg__(self):
+        return _Root(-self.a, -self.b, self.disc)
+
+    def __floordiv__(self, g: int):
+        return _Root(self.a // g, self.b // g, self.disc)
+
+    def conj(self) -> "_Root":
+        return _Root(self.a, -self.b, self.disc)
 
 
-def _subtract(row: dict, factor, prow: dict) -> None:
-    """``row -= factor * prow`` in place, dropping entries that cancel."""
-    for c, v in prow.items():
-        old = row.get(c)
-        if old is None:
-            row[c] = -factor * v
-        else:
-            new = old - factor * v
-            if new:
-                row[c] = new
-            else:
-                del row[c]
+def _root(a: int, b: int, disc: int):
+    return _Root(a, b, disc) if b else a
 
 
-def _reduce(row: dict, prows: dict) -> dict:
-    """Reduce ``row`` in place against RREF rows keyed by pivot column.
+def _root_gcd(*values) -> int:
+    """The gcd of the integer components of numerators in Z or Z[sqrt D]."""
+    return gcd(*[x for v in values for x in ((v.a, v.b) if type(v) is _Root else (v,))])
 
-    Each RREF row is zero at every other pivot column, so one pass over the
-    pivot columns present in ``row`` clears them all.
-    """
-    for col in [c for c in row if c in prows]:
-        _subtract(row, row[col], prows[col])
-    return row
+
+def _value(num, den: int):
+    """The entry ``num / den`` as a ``Fraction`` or ``QuadExt``."""
+    if type(num) is _Root:
+        return quad(Fraction(num.a, den), Fraction(num.b, den), num.disc)
+    return Fraction(num, den)
 
 
 class RowSpace:
@@ -60,30 +104,111 @@ class RowSpace:
     """
 
     def __init__(self):
-        self._prows: dict[int, dict] = {}  # pivot column -> RREF row as a dict
+        self._prows: dict[int, dict] = {}  # pivot column -> RREF row, numerators
+        self._disc = None  # D once a Q(sqrt D) value has arrived
+        self._gcd = gcd  # the content of numerators in Z, or in Z[sqrt D]
 
-    def _insert(self, row: dict) -> bool:
-        row = _reduce(row, self._prows)
+    def _clear(self, vec) -> tuple[dict, int]:
+        """``vec`` as ``({column: numerator}, denominator)``."""
+        den = lcm(
+            *[
+                lcm(v.p.denominator, v.q.denominator) if type(v) is QuadExt else v.denominator
+                for _c, v in vec
+            ]
+        )
+        row = {
+            c: self._root_of(v, den) if type(v) is QuadExt else v.numerator * (den // v.denominator)
+            for c, v in vec
+        }
+        return row, den
+
+    def _root_of(self, v: QuadExt, den: int) -> _Root:
+        """The numerator of ``v`` over ``den``; all of a row space's values
+        must lie in one field Q(sqrt D)."""
+        if v.disc != self._disc:
+            if self._disc is not None:
+                raise ValueError(f"mixed quadratic fields: sqrt({self._disc}) vs sqrt({v.disc})")
+            self._disc = v.disc
+            self._gcd = _root_gcd
+        p, q = v.p, v.q
+        return _Root(p.numerator * (den // p.denominator), q.numerator * (den // q.denominator), v.disc)
+
+    def _step(self, row: dict, col: int, prow: dict, den: int = 0) -> int:
+        """Clear ``row[col]`` with the pivot row ``prow``: ``row := m*row -
+        x*prow`` in place, for the least such ``m``.  Then, if ``m != 1``,
+        divide ``row`` and its denominator ``den`` by their content; returns
+        the new denominator.  A stored row's denominator is its lead, so it
+        passes none (0)."""
+        x, m = row[col], prow[col]
+        g = self._gcd(x, m)
+        if g != 1:
+            x, m = x // g, m // g
+        if m != 1:
+            for c in row:
+                row[c] = m * row[c]
+        for c, v in prow.items():
+            old = row.get(c)
+            if old is None:
+                row[c] = -x * v
+            else:
+                new = old - x * v
+                if new:
+                    row[c] = new
+                else:
+                    del row[c]
+        return den if m == 1 else self._shrink(row, den * m)
+
+    def _shrink(self, row: dict, den: int = 0) -> int:
+        """Divide ``row`` and ``den`` by their common content; returns ``den``."""
+        g = self._gcd(den, *row.values())
+        if g != 1:
+            for c in row:
+                row[c] = row[c] // g
+            den //= g
+        return den
+
+    def _reduce(self, row: dict, den: int) -> int:
+        """Reduce ``row`` over ``den`` in place against the RREF rows; returns
+        the new denominator.
+
+        Each RREF row is zero at every other pivot column, so one pass over the
+        pivot columns present in ``row`` clears them all.
+        """
+        prows = self._prows
+        for col in [c for c in row if c in prows]:
+            den = self._step(row, col, prows[col], den)
+        return den
+
+    def _insert(self, row: dict, den: int) -> bool:
+        self._reduce(row, den)
         if not row:
             return False
         lead = min(row)
-        scale = row[lead]
-        if scale != 1:
-            row = {c: v / scale for c, v in row.items()}
+        x = row[lead]
+        if type(x) is _Root:
+            conj = x.conj()
+            for c in row:
+                row[c] = row[c] * conj
+            x = row[lead]
+        if x < 0:
+            for c in row:
+                row[c] = -row[c]
+        self._shrink(row)
         for prow in self._prows.values():
-            factor = prow.get(lead)
-            if factor is not None:
-                _subtract(prow, factor, row)
+            if lead in prow:
+                self._step(prow, lead, row)
         self._prows[lead] = row
         return True
 
     def add(self, vec) -> bool:
         """Insert ``vec`` if independent of the current span.  Returns True if added."""
-        return self._insert(dict(vec))
+        return self._insert(*self._clear(vec))
 
     def reduce(self, vec) -> tuple:
         """Residue of ``vec`` modulo the span; zero at every pivot column."""
-        return _pairs(_reduce(dict(vec), self._prows))
+        row, den = self._clear(vec)
+        den = self._reduce(row, den)
+        return tuple([(c, _value(v, den)) for c, v in sorted(row.items())])
 
     def dim(self) -> int:
         return len(self._prows)
@@ -95,13 +220,17 @@ class RowSpace:
     @property
     def rows(self) -> list[tuple]:
         """RREF rows in pivot order."""
-        return [_pairs(self._prows[p]) for p in self.pivots]
+        out = []
+        for p in self.pivots:
+            prow = self._prows[p]
+            out.append(tuple([(c, _value(v, prow[p])) for c, v in sorted(prow.items())]))
+        return out
 
 
 def _eliminate(rows) -> RowSpace:
     rs = RowSpace()
     for row in rows:
-        rs._insert(dict(row))
+        rs._insert(*rs._clear(row))
     return rs
 
 
@@ -125,19 +254,32 @@ def nullspace(rows, ncols: int):
     scaled so its first nonzero coordinate equals 1.
     """
     prows = _eliminate(rows)._prows
-    # free column -> [(pivot column, RREF entry)], pivot columns ascending
+    # free column -> [(pivot column, numerator, denominator)], pivot columns ascending
     entries: dict[int, list] = {}
     for pcol in sorted(prows):
-        for c, v in prows[pcol].items():
+        prow = prows[pcol]
+        den = prow[pcol]
+        for c, v in prow.items():
             if c != pcol:
-                entries.setdefault(c, []).append((pcol, v))
+                entries.setdefault(c, []).append((pcol, v, den))
     basis = []
     for fc in range(ncols):
         if fc in prows:
             continue
-        col = entries.get(fc, [])
+        col = entries.get(fc)
+        if not col:
+            basis.append(((fc, Fraction(1)),))
+            continue
         # the vector is e_fc minus the RREF column; every pivot column that
-        # meets fc lies left of it, so the first of them leads
-        lead = -col[0][1] if col else Fraction(1)
-        basis.append(tuple([(pcol, -v / lead) for pcol, v in col] + [(fc, 1 / lead)]))
+        # meets fc lies left of it, so the first of them leads.  Dividing by
+        # that lead y/d0 multiplies by d0*conj(y)/norm(y), norm(y) an int.
+        _p0, y, d0 = col[0]
+        conj = y.conj() if type(y) is _Root else 1
+        norm = y * conj
+        basis.append(
+            tuple(
+                [(pcol, _value(v * d0 * conj, den * norm)) for pcol, v, den in col]
+                + [(fc, _value(-d0 * conj, norm))]
+            )
+        )
     return basis

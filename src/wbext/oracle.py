@@ -35,7 +35,13 @@ from fractions import Fraction
 from .poly import D, L, MultiPoly, U
 from .problems import Caps, CocycleWitness, ExtProblem
 
-__all__ = ["VerifyReport", "verify_witness", "verify_witness_env", "brute_dims"]
+__all__ = [
+    "VerifyReport",
+    "verify_witness",
+    "verify_witness_env",
+    "brute_dims",
+    "independent_mod_coboundaries",
+]
 
 _LU = L + U
 # the generators' unit coefficients, one object each, so that every model of a
@@ -363,6 +369,25 @@ def brute_dims(p: ExtProblem) -> tuple[int, int, int]:
         over_rows.append([m.get(key, Fraction(0)) for key in over_keys])
     cob_dim = _rank(full_rows) - (_rank(over_rows) if over_keys else 0)
     return (nullity, cob_dim, nullity - cob_dim)
+
+
+def independent_mod_coboundaries(p: ExtProblem, basis) -> bool:
+    """Whether the witnesses in ``basis`` are linearly independent modulo the
+    coboundaries inside the caps.
+
+    The witnesses lie inside the caps, so a combination of them is a
+    coboundary exactly when it is one inside the caps: they are independent
+    there when they raise the rank of the full basis-change rows by
+    ``len(basis)``.
+    """
+    cob_maps = _split_basis_change_maps(p, p.env())
+    maps = cob_maps + [
+        _poly_map({name: poly for name, poly in w.parts().items() if poly is not None})
+        for w in basis
+    ]
+    keys = sorted({key for m in maps for key in m})
+    rows = [[m.get(key, Fraction(0)) for key in keys] for m in maps]
+    return _rank(rows) == _rank(rows[: len(cob_maps)]) + len(basis)
 
 
 def _split_basis_change_maps(p: ExtProblem, env: dict):

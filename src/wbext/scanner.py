@@ -33,8 +33,10 @@ That list feeds two consumers:
   the last one of a matrix of generic rank r is a non-zero r x r minor.
   Where it does not vanish at t0 that minor survives, so the rank at t0
   is r: specialising t can only lower a rank.  Only the matrices whose
-  last pivot vanishes at t0 are evaluated in Q or Q(sqrt(d)) and ranked,
-  so each reported value and dimension is exact.
+  last pivot vanishes at t0 are evaluated and ranked, so each reported
+  value and dimension is exact: to integers at a rational t0 (each row
+  scaled by the same power of t0's denominator), in Q(sqrt(d)) at a
+  quadratic one.
 
 :func:`line_family` is the one derivation of a line's second-generator
 family; it verifies the family before returning it, and both
@@ -47,6 +49,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product, zip_longest
 from math import comb, gcd, isqrt, lcm
+from operator import mul
 
 from . import engine
 from .equations import assemble_linear_system, build_equations_env, unknown_basis
@@ -74,7 +77,6 @@ __all__ = [
 ]
 
 _PROMOTE = ("delta", "dbar")
-_ZERO_Q = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -421,18 +423,21 @@ def _line_data(sp: ScanProblem) -> _LineData:
 
 
 def _rows_at(rows, t0) -> list:
-    """The Z[t] rows evaluated at t = t0 as sparse rows (see :mod:`wbext.linalg`)."""
-    out = []
-    for row in rows:
-        vals = []
-        for j, e in row:
-            v = _ZERO_Q
-            for c in reversed(e):
-                v = v * t0 + c
-            if v:
-                vals.append((j, v))
-        out.append(tuple(vals))
-    return out
+    """The Z[t] rows evaluated at t = t0 as sparse rows (see :mod:`wbext.linalg`).
+
+    At a rational t0 = a/q every entry is evaluated homogenised, as
+    ``sum(c_i * a**i * q**(deg - i))`` for the largest degree ``deg`` in
+    ``rows``: that is the value times ``q**deg``, an integer, and every row
+    is scaled by the same positive constant, which moves no rank.  A
+    quadratic t0 evaluates in ``QuadExt``.
+    """
+    deg = max((len(e) for row in rows for _j, e in row), default=1) - 1
+    if isinstance(t0, QuadExt):
+        powers = [t0**i for i in range(deg + 1)]
+    else:
+        a, q = t0.numerator, t0.denominator
+        powers = [a**i * q ** (deg - i) for i in range(deg + 1)]
+    return [tuple([(j, v) for j, e in row if (v := sum(map(mul, e, powers)))]) for row in rows]
 
 
 def ext_dim_at(sp: ScanProblem, t0) -> int:

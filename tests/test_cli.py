@@ -273,6 +273,40 @@ def test_verify_flags_tampered_witness(capsys, tmp_path):
     assert "1/2 witness(es) verified" in out
 
 
+def _zero_witness(doc):
+    return {part: "0" for part in doc["basis"][0]}
+
+
+@pytest.mark.parametrize(
+    "edit, claims",
+    [
+        (lambda d: {"basis": [d["basis"][0], d["basis"][0]]}, ["witness(es) are not independent"]),
+        (lambda d: {"basis": [_zero_witness(d)] * 2}, ["witness(es) are not independent"]),
+        (
+            lambda d: {"cocycle_dim": 11, "ext_dim": 3, "basis": d["basis"] + [_zero_witness(d)]},
+            ["cocycle_dim = 11, the oracle finds 10", "ext_dim = 3, the oracle finds 2",
+             "witness(es) are not independent"],
+        ),
+    ],
+    ids=["repeated-witness", "zero-witnesses", "dims-11-8-3"],
+)
+def test_verify_checks_the_whole_claim(capsys, tmp_path, edit, claims):
+    """Witnesses that each satisfy the identities but do not make up the
+    claimed extension space are refused, with the failing claim printed."""
+    target, doc = _solve_doc(tmp_path, SOLVE_T3)
+    capsys.readouterr()
+    assert (doc["cocycle_dim"], doc["coboundary_dim"], doc["ext_dim"]) == (10, 8, 2)
+    doc.update(edit(doc))
+    target.write_text(json.dumps(doc))
+    rc, out, _ = run(capsys, ["verify", "--input", str(target)])
+    assert rc == 1
+    n = len(doc["basis"])
+    assert f"{n}/{n} witness(es) verified" in out
+    failing = [line for line in out.splitlines() if line.startswith("claim FAILS: ")]
+    assert len(failing) == len(claims)
+    assert all(claim in line for claim, line in zip(claims, failing))
+
+
 def test_verify_empty_basis_is_fine(capsys, tmp_path):
     # delta = 2 splits every extension: ext_dim 0 and an empty basis
     split = SOLVE_T3[:-4] + ["--delta", "2", "--dbar", "1"]

@@ -1,5 +1,6 @@
 """Extension solver: dimensions, witnesses, caches, and diagnostics."""
 
+import math
 import os
 import subprocess
 import sys
@@ -30,7 +31,7 @@ from wbext.equations import (
 from wbext.linalg import RowSpace, nullspace, rank, rref
 from wbext.poly import MultiPoly
 from wbext.problems import Caps, CocycleWitness, ExtProblem
-from wbext.qext import quad
+from wbext.qext import QuadExt, quad
 from wbext.tables import iter_cases
 
 
@@ -313,11 +314,17 @@ def test_every_row_producer_emits_sparse_rows(p):
     system = assemble_linear_system(build_equations_env(p.shape, p.env(), p.caps, p.sector), keys)
     rows = constant_rows(system.rows)
     template = engine._template(p.shape, p.caps, p.sector)
+    point = template_point(p)
+    concrete = template.concrete_rows(point)
     cob_rows, _over = coeff_rows([witness_coeff_map(w) for w in coboundary_span(p)], keys)
     # each producer is checked before its output feeds the kernel
-    for produced in (system.rows, rows, template.rows, template.concrete_rows(template_point(p)),
-                     cob_rows, constant_rows(cob_rows)):
+    for produced in (system.rows, rows, template.rows, concrete, cob_rows, constant_rows(cob_rows)):
         _assert_sparse_rows(produced)
+    if not any(isinstance(w, QuadExt) for w in point):
+        # integer numerators over the point's common denominator
+        den = math.lcm(*(w.denominator for w in point))
+        assert all(type(v) is int for row in concrete for _c, v in row)
+        assert [tuple([(c, Fraction(v, den)) for c, v in row]) for row in concrete] == rows
     reduced, _pivots = rref(rows)
     null = nullspace(rows, len(keys))
     rs = RowSpace()

@@ -1,5 +1,6 @@
 """Functional-equation assembly: unknown ordering and coefficient extraction."""
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -22,7 +23,7 @@ from wbext.equations import (
 from wbext.linalg import nullspace, rank
 from wbext.poly import D, L, MultiPoly
 from wbext.problems import Caps, ExtProblem
-from wbext.qext import quad
+from wbext.qext import QuadExt, quad
 
 
 def test_unknown_basis_shape1_is_univariate():
@@ -178,10 +179,16 @@ def _template(shape, caps, sector):
 def test_template_at_a_point_equals_the_direct_build_there(p):
     keys = unknown_basis(p.shape, p.caps, p.sector)
     direct = assemble_linear_system(build_equations_env(p.shape, p.env(), p.caps, p.sector), keys)
+    point = template_point(p)
+    rows = _template(p.shape, p.caps, p.sector).concrete_rows(point)
+    if not any(isinstance(w, QuadExt) for w in point):
+        # at a rational point each entry is an integer numerator over the
+        # point's common denominator
+        den = math.lcm(*(w.denominator for w in point))
+        assert all(type(v) is int for row in rows for _c, v in row)
+        rows = [tuple([(c, Fraction(v, den)) for c, v in row]) for row in rows]
     # value for value, Fraction against QuadExt included, and row for row
-    assert _template(p.shape, p.caps, p.sector).concrete_rows(template_point(p)) == (
-        constant_rows(direct.rows)
-    )
+    assert rows == constant_rows(direct.rows)
 
 
 def test_template_values_are_integer_tuples_over_the_weights():

@@ -7,11 +7,12 @@ write their matrices densely and convert at the boundary.
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wbext.linalg import RowSpace, nullspace, rank, rref
-from wbext.qext import quad
+from wbext.qext import QuadExt, quad
 
 
 def F(*vals):
@@ -112,6 +113,13 @@ def test_elimination_over_quadratic_field():
     assert r19 * vec[0] + 19 * vec[1] == 0
 
 
+def test_one_row_space_holds_one_quadratic_field():
+    rs = RowSpace()
+    rs.add(((0, quad(0, 1, 2)),))
+    with pytest.raises(ValueError, match="mixed quadratic fields"):
+        rs.add(((1, quad(0, 1, 3)),))
+
+
 def test_rref_deterministic():
     rows = _sparse_rows([F(0, 2, 1), F(1, 1, 1), F(1, 3, 2)])
     first = rref(rows)
@@ -150,9 +158,9 @@ _QUADRATIC = st.one_of(
 
 
 @st.composite
-def _matrices(draw, entries):
-    ncols = draw(st.integers(1, 6))
-    nrows = draw(st.integers(0, 6))
+def _matrices(draw, entries, max_size=6):
+    ncols = draw(st.integers(1, max_size))
+    nrows = draw(st.integers(0, max_size))
     row = st.lists(entries, min_size=ncols, max_size=ncols)
     rows = draw(st.lists(row, min_size=nrows, max_size=nrows))
     # repeat some rows as combinations of others so dependence is common
@@ -163,28 +171,50 @@ def _matrices(draw, entries):
     return rows, ncols, vec
 
 
+def _exact(row) -> list:
+    """A dense row with bare ints read as ``Fraction``, for the reference."""
+    return [Fraction(v) if type(v) is int else v for v in row]
+
+
 def _check_kernel(rows, ncols, vec):
     sparse = _sparse_rows(rows)
+    exact, exact_vec = [_exact(r) for r in rows], _exact(vec)
     rr, pivots = rref(sparse)
+    null = nullspace(sparse, ncols)
+    rs = RowSpace()
+    for row in sparse:
+        rs.add(row)
+    residue = rs.reduce(_sparse(vec))
+    # the solver's witnesses and their rendered bytes are built from these
+    # values, whatever the input types were
+    for out in (rr, null, rs.rows, [residue]):
+        assert all(type(v) in (Fraction, QuadExt) for r in out for _c, v in r)
     rr = [_dense(r, ncols) for r in rr]
-    assert (rr, pivots) == _reference_rref(rows, ncols)
-    null = [_dense(v, ncols) for v in nullspace(sparse, ncols)]
+    assert (rr, pivots) == _reference_rref(exact, ncols)
+    null = [_dense(v, ncols) for v in null]
     for v in null:
         assert next(c for c in v if c != 0) == 1
         for row in rows:
             assert sum(a * b for a, b in zip(row, v)) == 0
     assert rank(sparse) + len(null) == ncols
-    rs = RowSpace()
-    for row in sparse:
-        rs.add(row)
+    # the canonical basis: e_fc minus the RREF column, lead scaled to 1
+    reference = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for r, p in zip(rr, pivots):
+            v[p] = -r[fc]
+        lead = next(c for c in v if c != 0)
+        reference.append([c / lead for c in v])
+    assert null == reference
     assert ([_dense(r, ncols) for r in rs.rows], rs.pivots) == (rr, pivots)
     # the residue is the unique vector that is zero at every pivot column
     # and differs from ``vec`` by an element of the row span
-    residue = _dense(rs.reduce(_sparse(vec)), ncols)
+    residue = _dense(residue, ncols)
     assert all(residue[p] == 0 for p in pivots)
-    moved = [a - b for a, b in zip(vec, residue)]
+    moved = [a - b for a, b in zip(exact_vec, residue)]
     assert len(_reference_rref(rr + [moved], ncols)[1]) == len(pivots)
-    in_span = len(_reference_rref(rows + [vec], ncols)[1]) == len(pivots)
+    in_span = len(_reference_rref(exact + [exact_vec], ncols)[1]) == len(pivots)
     assert (not any(residue)) == in_span
 
 
@@ -202,4 +232,38 @@ def test_kernel_matches_dense_reference_rational(case, rng):
 @settings(max_examples=100, deadline=None)
 @given(_matrices(_QUADRATIC))
 def test_kernel_matches_dense_reference_quadratic(case):
+    _check_kernel(*case)
+
+
+# bare ints, large numerators and denominators, and ints mixed with
+# Fractions in one row; up to 12 columns, so that back-substitution reaches
+# several pivot rows and the gcd step has content to divide out
+_LARGE = st.one_of(
+    st.just(0),
+    st.just(0),
+    st.just(0),
+    st.integers(-9, 9),
+    st.integers(-(10**9), 10**9),
+    st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_matrices(_LARGE, max_size=12))
+def test_kernel_matches_dense_reference_on_ints_and_large_values(case):
+    _check_kernel(*case)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_matrices(st.integers(-3, 3), max_size=12))
+def test_kernel_matches_dense_reference_on_bare_ints(case):
+    _check_kernel(*case)
+
+
+_QUADRATIC_LARGE = st.one_of(_LARGE, st.builds(lambda p, q: quad(p, q, 19), _LARGE, _LARGE))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_matrices(_QUADRATIC_LARGE, max_size=12))
+def test_kernel_matches_dense_reference_quadratic_large(case):
     _check_kernel(*case)
