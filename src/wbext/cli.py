@@ -25,7 +25,7 @@ from fractions import Fraction
 from . import scanner, tables
 from .engine import solve_ext
 from .oracle import brute_dims, independent_mod_coboundaries, verify_witness
-from .problems import Caps, ExtProblem
+from .problems import PARAM_FIELDS, SHAPE_WEIGHTS, Caps, ExtProblem
 from .qext import parse_rational
 from .records import OutputRecord, RecordError, parse_record, scalar_str
 
@@ -133,16 +133,14 @@ def build_parser() -> argparse.ArgumentParser:
 # solve
 # ---------------------------------------------------------------------------
 
-_REQUIRED = {1: ("gamma", "delta"), 2: ("gamma", "delta"), 3: ("abar", "delta", "dbar")}
-_FORBIDDEN = {1: ("abar", "dbar"), 2: ("abar", "dbar"), 3: ("gamma",)}
-
 
 def _cmd_solve(args) -> tuple[str, int]:
-    for name in _REQUIRED[args.shape]:
+    needed = SHAPE_WEIGHTS[args.shape]
+    for name in needed:
         if getattr(args, name) is None:
             raise UsageError(f"--type {args.shape} requires --{name}")
-    for name in _FORBIDDEN[args.shape]:
-        if getattr(args, name) is not None:
+    for name in PARAM_FIELDS[1:]:
+        if name not in needed and getattr(args, name) is not None:
             raise UsageError(f"--type {args.shape} does not take --{name}")
     try:
         problem = ExtProblem(

@@ -19,23 +19,25 @@ no ``Fraction`` until it hands back the kernel basis; the self-check's
 zero test reads the same integer rows.
 
 :func:`coboundary_span_env` is the one construction of the change-of-basis
-images and :func:`coeff_rows` the one layout of ``{unknown key:
-coefficient}`` maps as rows; the scanner and the replay tables use both.
-Every result is cross-checked against :mod:`wbext.oracle`, which recomputes
+images, reading ``d**j`` and ``(d+l)**j`` from the slot powers the equation
+builds share (``equations._powers``), and :func:`coeff_rows` the one layout
+of ``{unknown key: coefficient}`` maps as rows; the scanner and the replay
+tables use both.  Every basis :func:`solve_ext` returns, the scanner's
+special points included, has passed :mod:`wbext.oracle`, which recomputes
 residuals by a route that shares no equation code with this module.
-Results are cached in bounded caches and are immutable.
+Results are immutable, and :func:`solve_ext` keeps them in a bounded cache.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import replace
-from fractions import Fraction
 from functools import lru_cache
 
 from . import oracle
 from .equations import (
     LinearSystem,
+    _powers,
     assemble_linear_system,
     build_equations,
     constant_rows,
@@ -115,24 +117,21 @@ def coboundary_span_env(shape: int, env: dict, phi_cap: int) -> list[CocycleWitn
     """
     alpha, delta = env["alpha"], env["delta"]
     zero = MultiPoly.zero()
+    pw = _powers(phi_cap)
     out = []
     if shape == 1:
         out.append(CocycleWitness(f=alpha + env["gamma"] + delta * L, g=zero))
     elif shape == 2:
         act = D + alpha + delta * L
         for j in range(phi_cap + 1):
-            phi = MultiPoly.monomial((j, 0, 0, 0), Fraction(1))
             out.append(
-                CocycleWitness(
-                    f=act * phi.shift("d", L), g=zero, h=(D - env["gamma"]) * phi
-                )
+                CocycleWitness(f=act * pw.dl[j], g=zero, h=(D - env["gamma"]) * pw.d[j])
             )
     else:
         quot = D + alpha + delta * L
         sub = D + env["abar"] + env["dbar"] * L
         for j in range(phi_cap + 1):
-            phi = MultiPoly.monomial((j, 0, 0, 0), Fraction(1))
-            out.append(CocycleWitness(f=quot * phi - sub * phi.shift("d", L), g=zero))
+            out.append(CocycleWitness(f=quot * pw.d[j] - sub * pw.dl[j], g=zero))
     return [w for w in out if not w.is_zero()]
 
 
@@ -163,11 +162,6 @@ def _template(shape: int, caps: Caps, sector: str) -> LinearSystem:
     )
 
 
-# A full ``replay --table all`` solves 70 cases, each at its caps and at
-# caps+2: at most 140 core solves and 70 full ones, which both caches hold
-# with room for a scan's specialised solves.  Older entries are evicted, so
-# a long sweep stays bounded in memory.
-@lru_cache(maxsize=256)
 def solve_core(p: ExtProblem) -> ExtSolution:
     """One truncated solve: kernel, capped coboundaries, representatives.
 
@@ -218,14 +212,17 @@ def solve_core(p: ExtProblem) -> ExtSolution:
     )
 
 
+# A full ``replay --table all`` makes 70 full solves, which this cache holds
+# with room for a scan's specialised solves.  Older entries are evicted, so
+# a long sweep stays bounded in memory.
 @lru_cache(maxsize=128)
-def solve_ext(p: ExtProblem, stabilize: bool = True, check: bool = True) -> ExtSolution:
+def solve_ext(p: ExtProblem, stabilize: bool = True) -> ExtSolution:
     """Full solve with cap-stability re-run and independent verification.
 
     ``stabilize`` repeats the solve with all caps raised by 2 and records
-    whether the dimension moved (``diagnostics["stable"]``); ``check``
-    pushes every basis witness through the naive-composition checker.
-    Results are cached per call and immutable.
+    whether the dimension moved (``diagnostics["stable"]``).  Every basis
+    witness is pushed through the naive-composition checker.  Results are
+    cached per call and immutable.
     """
     core = solve_core(p)
     diag = {"caps": (p.caps.f, p.caps.g, p.caps.h, p.caps.phi)}
@@ -241,11 +238,8 @@ def solve_ext(p: ExtProblem, stabilize: bool = True, check: bool = True) -> ExtS
                 f"dimension moved from {core.ext_dim} to {bumped.ext_dim} "
                 "when caps were raised by 2"
             )
-    if check:
-        for w in core.basis:
-            report = oracle.verify_witness(p, w)
-            if not report.passed:
-                raise ArithmeticError(
-                    f"solver produced a witness the checker rejects:\n{report}"
-                )
+    for w in core.basis:
+        report = oracle.verify_witness(p, w)
+        if not report.passed:
+            raise ArithmeticError(f"solver produced a witness the checker rejects:\n{report}")
     return replace(core, diagnostics=diag)

@@ -39,7 +39,7 @@ from functools import lru_cache
 from operator import mul
 
 from .poly import D, L, U, MultiPoly
-from .problems import Caps, ExtProblem
+from .problems import SHAPE_WEIGHTS, Caps, ExtProblem
 from .qext import QuadExt, quad, scalar
 
 __all__ = [
@@ -128,6 +128,8 @@ class _Powers:
 # The powers and slot products depend only on the cap and MultiPoly is
 # immutable, so every build at one cap shares them, the engine's templates
 # and the scanner's line builds alike; a solve and its caps+2 re-run use two.
+# The engine's basis-change images read ``d**j`` and ``(d+l)**j`` here too,
+# at the phi cap.
 @lru_cache(maxsize=16)
 def _powers(cap: int) -> _Powers:
     return _Powers(cap)
@@ -200,7 +202,7 @@ def _shared(vec: tuple) -> tuple:
 
 def _weights(shape: int, sector: str) -> tuple:
     """The weights a (shape, sector) system depends on, in template order."""
-    names = ("alpha", "gamma", "delta") if shape in (1, 2) else ("alpha", "abar", "delta", "dbar")
+    names = SHAPE_WEIGHTS[shape]
     return names if sector == "f" else ("b",) + names
 
 

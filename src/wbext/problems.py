@@ -9,11 +9,18 @@ from types import MappingProxyType
 from .poly import MultiPoly
 from .qext import QuadExt, scalar
 
-__all__ = ["Caps", "ExtProblem", "CocycleWitness", "ExtSolution", "PARAM_FIELDS", "SECTORS"]
+__all__ = ["Caps", "ExtProblem", "CocycleWitness", "ExtSolution",
+           "PARAM_FIELDS", "SECTORS", "SHAPE_WEIGHTS"]
 
 SECTORS = ("full", "f", "g")
 # the weight parameters of a problem, in the order documents list them
 PARAM_FIELDS = ("b", "alpha", "gamma", "abar", "delta", "dbar")
+# the weights each shape needs besides b; it takes none of the others
+SHAPE_WEIGHTS = {
+    1: ("alpha", "gamma", "delta"),
+    2: ("alpha", "gamma", "delta"),
+    3: ("alpha", "abar", "delta", "dbar"),
+}
 
 
 @dataclass(frozen=True)
@@ -74,27 +81,22 @@ class ExtProblem:
         elif scalar(self.b) == 0:
             raise ValueError("b = 0 is excluded: out of scope for this family")
         self.caps.validate()
-        if self.shape in (1, 2):
-            if any(v is None for v in (self.alpha, self.gamma, self.delta)):
-                raise ValueError(f"shape {self.shape} needs alpha, gamma and delta")
-            if self.abar is not None or self.dbar is not None:
-                raise ValueError(f"shape {self.shape} takes no abar/dbar parameters")
-        else:
-            if any(v is None for v in (self.alpha, self.abar, self.delta, self.dbar)):
-                raise ValueError("shape 3 needs alpha, abar, delta and dbar")
-            if self.gamma is not None:
-                raise ValueError("shape 3 takes no gamma parameter")
+        needed = SHAPE_WEIGHTS[self.shape]
+        if any(getattr(self, name) is None for name in needed):
+            *most, last = needed
+            raise ValueError(f"shape {self.shape} needs {', '.join(most)} and {last}")
+        extra = [name for name in PARAM_FIELDS[1:] if name not in needed]
+        if any(getattr(self, name) is not None for name in extra):
+            noun = "parameter" if len(extra) == 1 else "parameters"
+            raise ValueError(f"shape {self.shape} takes no {'/'.join(extra)} {noun}")
 
     def env(self) -> dict:
         """Parameter environment as constant polynomials (scanner overrides some)."""
-        out = {"alpha": MultiPoly.const(scalar(self.alpha))}
-        if self.b is not None:
-            out["b"] = MultiPoly.const(scalar(self.b))
-        for name in ("gamma", "abar", "delta", "dbar"):
-            v = getattr(self, name)
-            if v is not None:
-                out[name] = MultiPoly.const(scalar(v))
-        return out
+        return {
+            name: MultiPoly.const(scalar(v))
+            for name in PARAM_FIELDS
+            if (v := getattr(self, name)) is not None
+        }
 
     def degenerate_weights(self) -> list[str]:
         """Weights at which the rank-one module fails to be irreducible."""

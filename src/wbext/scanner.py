@@ -733,8 +733,8 @@ def line_family(sp: ScanProblem) -> CocycleWitness | None:
 
 
 def _solve_at(sp: ScanProblem, t0):
-    """The engine's solve of the line at t = t0, unstabilized and unchecked."""
-    return engine.solve_ext(sp.specialize(t0), stabilize=False, check=False)
+    """The engine's solve of the line at t = t0, unstabilized and oracle-checked."""
+    return engine.solve_ext(sp.specialize(t0), stabilize=False)
 
 
 def _line_specials(sp: ScanProblem, rep: ScanReport) -> list:

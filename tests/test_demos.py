@@ -24,3 +24,24 @@ def test_classification_tour_runs():
     assert proc.returncode == 0, proc.stderr
     assert "substitution check: " in proc.stdout
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == _TOUR_SHA256
+
+
+def test_cli_session_runs(tmp_path):
+    # the session calls ``wbext``; a shim on PATH runs this checkout's CLI
+    shim = tmp_path / "wbext"
+    shim.write_text(f'#!/bin/sh\nexec "{sys.executable}" -m wbext.cli "$@"\n')
+    shim.chmod(0o755)
+    env = {
+        **os.environ,
+        "PYTHONPATH": str(_ROOT / "src"),
+        "PATH": f"{tmp_path}{os.pathsep}{os.environ.get('PATH', '')}",
+    }
+    proc = subprocess.run(
+        ["sh", str(_ROOT / "demos" / "cli_session.sh")],
+        env=env,
+        cwd=_ROOT,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "tampered document rejected, as expected" in proc.stdout

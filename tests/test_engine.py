@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from wbext import engine, oracle
 from wbext.engine import (
     coboundary_span,
+    coboundary_span_env,
     coeff_rows,
     solve_core,
     solve_ext,
@@ -30,7 +31,7 @@ from wbext.equations import (
 )
 from wbext.linalg import RowSpace, nullspace, rank, rref
 from wbext.poly import MultiPoly
-from wbext.problems import Caps, CocycleWitness, ExtProblem
+from wbext.problems import SHAPE_WEIGHTS, Caps, CocycleWitness, ExtProblem
 from wbext.qext import QuadExt, quad
 from wbext.tables import iter_cases
 
@@ -95,7 +96,7 @@ def test_mutating_a_result_cannot_corrupt_the_caches(mutate):
 def test_mutating_returned_rows_cannot_change_the_next_solve():
     p = ExtProblem(shape=3, b=2, alpha=1, abar=1, delta=4, dbar=1, caps=Caps(4, 3, 4, 4))
     template = engine._template(p.shape, p.caps, p.sector)
-    before = solve_core.__wrapped__(p)
+    before = solve_core(p)
     rows = template.concrete_rows(template_point(p))
     expected = list(rows)
     rows[0] = ((0, Fraction(1)),)
@@ -107,7 +108,7 @@ def test_mutating_returned_rows_cannot_change_the_next_solve():
     with pytest.raises(FrozenInstanceError):
         template.rows = ()
     assert template.concrete_rows(template_point(p)) == expected
-    assert solve_core.__wrapped__(p) == before
+    assert solve_core(p) == before
 
 
 def test_import_builds_no_template():
@@ -231,7 +232,6 @@ def test_self_check_rejects_a_non_cocycle_coboundary(monkeypatch, p):
     assert not oracle.verify_witness(p, bad).passed
     span = engine.coboundary_span
     monkeypatch.setattr(engine, "coboundary_span", lambda q: span(q) + [bad])
-    solve_core.cache_clear()
     with pytest.raises(ArithmeticError, match="capped coboundary fails"):
         solve_core(p)
 
@@ -291,6 +291,38 @@ def test_curated_dimensions_are_shift_invariant(case, c):
 @given(_small_problems(), _SMALL)
 def test_random_dimensions_are_shift_invariant(p, c):
     assert _dims(_shifted(p, c)) == _dims(p)
+
+
+# ---------------------------------------------------------------------------
+# the basis-change images against the oracle's own transcription
+# ---------------------------------------------------------------------------
+
+# the oracle records the deviation from the split action with the opposite
+# sign for shapes 1 and 3
+_ORACLE_SIGN = {1: -1, 2: 1, 3: -1}
+
+
+@st.composite
+def _image_problems(draw):
+    """Shapes 1-3 in the full and f sectors at phi caps 1-8, with every
+    weight rational or every weight in one Q(sqrt(D))."""
+    shape = draw(st.integers(1, 3))
+    disc = draw(st.sampled_from((None, 2, 5, 19)))
+    weights = {}
+    for name in SHAPE_WEIGHTS[shape]:
+        w = draw(_SMALL)
+        weights[name] = w if disc is None else quad(w, draw(_SMALL), disc)
+    caps, sector = Caps(phi=draw(st.integers(1, 8))), draw(st.sampled_from(("full", "f")))
+    return ExtProblem(shape=shape, b=draw(_SMALL.filter(bool)), caps=caps, sector=sector, **weights)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_image_problems())
+def test_images_equal_the_oracle_basis_change_maps(p):
+    images = coboundary_span_env(p.shape, p.env(), p.caps.phi)
+    sign = _ORACLE_SIGN[p.shape]
+    maps = [{key: sign * c for key, c in witness_coeff_map(w).items()} for w in images]
+    assert maps == oracle._split_basis_change_maps(p, p.env())
 
 
 # ---------------------------------------------------------------------------

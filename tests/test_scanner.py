@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wbext import scanner
+from wbext import engine, oracle, scanner
 from wbext.engine import solve_core, solve_ext
 from wbext.linalg import rank
 from wbext.oracle import verify_witness
@@ -84,7 +84,7 @@ def test_line_consistency_random_points():
         if delta == 0 or dbar == 0 or cert.eval(t0) == 0:
             continue
         fast = ext_dim_at(sp, t0)
-        slow = solve_ext(sp.specialize(t0), stabilize=False, check=False).ext_dim
+        slow = solve_ext(sp.specialize(t0), stabilize=False).ext_dim
         assert fast == slow == report.generic_dim
         done += 1
 
@@ -248,6 +248,21 @@ def test_classify_small_b():
 def test_classify_rejects_b_zero():
     with pytest.raises(ValueError):
         classify(0)
+
+
+@pytest.mark.parametrize("b", [Fraction(2), Fraction(-2, 3)])
+def test_classify_witnesses_pass_through_the_oracle(monkeypatch, b):
+    """classify takes its special-point witnesses from ``_solve_at``; that
+    solve is oracle-checked, so a checker that rejects everything stops it."""
+    sp = scan_dbar(b, 2 + b, caps=CAPS)
+    t0 = -b - 1  # the isolated point (delta, dbar) = (1, -b - 1)
+    assert sp.weights_at(t0) == (1, -b - 1)
+    assert not sp.specialize(t0).degenerate_weights()
+    assert dict(special_values(sp).special_values)[t0] > 0
+    engine.solve_ext.cache_clear()
+    monkeypatch.setattr(oracle, "verify_witness", lambda p, w: oracle.VerifyReport(passed=False))
+    with pytest.raises(ArithmeticError, match="checker rejects"):
+        scanner._solve_at(sp, t0)
 
 
 def test_degenerate_specials_are_annotated():
