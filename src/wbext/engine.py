@@ -7,21 +7,25 @@ change-of-basis images with the caps (coboundaries), and reduce kernel
 vectors modulo that intersection to get representatives.
 
 The system is built once per (shape, caps, sector), as an integer affine
-template in the weights (see :mod:`wbext.equations`), and kept in a
-32-entry LRU cache that fills on first use, never at import.  Each solve
-evaluates its template at its weights.  That is exact, not an
-approximation: the weight symbols refuse any non-affine product, so the
-template is affine by construction and its rows equal a direct build's at
-that point, value for value and in order (at a rational point, as integer
-numerators over the point's common denominator).  Those rows go straight
-into the integer elimination kernel of :mod:`wbext.linalg`, which builds
-no ``Fraction`` until it hands back the kernel basis; the self-check's
-zero test reads the same integer rows.
+template in the weights (see :mod:`wbext.equations`), and so are the
+change-of-basis images; each is kept in a 32-entry LRU cache that fills on
+first use, never at import.  Each solve evaluates both templates at its
+weights.  That is exact, not an approximation: the weight symbols refuse any
+non-affine product, so a template is affine by construction and its rows
+equal a direct build's at that point, value for value and in order, as
+numerators in Z (or Z[sqrt D] at a Q(sqrt D) point) over the point's common
+denominator.  (The images' template may hold more out-of-cap columns than
+the images at one point reach; those are zero there.)  Those rows go
+straight into the integer elimination kernel of :mod:`wbext.linalg`, which
+builds no ``Fraction`` until it hands back a basis.  The self-check, which
+tests every capped coboundary against the equations, runs in the same
+numerators: each coboundary is scaled once to its own.
 
 :func:`coboundary_span_env` is the one construction of the change-of-basis
-images, reading ``d**j`` and ``(d+l)**j`` from the slot powers the equation
-builds share (``equations._powers``), and :func:`coeff_rows` the one layout
-of ``{unknown key: coefficient}`` maps as rows; the scanner and the replay
+images, for the templates and for the scanner's lines alike, reading
+``d**j`` and ``(d+l)**j`` from the slot powers the equation builds share
+(``equations._powers``), and :func:`coeff_rows` the one layout of
+``{unknown key: coefficient}`` maps as rows; the scanner and the replay
 tables use both.  Every basis :func:`solve_ext` returns, the scanner's
 special points included, has passed :mod:`wbext.oracle`, which recomputes
 residuals by a route that shares no equation code with this module.
@@ -40,12 +44,12 @@ from .equations import (
     _powers,
     assemble_linear_system,
     build_equations,
-    constant_rows,
     key_rank,
+    template_env,
     template_point,
     unknown_basis,
 )
-from .linalg import RowSpace, nullspace, rref
+from .linalg import RowSpace, nullspace, numerators, rref
 from .poly import D, L, MultiPoly
 from .problems import Caps, CocycleWitness, ExtProblem, ExtSolution
 
@@ -63,8 +67,9 @@ __all__ = [
 def witness_coeff_map(w: CocycleWitness) -> dict:
     """Flatten a witness into {(part, d-degree, l-degree): coefficient}.
 
-    Coefficients are constants for a concrete problem and polynomials in t
-    for a scan line.
+    Coefficients are constants for a concrete problem, polynomials in t for
+    a scan line, and integer tuples over the weights for the images'
+    template (see :func:`_cob_template`).
     """
     coeffs = {}
     for name, poly in w.parts().items():
@@ -135,31 +140,47 @@ def coboundary_span_env(shape: int, env: dict, phi_cap: int) -> list[CocycleWitn
     return [w for w in out if not w.is_zero()]
 
 
-def _cob_vectors_in_caps(p: ExtProblem, keys) -> list[tuple]:
+def _cob_vectors_in_caps(p: ExtProblem) -> list[tuple]:
     """Coboundary vectors that fit entirely inside the unknown basis.
 
     Columns are ordered overflow-first, so after row reduction a row whose
     pivot sits past the overflow block has no out-of-cap coefficients at
     all: exactly the part of the coboundary space visible to the truncated
-    system.  Its columns, shifted by the overflow width, index ``keys``.
+    system.  Its columns, shifted by the overflow width, index the unknown
+    keys.  The template's overflow block holds every out-of-cap key that an
+    image reaches at some point, a superset of those it reaches at ``p``;
+    the others are zero columns here, which change no RREF row.
     """
-    span = coboundary_span(p)
-    if not span:
+    template, over = _cob_template(p.shape, p.caps, p.sector)
+    rows = template.concrete_rows(template_point(p))
+    if not rows:
         return []
-    rows, over = coeff_rows([witness_coeff_map(w) for w in span], keys)
-    reduced, pivots = rref(constant_rows(rows))
+    reduced, pivots = rref(rows)
     kept = [row for row, piv in zip(reduced, pivots) if piv >= over]
     return [tuple([(c - over, v) for c, v in row]) for row in kept]
 
 
 # A replay of every table meets 14 (shape, caps, sector) keys and the
-# seeded solve_sweep 18; its 18 templates hold 1.3 MB of shared int tuples.
+# seeded solve_sweep 18; its 18 templates hold 1.3 MB of shared int tuples,
+# and the 18 templates of its basis-change images (the cache below, with
+# the same keys) 0.15 MB more.
 @lru_cache(maxsize=32)
 def _template(shape: int, caps: Caps, sector: str) -> LinearSystem:
     """The integer affine template of every problem with this key."""
     return assemble_linear_system(
         build_equations(shape, caps, sector), unknown_basis(shape, caps, sector)
     )
+
+
+@lru_cache(maxsize=32)
+def _cob_template(shape: int, caps: Caps, sector: str) -> tuple[LinearSystem, int]:
+    """The basis-change images of every problem with this key, as an integer
+    affine template laid out by :func:`coeff_rows`, and its overflow width."""
+    images = coboundary_span_env(shape, template_env(shape, sector), caps.phi)
+    rows, over = coeff_rows(
+        [witness_coeff_map(w) for w in images], unknown_basis(shape, caps, sector)
+    )
+    return LinearSystem(rows=tuple(rows)), over
 
 
 def solve_core(p: ExtProblem) -> ExtSolution:
@@ -173,16 +194,19 @@ def solve_core(p: ExtProblem) -> ExtSolution:
     keys = unknown_basis(p.shape, p.caps, p.sector)
     rows = _template(p.shape, p.caps, p.sector).concrete_rows(template_point(p))
     cocycles = nullspace(rows, len(keys))
-    cob = _cob_vectors_in_caps(p, keys)
+    cob = _cob_vectors_in_caps(p)
     # every capped coboundary against every assembled row, independently of
     # the nullspace just computed; a row that shares no column with the
-    # vector sums to zero, so only the rows meeting its support are summed
+    # vector sums to zero, so only the rows meeting its support are summed.
+    # Both sides are numerators, in Z or Z[sqrt D]: the rows over the point's
+    # denominator, each vector over its own, so the test stays exact.  A sum
+    # with an irrational part is a ``_Root``, never equal to 0.
     rows_at = defaultdict(list)
     for r, row in enumerate(rows):
         for i, _c in row:
             rows_at[i].append(r)
     for vec in cob:
-        nz = dict(vec)
+        nz, _den = numerators(vec)
         for r in {r for i in nz for r in rows_at.get(i, ())}:
             if sum(c * nz[i] for i, c in rows[r] if i in nz) != 0:
                 raise ArithmeticError(

@@ -19,15 +19,17 @@ out as a template: the sparse rows of a direct build, in the same order,
 each value a tuple of ints ``(c0, c_1, ..., c_k)`` standing for ``c0 + sum
 c_i w_i`` over the weights ``w_i`` of :func:`template_point`.
 :meth:`LinearSystem.concrete_rows` evaluates a template at a problem's
-weights, to integer numerators at a rational point; :mod:`wbext.engine`
-keeps the templates in a 32-entry LRU cache, filled on first use.
+weights, to numerators in Z, or in Z[sqrt D] at a Q(sqrt D) point;
+:mod:`wbext.engine` keeps the templates in a 32-entry LRU cache, filled on
+first use, and lays out its basis-change images from the same symbols
+(:func:`template_env`) as a second template.
 
 The template is exact, not interpolated: the symbol type supports only
 ``+``, ``-`` and ``*`` by a parameter-free polynomial and raises on a product
 of two parameter-dependent factors, so a build that goes through is affine in
 the weights by construction; assembly checks that every coefficient is an
 integer.  Evaluated at a point it equals the direct build there, entry for
-entry (times the point's common denominator at a rational point).
+entry, times the point's common denominator.
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ from operator import mul
 
 from .poly import D, L, U, MultiPoly
 from .problems import SHAPE_WEIGHTS, Caps, ExtProblem
-from .qext import QuadExt, quad, scalar
+from .linalg import _root
+from .qext import QuadExt, scalar
 
 __all__ = [
     "Identity",
@@ -51,6 +54,7 @@ __all__ = [
     "LinearSystem",
     "assemble_linear_system",
     "constant_rows",
+    "template_env",
     "template_point",
 ]
 
@@ -179,17 +183,22 @@ class _Affine:
 
     __rmul__ = __mul__
 
+    def is_zero(self) -> bool:
+        return not any(self.parts)
+
     def coeffs_by(self, names):
-        """``[(exps in (d, l, u), (c0, c_1, ..., c_k))]``: the template entries
-        of this form, one per monomial, with integer components."""
-        if names != ("d", "l", "u"):
-            raise ValueError(f"a template groups by (d, l, u), not {names}")
+        """``[(exps in names, (c0, c_1, ..., c_k))]``: the template entries of
+        this form, one per monomial, with integer components.  ``names`` is
+        (d, l, u), or (d, l) for a form free of u (a witness part)."""
+        if names not in (("d", "l", "u"), ("d", "l")):
+            raise ValueError(f"a template groups by (d, l, u) or (d, l), not {names}")
+        n = len(names)
         groups: dict[tuple, list] = {}
         for i, part in enumerate(self.parts):
-            for (a, b, c, t), coeff in part.terms.items():
-                if t or type(coeff) is not Fraction or coeff.denominator != 1:
-                    raise ValueError(f"template coefficients must be integers in (d, l, u): {part}")
-                groups.setdefault((a, b, c), [0] * len(self.parts))[i] = coeff.numerator
+            for exps, coeff in part.terms.items():
+                if any(exps[n:]) or type(coeff) is not Fraction or coeff.denominator != 1:
+                    raise ValueError(f"template coefficients must be integers in {names}: {part}")
+                groups.setdefault(exps[:n], [0] * len(self.parts))[i] = coeff.numerator
         return [(mono, _shared(tuple(vec))) for mono, vec in groups.items()]
 
 
@@ -211,13 +220,18 @@ def template_point(p: ExtProblem) -> tuple:
     return tuple(scalar(getattr(p, name)) for name in _weights(p.shape, p.sector))
 
 
+def template_env(shape: int, sector: str) -> dict:
+    """Every weight of a (shape, sector) system as an affine symbol, in the
+    order of :func:`template_point`."""
+    names = _weights(shape, sector)
+    return {name: _Affine.symbol(i, len(names)) for i, name in enumerate(names)}
+
+
 def build_equations(shape: int, caps: Caps, sector: str) -> list:
     """Identities of one (shape, caps, sector) with every weight an affine
     symbol; assembled, they are the template of every problem with that key.
     See :func:`build_equations_env`."""
-    names = _weights(shape, sector)
-    env = {name: _Affine.symbol(i, len(names)) for i, name in enumerate(names)}
-    return build_equations_env(shape, env, caps, sector)
+    return build_equations_env(shape, template_env(shape, sector), caps, sector)
 
 
 def build_equations_env(shape: int, env: dict, caps: Caps, sector: str) -> list:
@@ -341,8 +355,8 @@ class LinearSystem:
     ``rows`` are sparse rows (see :mod:`wbext.linalg`), held as tuples so a
     cached system cannot be changed through them.  Their values are
     ``MultiPoly`` (constants, or polynomials in t on a scan line), or, in a
-    template assembled from :func:`build_equations`, integer tuples over the
-    weights of :func:`template_point`.
+    template built from the symbols of :func:`template_env`, integer tuples
+    over the weights of :func:`template_point`.
     """
 
     rows: tuple
@@ -351,34 +365,37 @@ class LinearSystem:
         """A template's rows at the weights ``point`` (see
         :func:`template_point`), as a fresh list of scalar rows.
 
-        At a rational point each entry is one integer dot product: the
-        entry's numerator over the point's common denominator, which is left
-        out, so no ``Fraction`` is built.  A row scaled by that positive
-        constant has the same kernel, RREF and zero test (see
-        :mod:`wbext.linalg`).  A point in Q(sqrt D) evaluates in
-        ``QuadExt``, which collapses to ``Fraction`` exactly as ``MultiPoly``
-        arithmetic does.  Zero entries and then empty rows are dropped, so
-        the result is the direct build's rows at that point (lowered by
-        :func:`constant_rows`), value for value and in order, times the
-        common denominator at a rational point.
+        Each entry is the entry's numerator over the point's common
+        denominator, which is left out, so no ``Fraction`` is built: one
+        integer dot product at a rational point, and at a point in Q(sqrt D)
+        two, for the rational and the irrational part, making an ``a +
+        b*sqrt(D)`` numerator (``linalg._Root``, an ``int`` where ``b`` is
+        0).  A row scaled by that positive constant has the same kernel,
+        RREF and zero test (see :mod:`wbext.linalg`).  Zero entries and
+        then empty rows are dropped, so the result is the direct build's
+        rows at that point (lowered by :func:`constant_rows`), value for
+        value and in order, times the common denominator.  Raises
+        ``ValueError`` for weights in two quadratic fields.
         """
-        disc = next((w.disc for w in point if isinstance(w, QuadExt)), None)
+        discs = list(dict.fromkeys(w.disc for w in point if isinstance(w, QuadExt)))
+        if len(discs) > 1:
+            raise ValueError(f"mixed quadratic fields: sqrt({discs[0]}) vs sqrt({discs[1]})")
         rat = [w.p if isinstance(w, QuadExt) else w for w in point]
         irr = [w.q if isinstance(w, QuadExt) else Fraction(0) for w in point]
         den = math.lcm(*(w.denominator for w in rat + irr))
         rat = (den, *[w.numerator * (den // w.denominator) for w in rat])
         irr = (0, *[w.numerator * (den // w.denominator) for w in irr])
+        disc = discs[0] if discs else None
         out = []
         for row in self.rows:
             if disc is None:
                 entries = [(col, num) for col, vec in row if (num := sum(map(mul, vec, rat)))]
             else:
-                entries = []
-                for col, vec in row:
-                    num = sum(map(mul, vec, rat))
-                    value = quad(Fraction(num, den), Fraction(sum(map(mul, vec, irr)), den), disc)
-                    if value:
-                        entries.append((col, value))
+                entries = [
+                    (col, num)
+                    for col, vec in row
+                    if (num := _root(sum(map(mul, vec, rat)), sum(map(mul, vec, irr)), disc))
+                ]
             if entries:
                 out.append(tuple(entries))
         return out

@@ -5,9 +5,10 @@ Every row and vector the package builds, from assembly to this kernel, is a
 column order, every value non-zero; the zero row is ``()``.  The systems are
 about 2% non-zero, and iterating a sparse row visits exactly those entries.
 
-Values that go in may be ``int``, ``Fraction`` or ``QuadExt``, mixed freely;
-a row scaled by a non-zero constant spans the same line, so a caller may
-hand in integer numerators over a common denominator it leaves out.  Values
+Values that go in may be ``int``, ``Fraction`` or ``QuadExt``, or ``a +
+b*sqrt(D)`` numerators (:class:`_Root`), mixed freely; a row scaled by a
+non-zero constant spans the same line, so a caller may hand in integer (or
+Z[sqrt D]) numerators over a common denominator it leaves out.  Values
 that come out (:attr:`RowSpace.rows`, :meth:`RowSpace.reduce`, :func:`rref`
 and :func:`nullspace`) are ``Fraction``, or ``QuadExt`` where irrational.
 
@@ -40,18 +41,27 @@ from math import gcd, lcm
 
 from .qext import QuadExt, quad
 
-__all__ = ["rref", "rank", "nullspace", "RowSpace"]
+__all__ = ["rref", "rank", "nullspace", "numerators", "RowSpace"]
 
 
 class _Root:
     """``a + b*sqrt(disc)`` with integers ``a`` and ``b != 0``: an irrational
-    numerator.  Products and differences collapse to ``int`` when the
-    irrational part cancels (see :func:`_root`)."""
+    numerator.  Sums, products and differences collapse to ``int`` when the
+    irrational part cancels (see :func:`_root`), so a ``_Root`` is never zero
+    and never equal to an ``int``."""
 
     __slots__ = ("a", "b", "disc")
+    denominator = 1  # a numerator already, like an ``int``
 
     def __init__(self, a: int, b: int, disc: int):
         self.a, self.b, self.disc = a, b, disc
+
+    def __add__(self, other):
+        if type(other) is int:
+            return _Root(self.a + other, self.b, self.disc)
+        return _root(self.a + other.a, self.b + other.b, self.disc)
+
+    __radd__ = __add__
 
     def __mul__(self, other):
         if type(other) is int:
@@ -88,6 +98,40 @@ def _root_gcd(*values) -> int:
     return gcd(*[x for v in values for x in ((v.a, v.b) if type(v) is _Root else (v,))])
 
 
+def _root_of(v, den: int) -> "_Root":
+    """The numerator over ``den`` of a ``QuadExt``, or of a numerator ``_Root``
+    already over 1."""
+    if type(v) is _Root:
+        return v if den == 1 else v * den
+    p, q = v.p, v.q
+    return _Root(p.numerator * (den // p.denominator), q.numerator * (den // q.denominator), v.disc)
+
+
+def numerators(vec, root_of=_root_of) -> tuple[dict, int]:
+    """``vec`` as ``({column: numerator}, denominator)``: its values times
+    their least common denominator, in Z or in Z[sqrt D] (:class:`_Root`).
+
+    Values may be ``int``, ``Fraction``, ``QuadExt`` or ``_Root``; ``root_of``
+    makes an irrational value's numerator (the kernel's also checks its
+    field).
+    """
+    den = lcm(
+        *[
+            lcm(v.p.denominator, v.q.denominator) if type(v) is QuadExt else v.denominator
+            for _c, v in vec
+        ]
+    )
+    row = {
+        c: v * den
+        if type(v) is int
+        else v.numerator * (den // v.denominator)
+        if type(v) is Fraction
+        else root_of(v, den)
+        for c, v in vec
+    }
+    return row, den
+
+
 def _value(num, den: int):
     """The entry ``num / den`` as a ``Fraction`` or ``QuadExt``."""
     if type(num) is _Root:
@@ -109,29 +153,18 @@ class RowSpace:
         self._gcd = gcd  # the content of numerators in Z, or in Z[sqrt D]
 
     def _clear(self, vec) -> tuple[dict, int]:
-        """``vec`` as ``({column: numerator}, denominator)``."""
-        den = lcm(
-            *[
-                lcm(v.p.denominator, v.q.denominator) if type(v) is QuadExt else v.denominator
-                for _c, v in vec
-            ]
-        )
-        row = {
-            c: self._root_of(v, den) if type(v) is QuadExt else v.numerator * (den // v.denominator)
-            for c, v in vec
-        }
-        return row, den
+        """``vec`` as ``({column: numerator}, denominator)``; see :func:`numerators`."""
+        return numerators(vec, self._root_of)
 
-    def _root_of(self, v: QuadExt, den: int) -> _Root:
-        """The numerator of ``v`` over ``den``; all of a row space's values
-        must lie in one field Q(sqrt D)."""
+    def _root_of(self, v, den: int) -> _Root:
+        """:func:`_root_of`, once ``v``'s field is known to be this row
+        space's: all of its values must lie in one field Q(sqrt D)."""
         if v.disc != self._disc:
             if self._disc is not None:
                 raise ValueError(f"mixed quadratic fields: sqrt({self._disc}) vs sqrt({v.disc})")
             self._disc = v.disc
             self._gcd = _root_gcd
-        p, q = v.p, v.q
-        return _Root(p.numerator * (den // p.denominator), q.numerator * (den // q.denominator), v.disc)
+        return _root_of(v, den)
 
     def _step(self, row: dict, col: int, prow: dict, den: int = 0) -> int:
         """Clear ``row[col]`` with the pivot row ``prow``: ``row := m*row -

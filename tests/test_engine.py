@@ -29,7 +29,7 @@ from wbext.equations import (
     template_point,
     unknown_basis,
 )
-from wbext.linalg import RowSpace, nullspace, rank, rref
+from wbext.linalg import RowSpace, _Root, nullspace, rank, rref
 from wbext.poly import MultiPoly
 from wbext.problems import SHAPE_WEIGHTS, Caps, CocycleWitness, ExtProblem
 from wbext.qext import QuadExt, quad
@@ -114,14 +114,15 @@ def test_mutating_returned_rows_cannot_change_the_next_solve():
 def test_import_builds_no_template():
     code = (
         "import wbext, wbext.engine as e, wbext.equations as q\n"
-        "print(e._template.cache_info().currsize, q._powers.cache_info().currsize)\n"
+        "sizes = lambda: [c.cache_info().currsize for c in (e._template, e._cob_template)]\n"
+        "print(*sizes(), q._powers.cache_info().currsize)\n"
         "e.solve_core(wbext.ExtProblem(shape=1, b=1, alpha=0, gamma=0, delta=1))\n"
-        "print(e._template.cache_info().currsize)\n"
+        "print(*sizes())\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "0", "1"]
+    assert proc.stdout.split() == ["0", "0", "0", "1", "1"]
 
 
 def test_shift_invariance_single_case():
@@ -226,14 +227,24 @@ def test_basis_witnesses_are_nonzero_and_independent():
 def test_self_check_rejects_a_non_cocycle_coboundary(monkeypatch, p):
     # one extra in-cap "basis-change image" that breaks the cocycle equations
     zero = MultiPoly.zero()
-    bad = CocycleWitness(
-        f=MultiPoly.parse("l^2"), g=zero, h=zero if p.shape == 2 else None
-    )
+    l2 = MultiPoly.parse("l^2")
+    bad = CocycleWitness(f=l2, g=zero, h=zero if p.shape == 2 else None)
     assert not oracle.verify_witness(p, bad).passed
-    span = engine.coboundary_span
-    monkeypatch.setattr(engine, "coboundary_span", lambda q: span(q) + [bad])
-    with pytest.raises(ArithmeticError, match="capped coboundary fails"):
-        solve_core(p)
+    span = engine.coboundary_span_env
+
+    def with_bad(shape, env, phi_cap):
+        # l^2 plus zero times a weight: the same image, carried by the
+        # template's weight symbols
+        f = l2 + 0 * env["alpha"]
+        return span(shape, env, phi_cap) + [replace(bad, f=f)]
+
+    monkeypatch.setattr(engine, "coboundary_span_env", with_bad)
+    engine._cob_template.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError, match="capped coboundary fails"):
+            solve_core(p)
+    finally:
+        engine._cob_template.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +337,70 @@ def test_images_equal_the_oracle_basis_change_maps(p):
 
 
 # ---------------------------------------------------------------------------
+# the basis-change template against the images built at the point
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _cob_cases(draw):
+    """A problem over shapes 1-3 and sectors full/f/g at small f/g/h caps,
+    its weights rational or, in most draws, some of them in one Q(sqrt(D)),
+    and a phi cap of 0-8 for the template (a problem's own is at least 1)."""
+    shape = draw(st.integers(1, 3))
+    disc = draw(st.sampled_from((None, 2, 5, 19)))
+    weights = {}
+    for name in SHAPE_WEIGHTS[shape]:
+        w = draw(_SMALL)
+        weights[name] = w if disc is None or draw(st.booleans()) else quad(w, draw(_SMALL), disc)
+    caps = Caps(draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 4)), 1)
+    p = ExtProblem(shape=shape, b=draw(_SMALL.filter(bool)), caps=caps,
+                   sector=draw(st.sampled_from(("full", "f", "g"))), **weights)
+    return p, draw(st.integers(0, 8))
+
+
+def _value_over(num, den):
+    if type(num) is _Root:
+        return quad(Fraction(num.a, den), Fraction(num.b, den), num.disc)
+    return Fraction(num, den)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_cob_cases())
+def test_image_template_at_a_point_equals_the_images_built_there(case):
+    p, phi = case
+    caps = replace(p.caps, phi=phi)
+    keys = unknown_basis(p.shape, caps, p.sector)
+    template, over = engine._cob_template(p.shape, caps, p.sector)
+    point = template_point(p)
+    at = template.concrete_rows(point)
+    images = coboundary_span_env(p.shape, p.env(), phi)
+    rows, direct_over = coeff_rows([witness_coeff_map(w) for w in images], keys)
+    # the template's overflow block also holds keys that no image reaches at
+    # this point; those columns are zero here, and dropping them must give
+    # the point's own overflow block, in order
+    live = sorted({c for row in at for c, _v in row if c < over})
+    assert len(live) == direct_over
+    col = {c: i for i, c in enumerate(live)}
+    den = math.lcm(*(x.denominator for w in point
+                     for x in ((w.p, w.q) if isinstance(w, QuadExt) else (w,))))
+    assert [
+        tuple([(col[c] if c < over else c - over + direct_over, _value_over(v, den))
+               for c, v in row])
+        for row in at
+    ] == constant_rows(rows)
+    if phi == 0:
+        return
+    # the capped coboundaries equal the route through images built at p
+    q = replace(p, caps=caps)
+    expected = []
+    if images:
+        reduced, pivots = rref(constant_rows(rows))
+        expected = [tuple([(c - direct_over, v) for c, v in row])
+                    for row, piv in zip(reduced, pivots) if piv >= direct_over]
+    assert engine._cob_vectors_in_caps(q) == expected
+
+
+# ---------------------------------------------------------------------------
 # the one row format: (column, value) pairs, ascending columns, no zeros
 # ---------------------------------------------------------------------------
 
@@ -349,8 +424,10 @@ def test_every_row_producer_emits_sparse_rows(p):
     point = template_point(p)
     concrete = template.concrete_rows(point)
     cob_rows, _over = coeff_rows([witness_coeff_map(w) for w in coboundary_span(p)], keys)
+    cob_template, _over = engine._cob_template(p.shape, p.caps, p.sector)
     # each producer is checked before its output feeds the kernel
-    for produced in (system.rows, rows, template.rows, concrete, cob_rows, constant_rows(cob_rows)):
+    for produced in (system.rows, rows, template.rows, concrete, cob_rows, constant_rows(cob_rows),
+                     cob_template.rows, cob_template.concrete_rows(point)):
         _assert_sparse_rows(produced)
     if not any(isinstance(w, QuadExt) for w in point):
         # integer numerators over the point's common denominator

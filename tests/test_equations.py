@@ -20,8 +20,8 @@ from wbext.equations import (
     template_point,
     unknown_basis,
 )
-from wbext.linalg import nullspace, rank
-from wbext.poly import D, L, MultiPoly
+from wbext.linalg import _Root, nullspace, rank
+from wbext.poly import D, L, U, MultiPoly
 from wbext.problems import Caps, ExtProblem
 from wbext.qext import QuadExt, quad
 
@@ -174,6 +174,20 @@ def _template(shape, caps, sector):
     )
 
 
+def _point_den(point) -> int:
+    """The common denominator of a point's rational and irrational parts."""
+    parts = [x for w in point for x in ((w.p, w.q) if isinstance(w, QuadExt) else (w,))]
+    return math.lcm(*(x.denominator for x in parts))
+
+
+def _over(num, den):
+    """A numerator of :meth:`LinearSystem.concrete_rows` divided by ``den``."""
+    if type(num) is _Root:
+        return quad(Fraction(num.a, den), Fraction(num.b, den), num.disc)
+    assert type(num) is int
+    return Fraction(num, den)
+
+
 @settings(max_examples=150, deadline=None)
 @given(_weighted_problems())
 def test_template_at_a_point_equals_the_direct_build_there(p):
@@ -181,14 +195,26 @@ def test_template_at_a_point_equals_the_direct_build_there(p):
     direct = assemble_linear_system(build_equations_env(p.shape, p.env(), p.caps, p.sector), keys)
     point = template_point(p)
     rows = _template(p.shape, p.caps, p.sector).concrete_rows(point)
+    # each entry is a numerator over the point's common denominator: an
+    # integer at a rational point, an a + b*sqrt(D) numerator where the
+    # irrational part survives at a Q(sqrt D) point
     if not any(isinstance(w, QuadExt) for w in point):
-        # at a rational point each entry is an integer numerator over the
-        # point's common denominator
-        den = math.lcm(*(w.denominator for w in point))
         assert all(type(v) is int for row in rows for _c, v in row)
-        rows = [tuple([(c, Fraction(v, den)) for c, v in row]) for row in rows]
+    den = _point_den(point)
+    rows = [tuple([(c, _over(v, den)) for c, v in row]) for row in rows]
     # value for value, Fraction against QuadExt included, and row for row
     assert rows == constant_rows(direct.rows)
+
+
+def test_concrete_rows_refuses_weights_in_two_quadratic_fields():
+    caps = Caps(3, 2, 3, 3)
+    template = _template(3, caps, "full")
+    # (b, alpha, abar, delta, dbar) with delta = sqrt(2) and dbar = sqrt(3)
+    with pytest.raises(ValueError, match=r"mixed quadratic fields: sqrt\(2\) vs sqrt\(3\)"):
+        template.concrete_rows((Fraction(1), Fraction(0), Fraction(0), quad(0, 1, 2), quad(0, 1, 3)))
+    # one field is fine, and an irrational entry arrives as a numerator
+    rows = template.concrete_rows((Fraction(1), Fraction(0), Fraction(0), quad(0, 1, 2), quad(1, 1, 2)))
+    assert any(type(v) is _Root and v.disc == 2 for row in rows for _c, v in row)
 
 
 def test_template_values_are_integer_tuples_over_the_weights():
@@ -214,6 +240,10 @@ def test_weight_symbols_refuse_a_product_of_two_weights():
         (0, 0, 0): (0, -3, 0),
         (0, 2, 0): (0, 0, -1),
     }
+    # a witness part, free of u, groups by (d, l) alone
+    assert dict((alpha * D + L).coeffs_by(("d", "l"))) == {(1, 0): (0, 1, 0), (0, 1): (1, 0, 0)}
+    with pytest.raises(ValueError):
+        (alpha * U).coeffs_by(("d", "l"))
     with pytest.raises(TypeError):
         alpha * delta
     with pytest.raises(TypeError):

@@ -4,6 +4,7 @@ The kernel reads and writes sparse ``(column, value)`` rows; these tests
 write their matrices densely and convert at the boundary.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wbext.linalg import RowSpace, nullspace, rank, rref
+from wbext.linalg import RowSpace, _Root, nullspace, rank, rref
 from wbext.qext import QuadExt, quad
 
 
@@ -267,3 +268,67 @@ _QUADRATIC_LARGE = st.one_of(_LARGE, st.builds(lambda p, q: quad(p, q, 19), _LAR
 @given(_matrices(_QUADRATIC_LARGE, max_size=12))
 def test_kernel_matches_dense_reference_quadratic_large(case):
     _check_kernel(*case)
+
+
+# ---------------------------------------------------------------------------
+# Z[sqrt D] numerators over a left-out denominator, as concrete_rows hands them
+# ---------------------------------------------------------------------------
+
+
+def _common_den(rows) -> int:
+    parts = [x for row in rows for v in row
+             for x in ((v.p, v.q) if type(v) is QuadExt else (Fraction(v),))]
+    return math.lcm(1, *(x.denominator for x in parts))
+
+
+def _numerators(row, den) -> tuple:
+    """A sparse row times ``den``, each value an ``int`` or a ``_Root``."""
+    out = []
+    for c, v in row:
+        if type(v) is QuadExt:
+            out.append((c, _Root(int(v.p * den), int(v.q * den), v.disc)))
+        else:
+            out.append((c, int(Fraction(v) * den)))
+    return tuple(out)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_matrices(_QUADRATIC_LARGE, max_size=10))
+def test_kernel_reads_root_numerators_as_the_values_they_stand_for(case):
+    rows, ncols, vec = case
+    sparse = _sparse_rows(rows)
+    den = _common_den(rows)
+    roots = [_numerators(row, den) for row in sparse]
+    assert rref(roots) == rref(sparse)
+    assert nullspace(roots, ncols) == nullspace(sparse, ncols)
+    by_value, by_root = RowSpace(), RowSpace()
+    for a, b in zip(sparse, roots):
+        assert by_value.add(a) == by_root.add(b)
+    assert by_root.rows == by_value.rows
+    residue = by_value.reduce(_sparse(vec))
+    assert by_root.reduce(_sparse(vec)) == residue
+    # a vector of numerators reduces to its residue times its denominator
+    vden = _common_den([vec])
+    assert by_value.reduce(_numerators(_sparse(vec), vden)) == tuple(
+        [(c, v * vden) for c, v in residue]
+    )
+
+
+def _root_value(v):
+    return quad(v.a, v.b, v.disc) if type(v) is _Root else Fraction(v)
+
+
+_NONZERO = st.integers(-(10**6), 10**6).filter(bool)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-(10**6), 10**6), _NONZERO, st.integers(-(10**6), 10**6), _NONZERO)
+def test_root_addition_agrees_with_quadext(a, b, c, d):
+    x, y = _Root(a, b, 19), _Root(c, d, 19)
+    assert _root_value(x + y) == quad(a, b, 19) + quad(c, d, 19)
+    assert _root_value(x + c) == _root_value(c + x) == quad(a, b, 19) + c
+    # ``sum`` starts from the int 0, as the solver's self-check does
+    assert _root_value(sum([x, c, y])) == quad(a, b, 19) + c + quad(c, d, 19)
+    # the irrational part cancels to an int, which alone can equal 0
+    assert x + _Root(-a, -b, 19) == 0
+    assert type(x + _Root(c, -b, 19)) is int
