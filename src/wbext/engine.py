@@ -22,7 +22,7 @@ tests every capped coboundary against the equations, runs in the same
 numerators: each coboundary is scaled once to its own.
 
 :func:`coboundary_span_env` is the one construction of the change-of-basis
-images, for the templates and for the scanner's lines alike, reading
+images, for the solver's templates and the scanner's alike, reading
 ``d**j`` and ``(d+l)**j`` from the slot powers the equation builds share
 (``equations._powers``), and :func:`coeff_rows` the one layout of
 ``{unknown key: coefficient}`` maps as rows; the scanner and the replay
@@ -67,9 +67,9 @@ __all__ = [
 def witness_coeff_map(w: CocycleWitness) -> dict:
     """Flatten a witness into {(part, d-degree, l-degree): coefficient}.
 
-    Coefficients are constants for a concrete problem, polynomials in t for
-    a scan line, and integer tuples over the weights for the images'
-    template (see :func:`_cob_template`).
+    Coefficients are constants for a concrete problem, and integer tuples
+    over the symbols for a template: the images' (see :func:`_cob_template`)
+    and a scan line's (see :mod:`wbext.scanner`).
     """
     coeffs = {}
     for name, poly in w.parts().items():
@@ -117,7 +117,8 @@ def coboundary_span_env(shape: int, env: dict, phi_cap: int) -> list[CocycleWitn
     Shape 1 admits a single move (the one-dimensional summand has no free
     parameter beyond scale); shapes 2 and 3 get one image per monomial
     ``d**j`` up to ``phi_cap``.  Parameters come from a polynomial
-    environment, so a weight promoted to the scan variable t flows through.
+    environment, so affine weight symbols, the scan variable t among them,
+    flow through.
     Zero images are dropped.
     """
     alpha, delta = env["alpha"], env["delta"]

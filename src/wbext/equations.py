@@ -11,10 +11,10 @@ coefficients ``c_k``.  Keys are ``("f", j, k)`` for the coefficient of
 ``d^j l^k`` in f, likewise ``("g", j, k)`` and ``("h", j, 0)``.
 
 :func:`build_equations_env` is the one transcription.  It works over a
-parameter environment whose values are polynomials, so a weight promoted to
-the scan variable ``t`` flows through unchanged, and so do affine parameter
-symbols.  :func:`build_equations` runs it once per (shape, caps, sector) with
-every weight a symbol, and :func:`assemble_linear_system` lays the result
+parameter environment whose values are polynomials, so constant weights and
+affine parameter symbols (:func:`affine_symbols`) flow through alike.
+:func:`build_equations` runs it once per (shape, caps, sector) with every
+weight a symbol, and :func:`assemble_linear_system` lays the result
 out as a template: the sparse rows of a direct build, in the same order,
 each value a tuple of ints ``(c0, c_1, ..., c_k)`` standing for ``c0 + sum
 c_i w_i`` over the weights ``w_i`` of :func:`template_point`.
@@ -22,7 +22,9 @@ c_i w_i`` over the weights ``w_i`` of :func:`template_point`.
 weights, to numerators in Z, or in Z[sqrt D] at a Q(sqrt D) point;
 :mod:`wbext.engine` keeps the templates in a 32-entry LRU cache, filled on
 first use, and lays out its basis-change images from the same symbols
-(:func:`template_env`) as a second template.
+(:func:`template_env`) as a second template.  :mod:`wbext.scanner` builds
+its scan lines' templates the same way, with the scan variable ``t`` and the
+line's parameters as the symbols.
 
 The template is exact, not interpolated: the symbol type supports only
 ``+``, ``-`` and ``*`` by a parameter-free polynomial and raises on a product
@@ -52,6 +54,7 @@ __all__ = [
     "build_equations",
     "build_equations_env",
     "LinearSystem",
+    "affine_symbols",
     "assemble_linear_system",
     "constant_rows",
     "template_env",
@@ -131,7 +134,8 @@ class _Powers:
 
 # The powers and slot products depend only on the cap and MultiPoly is
 # immutable, so every build at one cap shares them, the engine's templates
-# and the scanner's line builds alike; a solve and its caps+2 re-run use two.
+# and the scanner's line templates alike; a solve and its caps+2 re-run use
+# two.
 # The engine's basis-change images read ``d**j`` and ``(d+l)**j`` here too,
 # at the phi cap.
 @lru_cache(maxsize=16)
@@ -220,11 +224,17 @@ def template_point(p: ExtProblem) -> tuple:
     return tuple(scalar(getattr(p, name)) for name in _weights(p.shape, p.sector))
 
 
+def affine_symbols(names) -> dict:
+    """Each of ``names`` as an affine symbol; a template value built from
+    them is ``(c0, c_1, ..., c_k)`` with ``c_i`` the coefficient of
+    ``names[i - 1]``."""
+    return {name: _Affine.symbol(i, len(names)) for i, name in enumerate(names)}
+
+
 def template_env(shape: int, sector: str) -> dict:
     """Every weight of a (shape, sector) system as an affine symbol, in the
     order of :func:`template_point`."""
-    names = _weights(shape, sector)
-    return {name: _Affine.symbol(i, len(names)) for i, name in enumerate(names)}
+    return affine_symbols(_weights(shape, sector))
 
 
 def build_equations(shape: int, caps: Caps, sector: str) -> list:
@@ -354,9 +364,9 @@ class LinearSystem:
 
     ``rows`` are sparse rows (see :mod:`wbext.linalg`), held as tuples so a
     cached system cannot be changed through them.  Their values are
-    ``MultiPoly`` (constants, or polynomials in t on a scan line), or, in a
-    template built from the symbols of :func:`template_env`, integer tuples
-    over the weights of :func:`template_point`.
+    ``MultiPoly`` in a direct build (constants at a concrete problem), or,
+    in a template built from affine symbols, integer tuples over them: over
+    the weights of :func:`template_point` for those of :func:`template_env`.
     """
 
     rows: tuple

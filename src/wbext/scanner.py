@@ -7,11 +7,17 @@ parameters vanish, which loses nothing, since an equal shift of alpha and
 abar moves no dimension.  The cocycle system then has entries in Q[t] and
 splits into independent blocks by part and degree.
 
-Each line is lowered once, straight from its ``MultiPoly`` entries, to the
-package's one sparse row format (see :mod:`wbext.linalg`) over Z[t]: every
-row is scaled by a positive constant to integer coefficients, so a value is
-a tuple of ``int`` coefficients of a non-zero polynomial in Z[t].  Scaling
-a row moves no rank, at t or at any point.  A line keeps one list of
+The systems of every line with one (caps, sector, chart) are built once, as
+an integer template (:func:`_line_template`): the one transcription of the
+equations and of the basis-change images runs with the scan variable t and
+the line's ``b`` and ``diff`` as affine symbols, so each entry is ``c0 +
+c_b*b + c_diff*diff + c_t*t`` with integer coefficients.  A line evaluates
+it at its (b, diff) to the package's one sparse row format (see
+:mod:`wbext.linalg`) over Z[t]: every row is scaled by a positive constant
+to primitive integer coefficients, so a value is a tuple of ``int``
+coefficients of a non-zero polynomial in Z[t], and the rows are those of
+the line's direct build so scaled.  Scaling a row moves no rank, at t or
+at any point.  A line keeps one list of
 matrices (the equation blocks, then the full and the overflow coboundary
 matrices) and one formula that turns their ranks into an ext dimension.
 That list feeds two consumers:
@@ -52,7 +58,12 @@ from math import comb, gcd, isqrt, lcm
 from operator import mul
 
 from . import engine
-from .equations import assemble_linear_system, build_equations_env, unknown_basis
+from .equations import (
+    affine_symbols,
+    assemble_linear_system,
+    build_equations_env,
+    unknown_basis,
+)
 from .linalg import rank as matrix_rank
 from .oracle import verify_witness_env
 from .poly import MultiPoly, T, UniPoly
@@ -103,7 +114,7 @@ class ScanProblem:
                 "scan lines have zero shifts alpha = abar = 0; an equal shift "
                 "of both moves no dimension, so scan the unshifted line"
             )
-        for name in ("delta", "dbar"):
+        for name in ("b", "delta", "dbar"):
             if isinstance(getattr(self.base, name), QuadExt):
                 raise ValueError("scan lines must have rational parameters")
 
@@ -119,13 +130,16 @@ class ScanProblem:
 
     def weights_at(self, t0):
         """(delta, dbar) at t = t0: a concrete point, or the scan variable T."""
-        if self.promote == "dbar":
-            return (t0 + self.diff, t0)
-        return (t0, t0 - self.diff)
+        return _chart(self.promote, t0, self.diff)
 
     def specialize(self, t0) -> ExtProblem:
         delta, dbar = self.weights_at(t0)
         return replace(self.base, delta=delta, dbar=dbar)
+
+
+def _chart(promote: str, t, diff):
+    """(delta, dbar) on the line delta - dbar = diff in the ``promote`` chart."""
+    return (t + diff, t) if promote == "dbar" else (t, t - diff)
 
 
 def scan_dbar(b, diff, sector="full", caps=None) -> ScanProblem:
@@ -175,35 +189,6 @@ class ScanReport:
 # ---------------------------------------------------------------------------
 # integer row form over Z[t]
 # ---------------------------------------------------------------------------
-
-def _int_rows(rows) -> list:
-    """Lower sparse rows (see :mod:`wbext.linalg`) of ``MultiPoly`` values in t
-    to sparse rows of integer coefficient tuples.
-
-    The value ``(c0, c1, ..., ck)`` stands for ``c0 + c1*t + ... + ck*t^k``
-    with ``ck != 0``.  Each row is multiplied by the positive constant that
-    clears its denominators and divides out the gcd of its coefficients,
-    which moves no rank, at t or at any point.
-    """
-    out = []
-    for row in rows:
-        den = 1
-        for _j, e in row:
-            for exps, c in e.terms.items():
-                if exps[0] or exps[1] or exps[2] or isinstance(c, QuadExt):
-                    raise ValueError(f"scan entries must be rational polynomials in t: {e}")
-                den = lcm(den, c.denominator)
-        content = 0
-        lowered = []
-        for j, e in row:
-            cs = [0] * (max(exps[3] for exps in e.terms) + 1)
-            for exps, c in e.terms.items():
-                cs[exps[3]] = c.numerator * (den // c.denominator)
-                content = gcd(content, cs[exps[3]])
-            lowered.append((j, cs))
-        out.append(tuple((j, tuple(c // content for c in cs)) for j, cs in lowered))
-    return out
-
 
 def _mul(a, b):
     if not a or not b:
@@ -271,7 +256,7 @@ def _gcd(a, b):
 def fraction_free_rank(rows) -> tuple[int, list]:
     """Bareiss elimination over Z[t]; returns (rank, pivot polynomials).
 
-    ``rows`` are sparse rows over Z[t] (see :func:`_int_rows`), worked as
+    ``rows`` are sparse rows over Z[t] (see :func:`_lower`), worked as
     ``{column: coefficient tuple}`` dicts over the occupied columns in
     ascending order.  Each new entry is ``(pivot*a - c*b) / previous
     pivot``, a minor of the input and hence in Z[t], so every division is
@@ -326,8 +311,8 @@ class _LineData:
 
     ``matrices`` holds ``(rows, generic rank, last pivot)`` for the equation
     blocks, then the full and the overflow coboundary matrices, every one in
-    the sparse Z[t] rows of :func:`_int_rows` (:func:`_rows_at` evaluates
-    them at a point).  The last pivot, None for a matrix of rank 0, is the
+    the sparse Z[t] rows of :func:`_lower` (:func:`_rows_at` evaluates them
+    at a point).  The last pivot, None for a matrix of rank 0, is the
     minor that keeps the generic rank wherever it does not vanish.
     ``pivots`` are the pivot polynomials of all of them, in that order: the
     certificate input.
@@ -348,11 +333,71 @@ class _LineData:
         return self.ext_dim([rank for _rows, rank, _last in self.matrices])
 
 
-def _symbolic_system(sp: ScanProblem):
-    keys = unknown_basis(3, sp.base.caps, sp.base.sector)
-    idents = build_equations_env(3, sp.env_t(), sp.base.caps, sp.base.sector)
-    system = assemble_linear_system(idents, keys)
-    return keys, _int_rows(system.rows)
+def _line_env(sector: str, promote: str) -> dict:
+    """The parameter environment of every line with this sector and chart:
+    zero shifts, and ``(delta, dbar)`` in the chart, with the scan variable
+    t, ``diff`` and (outside the f sector, where it never enters) ``b`` as
+    affine symbols, in template order ``(b, diff, t)``."""
+    env = affine_symbols(("diff", "t") if sector == "f" else ("b", "diff", "t"))
+    env["delta"], env["dbar"] = _chart(promote, env.pop("t"), env.pop("diff"))
+    env["alpha"] = env["abar"] = 0
+    return env
+
+
+# One template per (caps, sector, chart), shared by every line with that
+# key.  classify meets 2 keys, (caps, full, dbar) and (caps, f, dbar), and
+# ``wbext scan --promote delta`` one more.  At the default caps a full
+# template's rows take 0.06 MB, an f template's 0.04 MB and a g template's
+# 0.02 MB, their values shared tuples.
+@lru_cache(maxsize=8)
+def _line_template(caps: Caps, sector: str, promote: str) -> tuple:
+    """``(keys, equation rows, image rows, overflow width)`` of every line
+    with this key, each value an integer tuple ``(c0, c_b, c_diff, c_t)``
+    (no ``c_b`` in the f sector).
+
+    Built by the one transcription of each system, :func:`build_equations_env`
+    and :func:`engine.coboundary_span_env`, over :func:`_line_env`; the images
+    are laid out overflow-first by :func:`engine.coeff_rows`, so the overflow
+    block holds every out-of-cap key some line reaches, and the g sector has
+    none (basis moves never produce g-parts).
+    """
+    env = _line_env(sector, promote)
+    keys = unknown_basis(3, caps, sector)
+    system = assemble_linear_system(build_equations_env(3, env, caps, sector), keys)
+    images, over = [], 0
+    if sector != "g":
+        span = engine.coboundary_span_env(3, env, caps.phi)
+        images, over = engine.coeff_rows([engine.witness_coeff_map(w) for w in span], keys)
+    return keys, system.rows, tuple(images), over
+
+
+def _lower(rows, point) -> list:
+    """Template rows on the line at ``point`` = (b, diff), or (diff,) in the
+    f sector, as sparse rows (see :mod:`wbext.linalg`) over Z[t].
+
+    The value ``(c0, c1, ..., ck)`` stands for ``c0 + c1*t + ... + ck*t^k``
+    with ``ck != 0``.  Each entry is evaluated times the common denominator
+    of ``point``, one dot product for its constant term, and each row is
+    then divided by the gcd of its coefficients: the primitive positive
+    scaling of the line's own rows, which moves no rank, at t or at any
+    point.  Entries and then rows that vanish on the line are dropped.
+    """
+    den = lcm(*(w.denominator for w in point))
+    nums = (den, *[w.numerator * (den // w.denominator) for w in point])
+    out = []
+    for row in rows:
+        lowered = []
+        for j, vec in row:
+            # map stops at the end of nums, before the last component, c_t
+            c0, ct = sum(map(mul, vec, nums)), vec[-1] * den
+            if ct:
+                lowered.append((j, (c0, ct)))
+            elif c0:
+                lowered.append((j, (c0,)))
+        if lowered:
+            content = gcd(*[c for _j, e in lowered for c in e])
+            out.append(tuple([(j, tuple([c // content for c in e])) for j, e in lowered]))
+    return out
 
 
 def _block_split(keys, rows):
@@ -382,28 +427,26 @@ def _block_split(keys, rows):
     return blocks
 
 
-def _cob_rows_t(sp: ScanProblem, keys):
-    """Basis-change image matrix over Z[t], columns ordered overflow-first."""
-    if sp.base.sector == "g":
-        return [], []
-    span = engine.coboundary_span_env(3, sp.env_t(), sp.base.caps.phi)
-    rows, over = engine.coeff_rows([engine.witness_coeff_map(w) for w in span], keys)
-    full_rows = _int_rows(rows)
+def _cob_rows_t(images, over, point):
+    """Basis-change image matrix over Z[t], columns ordered overflow-first,
+    and its overflow block."""
+    full_rows = _lower(images, point)
     return full_rows, [tuple((j, e) for j, e in row if j < over) for row in full_rows]
 
 
 # Each line is built once and then re-read by its own special_values,
 # line_family and ext_dim_at calls, and by ``wbext scan``'s family pass; the
-# lines of one classify share nothing (8 seeded classifies: 804 hits, 39
-# misses, one per line).  Eviction keeps a long sweep over b bounded.
+# lines of one classify share only their template (8 seeded classifies: 804
+# hits, 39 misses, one per line).  Eviction keeps a long sweep over b bounded.
 @lru_cache(maxsize=16)
 def _line_data(sp: ScanProblem) -> _LineData:
-    keys, rows = _symbolic_system(sp)
-    blocks = _block_split(keys, rows)
+    keys, equations, images, over = _line_template(sp.base.caps, sp.base.sector, sp.promote)
+    point = (sp.diff,) if sp.base.sector == "f" else (Fraction(sp.base.b), sp.diff)
+    blocks = _block_split(keys, _lower(equations, point))
     matrices = []
     pivots = []
     g_rank = 0
-    for part, mat in blocks + [(None, cob) for cob in _cob_rows_t(sp, keys)]:
+    for part, mat in blocks + [(None, cob) for cob in _cob_rows_t(images, over, point)]:
         rank, piv = fraction_free_rank(mat)
         matrices.append((mat, rank, piv[-1] if piv else None))
         pivots.extend(piv)

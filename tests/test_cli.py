@@ -554,6 +554,8 @@ for argv in (
     "scan --b -2/3 --sector full --json",
     "scan --b 5 --sector full --json",
     "scan --b 2 --sector f --promote delta --diff 2",
+    "scan --b 3 --sector full --promote delta --json",
+    "scan --b -2/3 --sector g --promote delta --json",
 ):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -570,6 +572,8 @@ _PINNED_OUTPUT_HASHES = [
     "2ccc2458508cc3e5fbe307a2db526b39301fea85cbf427fa799b8bec1e2cf49f",
     "88c21d00c6addfb6a1c708158cbfc88f4601ba83dd2b36768e051ec95e1678c0",
     "bfb451c261d6a02f7cace9a2d0ef8d235f5d30b83f79e6cfdaad17f8393ac007",
+    "fb9da1f30be964ed7f62f037f6ffc79dbbaf94df8abeb499119d7cdb49378894",
+    "3089cc328e299a1c7f5898166dd58b592c4097e2d311895dd9ef5c5ad79fa759",
 ]
 
 

@@ -113,16 +113,22 @@ def test_mutating_returned_rows_cannot_change_the_next_solve():
 
 def test_import_builds_no_template():
     code = (
-        "import wbext, wbext.engine as e, wbext.equations as q\n"
+        "import wbext, wbext.engine as e, wbext.equations as q, wbext.scanner as s\n"
         "sizes = lambda: [c.cache_info().currsize for c in (e._template, e._cob_template)]\n"
-        "print(*sizes(), q._powers.cache_info().currsize)\n"
+        "lines = lambda: s._line_template.cache_info().currsize\n"
+        "print(*sizes(), q._powers.cache_info().currsize, lines())\n"
         "e.solve_core(wbext.ExtProblem(shape=1, b=1, alpha=0, gamma=0, delta=1))\n"
-        "print(*sizes())\n"
+        "print(*sizes(), lines())\n"
+        "s.classify(2)\n"
+        "print(lines())\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "0", "0", "1", "1"]
+    *sizes, line_templates = proc.stdout.split()
+    assert sizes == ["0", "0", "0", "0", "1", "1", "0"]
+    # one classify meets the (caps, full, dbar) and (caps, f, dbar) lines
+    assert 1 <= int(line_templates) <= 2
 
 
 def test_shift_invariance_single_case():

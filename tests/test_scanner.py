@@ -6,11 +6,12 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wbext import engine, oracle, scanner
 from wbext.engine import solve_core, solve_ext
+from wbext.equations import assemble_linear_system, build_equations_env, key_rank
 from wbext.linalg import rank
 from wbext.oracle import verify_witness
 from wbext.poly import MultiPoly, UniPoly
@@ -205,6 +206,18 @@ def test_generic_ext_dim_exposes_pivots():
     assert data.pivots  # elimination always produces at least one pivot here
 
 
+def test_scan_lines_refuse_an_irrational_parameter():
+    """A Q(sqrt D) value of b, delta or dbar is refused when the line is
+    made, before any system is built."""
+    root2 = quad(1, 1, 2)
+    for make in (scan_dbar, scan_delta):
+        for sector in ("full", "f", "g"):
+            with pytest.raises(ValueError, match="rational parameters"):
+                make(root2, 3, sector=sector)
+        with pytest.raises(ValueError, match="rational parameters"):
+            make(2, root2)
+
+
 def test_scan_lines_reject_a_shift():
     """Scan lines are unshifted; an equal shift of both weights moves no
     dimension, so a shifted line is refused rather than scanned."""
@@ -349,6 +362,79 @@ def test_mutating_a_classify_result_raises_and_cannot_leak(mutate):
 
 
 # ---------------------------------------------------------------------------
+# the line template against the direct build over Q[t]
+# ---------------------------------------------------------------------------
+
+
+def _int_rows(rows) -> list:
+    """Sparse rows of ``MultiPoly`` values in t lowered to sparse Z[t] rows:
+    each row times the positive constant that clears its denominators and
+    divides out the gcd of its coefficients, a plain reference."""
+    out = []
+    for row in rows:
+        den = 1
+        for _j, e in row:
+            for exps, c in e.terms.items():
+                assert not (exps[0] or exps[1] or exps[2]), e
+                den = math.lcm(den, c.denominator)
+        content = 0
+        lowered = []
+        for j, e in row:
+            cs = [0] * (max(exps[3] for exps in e.terms) + 1)
+            for exps, c in e.terms.items():
+                cs[exps[3]] = c.numerator * (den // c.denominator)
+                content = math.gcd(content, cs[exps[3]])
+            lowered.append((j, cs))
+        out.append(tuple((j, tuple(c // content for c in cs)) for j, cs in lowered))
+    return out
+
+
+def _image_columns(env, keys):
+    """The column keys of the images built over ``env``, as
+    :func:`engine.coeff_rows` lays them out: out-of-cap keys first."""
+    span = engine.coboundary_span_env(3, env, _SMALL_CAPS.phi)
+    maps = [engine.witness_coeff_map(w) for w in span]
+    inside = set(keys)
+    over = sorted({k for m in maps for k in m if k not in inside}, key=key_rank)
+    return maps, over + list(keys), len(over)
+
+
+def _keyed(rows, columns):
+    return [{columns[j]: e for j, e in row} for row in rows]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    b=st.one_of(st.none(), _SMALL_Q.filter(bool)),
+    diff=_SMALL_Q,
+    sector=st.sampled_from(["full", "f", "g"]),
+    promote=st.sampled_from(["dbar", "delta"]),
+)
+def test_line_template_equals_the_direct_build_on_the_line(b, diff, sector, promote):
+    """The template of a (caps, sector, chart), evaluated on one line, gives
+    the rows of that line's own build over Q[t], scaled to primitive
+    integers: value for value and in order."""
+    assume(b is not None or sector == "f")
+    sp = scanner.ScanProblem(scan_dbar(b, diff, sector=sector, caps=_SMALL_CAPS).base, promote)
+    keys, equations, images, over = scanner._line_template(_SMALL_CAPS, sector, promote)
+    point = (sp.diff,) if sector == "f" else (Fraction(b), sp.diff)
+    env = sp.env_t()
+    direct = assemble_linear_system(build_equations_env(3, env, _SMALL_CAPS, sector), keys)
+    assert scanner._lower(equations, point) == _int_rows(direct.rows)
+    if sector == "g":
+        assert images == () and over == 0
+        return
+    # the template's overflow block may hold keys that are zero on this line
+    _maps, template_columns, width = _image_columns(scanner._line_env(sector, promote), keys)
+    maps, columns, _width = _image_columns(env, keys)
+    direct_images, _over = engine.coeff_rows(maps, keys)
+    assert width == over
+    assert _keyed(scanner._lower(images, point), template_columns) == _keyed(
+        _int_rows(direct_images), columns
+    )
+
+
+# ---------------------------------------------------------------------------
 # the point check at certificate roots
 # ---------------------------------------------------------------------------
 
@@ -460,7 +546,7 @@ def _uni_matrices(draw):
 @given(rows=_uni_matrices())
 def test_integer_bareiss_matches_the_fraction_reference(rows):
     sparse = [tuple((j, e.to_multipoly()) for j, e in enumerate(row) if e) for row in rows]
-    rank, pivots = scanner.fraction_free_rank(scanner._int_rows(sparse))
+    rank, pivots = scanner.fraction_free_rank(_int_rows(sparse))
     ref_rank, ref_pivots = _reference_bareiss(rows)
     assert rank == ref_rank
     # equal up to the row scales: the same primitive parts
