@@ -8,27 +8,28 @@ vectors modulo that intersection to get representatives.
 
 The system is built once per (shape, caps, sector), as an integer affine
 template in the weights (see :mod:`wbext.equations`), and so are the
-change-of-basis images; each is kept in a 32-entry LRU cache that fills on
-first use, never at import.  Each solve evaluates both templates at its
-weights.  That is exact, not an approximation: the weight symbols refuse any
-non-affine product, so a template is affine by construction and its rows
-equal a direct build's at that point, value for value and in order, as
-numerators in Z (or Z[sqrt D] at a Q(sqrt D) point) over the point's common
-denominator.  (The images' template may hold more out-of-cap columns than
-the images at one point reach; those are zero there.)  Those rows go
-straight into the integer elimination kernel of :mod:`wbext.linalg`, which
-builds no ``Fraction`` until it hands back a basis.  The self-check, which
-tests every capped coboundary against the equations, runs in the same
-numerators: each coboundary is scaled once to its own.
+change-of-basis images, in one entry of a 32-entry LRU cache that fills on
+first use, never at import.  Each solve, and the replay tables' class
+check, evaluates them at its weights.  That is exact, not an approximation:
+the weight symbols refuse any non-affine product, so a template is affine
+by construction and its rows equal a direct build's at that point, value
+for value and in order, as numerators in Z (or Z[sqrt D] at a Q(sqrt D)
+point) over the point's common denominator.  (The images' template may hold
+more out-of-cap columns than the images at one point reach; those are zero
+there.)  Those rows go straight into the integer elimination kernel of
+:mod:`wbext.linalg`, which builds no ``Fraction`` until it hands back a
+basis.  The self-check, which tests every capped coboundary against the
+equations, runs in the same numerators: each coboundary is scaled once to
+its own.
 
 :func:`coboundary_span_env` is the one construction of the change-of-basis
 images, for the solver's templates and the scanner's alike, reading
 ``d**j`` and ``(d+l)**j`` from the slot powers the equation builds share
 (``equations._powers``), and :func:`coeff_rows` the one layout of
-``{unknown key: coefficient}`` maps as rows; the scanner and the replay
-tables use both.  Every basis :func:`solve_ext` returns, the scanner's
-special points included, has passed :mod:`wbext.oracle`, which recomputes
-residuals by a route that shares no equation code with this module.
+``{unknown key: coefficient}`` maps as rows.  Every basis :func:`solve_ext`
+returns, the scanner's special points included, has passed
+:mod:`wbext.oracle`, which recomputes residuals by a route that shares no
+equation code with this module.
 Results are immutable, and :func:`solve_ext` keeps them in a bounded cache.
 """
 
@@ -54,7 +55,6 @@ from .poly import D, L, MultiPoly
 from .problems import Caps, CocycleWitness, ExtProblem, ExtSolution
 
 __all__ = [
-    "coboundary_span",
     "coboundary_span_env",
     "coeff_rows",
     "solve_core",
@@ -68,8 +68,8 @@ def witness_coeff_map(w: CocycleWitness) -> dict:
     """Flatten a witness into {(part, d-degree, l-degree): coefficient}.
 
     Coefficients are constants for a concrete problem, and integer tuples
-    over the symbols for a template: the images' (see :func:`_cob_template`)
-    and a scan line's (see :mod:`wbext.scanner`).
+    over the symbols for a template: the images' (see :func:`_template`) and
+    a scan line's (see :mod:`wbext.scanner`).
     """
     coeffs = {}
     for name, poly in w.parts().items():
@@ -82,33 +82,28 @@ def witness_coeff_map(w: CocycleWitness) -> dict:
 
 def witness_from_vector(vec, keys, shape: int) -> CocycleWitness:
     """Rebuild a witness from a sparse vector against an unknown-key list."""
-    parts = {"f": MultiPoly.zero(), "g": MultiPoly.zero(), "h": MultiPoly.zero()}
+    terms = {"f": {}, "g": {}, "h": {}}
     for i, c in vec:
         name, j, k = keys[i]
-        parts[name] = parts[name] + MultiPoly.monomial((j, k, 0, 0), c)
+        terms[name][(j, k, 0, 0)] = c
+    parts = {name: MultiPoly(part) for name, part in terms.items()}
     return CocycleWitness(
         f=parts["f"], g=parts["g"], h=parts["h"] if shape == 2 else None
     )
 
 
-def coeff_rows(maps, keys=()) -> tuple[list, int]:
+def coeff_rows(maps, keys) -> tuple[list, int]:
     """Lay out ``{unknown key: coefficient}`` maps as rows, overflow-first.
 
     Keys outside ``keys`` come first, in :func:`key_rank` order, then
     ``keys`` in their given order, as sparse rows (see :mod:`wbext.linalg`).
-    Returns the rows and the width of the overflow block.  With no ``keys``
-    this is the plain ``key_rank`` layout of every key the maps use.
+    Returns the rows and the width of the overflow block.
     """
     inside = set(keys)
     over = sorted({k for m in maps for k in m if k not in inside}, key=key_rank)
     index = {k: i for i, k in enumerate(over + list(keys))}
     rows = [tuple(sorted((index[key], c) for key, c in m.items())) for m in maps]
     return rows, len(over)
-
-
-def coboundary_span(p: ExtProblem) -> list[CocycleWitness]:
-    """Change-of-basis images of a concrete problem; see :func:`coboundary_span_env`."""
-    return coboundary_span_env(p.shape, p.env(), p.caps.phi)
 
 
 def coboundary_span_env(shape: int, env: dict, phi_cap: int) -> list[CocycleWitness]:
@@ -152,8 +147,8 @@ def _cob_vectors_in_caps(p: ExtProblem) -> list[tuple]:
     image reaches at some point, a superset of those it reaches at ``p``;
     the others are zero columns here, which change no RREF row.
     """
-    template, over = _cob_template(p.shape, p.caps, p.sector)
-    rows = template.concrete_rows(template_point(p))
+    _keys, _equations, images, over = _template(p.shape, p.caps, p.sector)
+    rows = images.concrete_rows(template_point(p))
     if not rows:
         return []
     reduced, pivots = rref(rows)
@@ -162,26 +157,19 @@ def _cob_vectors_in_caps(p: ExtProblem) -> list[tuple]:
 
 
 # A replay of every table meets 14 (shape, caps, sector) keys and the
-# seeded solve_sweep 18; its 18 templates hold 1.3 MB of shared int tuples,
-# and the 18 templates of its basis-change images (the cache below, with
-# the same keys) 0.15 MB more.
+# seeded solve_sweep 18; its 18 entries hold 1.36 MB of shared tuples: 1.20
+# MB of equations, 0.14 MB of basis-change images and 0.06 MB of keys.
 @lru_cache(maxsize=32)
-def _template(shape: int, caps: Caps, sector: str) -> LinearSystem:
-    """The integer affine template of every problem with this key."""
-    return assemble_linear_system(
-        build_equations(shape, caps, sector), unknown_basis(shape, caps, sector)
-    )
-
-
-@lru_cache(maxsize=32)
-def _cob_template(shape: int, caps: Caps, sector: str) -> tuple[LinearSystem, int]:
-    """The basis-change images of every problem with this key, as an integer
-    affine template laid out by :func:`coeff_rows`, and its overflow width."""
-    images = coboundary_span_env(shape, template_env(shape, sector), caps.phi)
-    rows, over = coeff_rows(
-        [witness_coeff_map(w) for w in images], unknown_basis(shape, caps, sector)
-    )
-    return LinearSystem(rows=tuple(rows)), over
+def _template(shape: int, caps: Caps, sector: str) -> tuple:
+    """``(keys, equations, images, overflow width)`` of every problem with
+    this key: the unknown keys, and the equations and the basis-change
+    images as integer affine templates, the images laid out overflow-first
+    by :func:`coeff_rows`."""
+    keys = tuple(unknown_basis(shape, caps, sector))
+    equations = assemble_linear_system(build_equations(shape, caps, sector), keys)
+    span = coboundary_span_env(shape, template_env(shape, sector), caps.phi)
+    images, over = coeff_rows([witness_coeff_map(w) for w in span], keys)
+    return keys, equations, LinearSystem(rows=tuple(images)), over
 
 
 def solve_core(p: ExtProblem) -> ExtSolution:
@@ -192,8 +180,8 @@ def solve_core(p: ExtProblem) -> ExtSolution:
     disagrees with the dimension arithmetic) -- both would mean the
     equations and the basis-change images were transcribed inconsistently.
     """
-    keys = unknown_basis(p.shape, p.caps, p.sector)
-    rows = _template(p.shape, p.caps, p.sector).concrete_rows(template_point(p))
+    keys, equations, _images, _over = _template(p.shape, p.caps, p.sector)
+    rows = equations.concrete_rows(template_point(p))
     cocycles = nullspace(rows, len(keys))
     cob = _cob_vectors_in_caps(p)
     # every capped coboundary against every assembled row, independently of

@@ -20,11 +20,11 @@ each value a tuple of ints ``(c0, c_1, ..., c_k)`` standing for ``c0 + sum
 c_i w_i`` over the weights ``w_i`` of :func:`template_point`.
 :meth:`LinearSystem.concrete_rows` evaluates a template at a problem's
 weights, to numerators in Z, or in Z[sqrt D] at a Q(sqrt D) point;
-:mod:`wbext.engine` keeps the templates in a 32-entry LRU cache, filled on
-first use, and lays out its basis-change images from the same symbols
-(:func:`template_env`) as a second template.  :mod:`wbext.scanner` builds
-its scan lines' templates the same way, with the scan variable ``t`` and the
-line's parameters as the symbols.
+:mod:`wbext.engine` keeps each template in a 32-entry LRU cache, filled on
+first use, in one entry with its basis-change images, laid out from the
+same symbols (:func:`template_env`) as a second template.
+:mod:`wbext.scanner` builds its scan lines' templates the same way, with
+the scan variable ``t`` and the line's parameters as the symbols.
 
 The template is exact, not interpolated: the symbol type supports only
 ``+``, ``-`` and ``*`` by a parameter-free polynomial and raises on a product
@@ -56,7 +56,6 @@ __all__ = [
     "LinearSystem",
     "affine_symbols",
     "assemble_linear_system",
-    "constant_rows",
     "template_env",
     "template_point",
 ]
@@ -383,8 +382,8 @@ class LinearSystem:
         0).  A row scaled by that positive constant has the same kernel,
         RREF and zero test (see :mod:`wbext.linalg`).  Zero entries and
         then empty rows are dropped, so the result is the direct build's
-        rows at that point (lowered by :func:`constant_rows`), value for
-        value and in order, times the common denominator.  Raises
+        rows at that point, each constant ``MultiPoly`` taken as its value,
+        value for value and in order, times the common denominator.  Raises
         ``ValueError`` for weights in two quadratic fields.
         """
         discs = list(dict.fromkeys(w.disc for w in point if isinstance(w, QuadExt)))
@@ -409,11 +408,6 @@ class LinearSystem:
             if entries:
                 out.append(tuple(entries))
         return out
-
-
-def constant_rows(rows) -> list[tuple]:
-    """Sparse rows of constant ``MultiPoly`` values lowered to scalars."""
-    return [tuple([(c, e.constant_value()) for c, e in row]) for row in rows]
 
 
 def assemble_linear_system(identities, unknowns) -> LinearSystem:

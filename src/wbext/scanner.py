@@ -32,8 +32,8 @@ That list feeds two consumers:
   of their square-free primitive parts, is the same.  It is built in Z[t]
   with gcds by the primitive remainder sequence, and
   :func:`uni_factor_special` finds each new factor's rational roots and
-  quadratic factors there too, by exact division; the pivots and the
-  certificate in :class:`ScanReport` are ``UniPoly`` values.
+  quadratic factors there too, by exact division; a line keeps its pivots
+  as ``int`` tuples, the certificate in :class:`ScanReport` is ``UniPoly``.
 * The exact point check :func:`ext_dim_at` at each candidate root t0.  By
   Sylvester's identity every Bareiss pivot is a minor of the input, and
   the last one of a matrix of generic rank r is a non-zero r x r minor.
@@ -315,7 +315,7 @@ class _LineData:
     at a point).  The last pivot, None for a matrix of rank 0, is the
     minor that keeps the generic rank wherever it does not vanish.
     ``pivots`` are the pivot polynomials of all of them, in that order: the
-    certificate input.
+    certificate input.  Pivots are coefficient tuples, like row entries.
     """
 
     nunk: int
@@ -448,6 +448,7 @@ def _line_data(sp: ScanProblem) -> _LineData:
     g_rank = 0
     for part, mat in blocks + [(None, cob) for cob in _cob_rows_t(images, over, point)]:
         rank, piv = fraction_free_rank(mat)
+        piv = [tuple([c.numerator for c in p.coeffs]) for p in piv]
         matrices.append((mat, rank, piv[-1] if piv else None))
         pivots.extend(piv)
         if part == "g":
@@ -489,16 +490,19 @@ def ext_dim_at(sp: ScanProblem, t0) -> int:
     A matrix whose last pivot does not vanish at t0 (or that has none, at
     rank 0) keeps its generic rank there: that pivot is a non-zero minor of
     the generic rank's size, and specialising t raises no rank.  Only the
-    other matrices are evaluated at t0 and ranked exactly.  The result
-    equals solve_ext on the specialized problem (the same integer rows;
-    each row differs from the engine's by a positive constant), at a
-    fraction of the cost; works for Fraction and QuadExt points.
+    other matrices are evaluated at t0 and ranked exactly.  The last pivots
+    are evaluated as one-entry rows, all in one :func:`_rows_at` call, so in
+    integers at a rational t0.  The result equals solve_ext on the
+    specialized problem (the same integer rows; each row differs from the
+    engine's by a positive constant), at a fraction of the cost; works for
+    Fraction and QuadExt points.
     """
     data = _line_data(sp)
+    at = _rows_at([((0, last),) if last else () for _rows, _r, last in data.matrices], t0)
     return data.ext_dim(
         [
-            rank if last is None or last.eval(t0) else matrix_rank(_rows_at(rows, t0))
-            for rows, rank, last in data.matrices
+            rank if last is None or value else matrix_rank(_rows_at(rows, t0))
+            for (rows, rank, last), value in zip(data.matrices, at)
         ]
     )
 
@@ -602,8 +606,7 @@ def _factor_pivots(pivots):
     cert = (1,)
     candidates: list = []
     notes: list = []
-    for piv in pivots:
-        p = tuple(c.numerator for c in piv.coeffs)
+    for p in pivots:
         if len(p) < 2:
             continue
         dp = tuple(k * c for k, c in enumerate(p))[1:]

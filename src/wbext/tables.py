@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import engine
-from .equations import constant_rows
+from .equations import template_point
 from .linalg import rank as matrix_rank
 from .oracle import verify_witness
 from .poly import MultiPoly
@@ -732,11 +732,18 @@ def _classes_match(problem: ExtProblem, listed, basis) -> tuple[bool, str]:
     Checks that the listed witnesses are independent modulo the basis-change
     span and lie inside the span of (basis changes + solver basis) — i.e.
     they represent the same quotient classes, scalar normalization aside.
+    The images are the solver's template at the problem's point; a listed
+    witness with a term outside its columns fails the case.
     """
-    cob = engine.coboundary_span(problem)
-    rows, _ = engine.coeff_rows([engine.witness_coeff_map(w) for w in [*cob, *listed, *basis]])
-    rows = constant_rows(rows)
-    n_cob, n_listed = len(cob), len(cob) + len(listed)
+    keys, _equations, images, over = engine._template(problem.shape, problem.caps, problem.sector)
+    column = {key: over + i for i, key in enumerate(keys)}
+    rows = images.concrete_rows(template_point(problem))
+    n_cob, n_listed = len(rows), len(rows) + len(listed)
+    for w in [*listed, *basis]:
+        coeffs = engine.witness_coeff_map(w)
+        if not coeffs.keys() <= column.keys():
+            return False, f"listed witness {w} has a term outside the caps and sector"
+        rows.append(tuple(sorted((column[key], c.constant_value()) for key, c in coeffs.items())))
     r_cob = matrix_rank(rows[:n_cob])
     r_listed = matrix_rank(rows[:n_listed])
     r_basis = matrix_rank(rows[:n_cob] + rows[n_listed:])

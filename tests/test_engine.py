@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from wbext import engine, oracle
 from wbext.engine import (
-    coboundary_span,
     coboundary_span_env,
     coeff_rows,
     solve_core,
@@ -25,7 +24,6 @@ from wbext.engine import (
 from wbext.equations import (
     assemble_linear_system,
     build_equations_env,
-    constant_rows,
     template_point,
     unknown_basis,
 )
@@ -34,6 +32,17 @@ from wbext.poly import MultiPoly
 from wbext.problems import SHAPE_WEIGHTS, Caps, CocycleWitness, ExtProblem
 from wbext.qext import QuadExt, quad
 from wbext.tables import iter_cases
+
+
+def _constant_rows(rows) -> list[tuple]:
+    """Sparse rows of constant ``MultiPoly`` values lowered to scalars: the
+    reference lowering of a direct build at a concrete problem."""
+    return [tuple([(c, e.constant_value()) for c, e in row]) for row in rows]
+
+
+def _coboundary_span(p: ExtProblem) -> list[CocycleWitness]:
+    """The change-of-basis images built at a concrete problem's weights."""
+    return coboundary_span_env(p.shape, p.env(), p.caps.phi)
 
 
 def test_shape1_known_dimensions():
@@ -95,7 +104,7 @@ def test_mutating_a_result_cannot_corrupt_the_caches(mutate):
 
 def test_mutating_returned_rows_cannot_change_the_next_solve():
     p = ExtProblem(shape=3, b=2, alpha=1, abar=1, delta=4, dbar=1, caps=Caps(4, 3, 4, 4))
-    template = engine._template(p.shape, p.caps, p.sector)
+    keys, template, _images, _over = engine._template(p.shape, p.caps, p.sector)
     before = solve_core(p)
     rows = template.concrete_rows(template_point(p))
     expected = list(rows)
@@ -107,6 +116,7 @@ def test_mutating_returned_rows_cannot_change_the_next_solve():
         template.rows[0] = ()
     with pytest.raises(FrozenInstanceError):
         template.rows = ()
+    assert type(keys) is tuple
     assert template.concrete_rows(template_point(p)) == expected
     assert solve_core(p) == before
 
@@ -114,7 +124,7 @@ def test_mutating_returned_rows_cannot_change_the_next_solve():
 def test_import_builds_no_template():
     code = (
         "import wbext, wbext.engine as e, wbext.equations as q, wbext.scanner as s\n"
-        "sizes = lambda: [c.cache_info().currsize for c in (e._template, e._cob_template)]\n"
+        "sizes = lambda: [e._template.cache_info().currsize]\n"
         "lines = lambda: s._line_template.cache_info().currsize\n"
         "print(*sizes(), q._powers.cache_info().currsize, lines())\n"
         "e.solve_core(wbext.ExtProblem(shape=1, b=1, alpha=0, gamma=0, delta=1))\n"
@@ -126,7 +136,7 @@ def test_import_builds_no_template():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     *sizes, line_templates = proc.stdout.split()
-    assert sizes == ["0", "0", "0", "0", "1", "1", "0"]
+    assert sizes == ["0", "0", "0", "1", "0"]
     # one classify meets the (caps, full, dbar) and (caps, f, dbar) lines
     assert 1 <= int(line_templates) <= 2
 
@@ -176,15 +186,15 @@ def test_solve_core_skips_diagnostics():
 
 def _span_rank(p: ExtProblem) -> int:
     """Dimension of the span of the change-of-basis images."""
-    rows, _ = coeff_rows([witness_coeff_map(w) for w in coboundary_span(p)])
-    return rank(constant_rows(rows))
+    rows, _ = coeff_rows([witness_coeff_map(w) for w in _coboundary_span(p)], ())
+    return rank(_constant_rows(rows))
 
 
 def test_coboundary_span_shape1():
     # the only basis change is v -> v + c*w; nonzero exactly when the shifted
     # action differs, i.e. one direction spanned by alpha + gamma + delta*l
     p = ExtProblem(shape=1, b=1, alpha=0, gamma=0, delta=2)
-    span = coboundary_span(p)
+    span = _coboundary_span(p)
     assert len(span) == 1
     w = span[0]
     assert w.f == MultiPoly.parse("2*l")
@@ -245,12 +255,12 @@ def test_self_check_rejects_a_non_cocycle_coboundary(monkeypatch, p):
         return span(shape, env, phi_cap) + [replace(bad, f=f)]
 
     monkeypatch.setattr(engine, "coboundary_span_env", with_bad)
-    engine._cob_template.cache_clear()
+    engine._template.cache_clear()
     try:
         with pytest.raises(ArithmeticError, match="capped coboundary fails"):
             solve_core(p)
     finally:
-        engine._cob_template.cache_clear()
+        engine._template.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +386,7 @@ def test_image_template_at_a_point_equals_the_images_built_there(case):
     p, phi = case
     caps = replace(p.caps, phi=phi)
     keys = unknown_basis(p.shape, caps, p.sector)
-    template, over = engine._cob_template(p.shape, caps, p.sector)
+    _keys, _equations, template, over = engine._template(p.shape, caps, p.sector)
     point = template_point(p)
     at = template.concrete_rows(point)
     images = coboundary_span_env(p.shape, p.env(), phi)
@@ -393,14 +403,14 @@ def test_image_template_at_a_point_equals_the_images_built_there(case):
         tuple([(col[c] if c < over else c - over + direct_over, _value_over(v, den))
                for c, v in row])
         for row in at
-    ] == constant_rows(rows)
+    ] == _constant_rows(rows)
     if phi == 0:
         return
     # the capped coboundaries equal the route through images built at p
     q = replace(p, caps=caps)
     expected = []
     if images:
-        reduced, pivots = rref(constant_rows(rows))
+        reduced, pivots = rref(_constant_rows(rows))
         expected = [tuple([(c - direct_over, v) for c, v in row])
                     for row, piv in zip(reduced, pivots) if piv >= direct_over]
     assert engine._cob_vectors_in_caps(q) == expected
@@ -425,14 +435,13 @@ def _assert_sparse_rows(rows):
 def test_every_row_producer_emits_sparse_rows(p):
     keys = unknown_basis(p.shape, p.caps, p.sector)
     system = assemble_linear_system(build_equations_env(p.shape, p.env(), p.caps, p.sector), keys)
-    rows = constant_rows(system.rows)
-    template = engine._template(p.shape, p.caps, p.sector)
+    rows = _constant_rows(system.rows)
+    _keys, template, cob_template, _over = engine._template(p.shape, p.caps, p.sector)
     point = template_point(p)
     concrete = template.concrete_rows(point)
-    cob_rows, _over = coeff_rows([witness_coeff_map(w) for w in coboundary_span(p)], keys)
-    cob_template, _over = engine._cob_template(p.shape, p.caps, p.sector)
+    cob_rows, _over = coeff_rows([witness_coeff_map(w) for w in _coboundary_span(p)], keys)
     # each producer is checked before its output feeds the kernel
-    for produced in (system.rows, rows, template.rows, concrete, cob_rows, constant_rows(cob_rows),
+    for produced in (system.rows, rows, template.rows, concrete, cob_rows, _constant_rows(cob_rows),
                      cob_template.rows, cob_template.concrete_rows(point)):
         _assert_sparse_rows(produced)
     if not any(isinstance(w, QuadExt) for w in point):

@@ -204,6 +204,8 @@ def test_generic_ext_dim_exposes_pivots():
     data = scanner._line_data(sp)
     assert data.generic_ext == 1
     assert data.pivots  # elimination always produces at least one pivot here
+    # kept as int coefficient tuples in Z[t], like the row entries
+    assert all(type(p) is tuple and all(type(c) is int for c in p) for p in data.pivots)
 
 
 def test_scan_lines_refuse_an_irrational_parameter():
@@ -460,8 +462,14 @@ def test_point_check_is_exact_at_every_certificate_root(b, diff, sector):
     """Keeping the generic rank where a matrix's last pivot survives gives
     the exact dimension at every root, and so the same scan result."""
     sp = scan_dbar(b, diff, sector=sector, caps=_SMALL_CAPS)
+    lasts = [last for _rows, _r, last in scanner._line_data(sp).matrices if last is not None]
     for t0 in _certificate_roots(sp):
-        assert ext_dim_at(sp, t0) == _exact_ext_dim_at(sp, t0)
+        ranked = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scanner, "matrix_rank", lambda rows: ranked.append(rows) or rank(rows))
+            assert ext_dim_at(sp, t0) == _exact_ext_dim_at(sp, t0)
+        # exactly the matrices whose last pivot vanishes at t0 are ranked
+        assert len(ranked) == sum(1 for last in lasts if not UniPoly(last).eval(t0))
     report = special_values(sp)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scanner, "ext_dim_at", _exact_ext_dim_at)
@@ -476,7 +484,9 @@ def test_quadratic_roots_reach_the_exact_ranks():
     specials = special_values(sp).special_values
     for half in (Fraction(-1, 2), Fraction(1, 2)):
         t0 = quad(Fraction(-5, 2), half, 19)
-        assert any(last is not None and not last.eval(t0) for _rows, _r, last in data.matrices)
+        assert any(
+            last is not None and not UniPoly(last).eval(t0) for _rows, _r, last in data.matrices
+        )
         assert ext_dim_at(sp, t0) == _exact_ext_dim_at(sp, t0) == 1
         assert (t0, 1) in specials
 

@@ -1,10 +1,15 @@
 """Tests for the curated replay suite: case data, runners, and rendering."""
 
 import hashlib
+from dataclasses import replace
 from fractions import Fraction
 
-from wbext.engine import solve_ext
+from wbext import tables
+from wbext.engine import coboundary_span_env, coeff_rows, solve_ext, witness_coeff_map
+from wbext.linalg import rank
 from wbext.oracle import verify_witness
+from wbext.poly import MultiPoly
+from wbext.problems import CocycleWitness
 from wbext.tables import iter_cases, run_case, run_table, table_names
 
 # sha256 of the rendering `wbext replay --table all` prints: every case's
@@ -136,3 +141,76 @@ def test_replay_table_all_output_is_pinned():
     table = run_table("all")
     assert table.passed
     assert hashlib.sha256(table.render().encode()).hexdigest() == _TABLE_ALL_SHA256
+
+
+# ---------------------------------------------------------------------------
+# the class check: listed witnesses against the solver basis
+# ---------------------------------------------------------------------------
+
+
+def _case(case_id):
+    return next(c for c in iter_cases("all") if c.id == case_id)
+
+
+def _reference_ranks(problem, listed, basis) -> list[int]:
+    """The class check's four ranks by the route through the images built at
+    the problem's weights: ``MultiPoly`` images and witnesses, laid out over
+    every key they use and lowered to scalars."""
+    cob = coboundary_span_env(problem.shape, problem.env(), problem.caps.phi)
+    rows, _over = coeff_rows([witness_coeff_map(w) for w in [*cob, *listed, *basis]], ())
+    rows = [tuple([(c, e.constant_value()) for c, e in row]) for row in rows]
+    n_cob, n_listed = len(cob), len(cob) + len(listed)
+    return [rank(rows[:n_cob]), rank(rows[:n_listed]), rank(rows[:n_cob] + rows[n_listed:]),
+            rank(rows)]
+
+
+def test_class_check_ranks_equal_the_images_built_at_each_case(monkeypatch):
+    ranks = []
+
+    def recording(rows):
+        ranks.append(rank(rows))
+        return ranks[-1]
+
+    monkeypatch.setattr(tables, "matrix_rank", recording)
+    cases = [c for c in iter_cases("all") if c.witnesses]
+    assert len(cases) == 62
+    for case in cases:
+        p, basis = case.problem, solve_ext(case.problem).basis
+        ranks.clear()
+        assert tables._classes_match(p, case.witnesses, basis)[0], case.id
+        assert ranks == _reference_ranks(p, case.witnesses, basis), case.id
+
+
+def test_a_listed_coboundary_spans_no_class():
+    p = _case("vir-th4-diff2").problem
+    # the degree-0 move quot - sub = 2*l on this diff-2 line, inside the caps
+    image = coboundary_span_env(p.shape, p.env(), 0)[0]
+    assert image.f == MultiPoly.parse("2*l")
+    assert tables._classes_match(p, (image,), solve_ext(p).basis) == (
+        False, "listed witnesses span only 0 classes, expected 1"
+    )
+
+
+def test_a_listed_non_cocycle_falls_outside_the_basis_span():
+    p = _case("vir-th4-diff2").problem
+    l7 = CocycleWitness(f=MultiPoly.parse("l^7"), g=MultiPoly.zero())
+    assert not verify_witness(p, l7).passed
+    assert tables._classes_match(p, (l7,), solve_ext(p).basis) == (
+        False, "some listed class falls outside the solver's basis span"
+    )
+
+
+def test_a_listed_witness_above_the_caps_fails_its_case():
+    """A caller's case may list a cocycle with a monomial above the caps: the
+    case fails, naming the witness, instead of raising."""
+    case = _case("vir-th4-diff2")
+    p = case.problem
+    (w,) = case.witnesses
+    # a basis-change image of degree phi + 4 is a cocycle, entirely above the caps
+    image = coboundary_span_env(p.shape, p.env(), p.caps.phi + 3)[-1]
+    high = replace(w, f=w.f + image.f)
+    assert verify_witness(p, high).passed
+    result = run_case(replace(case, witnesses=(high,)))
+    assert not result.passed
+    assert result.ext_dim == case.golden_ext
+    assert f"listed witness {high} has a term outside the caps and sector" in result.lines
