@@ -35,7 +35,6 @@ from .scanner import (
     scan_delta,
     special_values,
 )
-from .tables import run_table, table_names
 
 __version__ = "0.1.0"
 
@@ -72,3 +71,13 @@ __all__ = [
     "verify_witness",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    # ``tables`` parses its replay cases when imported, which only the
+    # table functions need, so it is imported on their first use
+    if name in ("run_table", "table_names"):
+        from . import tables
+
+        return getattr(tables, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -5,32 +5,46 @@ alone, with no code shared with the equation builder beyond raw polynomial
 arithmetic.  An element of the extension is a pair ``(top, sub)`` of
 coefficients against the two generators; the generator actions are applied
 literally and the six commutator identities are expanded on both generators.
-Dimensions come from a plain forward elimination written here, so the solver
-and this oracle can only agree when both transcriptions are right.  The
-elimination skips the columns where the pivot row is zero, which changes
-none of its pivots, its field or its result, and it shares no code with the
-solver's sparse kernel in ``linalg``.
+Dimensions come from a plain forward elimination written here (see
+``_rank``), so the solver and this oracle can only agree when both
+transcriptions are right; it shares no code with the solver's sparse kernel
+in ``linalg``.
 
 Memoisation.  ``brute_dims`` builds one model per unit witness, and the split
 extension's action is the same in all of them.  So one memo dict, created by
-each ``brute_dims`` call and dropped when it returns, is shared by its models:
-it holds ``D + alpha + delta*slot`` per (slot, weight pair) and, per
-(generator, slot, top coefficient), the shifted top and the generator's action
-on it.  Each model also substitutes its own f and g at each of the three slots
-L, U and L+U once.  ``verify_witness_env`` and ``verify_witness`` give each
-call a fresh memo, and nothing is cached at module level, so memory is bounded
-by one call.  The checker stays independent: every identity is still composed
-literally from ``apply_gen`` and ``apply_d``, and only pure functions of the
-call's parameters, a generator, a slot and a polynomial are reused.  Nothing
-read from a witness is shared between models.  Keys are object identities
-(hashing a ``MultiPoly`` costs more than the work saved), and every entry holds
-its key objects, so no id is reused while the memo lives.
+each ``brute_dims`` call and dropped when it returns, is shared by its models.
+It holds only pieces that no witness enters:
+
+* the top (quotient) half of every pair.  The identities act on the constant
+  elements ``(1, 0)`` and ``(0, 1)``, and the top of a generator's action, of
+  ``apply_d``, of a difference and of a multiple is computed from tops and
+  parameters alone, so every model meets the same top objects;
+* ``D + alpha + delta*slot`` per (slot, weight pair), the right-hand-side
+  factors ``l - u``, ``-(b*l + u)``, ``l + b*u`` and ``-l``, and the powers of
+  ``d + slot`` that every shift in d is expanded against.
+
+A model keeps its own record of the actions it applied, per (generator,
+slot, element): the identities apply one generator at one slot to the same
+element several times, and the two starting elements are module constants,
+so those repeats are found.  It also substitutes its f and g at each of the
+three slots L, U and L+U once.  Nothing read from a witness is shared between
+models.  ``verify_witness_env`` and ``verify_witness`` give each call a fresh
+memo, and nothing is cached at module level, so memory is bounded by one
+call.  The checker stays independent: every identity is still composed
+literally from ``apply_gen`` and ``apply_d``, every sub half is computed by
+its own model, and only public polynomial arithmetic is used.  Keys
+are object identities (hashing a ``MultiPoly`` costs more than the work
+saved), each kind of entry has its own key space, and every entry holds its
+key objects, so no id is reused while the memo lives.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 from .poly import D, L, MultiPoly, U
 from .problems import Caps, CocycleWitness, ExtProblem
@@ -44,10 +58,13 @@ __all__ = [
 ]
 
 _LU = L + U
-# the generators' unit coefficients, one object each, so that every model of a
-# brute_dims call meets the same keys in the shared memo
+# the generators' unit coefficients and the two elements all_residuals acts
+# on, one object each, so that every model of a brute_dims call meets the
+# same keys in the shared memo and in its own record of applied actions
 _ONE = MultiPoly.const(Fraction(1))
 _ZERO = MultiPoly.zero()
+_TOP = (_ONE, _ZERO)
+_SUB = (_ZERO, _ONE)
 
 
 @dataclass
@@ -75,9 +92,12 @@ class _Model:
     from an environment of constant (or scan-variable) polynomials.
 
     ``memo`` is shared by the models of one call with one environment; it
-    keeps only the witness-free pieces of the action (``_l_coeff`` and
-    ``_top_action``), keyed by the ids of their arguments and holding those
-    arguments.  ``_at_slot`` is the model's own: its f and g at each slot.
+    keeps only witness-free pieces, keyed by a tag and the ids of their
+    arguments and holding those arguments: the quotient (top) half of every
+    pair, the actions' coefficients, the identities' right-hand-side factors
+    and the powers of ``d + slot``.  ``_at_slot`` and ``_applied`` are the
+    model's own: its f and g at each slot, and each generator action it
+    applied.
     """
 
     def __init__(self, shape: int, env: dict, w: CocycleWitness, memo: dict):
@@ -100,15 +120,42 @@ class _Model:
             raise ValueError("h must be a polynomial in d alone")
         self._memo = memo
         self._at_slot = {}  # id(slot) -> (slot, f at slot, g at slot)
+        self._applied = {}  # (gen, id(slot), id(elem)) -> (slot, elem, action)
+
+    def _once(self, tag: str, fn, *args):
+        """``fn(*args)``, computed once per memo; ``args`` are witness-free."""
+        # the tag keeps each kind of entry in its own key space
+        key = (tag, *map(id, args))
+        hit = self._memo.get(key)
+        if hit is None:
+            hit = self._memo[key] = (args, fn(*args))
+        return hit[1]
+
+    def _times(self, c, top):
+        return self._once("mul", operator.mul, c, top)
 
     # an action of L with bracket variable `slot` on the free generator
     def _l_coeff(self, slot, alpha, delta):
-        # three ids; a _top_action key starts with a string, so none collide
-        key = (id(slot), id(alpha), id(delta))
+        return self._once("coeff", _l_action, slot, alpha, delta)
+
+    def _shift_d(self, poly, slot):
+        """``poly`` with d -> d + slot, expanded against the memo's powers of
+        ``d + slot`` (``slot`` is free of d)."""
+        key = ("pow", id(slot))
         hit = self._memo.get(key)
         if hit is None:
-            hit = self._memo[key] = (slot, alpha, delta, D + alpha + delta * slot)
-        return hit[3]
+            hit = self._memo[key] = (slot, [_ONE, D + slot])
+        powers = hit[1]
+        out = {}
+        get = out.get
+        for (k, e1, e2, e3), c in poly.terms.items():
+            while len(powers) <= k:
+                powers.append(powers[-1] * powers[1])
+            for (b0, b1, b2, b3), c2 in powers[k].terms.items():
+                e = (b0, e1 + b1, e2 + b2, e3 + b3)
+                acc = get(e)
+                out[e] = c * c2 if acc is None else acc + c * c2
+        return MultiPoly(out)
 
     def _witness_at(self, slot):
         hit = self._at_slot.get(id(slot))
@@ -119,26 +166,33 @@ class _Model:
 
     def _top_action(self, gen: str, slot, top):
         """(top shifted by slot, gen's action on the top): the quotient's own action."""
-        key = (gen, id(slot), id(top))
+        key = ("top", gen, id(slot), id(top))
         hit = self._memo.get(key)
         if hit is None:
-            shifted = top.shift("d", slot)
+            shifted = self._shift_d(top, slot)
             if gen == "L":
                 new_top = shifted * self._l_coeff(slot, self.alpha, self.delta)
             else:
-                new_top = MultiPoly.zero()
+                new_top = _ZERO
             hit = self._memo[key] = (slot, top, shifted, new_top)
         return hit[2], hit[3]
 
     def apply_d(self, elem):
         top, sub = elem
         if self.shape == 1:
-            return (D * top, self.gamma * sub)
+            return (self._times(D, top), self.gamma * sub)
         if self.shape == 2:
-            return (self.gamma * top, top * self.h + D * sub)
-        return (D * top, D * sub)
+            return (self._times(self.gamma, top), top * self.h + D * sub)
+        return (self._times(D, top), D * sub)
 
     def apply_gen(self, gen: str, slot: MultiPoly, elem):
+        key = (gen, id(slot), id(elem))
+        hit = self._applied.get(key)
+        if hit is None:
+            hit = self._applied[key] = (slot, elem, self._act(gen, slot, elem))
+        return hit[2]
+
+    def _act(self, gen: str, slot: MultiPoly, elem):
         top, sub = elem
         fs, gs = self._witness_at(slot)
         if self.shape == 1:
@@ -150,42 +204,41 @@ class _Model:
             return (new_top, new_sub)
         if self.shape == 2:
             if gen == "L":
-                new_sub = top * fs + sub.shift("d", slot) * self._l_coeff(
+                new_sub = top * fs + self._shift_d(sub, slot) * self._l_coeff(
                     slot, self.alpha, self.delta
                 )
             else:
                 new_sub = top * gs
-            return (MultiPoly.zero(), new_sub)
+            return (_ZERO, new_sub)
         shifted, new_top = self._top_action(gen, slot, top)
         if gen == "L":
-            new_sub = shifted * fs + sub.shift("d", slot) * self._l_coeff(
+            new_sub = shifted * fs + self._shift_d(sub, slot) * self._l_coeff(
                 slot, self.abar, self.dbar
             )
         else:
             new_sub = shifted * gs
         return (new_top, new_sub)
 
-    @staticmethod
-    def _sub(e1, e2):
-        return (e1[0] - e2[0], e1[1] - e2[1])
+    def _sub(self, e1, e2):
+        return (self._once("sub", operator.sub, e1[0], e2[0]), e1[1] - e2[1])
 
-    @staticmethod
-    def _scale(c: MultiPoly, e):
-        return (c * e[0], c * e[1])
+    def _scale(self, c: MultiPoly, e):
+        return (self._times(c, e[0]), c * e[1])
 
     def commutator_residual(self, a: str, bgen: str, elem):
         """[a_l, b_u] applied to elem, minus the bracket's right-hand side."""
         e1 = self.apply_gen(a, L, self.apply_gen(bgen, U, elem))
         e2 = self.apply_gen(bgen, U, self.apply_gen(a, L, elem))
         comm = self._sub(e1, e2)
+        factors = self._once("rhs", _rhs_factors, self.b)
         if a == "L" and bgen == "L":
-            rhs = self._scale(L - U, self.apply_gen("L", _LU, elem))
+            rhs = self._scale(factors["LL"], self.apply_gen("L", _LU, elem))
         elif a == "L" and bgen == "H":
-            rhs = self._scale(-(self.b * L + U), self.apply_gen("H", _LU, elem))
+            rhs = self._scale(factors["LH"], self.apply_gen("H", _LU, elem))
         elif a == "H" and bgen == "L":
-            rhs = self._scale(L + self.b * U, self.apply_gen("H", _LU, elem))
+            rhs = self._scale(factors["HL"], self.apply_gen("H", _LU, elem))
         else:
-            rhs = (MultiPoly.zero(), MultiPoly.zero())
+            rhs = (_ZERO, _ZERO)
         return self._sub(comm, rhs)
 
     def translation_residual(self, a: str, elem):
@@ -194,20 +247,36 @@ class _Model:
         e1 = self.apply_d(a_elem)
         e2 = self.apply_gen(a, L, self.apply_d(elem))
         comm = self._sub(e1, e2)
-        return self._sub(comm, self._scale(-L, a_elem))
+        minus_l = self._once("rhs", _rhs_factors, self.b)["d"]
+        return self._sub(comm, self._scale(minus_l, a_elem))
 
     def all_residuals(self) -> dict:
         gens = ("L",) if self.b is None else ("L", "H")
         if self.b is None and not self.g.is_zero():
             raise ValueError("a nonzero g needs the second generator; supply b")
         out = {}
-        for tag, elem in (("top", (_ONE, _ZERO)), ("sub", (_ZERO, _ONE))):
+        for tag, elem in (("top", _TOP), ("sub", _SUB)):
             for a in gens:
                 for bgen in gens:
                     out[f"[{a},{bgen}] on {tag}"] = self.commutator_residual(a, bgen, elem)
             for a in gens:
                 out[f"[d,{a}] on {tag}"] = self.translation_residual(a, elem)
         return out
+
+
+def _l_action(slot, alpha, delta):
+    return D + alpha + delta * slot
+
+
+def _rhs_factors(b):
+    """The scalars on the identities' right-hand sides: [L_l, L_u] =
+    (l - u) L_{l+u}, [L_l, H_u] = -(b l + u) H_{l+u}, [H_l, L_u] =
+    (l + b u) H_{l+u}, and [d, a_l] = -l a_l.  Without b only L acts."""
+    out = {"LL": L - U, "d": -L}
+    if b is not None:
+        out["LH"] = -(b * L + U)
+        out["HL"] = L + b * U
+    return out
 
 
 def _reject_var(w: CocycleWitness, var: str) -> None:
@@ -268,14 +337,68 @@ def _unit_witness(shape: int, part: str, j: int, k: int) -> CocycleWitness:
 
 
 def _rank(rows) -> int:
-    """Forward elimination over the first field met; no pivoting refinements.
+    """Forward elimination, with no pivoting refinements; ``rows`` are unchanged.
 
-    Dense rows, first non-zero entry of each column as the pivot.  A row
-    update touches only the columns where the pivot row is non-zero: at the
-    others ``a - factor * 0 == a``, so every intermediate row, and with it
-    every pivot and the rank, is what the full-row update gives.
+    Dense rows, first non-zero entry of each column as the pivot, in exact
+    integers.  Each row is multiplied by the lcm of its denominators: a
+    rational row becomes ``int``s, and a row with a ``QuadExt`` entry becomes
+    ``(p, q)`` pairs standing for ``p + q*sqrt(disc)`` in Z[sqrt(disc)], with
+    ``0`` for a zero entry.  An update replaces a row by ``a*row - c*pivot
+    row``, with ``a`` the pivot and ``c`` the row's entry in the pivot column
+    (over Q both are first divided by their gcd), and then divides it by its
+    content.  That is the field update ``row - (c/a)*pivot row`` times a
+    non-zero constant.  Scaling a row by a non-zero
+    constant changes neither which entries are zero nor the span of the rows,
+    so every pivot and the rank are those of the elimination over the field.
+    An update subtracts only at the columns where the pivot row is non-zero:
+    at the others it subtracts zero.
     """
-    work = [list(r) for r in rows]
+    discs = {x.disc for row in rows for x in row if not isinstance(x, (int, Fraction))}
+    if not discs:
+        return _eliminate([_integral(row) for row in rows], _int_update)
+    if len(discs) > 1:
+        raise ValueError(f"entries from two quadratic fields: {sorted(discs)}")
+    (disc,) = discs
+    return _eliminate([_integral_pairs(row) for row in rows], partial(_pair_update, disc))
+
+
+def _integral(row):
+    """``row`` times the lcm of its denominators, as ``int``s."""
+    m = math.lcm(*(x.denominator for x in row))
+    return [x.numerator * (m // x.denominator) for x in row]
+
+
+def _integral_pairs(row):
+    """``row`` times the lcm of its denominators, as ``int`` pairs or ``0``."""
+    parts = [(x, 0) if isinstance(x, (int, Fraction)) else (x.p, x.q) for x in row]
+    m = math.lcm(*(v.denominator for pq in parts for v in pq))
+    return [(int(p * m), int(q * m)) if p or q else 0 for p, q in parts]
+
+
+def _int_update(row, prow, col, support):
+    g = math.gcd(prow[col], row[col])
+    a, c = prow[col] // g, row[col] // g
+    if a != 1:
+        row = [a * x for x in row]
+    for j, p in support:
+        row[j] -= c * p
+    content = math.gcd(*row)
+    return [x // content for x in row] if content > 1 else row
+
+
+def _pair_update(disc, row, prow, col, support):
+    (a0, a1), (c0, c1) = prow[col], row[col]
+    out = [[a0 * x[0] + disc * a1 * x[1], a0 * x[1] + a1 * x[0]] if x else [0, 0] for x in row]
+    for j, (p0, p1) in support:
+        out[j][0] -= c0 * p0 + disc * c1 * p1
+        out[j][1] -= c0 * p1 + c1 * p0
+    content = math.gcd(*(v for e in out for v in e)) or 1
+    return [(e[0] // content, e[1] // content) if e[0] or e[1] else 0 for e in out]
+
+
+def _eliminate(work, update) -> int:
+    """The rank of ``work``; ``update(row, pivot row, col, support)`` returns
+    the row with its entry at ``col`` eliminated."""
     if not work:
         return 0
     ncols = len(work[0])
@@ -290,16 +413,11 @@ def _rank(rows) -> int:
             continue
         work[r], work[piv] = work[piv], work[r]
         prow = work[r]
-        lead = prow[col]
         # columns left of col are zero in every row from r on
-        support = [j for j in range(col, ncols) if prow[j] != 0]
+        support = [(j, prow[j]) for j in range(col, ncols) if prow[j] != 0]
         for i in range(r + 1, len(work)):
-            row = work[i]
-            c = row[col]
-            if c:
-                factor = c / lead
-                for j in support:
-                    row[j] = row[j] - factor * prow[j]
+            if work[i][col]:
+                work[i] = update(work[i], prow, col, support)
         r += 1
         if r == len(work):
             break
@@ -310,7 +428,8 @@ def _columns_to_rows(columns):
     """Transpose a list of {position: value} columns into dense rows."""
     positions = sorted({pos for col in columns for pos in col})
     index = {pos: i for i, pos in enumerate(positions)}
-    rows = [[Fraction(0)] * len(columns) for _ in positions]
+    # most entries are zero, and _rank reads an int zero faster
+    rows = [[0] * len(columns) for _ in positions]
     for c, col in enumerate(columns):
         for pos, val in col.items():
             rows[index[pos]][c] = val

@@ -14,7 +14,7 @@ from wbext import oracle
 from wbext.engine import solve_ext
 from wbext.linalg import rank
 from wbext.oracle import _rank, brute_dims, verify_witness
-from wbext.poly import MultiPoly
+from wbext.poly import D, L, MultiPoly, U
 from wbext.problems import Caps, CocycleWitness, ExtProblem
 from wbext.qext import quad
 
@@ -47,6 +47,23 @@ def test_oracle_imports_only_the_stdlib_poly_and_problems():
             assert name.split(".")[0] in sys.stdlib_module_names, name
     # in particular nothing from linalg, engine, equations or scanner
     assert set(package) <= {"poly", "problems"}, package
+    # and only public polynomial arithmetic: no underscore attribute of a
+    # name taken from poly, such as MultiPoly._clean
+    poly_names = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level and node.module == "poly"
+        for alias in node.names
+    }
+    private = [
+        f"{node.value.id}.{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in poly_names
+        and node.attr.startswith("_")
+    ]
+    assert private == [], private
 
 
 def test_known_witness_passes():
@@ -175,6 +192,48 @@ def test_oracle_rank_matches_linalg_and_transpose(case):
     assert r == _rank([list(col) for col in zip(*rows)])
 
 
+_BIG = st.builds(Fraction, st.integers(-(2**64), 2**64), st.integers(1, 10**6))
+
+
+@st.composite
+def _large_dependent_matrices(draw):
+    """Up to 14 rows with entries up to about 2^64 over 10^6: independent
+    rational rows, then combinations of several of them, which cancel only
+    after one pivot per row combined, all in shuffled order.  The combining
+    coefficients are rational or, in Q(sqrt(2)) and Q(sqrt(19)), quadratic,
+    which mixes ``Fraction`` and ``QuadExt`` rows in one matrix."""
+    disc = draw(st.sampled_from((None, 2, 19)))
+    ncols = draw(st.integers(1, 9))
+    entry = st.one_of(st.just(Fraction(0)), _BIG)
+    base = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         min_size=1, max_size=7))
+    coeff = _BIG.filter(bool)
+    if disc is not None:
+        coeff = st.one_of(coeff, st.builds(lambda p, q: quad(p, q, disc), _BIG, coeff))
+    rows = [list(r) for r in base]
+    for _ in range(draw(st.integers(0, 14 - len(base)))):
+        picks = draw(st.lists(st.integers(0, len(base) - 1), min_size=2, max_size=5))
+        coeffs = draw(st.lists(coeff, min_size=len(picks), max_size=len(picks)))
+        rows.append([
+            sum((c * base[i][j] for c, i in zip(coeffs, picks)), Fraction(0))
+            for j in range(ncols)
+        ])
+    return draw(st.permutations(rows)), base
+
+
+@settings(max_examples=120, deadline=None)
+@given(_large_dependent_matrices())
+def test_oracle_rank_at_scale_matches_linalg_and_transpose(case):
+    rows, base = case
+    before = [list(r) for r in rows]
+    r = _rank(rows)
+    assert rows == before  # the input rows are not eliminated in place
+    assert r == rank([tuple((c, v) for c, v in enumerate(row) if v) for row in rows])
+    assert r == _rank([list(col) for col in zip(*rows)])
+    # the combinations lie in the span of the rational rows, over any field
+    assert r == _rank(base)
+
+
 def _weight(draw, disc):
     """A rational weight or, about half the time, one in Q(sqrt(disc))."""
     if draw(st.booleans()):
@@ -265,3 +324,145 @@ def test_brute_dims_leaves_nothing_for_the_next_call(p2, step):
     with mock.patch.object(oracle, "_residual_column", _unshared_column):
         alone = [brute_dims(p1), brute_dims(p2)]
     assert [brute_dims(p1), brute_dims(p2)] == alone
+
+
+# ---------------------------------------------------------------------------
+# the residuals against the oracle's action composed with no memo at all
+# ---------------------------------------------------------------------------
+
+
+class _LiteralModel:
+    """Reference: the oracle's six identities composed from scratch, with
+    every shift, product, substitution and right-hand side computed afresh
+    on every use and nothing remembered between them."""
+
+    def __init__(self, shape, env, w):
+        self.shape = shape
+        self.alpha = env["alpha"]
+        self.b = env.get("b")
+        self.gamma = env.get("gamma")
+        self.abar = env.get("abar")
+        self.delta = env["delta"]
+        self.dbar = env.get("dbar")
+        self.f = w.f
+        self.g = w.g
+        self.h = w.h if w.h is not None else MultiPoly.zero()
+
+    def apply_d(self, elem):
+        top, sub = elem
+        if self.shape == 1:
+            return (D * top, self.gamma * sub)
+        if self.shape == 2:
+            return (self.gamma * top, top * self.h + D * sub)
+        return (D * top, D * sub)
+
+    def apply_gen(self, gen, slot, elem):
+        top, sub = elem
+        fs, gs = self.f.subst("l", slot), self.g.subst("l", slot)
+        quot = D + self.alpha + self.delta * slot
+        if self.shape == 1:
+            shifted = top.shift("d", slot)
+            new_top = shifted * quot if gen == "L" else MultiPoly.zero()
+            new_sub = (shifted * (fs if gen == "L" else gs)).subst("d", self.gamma)
+            return (new_top, new_sub)
+        if self.shape == 2:
+            if gen == "L":
+                new_sub = top * fs + sub.shift("d", slot) * quot
+            else:
+                new_sub = top * gs
+            return (MultiPoly.zero(), new_sub)
+        shifted = top.shift("d", slot)
+        if gen == "L":
+            sub_act = D + self.abar + self.dbar * slot
+            return (shifted * quot, shifted * fs + sub.shift("d", slot) * sub_act)
+        return (MultiPoly.zero(), shifted * gs)
+
+    @staticmethod
+    def _sub(e1, e2):
+        return (e1[0] - e2[0], e1[1] - e2[1])
+
+    @staticmethod
+    def _scale(c, e):
+        return (c * e[0], c * e[1])
+
+    def commutator_residual(self, a, bgen, elem):
+        e1 = self.apply_gen(a, L, self.apply_gen(bgen, U, elem))
+        e2 = self.apply_gen(bgen, U, self.apply_gen(a, L, elem))
+        comm = self._sub(e1, e2)
+        if a == "L" and bgen == "L":
+            rhs = self._scale(L - U, self.apply_gen("L", L + U, elem))
+        elif a == "L" and bgen == "H":
+            rhs = self._scale(-(self.b * L + U), self.apply_gen("H", L + U, elem))
+        elif a == "H" and bgen == "L":
+            rhs = self._scale(L + self.b * U, self.apply_gen("H", L + U, elem))
+        else:
+            rhs = (MultiPoly.zero(), MultiPoly.zero())
+        return self._sub(comm, rhs)
+
+    def translation_residual(self, a, elem):
+        e1 = self.apply_d(self.apply_gen(a, L, elem))
+        e2 = self.apply_gen(a, L, self.apply_d(elem))
+        return self._sub(self._sub(e1, e2), self._scale(-L, self.apply_gen(a, L, elem)))
+
+    def all_residuals(self):
+        gens = ("L",) if self.b is None else ("L", "H")
+        one, zero = MultiPoly.const(1), MultiPoly.zero()
+        out = {}
+        for tag, elem in (("top", (one, zero)), ("sub", (zero, one))):
+            for a in gens:
+                for bgen in gens:
+                    out[f"[{a},{bgen}] on {tag}"] = self.commutator_residual(a, bgen, elem)
+            for a in gens:
+                out[f"[d,{a}] on {tag}"] = self.translation_residual(a, elem)
+        return out
+
+
+def _assert_same_residuals(got, want):
+    assert list(got) == list(want)
+    for label, (top, sub) in want.items():
+        assert got[label][0] == top, ("top", label)
+        assert got[label][1] == sub, ("sub", label)
+        assert (str(got[label][0]), str(got[label][1])) == (str(top), str(sub)), label
+
+
+@settings(max_examples=30, deadline=None)
+@given(_problems(), st.randoms(use_true_random=False))
+def test_unit_witness_residuals_in_one_memo_equal_the_literal_composition(p, rnd):
+    env = p.env()
+    witnesses = _unit_witnesses(p)
+    rnd.shuffle(witnesses)
+    memo = {}
+    for w in witnesses:
+        got = oracle._Model(p.shape, env, w, memo).all_residuals()
+        _assert_same_residuals(got, _LiteralModel(p.shape, env, w).all_residuals())
+
+
+@st.composite
+def _problems_and_witnesses(draw):
+    """A problem and a witness with random terms inside its caps, almost
+    never a cocycle, so that most identities leave a residual."""
+    p = draw(_problems())
+    coeff = st.one_of(st.just(Fraction(0)), _SMALL)
+
+    def part(name):
+        mono = oracle._monomials(p.shape, name, p.caps)
+        cs = draw(st.lists(coeff, min_size=len(mono), max_size=len(mono)))
+        exps = [(j, 0, 0, 0) if name == "h" else (j, k, 0, 0) for j, k in mono]
+        return MultiPoly(dict(zip(exps, cs)))
+
+    h = part("h") if p.shape == 2 else None
+    return p, CocycleWitness(f=part("f"), g=part("g"), h=h)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_problems_and_witnesses())
+def test_verify_witness_reports_the_literal_residuals(case):
+    p, w = case
+    report = verify_witness(p, w)
+    want = _LiteralModel(p.shape, p.env(), w).all_residuals()
+    _assert_same_residuals(report.residuals, want)
+    violations = [label for label, (top, sub) in want.items() if top or sub]
+    assert report.violations == violations
+    assert report.passed == (not violations)
+    expected = oracle.VerifyReport(passed=not violations, residuals=want, violations=violations)
+    assert str(report) == str(expected)

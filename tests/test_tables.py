@@ -1,8 +1,12 @@
 """Tests for the curated replay suite: case data, runners, and rendering."""
 
 import hashlib
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 from wbext import tables
 from wbext.engine import coboundary_span_env, coeff_rows, solve_ext, witness_coeff_map
@@ -15,6 +19,23 @@ from wbext.tables import iter_cases, run_case, run_table, table_names
 # sha256 of the rendering `wbext replay --table all` prints: every case's
 # dimensions, witness checks and notes, and the summary
 _TABLE_ALL_SHA256 = "c2773d60191fd753b1832ec14267954e80b08ab9fe1089b95ea41321ccb58250"
+
+
+def test_import_wbext_leaves_tables_for_first_use():
+    """``import wbext`` does not parse the replay cases; the package's table
+    functions import ``tables`` when first used."""
+    code = (
+        "import sys, wbext\n"
+        "print('wbext.tables' in sys.modules)\n"
+        "print(wbext.table_names()[-1], wbext.run_table.__module__)\n"
+        "print('wbext.tables' in sys.modules)\n"
+        "from wbext import tables\n"
+        "print(wbext.run_table is tables.run_table)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "all", "wbext.tables", "True", "True"]
 
 
 def test_table_names_lists_every_suite():
