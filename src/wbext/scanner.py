@@ -23,7 +23,12 @@ matrices) and one formula that turns their ranks into an ext dimension.
 That list feeds two consumers:
 
 * Bareiss fraction-free elimination over Z[t] (:func:`fraction_free_rank`),
-  in pure ``int`` arithmetic with exact divisions.  The recorded pivot
+  with every entry packed into one ``int``, its value at t = 2**K
+  (Kronecker substitution), so each step is one integer expression and one
+  ``divmod``.  The width K, from a Hadamard-type bound on every minor, makes
+  the packing unique, reads each entry's degree off its bit length, and
+  lets a bound on the quotient's digits prove each division exact in Z[t],
+  not only in Z; an inexact one raises ``ArithmeticError``.  The recorded pivot
   polynomials certify the result: at any rational or quadratic-irrational
   point where no pivot vanishes, the elimination replays verbatim and the
   dimension equals the generic one, so every jump hides among the
@@ -54,7 +59,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product, zip_longest
-from math import comb, gcd, isqrt, lcm
+from math import comb, gcd, isqrt, lcm, prod
 from operator import mul
 
 from . import engine
@@ -253,50 +258,149 @@ def _gcd(a, b):
         a, b = b, _primitive(a)
 
 
+def _pack(e, k: int) -> int:
+    """The coefficient tuple ``e`` evaluated at t = 2**k."""
+    v = 0
+    for c in reversed(e):
+        v = (v << k) + c
+    return v
+
+
+def _unpack(v: int, k: int) -> tuple:
+    """The coefficient tuple whose value at t = 2**k is ``v``, read in
+    balanced base-2**k digits, each in [-2**(k-1), 2**(k-1))."""
+    half, mask = 1 << (k - 1), (1 << k) - 1
+    out = []
+    while v:
+        c = ((v + half) & mask) - half
+        out.append(c)
+        v = (v - c) >> k
+    return tuple(out)
+
+
+def _packed_step(k: int, m: int, n: int):
+    """The Bareiss row step on entries packed at t = 2**k, with its checked
+    exact division.
+
+    ``step(row, prow, col, prev)`` pops column ``col`` of ``row``, c, and
+    returns the new row ``{j: (pivot*a - c*b) / prev}`` over the other
+    columns, where ``pivot = prow[col]``, a is ``row``'s entry and b is
+    ``prow``'s; zero entries are left out.  Each division must be exact in
+    Z[t], which :func:`fraction_free_rank` reduces to: ``divmod`` leaves no
+    remainder and the quotient has at most ``n`` balanced digits, each in
+    [-2**m, 2**m).  Otherwise it raises ``ArithmeticError``.  The digit
+    test is O(1) big-int operations: adding ``bias``, 2**m in each of the
+    ``n`` digit fields, maps the admissible quotients onto the numbers v
+    with 0 <= v < 2**(k*n) (so ``v >> top`` is 0; it is negative for a
+    negative v) and every field below 2**(m+1) (so no bit of ``mask``,
+    bits m+1 .. k-1 of every field, is set).
+    """
+    ones = ((1 << (k * n)) - 1) // ((1 << k) - 1)  # a 1 in each of n fields
+    bias = ones << m
+    mask = (((1 << k) - 1) ^ ((1 << (m + 1)) - 1)) * ones
+    top = k * n
+
+    def step(row: dict, prow: dict, col, prev: int) -> dict:
+        piv, ci = prow[col], row.pop(col, 0)
+        new = {}
+        for j in (row.keys() | prow.keys()) if ci else row:
+            if j != col:
+                e = piv * row.get(j, 0) - ci * prow.get(j, 0)
+                if e:
+                    q, rem = divmod(e, prev)
+                    v = q + bias
+                    if rem or v & mask or v >> top:
+                        raise ArithmeticError(
+                            f"inexact division in Z[t]: {_unpack(e, k)} by {_unpack(prev, k)}"
+                        )
+                    new[j] = q
+        return new
+
+    return step
+
+
 def fraction_free_rank(rows) -> tuple[int, list]:
     """Bareiss elimination over Z[t]; returns (rank, pivot polynomials).
 
     ``rows`` are sparse rows over Z[t] (see :func:`_lower`), worked as
-    ``{column: coefficient tuple}`` dicts over the occupied columns in
-    ascending order.  Each new entry is ``(pivot*a - c*b) / previous
-    pivot``, a minor of the input and hence in Z[t], so every division is
-    exact in pure ``int`` arithmetic; an inexact one raises
-    ``ArithmeticError``.  At any point t0 where no returned pivot vanishes
-    the same row operations replay over Q, so the specialized rank can
-    differ from the generic one only at pivot roots.  The pivots are those
-    of the same elimination over the unscaled rational rows times non-zero
-    constants (the row scales), so their square-free primitive parts, and
-    with them the certificate, do not depend on the scaling.  Rows that
-    cancel to zero are dropped as they appear.
+    ``{column: entry}`` dicts over the occupied columns in ascending order.
+    Each new entry is ``(pivot*a - c*b) / previous pivot``, a minor of the
+    input and hence in Z[t]; an inexact division raises ``ArithmeticError``.
+    The pivot is the lowest-degree candidate in its column, ties to the
+    first row.  At any point t0 where no returned pivot vanishes the same
+    row operations replay over Q, so the specialized rank can differ from
+    the generic one only at pivot roots.  The pivots are those of the same
+    elimination over the unscaled rational rows times non-zero constants
+    (the row scales), so their square-free primitive parts, and with them
+    the certificate, do not depend on the scaling.  Rows that cancel to
+    zero are dropped as they appear.
+
+    Every entry is packed as one ``int``, its value at t = 2**K
+    (Kronecker substitution).  Evaluation is a ring map, so each step is
+    one integer expression and one ``divmod``; only the pivots are
+    unpacked.  The width K makes this exact:
+
+    * *Width.*  Let H be the product of the n = min(rows, columns) largest
+      row 1-norms, each summed over every coefficient of every entry of
+      the row (so at least 1).  Every minor of size at most n, hence every entry and pivot
+      (Sylvester), has coefficient 1-norm at most H.  With L =
+      H.bit_length() and K = 2L + 3, every numerator ``pivot*a - c*b`` has
+      coefficients of absolute value at most 2*H**2 < 2**(K-2).  Two
+      polynomials with coefficients below 2**(K-1) in absolute value that
+      agree at 2**K are equal (their balanced base-2**K digits), so a
+      packed entry or numerator stands for exactly one polynomial.
+    * *Degree.*  A packed entry v of degree d has top digit 0 < |c_d| <
+      2**L, and its lower digits sum to less than 2**(Kd - L - 2) in
+      absolute value, so 2**(Kd - 1) <= |v| < 2**(Kd + L + 1).  As L + 1 <
+      K, ``v.bit_length() // K`` is exactly d: the pivot rule needs no
+      unpacking.
+    * *Division.*  A zero integer remainder alone is weaker than
+      divisibility in Z[t]: t + 1 packs to a multiple of 3 at every odd K.
+      So each quotient q must also have at most N = maxdeg*n + 2 balanced
+      digits, each in [-2**m, 2**m) with m = L + 1 (see
+      :func:`_packed_step`).  Suppose every entry so far is the packing of
+      the true Bareiss entry, so the numerator E is the true one.  A true
+      quotient, a minor of degree at most maxdeg*n with 1-norm at most H <
+      2**m, passes.  Conversely a q that passes unpacks to R with
+      ``prev*R`` coefficients at most H * 2**m < 2**(K-2) in absolute
+      value; ``prev*R`` and E agree at 2**K, so prev*R = E in Z[t] and R is
+      the true entry.  By induction the check passes exactly when every
+      division is exact in Z[t], as an unpacked division would check.
     """
-    work = [dict(row) for row in rows if row]
+    work = [row for row in rows if row]
+    cols = sorted({j for row in work for j, _e in row})
+    n = min(len(work), len(cols))
+    if not n:
+        return 0, []
+    norms = sorted(sum(abs(c) for _j, e in row for c in e) for row in work)
+    bits = prod(norms[-n:]).bit_length()
+    k = 2 * bits + 3
+    maxdeg = max(len(e) for row in work for _j, e in row) - 1
+    step = _packed_step(k, bits + 1, maxdeg * n + 2)
+    work = [{j: _pack(e, k) for j, e in row} for row in work]
     pivots = []
     r = 0
-    prev = (1,)
-    for col in sorted({j for row in work for j in row}):
+    prev = 1
+    for col in cols:
         if r == len(work):
             break
-        piv_i = None
+        piv_i = low = None
         for i in range(r, len(work)):
             e = work[i].get(col)
-            # the lowest-degree entry; len(e) is its degree plus one
-            if e and (piv_i is None or len(e) < len(work[piv_i][col])):
-                piv_i = i
+            if e:
+                # the lowest-degree entry; bit_length() // k is its degree
+                d = e.bit_length() // k
+                if piv_i is None or d < low:
+                    piv_i, low = i, d
         if piv_i is None:
             continue
         work[r], work[piv_i] = work[piv_i], work[r]
         prow = work[r]
         piv = prow[col]
-        pivots.append(UniPoly(piv))
+        pivots.append(UniPoly(_unpack(piv, k)))
         kept = work[: r + 1]
         for row in work[r + 1 :]:
-            ci = row.pop(col, ())
-            new = {}
-            for j in (row.keys() | prow.keys()) if ci else row:
-                if j != col:
-                    e = _sub(_mul(piv, row.get(j, ())), _mul(ci, prow.get(j, ())))
-                    if e:
-                        new[j] = _exact_quotient(e, prev)
+            new = step(row, prow, col, prev)
             if new:
                 kept.append(new)
         work = kept

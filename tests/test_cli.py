@@ -18,12 +18,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wbext import scanner
+from wbext import cli, scanner, tables
 from wbext.cli import main
 from wbext.oracle import verify_witness_env
 from wbext.poly import MultiPoly
 from wbext.problems import Caps, CocycleWitness, ExtProblem
 from wbext.records import parse_poly, parse_record
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
 
 SOLVE_T1 = ["solve", "--type", "1", "--b", "1", "--alpha", "0", "--gamma", "0", "--delta", "1"]
 SOLVE_T3 = [
@@ -199,6 +201,34 @@ def test_replay_rejects_unknown_table(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["replay", "--table", "bogus"])
     assert exc.value.code == 2
+
+
+def test_importing_the_cli_leaves_the_tables_unimported():
+    env = {**os.environ, "PYTHONPATH": str(_SRC)}
+    script = "import sys, wbext.cli; print('wbext.tables' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+@pytest.mark.parametrize("argv", [["replay", "--help"], ["replay", "--table", "nope"]])
+def test_lazy_table_choices_print_what_the_name_list_prints(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+
+    def exit_and_output():
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        return exc.value.code, captured.out, captured.err
+
+    lazy = exit_and_output()
+    monkeypatch.setattr(cli, "_TableNames", tables.table_names)
+    assert lazy == exit_and_output()
+    if "nope" in argv:
+        assert lazy[0] == 2 and lazy[2].endswith(
+            "error: argument --table: invalid choice: 'nope' (choose from 'theo1', "
+            "'theo2', 'theo3', 'lemma-g', 'vir-th2', 'vir-th3', 'vir-th4', 'all')\n"
+        )
 
 
 def test_check_axioms_bracket_only(capsys):
@@ -542,7 +572,6 @@ def test_output_is_byte_deterministic(capsys):
     assert scans[0] == scans[1]
 
 
-_SRC = Path(__file__).resolve().parents[1] / "src"
 
 _HASH_SCRIPT = """
 import contextlib, hashlib, io

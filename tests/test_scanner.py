@@ -575,6 +575,185 @@ def test_inexact_division_in_the_integer_kernel_raises():
 
 
 # ---------------------------------------------------------------------------
+# the packed kernel: near its width bound, its degree rule, its division check
+# ---------------------------------------------------------------------------
+
+
+def _tuple_bareiss(rows):
+    """The same elimination on coefficient tuples, each division checked by
+    ``scanner._exact_quotient``: a plain reference for the packed kernel's
+    ranks and pivots, coefficient for coefficient."""
+    work = [dict(row) for row in rows if row]
+    pivots = []
+    r = 0
+    prev = (1,)
+    for col in sorted({j for row in work for j in row}):
+        if r == len(work):
+            break
+        piv_i = None
+        for i in range(r, len(work)):
+            e = work[i].get(col)
+            if e and (piv_i is None or len(e) < len(work[piv_i][col])):
+                piv_i = i
+        if piv_i is None:
+            continue
+        work[r], work[piv_i] = work[piv_i], work[r]
+        prow = work[r]
+        piv = prow[col]
+        pivots.append(piv)
+        kept = work[: r + 1]
+        for row in work[r + 1 :]:
+            ci = row.pop(col, ())
+            new = {}
+            for j in (row.keys() | prow.keys()) - {col}:
+                e = scanner._sub(
+                    scanner._mul(piv, row.get(j, ())), scanner._mul(ci, prow.get(j, ()))
+                )
+                if e:
+                    new[j] = scanner._exact_quotient(e, prev)
+            if new:
+                kept.append(new)
+        work = kept
+        prev = piv
+        r += 1
+    return r, pivots
+
+
+def _width(rows) -> int:
+    """K = 2L + 3 of :func:`scanner.fraction_free_rank` for these rows."""
+    n = min(len(rows), len({j for row in rows for j, _e in row}))
+    norms = sorted(sum(abs(c) for _j, e in row for c in e) for row in rows)
+    return 2 * math.prod(norms[-n:]).bit_length() + 3
+
+
+def _dense_to_sparse(rows):
+    """Dense rows of coefficient lists as sparse Z[t] rows, zeros dropped."""
+    out = []
+    for row in rows:
+        entries = [(j, tuple(int(c) for c in UniPoly(cs).coeffs)) for j, cs in enumerate(row)]
+        out.append(tuple((j, e) for j, e in entries if e))
+    return out
+
+
+def _assert_matches_the_references(rows):
+    sparse = _dense_to_sparse(rows)
+    rank_, pivots = scanner.fraction_free_rank(sparse)
+    tuple_rank, tuple_pivots = _tuple_bareiss(sparse)
+    assert rank_ == tuple_rank and pivots == [UniPoly(p) for p in tuple_pivots]
+    ref_rank, ref_pivots = _reference_bareiss([[UniPoly(cs) for cs in row] for row in rows])
+    assert rank_ == ref_rank
+    assert [p.primitive()[0] for p in pivots] == [p.primitive()[0] for p in ref_pivots]
+    assert [p.degree() for p in pivots] == [p.degree() for p in ref_pivots]
+
+
+_COEFF_64 = st.one_of(st.just(0), st.integers(-(2**64), 2**64))
+
+
+@st.composite
+def _big_matrices(draw):
+    """Up to 8 x 8 dense matrices of entries of degree <= 2 with coefficients
+    up to 2**64: at 8 x 8 the packing width K passes 1,000 bits."""
+    nrows = draw(st.integers(1, 8))
+    ncols = draw(st.integers(1, 8))
+    entry = st.lists(_COEFF_64, min_size=1, max_size=3)
+    return [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=_big_matrices())
+def test_packed_bareiss_matches_the_references_near_its_width_bound(rows):
+    _assert_matches_the_references(rows)
+
+
+def test_packed_bareiss_at_a_width_above_1000_bits():
+    rng = random.Random(22)
+    rows = [
+        [[rng.randint(-(2**64), 2**64) for _ in range(3)] for _ in range(8)] for _ in range(8)
+    ]
+    assert _width(_dense_to_sparse(rows)) > 1000
+    _assert_matches_the_references(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lower=st.lists(st.integers(0, 2**64), max_size=4),
+    sign=st.sampled_from((1, -1)),
+    slack=st.integers(0, 3),
+)
+def test_packed_degree_is_the_bit_length_over_the_width(lower, sign, slack):
+    """A top digit of +-1 over negative lower digits, the case where the
+    packed value sits just above or below a power of two."""
+    e = tuple(sign * c for c in [-c for c in lower] + [1])
+    bits = sum(abs(c) for c in e).bit_length() + slack  # L: any H >= the 1-norm
+    k = 2 * bits + 3
+    assert scanner._pack(e, k).bit_length() // k == len(e) - 1
+    assert scanner._unpack(scanner._pack(e, k), k) == e
+
+
+def test_packed_degree_at_the_largest_lower_digits():
+    # t^d - (2^L - 2) t^(d-1) - ...: 1-norm 2^L - 1, the most L allows
+    for bits in range(1, 70):
+        for d in range(1, 5):
+            for sign in (1, -1):
+                e = tuple(sign * c for c in (0,) * (d - 1) + (-(2**bits - 2), 1))
+                k = 2 * bits + 3
+                assert scanner._pack(e, k).bit_length() // k == d
+
+
+@st.composite
+def _steep_matrices(draw):
+    """Matrices whose entries have a top digit of +-1 over large negative
+    lower digits, so the degree rule is tested at its edge in the kernel."""
+    nrows = draw(st.integers(1, 5))
+    ncols = draw(st.integers(1, 5))
+    entry = st.one_of(
+        st.just([0]),
+        st.builds(
+            lambda lower, sign: [-sign * c for c in lower] + [sign],
+            st.lists(st.integers(0, 2**40), max_size=3),
+            st.sampled_from((1, -1)),
+        ),
+    )
+    return [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=_steep_matrices())
+def test_packed_pivot_degrees_equal_the_tuple_kernel(rows):
+    _assert_matches_the_references(rows)
+
+
+@pytest.mark.parametrize("k", [5, 7, 41, 1001])
+def test_packed_division_is_checked_in_zt_not_only_in_z(k):
+    """The packed check raises where the integer division is exact but the
+    Z[t] division is not, and on a quotient outside the digit bound."""
+    m, n = (k - 3) // 2 + 1, 3
+    step = scanner._packed_step(k, m, n)
+
+    def divide(num, prev):
+        out = step({0: scanner._pack(num, k)}, {1: 1}, 1, scanner._pack(prev, k))
+        return scanner._unpack(out[0], k)
+
+    assert divide((2, 3, 1), (1, 1)) == (2, 1)  # (t+1)(t+2) by t+1
+    assert divide((3, 3), (3,)) == (1, 1)
+    # t + 1 packs to 2**k + 1, a multiple of 3 at odd k, but 3 does not
+    # divide t + 1 in Z[t]
+    assert scanner._pack((1, 1), k) % 3 == 0
+    with pytest.raises(ArithmeticError):
+        divide((1, 1), (3,))
+    # a numerator times (t + 1): exact in Z and in Z[t], but the quotient
+    # (t^2 + t + 1)(t + 1) has n + 1 digits, more than any true entry
+    assert divide((2, 3, 3, 1), (2, 1)) == (1, 1, 1)
+    with pytest.raises(ArithmeticError):
+        divide(scanner._mul((2, 3, 3, 1), (1, 1)), (2, 1))
+    # each digit lies in [-2**m, 2**m)
+    assert divide((-(2**m), 2**m - 1), (1,)) == (-(2**m), 2**m - 1)
+    for bad in ((2**m,), (-(2**m) - 1,), (0, 0, 2**m)):
+        with pytest.raises(ArithmeticError):
+            divide(bad, (1,))
+
+
+# ---------------------------------------------------------------------------
 # gcds and square-free parts in Z[t] against a Fraction reference
 # ---------------------------------------------------------------------------
 
