@@ -18,17 +18,16 @@ this module (``+``, ``-``, negation, ``*`` by a polynomial or a scalar, and
 ``MultiPoly._clean``, which checks nothing; no other code may call it.
 
 A polynomial in the scan variable alone is a :class:`UniPoly`, the public
-rational type in ``t``: a dense coefficient tuple over Q, with ring
-arithmetic, ``divmod``, the primitive form, and evaluation at a
-``Fraction`` or ``QuadExt`` point.  Only rendering goes through
-``MultiPoly``, so both print alike.  The scanner's gcds, square-free parts
-and root finding work on integer coefficient tuples in Z[t] instead (see
-:mod:`wbext.scanner`).
+type of the scanner's pivots and certificates: a read-only dense
+coefficient tuple, in practice over Z, with its degree, equality and
+evaluation at a ``Fraction`` or ``QuadExt`` point.  It has no arithmetic:
+the scanner's products, gcds, square-free parts and root finding work on
+plain integer coefficient tuples in Z[t] (see :mod:`wbext.scanner`).  Only
+rendering goes through ``MultiPoly``, so both print alike.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
 
@@ -533,12 +532,17 @@ def _maybe_power(toks, base: MultiPoly) -> MultiPoly:
 
 
 class UniPoly:
-    """Dense univariate polynomial in ``t`` with ``Fraction`` coefficients."""
+    """A polynomial in ``t`` as a read-only value: the scanner's pivots and
+    certificates, with ``int`` coefficients.
+
+    ``coeffs`` holds the coefficients as given, lowest degree first, with
+    trailing zeros stripped; nothing is coerced.
+    """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = list(coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -546,126 +550,19 @@ class UniPoly:
     def __setattr__(self, name, value):
         raise AttributeError("UniPoly is immutable")
 
-    @classmethod
-    def const(cls, c) -> "UniPoly":
-        return cls((c,))
-
-    @classmethod
-    def t(cls) -> "UniPoly":
-        return cls((0, 1))
-
     def to_multipoly(self) -> MultiPoly:
         return MultiPoly({(0, 0, 0, k): c for k, c in enumerate(self.coeffs)})
 
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
     def __eq__(self, other):
         if isinstance(other, UniPoly):
             return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self.coeffs == UniPoly((other,)).coeffs
         return NotImplemented
 
     def __hash__(self):
         return hash(self.coeffs)
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = UniPoly((other,))
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        return UniPoly(
-            [
-                (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-                for i in range(n)
-            ]
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return UniPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = UniPoly((other,))
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return UniPoly()
-            return UniPoly([c * other for c in self.coeffs])
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return UniPoly()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-        return UniPoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "UniPoly":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        out = UniPoly((Fraction(1),))
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def primitive(self) -> tuple["UniPoly", Fraction]:
-        """Integer-primitive form with positive leading coefficient.
-
-        Returns ``(prim, content)`` with ``self == content * prim``.
-        """
-        if not self.coeffs:
-            return self, Fraction(1)
-        den = math.lcm(*(c.denominator for c in self.coeffs))
-        ints = [c * den for c in self.coeffs]
-        g = 0
-        for c in ints:
-            g = math.gcd(g, int(c))
-        if g == 0:
-            g = 1
-        sign = -1 if ints[-1] < 0 else 1
-        content = Fraction(sign * g, den)
-        return UniPoly([c / content for c in self.coeffs]), content
-
-    def divmod(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        div = other.coeffs
-        dq = len(rem) - len(div)
-        if dq < 0:
-            return UniPoly(), self
-        quo = [Fraction(0)] * (dq + 1)
-        inv = 1 / div[-1]
-        for k in range(dq, -1, -1):
-            c = rem[k + len(div) - 1] * inv
-            quo[k] = c
-            if c:
-                for j, dc in enumerate(div):
-                    rem[k + j] -= c * dc
-        return UniPoly(quo), UniPoly(rem)
 
     def eval(self, x):
         """Evaluate at a Fraction or QuadExt point via Horner."""

@@ -37,8 +37,10 @@ That list feeds two consumers:
   of their square-free primitive parts, is the same.  It is built in Z[t]
   with gcds by the primitive remainder sequence, and
   :func:`uni_factor_special` finds each new factor's rational roots and
-  quadratic factors there too, by exact division; a line keeps its pivots
-  as ``int`` tuples, the certificate in :class:`ScanReport` is ``UniPoly``.
+  quadratic factors there too, by exact division.  A line keeps its pivots
+  as ``int`` coefficient tuples; the pivots :func:`fraction_free_rank`
+  returns and the certificate in :class:`ScanReport` are ``UniPoly``
+  values over those same ``int`` coefficients.
 * The exact point check :func:`ext_dim_at` at each candidate root t0.  By
   Sylvester's identity every Bareiss pivot is a minor of the input, and
   the last one of a matrix of generic rank r is a non-zero r x r minor.
@@ -172,9 +174,10 @@ def _freeze(obj, *names) -> None:
 class ScanReport:
     """Generic dimension on a scan line plus all confirmed jump points.
 
-    ``certificate`` is a square-free primitive ``UniPoly`` in t whose roots
-    contain every parameter value where any elimination pivot vanishes; all
-    its rational and quadratic-irrational roots were specialized and tested.
+    ``certificate`` is a square-free primitive ``UniPoly`` in t, with ``int``
+    coefficients, whose roots contain every parameter value where any
+    elimination pivot vanishes; all its rational and quadratic-irrational
+    roots were specialized and tested.
     ``special_values`` holds ``(value, ext dimension at value)`` pairs with
     the dimension strictly above ``generic_dim``.  Reports are shared
     through the classification cache, so they are immutable, with tuple
@@ -419,7 +422,8 @@ class _LineData:
     at a point).  The last pivot, None for a matrix of rank 0, is the
     minor that keeps the generic rank wherever it does not vanish.
     ``pivots`` are the pivot polynomials of all of them, in that order: the
-    certificate input.  Pivots are coefficient tuples, like row entries.
+    certificate input, kept as the ``int`` coefficient tuples of
+    :func:`fraction_free_rank`'s pivots, like row entries.
     """
 
     nunk: int
@@ -552,7 +556,7 @@ def _line_data(sp: ScanProblem) -> _LineData:
     g_rank = 0
     for part, mat in blocks + [(None, cob) for cob in _cob_rows_t(images, over, point)]:
         rank, piv = fraction_free_rank(mat)
-        piv = [tuple([c.numerator for c in p.coeffs]) for p in piv]
+        piv = [p.coeffs for p in piv]
         matrices.append((mat, rank, piv[-1] if piv else None))
         pivots.extend(piv)
         if part == "g":
@@ -963,13 +967,18 @@ def candidate_diffs(b, sector: str) -> list[Fraction]:
 
 
 def classify(b, caps=None) -> ClassifyReport:
-    """Classify all extension lines and isolated points for one rational b.
+    """Classify all extension lines and isolated points for one rational b,
+    an ``int`` or a ``Fraction``; any other value raises ``ValueError``.
 
     Runs scans over every candidate line: the b-independent layer (f-only
     witnesses) once, and the four g-sector lines diff = m + b with their
     f-companions.  Entries record generic dimensions, one-parameter family
     witnesses, and confirmed isolated jumps with engine witnesses.
     """
+    if isinstance(b, QuadExt):
+        raise ValueError("scan lines must have rational parameters")
+    if isinstance(b, bool) or not isinstance(b, (int, Fraction)):
+        raise ValueError(f"b must be an int or a Fraction, got {b!r}")
     b = Fraction(b)
     if b == 0:
         raise ValueError("b = 0 is outside this family of algebras")

@@ -19,7 +19,6 @@ from wbext.algebra import (
 )
 from wbext.engine import solve_ext
 from wbext.oracle import brute_dims, verify_witness
-from wbext.poly import UniPoly
 from wbext.problems import Caps, ExtProblem
 from wbext.qext import quad
 from wbext.scanner import (
@@ -330,9 +329,10 @@ def test_criterion_6_virasoro_regression():
         assert case.golden_ext == 1
         assert solve_ext(case.problem).ext_dim == 1
     report = special_values(scan_delta(None, 6, sector="f"))
-    factor = UniPoly((F(15), F(-14), F(2)))
-    _, remainder = report.certificate.divmod(factor)
-    assert all(c == 0 for c in remainder.coeffs), remainder
+    # 2t^2 - 14t + 15 is irreducible over Q, so it divides the certificate
+    # exactly when its roots (7 +- sqrt(19))/2 are roots of the certificate
+    for half in (F(1, 2), F(-1, 2)):
+        assert report.certificate.eval(quad(F(7, 2), half, 19)) == 0, report.certificate
     assert {str(value) for value, _ in report.special_values} == {
         "7/2-1/2*sqrt(19)", "7/2+1/2*sqrt(19)",
     }

@@ -159,28 +159,25 @@ def test_parse_within_its_degree_bound_is_unchanged():
 
 
 def test_unipoly_division_and_gcd():
-    """``divmod`` is the one ``UniPoly`` division; gcds and square-free
-    parts are taken in Z[t], on integer coefficient tuples."""
-    t = UniPoly.t()
-    p = (t - 1) * (t - 2)
-    q, r = p.divmod(t - 1)
-    assert q == t - 2 and r.is_zero()
+    """Division, gcds and square-free parts in t are taken in Z[t], on
+    integer coefficient tuples; ``UniPoly`` has no arithmetic."""
     assert scanner._gcd((2, -3, 1), (-1, 1)) == (-1, 1)  # gcd(p, t - 1) = t - 1
     square = (1, -2, 1)  # (t - 1)^2, derivative 2t - 2
     assert scanner._exact_quotient(square, scanner._gcd(square, (-2, 2))) == (-1, 1)
 
 
-def test_unipoly_primitive_part():
-    t = UniPoly.t()
-    p = 6 * t**2 - 4 * t
-    prim, content = p.primitive()
-    assert content * prim == p
-    assert prim == 3 * t**2 - 2 * t
+def test_unipoly_keeps_its_coefficients_as_given():
+    p = UniPoly((15, -14, 2, 0, 0))
+    assert p.coeffs == (15, -14, 2) and all(type(c) is int for c in p.coeffs)
+    assert p.degree() == 2 and UniPoly().degree() == -1
+    assert p == UniPoly([15, -14, 2]) and hash(p) == hash(UniPoly((15, -14, 2)))
+    assert str(p) == "2*t^2 - 14*t + 15" and repr(p) == "UniPoly(2*t^2 - 14*t + 15)"
+    with pytest.raises(AttributeError):
+        p.coeffs = ()
 
 
 def test_unipoly_eval_supports_quadratic_points():
-    t = UniPoly.t()
-    p = 2 * t**2 - 14 * t + 15
+    p = UniPoly((15, -14, 2))
     root = quad(Fraction(7, 2), Fraction(1, 2), 19)
     assert p.eval(root) == 0
     assert p.eval(Fraction(1)) == 3

@@ -4,6 +4,7 @@ import math
 import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 from hypothesis import assume, given, settings
@@ -265,6 +266,17 @@ def test_classify_rejects_b_zero():
         classify(0)
 
 
+def test_classify_takes_only_an_int_or_a_fraction():
+    """A float, a bool or a string is refused, not converted; so is a
+    Q(sqrt D) value, as a scan line refuses it."""
+    for bad in (0.5, True, "2/3"):
+        with pytest.raises(ValueError, match="int or a Fraction"):
+            classify(bad, caps=_SMALL_CAPS)
+    with pytest.raises(ValueError, match="rational parameters"):
+        classify(quad(1, 1, 2), caps=_SMALL_CAPS)
+    assert classify(Fraction(-2, 3), caps=_SMALL_CAPS).b == Fraction(-2, 3)
+
+
 @pytest.mark.parametrize("b", [Fraction(2), Fraction(-2, 3)])
 def test_classify_witnesses_pass_through_the_oracle(monkeypatch, b):
     """classify takes its special-point witnesses from ``_solve_at``; that
@@ -476,6 +488,47 @@ def test_point_check_is_exact_at_every_certificate_root(b, diff, sector):
         assert special_values(sp) == report
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    b=_SMALL_Q.filter(bool),
+    diff=_SMALL_Q,
+    sector=st.sampled_from(["full", "f", "g"]),
+)
+def test_certificate_is_square_free_primitive_and_covers_every_pivot(b, diff, sector):
+    """The certificate is primitive with a positive lead and square-free;
+    every special value is one of its roots, and the square-free part of
+    every pivot divides it."""
+    sp = scan_dbar(b, diff, sector=sector, caps=_SMALL_CAPS)
+    report = special_values(sp)
+    cert = report.certificate.coeffs
+    assert cert[-1] > 0 and math.gcd(*cert) == 1
+    if len(cert) > 1:
+        assert len(scanner._gcd(cert, tuple(k * c for k, c in enumerate(cert))[1:])) == 1
+    for value, _dim in report.special_values:
+        assert report.certificate.eval(value) == 0
+    for p in scanner._line_data(sp).pivots:
+        if len(p) > 1:
+            assert scanner._quotient(cert, _squarefree_part(p)) is not None
+
+
+def test_pivots_and_certificates_hold_ints_as_computed():
+    """``fraction_free_rank``'s pivots and the certificate have ``int``
+    coefficients, and a line keeps those pivots' coefficient tuples as they
+    are."""
+    lines = [
+        scan_dbar(2, 3, caps=CAPS),
+        scan_dbar(Fraction(-2, 3), Fraction(4, 3), sector="g", caps=CAPS),
+        scan_dbar(None, 6, sector="f", caps=CAPS),
+    ]
+    for sp in lines:
+        data = scanner._line_data(sp)
+        pivots = [p for rows, _r, _l in data.matrices for p in scanner.fraction_free_rank(rows)[1]]
+        assert data.pivots == tuple(p.coeffs for p in pivots)
+        cert = special_values(sp).certificate
+        assert cert.degree() > 0
+        assert all(type(c) is int for p in [*pivots, cert] for c in p.coeffs)
+
+
 def test_quadratic_roots_reach_the_exact_ranks():
     """At the Q(sqrt(19)) roots of the difference-6 line some last pivot
     vanishes, so the point check ranks that matrix over Q(sqrt(19))."""
@@ -496,25 +549,67 @@ def test_quadratic_roots_reach_the_exact_ranks():
 # ---------------------------------------------------------------------------
 
 
+def _q(cs):
+    """A value of the Q[t] reference: coefficients, lowest degree first, with
+    no trailing zero; every quotient below is taken in Fraction."""
+    out = list(cs)
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def _q_sub(a, b):
+    return _q(x - y for x, y in zip_longest(a, b, fillvalue=0))
+
+
+def _q_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _q(out)
+
+
+def _q_divmod(num, den):
+    """Quotient and remainder over Q of ``num`` by a non-zero ``den``."""
+    rem = [Fraction(c) for c in num]
+    quo = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
+    for k in range(len(quo) - 1, -1, -1):
+        quo[k] = c = rem[k + len(den) - 1] / den[-1]
+        for j, d in enumerate(den):
+            rem[k + j] -= c * d
+    return _q(quo), _q(rem)
+
+
+def _q_primitive(p):
+    """``p`` scaled to coprime integers with a positive lead (0 stays 0)."""
+    if not p:
+        return p
+    den = math.lcm(*(Fraction(c).denominator for c in p))
+    ints = [int(c * den) for c in p]
+    g = math.gcd(*ints) if ints[-1] > 0 else -math.gcd(*ints)
+    return tuple(c // g for c in ints)
+
+
 def _exact_div(num, den):
-    quo, rem = num.divmod(den)
-    assert rem.is_zero()
+    quo, rem = _q_divmod(num, den)
+    assert not rem
     return quo
 
 
 def _reference_bareiss(rows):
-    """Bareiss over Q[t] with Fraction UniPoly entries, as a plain reference."""
-    work = [list(r) for r in rows if any(e for e in r)]
+    """Bareiss over Q[t] with Fraction coefficient tuples, as a plain reference."""
+    work = [list(r) for r in rows if any(r)]
     pivots = []
     if not work:
         return 0, pivots
     r = 0
-    prev = UniPoly.const(Fraction(1))
+    prev = (Fraction(1),)
     for col in range(len(work[0])):
         piv_i = None
         for i in range(r, len(work)):
             e = work[i][col]
-            if e and (piv_i is None or e.degree() < work[piv_i][col].degree()):
+            if e and (piv_i is None or len(e) < len(work[piv_i][col])):
                 piv_i = i
         if piv_i is None:
             continue
@@ -523,7 +618,10 @@ def _reference_bareiss(rows):
         pivots.append(piv)
         for i in range(r + 1, len(work)):
             ci = work[i][col]
-            work[i] = [_exact_div(piv * a - ci * bb, prev) for a, bb in zip(work[i], work[r])]
+            work[i] = [
+                _exact_div(_q_sub(_q_mul(piv, a), _q_mul(ci, bb)), prev)
+                for a, bb in zip(work[i], work[r])
+            ]
         prev = piv
         r += 1
         if r == len(work):
@@ -540,28 +638,28 @@ def _uni_matrices(draw):
     ncols = draw(st.integers(1, 5))
     zero_cols = draw(st.sets(st.integers(0, ncols - 1), max_size=ncols))
     entry = st.one_of(
-        st.just(UniPoly()),
-        st.lists(st.one_of(st.just(Fraction(0)), _BIG_Q), min_size=1, max_size=3).map(UniPoly),
+        st.just(()),
+        st.lists(st.one_of(st.just(Fraction(0)), _BIG_Q), min_size=1, max_size=3).map(_q),
     )
     rows = []
     for _ in range(nrows):
         if draw(st.booleans()) and draw(st.booleans()):
-            rows.append([UniPoly()] * ncols)  # an all-zero row
+            rows.append([()] * ncols)  # an all-zero row
             continue
-        rows.append([UniPoly() if j in zero_cols else draw(entry) for j in range(ncols)])
+        rows.append([() if j in zero_cols else draw(entry) for j in range(ncols)])
     return rows
 
 
 @settings(max_examples=150, deadline=None)
 @given(rows=_uni_matrices())
 def test_integer_bareiss_matches_the_fraction_reference(rows):
-    sparse = [tuple((j, e.to_multipoly()) for j, e in enumerate(row) if e) for row in rows]
+    sparse = [tuple((j, UniPoly(e).to_multipoly()) for j, e in enumerate(row) if e) for row in rows]
     rank, pivots = scanner.fraction_free_rank(_int_rows(sparse))
     ref_rank, ref_pivots = _reference_bareiss(rows)
     assert rank == ref_rank
     # equal up to the row scales: the same primitive parts
-    assert [p.primitive()[0] for p in pivots] == [p.primitive()[0] for p in ref_pivots]
-    assert [p.degree() for p in pivots] == [p.degree() for p in ref_pivots]
+    assert [_q_primitive(p.coeffs) for p in pivots] == [_q_primitive(p) for p in ref_pivots]
+    assert [p.degree() for p in pivots] == [len(p) - 1 for p in ref_pivots]
 
 
 def test_inexact_division_in_the_integer_kernel_raises():
@@ -630,7 +728,7 @@ def _dense_to_sparse(rows):
     """Dense rows of coefficient lists as sparse Z[t] rows, zeros dropped."""
     out = []
     for row in rows:
-        entries = [(j, tuple(int(c) for c in UniPoly(cs).coeffs)) for j, cs in enumerate(row)]
+        entries = [(j, _q(cs)) for j, cs in enumerate(row)]
         out.append(tuple((j, e) for j, e in entries if e))
     return out
 
@@ -640,10 +738,10 @@ def _assert_matches_the_references(rows):
     rank_, pivots = scanner.fraction_free_rank(sparse)
     tuple_rank, tuple_pivots = _tuple_bareiss(sparse)
     assert rank_ == tuple_rank and pivots == [UniPoly(p) for p in tuple_pivots]
-    ref_rank, ref_pivots = _reference_bareiss([[UniPoly(cs) for cs in row] for row in rows])
+    ref_rank, ref_pivots = _reference_bareiss([[_q(map(Fraction, c)) for c in row] for row in rows])
     assert rank_ == ref_rank
-    assert [p.primitive()[0] for p in pivots] == [p.primitive()[0] for p in ref_pivots]
-    assert [p.degree() for p in pivots] == [p.degree() for p in ref_pivots]
+    assert [_q_primitive(p.coeffs) for p in pivots] == [_q_primitive(p) for p in ref_pivots]
+    assert [p.degree() for p in pivots] == [len(p) - 1 for p in ref_pivots]
 
 
 _COEFF_64 = st.one_of(st.just(0), st.integers(-(2**64), 2**64))
@@ -759,25 +857,16 @@ def test_packed_division_is_checked_in_zt_not_only_in_z(k):
 
 
 def _ref_gcd(a, b):
-    """Euclid over Q on ``UniPoly`` values, as a plain reference."""
-    while not b.is_zero():
-        a, b = b, a.divmod(b)[1]
-        b, _ = b.primitive()
-    if a.is_zero():
-        return a
-    prim, _ = a.primitive()
-    return prim
+    """Euclid over Q on coefficient tuples, as a plain reference."""
+    while b:
+        a, b = b, _q_primitive(_q_divmod(a, b)[1])
+    return _q_primitive(a)
 
 
 def _ref_squarefree_part(p):
-    if p.degree() <= 0:
-        return UniPoly.const(1) if p.coeffs else p
-    g = _ref_gcd(p, UniPoly([c * k for k, c in enumerate(p.coeffs)][1:]))
-    if g.degree() <= 0:
-        prim, _ = p.primitive()
-        return prim
-    prim, _ = _exact_div(p, g).primitive()
-    return prim
+    """``p / gcd(p, p')`` over Q, for ``p`` of degree at least 1."""
+    g = _ref_gcd(p, tuple(k * c for k, c in enumerate(p))[1:])
+    return _q_primitive(_exact_div(p, g))
 
 
 def _squarefree_part(p):
@@ -808,10 +897,10 @@ def _zt_products(draw):
 @given(pair=_zt_products())
 def test_integer_gcd_and_squarefree_part_match_the_fraction_reference(pair):
     a, b = pair
-    assert UniPoly(scanner._gcd(a, b)) == _ref_gcd(UniPoly(a), UniPoly(b))
+    assert scanner._gcd(a, b) == _ref_gcd(a, b)
     for p in pair:
         prim = scanner._primitive(p)
         assert prim[-1] > 0 and math.gcd(*prim) == 1
-        assert UniPoly(prim) == UniPoly(p).primitive()[0]
+        assert prim == _q_primitive(p)
         if len(p) > 1:
-            assert UniPoly(_squarefree_part(p)) == _ref_squarefree_part(UniPoly(p))
+            assert _squarefree_part(p) == _ref_squarefree_part(p)
