@@ -5,37 +5,27 @@ alone, with no code shared with the equation builder beyond raw polynomial
 arithmetic.  An element of the extension is a pair ``(top, sub)`` of
 coefficients against the two generators; the generator actions are applied
 literally and the six commutator identities are expanded on both generators.
-Dimensions come from a plain forward elimination written here (see
+Dimensions come from a plain sparse forward elimination written here (see
 ``_rank``), so the solver and this oracle can only agree when both
 transcriptions are right; it shares no code with the solver's sparse kernel
 in ``linalg``.
 
-Memoisation.  ``brute_dims`` builds one model per unit witness, and the split
-extension's action is the same in all of them.  So one memo dict, created by
-each ``brute_dims`` call and dropped when it returns, is shared by its models.
-It holds only pieces that no witness enters:
-
-* the top (quotient) half of every pair.  The identities act on the constant
-  elements ``(1, 0)`` and ``(0, 1)``, and the top of a generator's action, of
-  ``apply_d``, of a difference and of a multiple is computed from tops and
-  parameters alone, so every model meets the same top objects;
-* ``D + alpha + delta*slot`` per (slot, weight pair), the right-hand-side
-  factors ``l - u``, ``-(b*l + u)``, ``l + b*u`` and ``-l``, and the powers of
-  ``d + slot`` that every shift in d is expanded against.
-
-A model keeps its own record of the actions it applied, per (generator,
-slot, element): the identities apply one generator at one slot to the same
-element several times, and the two starting elements are module constants,
-so those repeats are found.  It also substitutes its f and g at each of the
-three slots L, U and L+U once.  Nothing read from a witness is shared between
-models.  ``verify_witness_env`` and ``verify_witness`` give each call a fresh
-memo, and nothing is cached at module level, so memory is bounded by one
-call.  The checker stays independent: every identity is still composed
-literally from ``apply_gen`` and ``apply_d``, every sub half is computed by
-its own model, and only public polynomial arithmetic is used.  Keys
-are object identities (hashing a ``MultiPoly`` costs more than the work
-saved), each kind of entry has its own key space, and every entry holds its
-key objects, so no id is reused while the memo lives.
+Memoisation.  ``brute_dims`` runs one model, on one tagged witness that
+carries every unknown monomial at once (see ``_residual_rows``), and each
+call of ``verify_witness_env`` or ``verify_witness`` runs one model on its
+witness.  A model keeps its own memos, dropped with it, so nothing is
+cached at module level and memory is bounded by one call.  They hold each
+piece the identities ask for more than once: the top (quotient) half of
+every action, difference and multiple, ``D + alpha + delta*slot``, the
+right-hand-side factors ``l - u``, ``-(b*l + u)``, ``l + b*u`` and ``-l``,
+the powers of ``d + slot`` that every shift in d is expanded against, the
+witness's f and g at each of the three slots L, U and L+U, and each
+generator action applied, per (generator, slot, element).  The checker
+stays independent: every identity is still composed literally from
+``apply_gen`` and ``apply_d``, and only public polynomial arithmetic is
+used.  Keys are object identities, with a tag where kinds of entry share
+a dict (hashing a ``MultiPoly`` costs more than the work saved), and every
+entry holds its key objects, so no id is reused while the model lives.
 """
 
 from __future__ import annotations
@@ -58,9 +48,9 @@ __all__ = [
 ]
 
 _LU = L + U
+_DL = D + L
 # the generators' unit coefficients and the two elements all_residuals acts
-# on, one object each, so that every model of a brute_dims call meets the
-# same keys in the shared memo and in its own record of applied actions
+# on, one object each, so that repeated pieces meet the same memo keys
 _ONE = MultiPoly.const(Fraction(1))
 _ZERO = MultiPoly.zero()
 _TOP = (_ONE, _ZERO)
@@ -91,16 +81,13 @@ class _Model:
     a deformed translation action, shape 3 is (free, free).  Parameters come
     from an environment of constant (or scan-variable) polynomials.
 
-    ``memo`` is shared by the models of one call with one environment; it
-    keeps only witness-free pieces, keyed by a tag and the ids of their
-    arguments and holding those arguments: the quotient (top) half of every
-    pair, the actions' coefficients, the identities' right-hand-side factors
-    and the powers of ``d + slot``.  ``_at_slot`` and ``_applied`` are the
-    model's own: its f and g at each slot, and each generator action it
-    applied.
+    The model owns its memos (see the module docstring): ``_memo`` keeps
+    pieces keyed by a tag and the ids of their arguments, and holds those
+    arguments; ``_at_slot`` and ``_applied`` keep its f and g at each slot
+    and each generator action it applied.
     """
 
-    def __init__(self, shape: int, env: dict, w: CocycleWitness, memo: dict):
+    def __init__(self, shape: int, env: dict, w: CocycleWitness):
         self.shape = shape
         self.alpha = env["alpha"]
         self.b = env.get("b")
@@ -118,12 +105,12 @@ class _Model:
             raise ValueError("only shape 2 carries the translation deformation h")
         if w.h is not None and w.h.uses_var("l"):
             raise ValueError("h must be a polynomial in d alone")
-        self._memo = memo
+        self._memo = {}
         self._at_slot = {}  # id(slot) -> (slot, f at slot, g at slot)
         self._applied = {}  # (gen, id(slot), id(elem)) -> (slot, elem, action)
 
     def _once(self, tag: str, fn, *args):
-        """``fn(*args)``, computed once per memo; ``args`` are witness-free."""
+        """``fn(*args)``, computed once per model."""
         # the tag keeps each kind of entry in its own key space
         key = (tag, *map(id, args))
         hit = self._memo.get(key)
@@ -291,7 +278,7 @@ def verify_witness_env(shape: int, env: dict, w: CocycleWitness) -> VerifyReport
     Environment values are polynomials, so a weight left as the scan variable
     ``t`` verifies the whole one-parameter family at once.
     """
-    model = _Model(shape, env, w, {})
+    model = _Model(shape, env, w)
     residuals = model.all_residuals()
     violations = [k for k, (rt, rs) in residuals.items() if rt or rs]
     return VerifyReport(passed=not violations, residuals=residuals, violations=violations)
@@ -327,33 +314,29 @@ def _monomials(shape: int, part: str, caps: Caps):
     ]
 
 
-def _unit_witness(shape: int, part: str, j: int, k: int) -> CocycleWitness:
-    mono = MultiPoly.monomial((j, k, 0, 0), Fraction(1))
-    zero = MultiPoly.zero()
-    f = mono if part == "f" else zero
-    g = mono if part == "g" else zero
-    h = (mono if part == "h" else zero) if shape == 2 else None
-    return CocycleWitness(f=f, g=g, h=h)
-
-
 def _rank(rows) -> int:
+    """The rank of dense ``rows``, which are left unchanged; see ``_sparse_rank``."""
+    return _sparse_rank([{j: x for j, x in enumerate(row) if x} for row in rows])
+
+
+def _sparse_rank(rows) -> int:
     """Forward elimination, with no pivoting refinements; ``rows`` are unchanged.
 
-    Dense rows, first non-zero entry of each column as the pivot, in exact
-    integers.  Each row is multiplied by the lcm of its denominators: a
-    rational row becomes ``int``s, and a row with a ``QuadExt`` entry becomes
-    ``(p, q)`` pairs standing for ``p + q*sqrt(disc)`` in Z[sqrt(disc)], with
-    ``0`` for a zero entry.  An update replaces a row by ``a*row - c*pivot
-    row``, with ``a`` the pivot and ``c`` the row's entry in the pivot column
-    (over Q both are first divided by their gcd), and then divides it by its
-    content.  That is the field update ``row - (c/a)*pivot row`` times a
-    non-zero constant.  Scaling a row by a non-zero
+    Rows are ``{column: value}`` dicts holding only non-zero entries, and the
+    first non-zero entry of each column is its pivot, in exact integers.  Each
+    row is multiplied by the lcm of its denominators: a rational row becomes
+    ``int``s, and a row with a ``QuadExt`` entry becomes ``(p, q)`` pairs
+    standing for ``p + q*sqrt(disc)`` in Z[sqrt(disc)].  An update replaces a
+    row by ``a*row - c*pivot row``, with ``a`` the pivot and ``c`` the row's
+    entry in the pivot column (over Q both are first divided by their gcd),
+    and then divides it by its content.  That is the field update ``row -
+    (c/a)*pivot row`` times a non-zero constant.  Scaling a row by a non-zero
     constant changes neither which entries are zero nor the span of the rows,
     so every pivot and the rank are those of the elimination over the field.
-    An update subtracts only at the columns where the pivot row is non-zero:
-    at the others it subtracts zero.
+    An update visits only the entries of the row and the pivot row, and drops
+    every entry it cancels.
     """
-    discs = {x.disc for row in rows for x in row if not isinstance(x, (int, Fraction))}
+    discs = {x.disc for row in rows for x in row.values() if not isinstance(x, (int, Fraction))}
     if not discs:
         return _eliminate([_integral(row) for row in rows], _int_update)
     if len(discs) > 1:
@@ -364,85 +347,65 @@ def _rank(rows) -> int:
 
 def _integral(row):
     """``row`` times the lcm of its denominators, as ``int``s."""
-    m = math.lcm(*(x.denominator for x in row))
-    return [x.numerator * (m // x.denominator) for x in row]
+    m = math.lcm(*(x.denominator for x in row.values()))
+    return {j: x.numerator * (m // x.denominator) for j, x in row.items()}
 
 
 def _integral_pairs(row):
-    """``row`` times the lcm of its denominators, as ``int`` pairs or ``0``."""
-    parts = [(x, 0) if isinstance(x, (int, Fraction)) else (x.p, x.q) for x in row]
-    m = math.lcm(*(v.denominator for pq in parts for v in pq))
-    return [(int(p * m), int(q * m)) if p or q else 0 for p, q in parts]
+    """``row`` times the lcm of its denominators, as ``int`` pairs."""
+    parts = {j: (x, 0) if isinstance(x, (int, Fraction)) else (x.p, x.q) for j, x in row.items()}
+    m = math.lcm(*(v.denominator for pq in parts.values() for v in pq))
+    return {j: (int(p * m), int(q * m)) for j, (p, q) in parts.items()}
 
 
-def _int_update(row, prow, col, support):
+def _int_update(row, prow, col):
     g = math.gcd(prow[col], row[col])
     a, c = prow[col] // g, row[col] // g
-    if a != 1:
-        row = [a * x for x in row]
-    for j, p in support:
-        row[j] -= c * p
-    content = math.gcd(*row)
-    return [x // content for x in row] if content > 1 else row
+    out = {j: a * x for j, x in row.items()} if a != 1 else dict(row)
+    for j, p in prow.items():
+        x = out.get(j, 0) - c * p
+        if x:
+            out[j] = x
+        else:
+            del out[j]
+    content = math.gcd(*out.values())
+    return {j: x // content for j, x in out.items()} if content > 1 else out
 
 
-def _pair_update(disc, row, prow, col, support):
+def _pair_update(disc, row, prow, col):
     (a0, a1), (c0, c1) = prow[col], row[col]
-    out = [[a0 * x[0] + disc * a1 * x[1], a0 * x[1] + a1 * x[0]] if x else [0, 0] for x in row]
-    for j, (p0, p1) in support:
-        out[j][0] -= c0 * p0 + disc * c1 * p1
-        out[j][1] -= c0 * p1 + c1 * p0
-    content = math.gcd(*(v for e in out for v in e)) or 1
-    return [(e[0] // content, e[1] // content) if e[0] or e[1] else 0 for e in out]
+    out = {j: (a0 * x0 + disc * a1 * x1, a0 * x1 + a1 * x0) for j, (x0, x1) in row.items()}
+    for j, (p0, p1) in prow.items():
+        x0, x1 = out.get(j, (0, 0))
+        x0, x1 = x0 - c0 * p0 - disc * c1 * p1, x1 - c0 * p1 - c1 * p0
+        if x0 or x1:
+            out[j] = (x0, x1)
+        else:
+            del out[j]
+    content = math.gcd(*(v for x in out.values() for v in x))
+    if content > 1:
+        return {j: (x0 // content, x1 // content) for j, (x0, x1) in out.items()}
+    return out
 
 
 def _eliminate(work, update) -> int:
-    """The rank of ``work``; ``update(row, pivot row, col, support)`` returns
-    the row with its entry at ``col`` eliminated."""
-    if not work:
-        return 0
-    ncols = len(work[0])
+    """The rank of the sparse rows ``work``; ``update(row, pivot row, col)``
+    returns the row with its entry at ``col`` eliminated."""
     r = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(r, len(work)):
-            if work[i][col] != 0:
-                piv = i
-                break
+    for col in sorted({j for row in work for j in row}):
+        piv = next((i for i in range(r, len(work)) if col in work[i]), None)
         if piv is None:
             continue
         work[r], work[piv] = work[piv], work[r]
         prow = work[r]
-        # columns left of col are zero in every row from r on
-        support = [(j, prow[j]) for j in range(col, ncols) if prow[j] != 0]
+        # columns left of col are absent from every row from r on
         for i in range(r + 1, len(work)):
-            if work[i][col]:
-                work[i] = update(work[i], prow, col, support)
+            if col in work[i]:
+                work[i] = update(work[i], prow, col)
         r += 1
         if r == len(work):
             break
     return r
-
-
-def _columns_to_rows(columns):
-    """Transpose a list of {position: value} columns into dense rows."""
-    positions = sorted({pos for col in columns for pos in col})
-    index = {pos: i for i, pos in enumerate(positions)}
-    # most entries are zero, and _rank reads an int zero faster
-    rows = [[0] * len(columns) for _ in positions]
-    for c, col in enumerate(columns):
-        for pos, val in col.items():
-            rows[index[pos]][c] = val
-    return rows
-
-
-def _residual_column(shape: int, env: dict, w: CocycleWitness, memo: dict) -> dict:
-    col = {}
-    for label, (top, sub) in _Model(shape, env, w, memo).all_residuals().items():
-        for part_tag, poly in (("t", top), ("s", sub)):
-            for exps, c in poly.terms.items():
-                col[(label, part_tag, exps)] = c
-    return col
 
 
 def _sector_parts(shape: int, sector: str):
@@ -454,32 +417,73 @@ def _sector_parts(shape: int, sector: str):
     return parts + ("g",)
 
 
-def brute_dims(p: ExtProblem) -> tuple[int, int, int]:
-    """(cocycle dim, coboundary dim, ext dim) by naive enumeration.
-
-    Each candidate monomial becomes a unit witness whose six-identity
-    residuals give one matrix column; the kernel count is the cocycle
-    dimension.  Coboundaries come from literally re-expanding the split
-    action in a moved basis, and their dimension inside the degree caps is
-    rank(all coefficients) - rank(out-of-cap coefficients).
-    """
-    env = p.env()
-    unknowns = [
+def _unknowns(p: ExtProblem):
+    """The (part, j, k) unknown monomials, in column order."""
+    return [
         (part, j, k)
         for part in _sector_parts(p.shape, p.sector)
         for j, k in _monomials(p.shape, part, p.caps)
     ]
-    memo = {}
-    columns = [
-        _residual_column(p.shape, env, _unit_witness(p.shape, part, j, k), memo)
-        for part, j, k in unknowns
-    ]
-    nullity = len(unknowns) - _rank(_columns_to_rows(columns))
+
+
+def _residual_rows(shape: int, env: dict, unknowns) -> list[dict]:
+    """The residual matrix: one sparse ``{column: value}`` row per residual
+    coefficient, column c for the unit witness of ``unknowns[c]``.
+
+    One model runs on the tagged witness ``sum_c t^(c+1) * unit_c``, with
+    ``unit_c`` the monomial ``d^j l^k`` in its part.  The residuals are
+    linear in (f, g, h) (the reading of the kernel as the cocycles rests on
+    that too), and ``t`` is free in ``env``, since a problem's parameters
+    are all scalars and ``verify_witness`` refuses a witness in ``t``.  So
+    the coefficient of ``t^(c+1)`` in a residual is unit_c's own term, and
+    the untagged ``t^0`` part is the witness-free one, which is zero when
+    the quotient's own action is right; it is added to every column, as the
+    residuals of each unit witness would hold it.  Rows are keyed (label,
+    top/sub, (d, l, u) exponents) and sorted; a row with no non-zero entry
+    is left out.
+    """
+    tagged = {"f": {}, "g": {}, "h": {}}
+    for c, (part, j, k) in enumerate(unknowns):
+        tagged[part][(j, k, 0, c + 1)] = Fraction(1)
+    f, g, h = (MultiPoly(tagged[part]) for part in "fgh")
+    w = CocycleWitness(f=f, g=g, h=h if shape == 2 else None)
+    entries = {}
+    for label, pair in _Model(shape, env, w).all_residuals().items():
+        for part_tag, poly in zip("ts", pair):
+            for (e0, e1, e2, e3), c in poly.terms.items():
+                entries.setdefault((label, part_tag, (e0, e1, e2)), {})[e3] = c
+    rows = []
+    for key in sorted(entries):
+        tags = entries[key]
+        rest = tags.pop(0, 0)
+        if rest:
+            row = {c: tags.get(c + 1, 0) + rest for c in range(len(unknowns))}
+            row = {c: x for c, x in row.items() if x}
+        else:
+            row = {e - 1: x for e, x in tags.items()}
+        if row:
+            rows.append(row)
+    return rows
+
+
+def brute_dims(p: ExtProblem) -> tuple[int, int, int]:
+    """(cocycle dim, coboundary dim, ext dim) by naive enumeration.
+
+    Each candidate monomial is a unit witness whose six-identity residuals
+    give one matrix column, all read from one run on a tagged witness (see
+    ``_residual_rows``); the kernel count is the cocycle dimension.
+    Coboundaries come from literally re-expanding the split action in a
+    moved basis, and their dimension inside the degree caps is rank(all
+    coefficients) - rank(out-of-cap coefficients).
+    """
+    env = p.env()
+    unknowns = _unknowns(p)
+    nullity = len(unknowns) - _sparse_rank(_residual_rows(p.shape, env, unknowns))
 
     cob_maps = _split_basis_change_maps(p, env)
     if not cob_maps:
         return (nullity, 0, nullity)
-    in_caps = {(part, j, k) for part, j, k in unknowns}
+    in_caps = set(unknowns)
     full_rows, over_rows = [], []
     keys = sorted({key for m in cob_maps for key in m})
     over_keys = [key for key in keys if key not in in_caps]
@@ -517,6 +521,9 @@ def _split_basis_change_maps(p: ExtProblem, env: dict):
     deviation from the split action is a coboundary witness, recorded as a
     {(part, j, k): coefficient} map.
     """
+    if p.sector == "g":
+        # basis moves never touch the H-side data
+        return []
     alpha, delta = env["alpha"], env["delta"]
     maps = []
     if p.shape == 1:
@@ -524,24 +531,28 @@ def _split_basis_change_maps(p: ExtProblem, env: dict):
         maps.append(_poly_map(parts))
     elif p.shape == 2:
         act = D + alpha + delta * L
-        for j in range(p.caps.phi + 1):
-            phi = MultiPoly.monomial((j, 0, 0, 0), Fraction(1))
-            parts = {"f": phi.shift("d", L) * act, "h": (D - env["gamma"]) * phi}
+        for phi, phi_l in _moves(p.caps.phi):
+            parts = {"f": phi_l * act, "h": (D - env["gamma"]) * phi}
             maps.append(_poly_map(parts))
     else:
         quot = D + alpha + delta * L
         sub = D + env["abar"] + env["dbar"] * L
-        for j in range(p.caps.phi + 1):
-            phi = MultiPoly.monomial((j, 0, 0, 0), Fraction(1))
-            parts = {"f": phi.shift("d", L) * sub - quot * phi}
+        for phi, phi_l in _moves(p.caps.phi):
+            parts = {"f": phi_l * sub - quot * phi}
             maps.append(_poly_map(parts))
-    if p.sector == "g":
-        # basis moves never touch the H-side data
-        return []
     if p.sector == "f" or p.shape != 2:
         wanted = {"f", "h"} if p.shape == 2 else {"f"}
         maps = [{k: v for k, v in m.items() if k[0] in wanted} for m in maps]
     return [m for m in maps if m]
+
+
+def _moves(cap: int):
+    """The basis moves phi = d^j for j = 0..cap, each with phi(d + l) = (d + l)^j."""
+    phi = phi_l = _ONE
+    for j in range(cap + 1):
+        if j:
+            phi, phi_l = phi * D, phi_l * _DL
+        yield phi, phi_l
 
 
 def _poly_map(parts: dict) -> dict:

@@ -844,14 +844,25 @@ class ClassifyReport:
         ]
 
 
+def _rational_b(b) -> Fraction:
+    """``b`` as a ``Fraction``: an ``int`` or a ``Fraction`` is taken, any
+    other value raises ``ValueError``."""
+    if isinstance(b, QuadExt):
+        raise ValueError("scan lines must have rational parameters")
+    if isinstance(b, bool) or not isinstance(b, (int, Fraction)):
+        raise ValueError(f"b must be an int or a Fraction, got {b!r}")
+    return Fraction(b)
+
+
 def g_family_witness(m: int, b, dbar=None) -> CocycleWitness:
     """The homogeneous degree-m g-sector family on the line diff = m + b.
 
     Coefficients follow the recursion b*a_i = -a_0*C(m, i+1) - a_0*dbar*C(m, i)
     with a_0 = 1.  ``dbar`` is a concrete weight or a polynomial in t; the
-    default is the scan variable t itself (the ``t = dbar`` chart).
+    default is the scan variable t itself (the ``t = dbar`` chart).  ``b``
+    is an ``int`` or a ``Fraction``, as ``classify`` takes it.
     """
-    b = Fraction(b)
+    b = _rational_b(b)
     if dbar is None:
         dbar = T
     elif not isinstance(dbar, MultiPoly):
@@ -955,9 +966,13 @@ def candidate_diffs(b, sector: str) -> list[Fraction]:
     The g-sector law confines deformations of the second generator to
     diff = m + b with m <= 3; the first-generator sector is blind to b and
     lives on integer differences 0..6.  Both bounds are theorems re-checked
-    by the test suite's off-line probes, not heuristics.
+    by the test suite's off-line probes, not heuristics.  ``b`` is None, an
+    ``int`` or a ``Fraction``.
     """
-    g_lines = [Fraction(m) + Fraction(b) for m in range(4)] if b is not None else []
+    g_lines = []
+    if b is not None:
+        b = _rational_b(b)
+        g_lines = [m + b for m in range(4)]
     f_lines = [Fraction(s) for s in range(7)]
     if sector == "g":
         return g_lines
@@ -975,11 +990,7 @@ def classify(b, caps=None) -> ClassifyReport:
     f-companions.  Entries record generic dimensions, one-parameter family
     witnesses, and confirmed isolated jumps with engine witnesses.
     """
-    if isinstance(b, QuadExt):
-        raise ValueError("scan lines must have rational parameters")
-    if isinstance(b, bool) or not isinstance(b, (int, Fraction)):
-        raise ValueError(f"b must be an int or a Fraction, got {b!r}")
-    b = Fraction(b)
+    b = _rational_b(b)
     if b == 0:
         raise ValueError("b = 0 is outside this family of algebras")
     caps = caps if caps is not None else Caps()

@@ -4,7 +4,6 @@ import ast
 import sys
 from dataclasses import replace
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -276,54 +275,16 @@ def test_solver_matches_brute_dims_on_random_problems(p):
         assert verify_witness(p, w).passed
 
 
-# ---------------------------------------------------------------------------
-# the memo a brute_dims call shares between its unit witnesses
-# ---------------------------------------------------------------------------
-
-
-class _Forgetful(dict):
-    """A memo that keeps nothing, so every lookup misses and every piece of
-    the action is computed afresh, as it was before the memo."""
-
-    def __setitem__(self, key, value):
-        pass
-
-
-_REAL_COLUMN = oracle._residual_column
-
-
-def _unshared_column(shape, env, w, memo):
-    """brute_dims's column, with the call's memo replaced by a forgetful one."""
-    return _REAL_COLUMN(shape, env, w, _Forgetful())
-
-
-def _unit_witnesses(p):
-    return [
-        oracle._unit_witness(p.shape, part, j, k)
-        for part in oracle._sector_parts(p.shape, p.sector)
-        for j, k in oracle._monomials(p.shape, part, p.caps)
-    ]
-
-
-@settings(max_examples=25, deadline=None)
-@given(_problems(), st.randoms(use_true_random=False))
-def test_shared_memo_gives_each_unit_witness_its_own_column(p, rnd):
-    env = p.env()
-    witnesses = _unit_witnesses(p)
-    rnd.shuffle(witnesses)
-    memo = {}
-    for w in witnesses:
-        shared = oracle._residual_column(p.shape, env, w, memo)
-        assert shared == oracle._residual_column(p.shape, env, w, _Forgetful()), w
-
-
 @settings(max_examples=20, deadline=None)
 @given(_problems(), _SMALL.filter(bool))
 def test_brute_dims_leaves_nothing_for_the_next_call(p2, step):
     p1 = replace(p2, delta=p2.delta + step)
-    with mock.patch.object(oracle, "_residual_column", _unshared_column):
-        alone = [brute_dims(p1), brute_dims(p2)]
-    assert [brute_dims(p1), brute_dims(p2)] == alone
+    namespace = dict(vars(oracle))
+    alone = brute_dims(p2)
+    assert [brute_dims(p1), brute_dims(p2)] == [brute_dims(p1), alone]
+    # no module-level name was rebound or added, so no cache outlives a call
+    assert vars(oracle).keys() == namespace.keys()
+    assert all(vars(oracle)[name] is value for name, value in namespace.items())
 
 
 # ---------------------------------------------------------------------------
@@ -425,16 +386,39 @@ def _assert_same_residuals(got, want):
         assert (str(got[label][0]), str(got[label][1])) == (str(top), str(sub)), label
 
 
-@settings(max_examples=30, deadline=None)
-@given(_problems(), st.randoms(use_true_random=False))
-def test_unit_witness_residuals_in_one_memo_equal_the_literal_composition(p, rnd):
+def _unit_witness(p, part, j, k):
+    mono, zero = MultiPoly.monomial((j, k, 0, 0)), MultiPoly.zero()
+    return CocycleWitness(
+        f=mono if part == "f" else zero,
+        g=mono if part == "g" else zero,
+        h=(mono if part == "h" else zero) if p.shape == 2 else None,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(_problems())
+def test_tagged_witness_matrix_equals_the_literal_unit_witness_columns(p):
+    """The residual matrix brute_dims ranks, read from its one tagged
+    witness, is the matrix of the unit witnesses' own residuals composed
+    from scratch, entry for entry and in row order."""
     env = p.env()
-    witnesses = _unit_witnesses(p)
-    rnd.shuffle(witnesses)
-    memo = {}
-    for w in witnesses:
-        got = oracle._Model(p.shape, env, w, memo).all_residuals()
-        _assert_same_residuals(got, _LiteralModel(p.shape, env, w).all_residuals())
+    unknowns = oracle._unknowns(p)
+    columns = []
+    for part, j, k in unknowns:
+        residuals = _LiteralModel(p.shape, env, _unit_witness(p, part, j, k)).all_residuals()
+        columns.append({
+            (label, part_tag, exps[:3]): c
+            for label, pair in residuals.items()
+            for part_tag, poly in zip("ts", pair)
+            for exps, c in poly.terms.items()
+        })
+    positions = sorted({pos for col in columns for pos in col})
+    want = [{c: col[pos] for c, col in enumerate(columns) if pos in col} for pos in positions]
+    got = oracle._residual_rows(p.shape, env, unknowns)
+    assert got == want
+    assert brute_dims(p)[0] == len(unknowns) - _rank(
+        [[row.get(c, 0) for c in range(len(unknowns))] for row in want]
+    )
 
 
 @st.composite

@@ -277,6 +277,31 @@ def test_classify_takes_only_an_int_or_a_fraction():
     assert classify(Fraction(-2, 3), caps=_SMALL_CAPS).b == Fraction(-2, 3)
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (0.1, "b must be an int or a Fraction, got 0.1"),
+        (True, "b must be an int or a Fraction, got True"),
+        (quad(1, 1, 2), "scan lines must have rational parameters"),
+    ],
+    ids=["float", "bool", "quadext"],
+)
+def test_family_helpers_refuse_b_as_classify_does(bad, message):
+    """candidate_diffs and g_family_witness take b only as classify does:
+    neither converts a float or a bool, nor takes a Q(sqrt D) value."""
+    for call in (
+        lambda: classify(bad, caps=_SMALL_CAPS),
+        lambda: candidate_diffs(bad, "g"),
+        lambda: candidate_diffs(bad, "full"),
+        lambda: g_family_witness(1, bad),
+    ):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message
+    assert candidate_diffs(None, "f") == [Fraction(s) for s in range(7)]
+    assert candidate_diffs(None, "g") == []
+
+
 @pytest.mark.parametrize("b", [Fraction(2), Fraction(-2, 3)])
 def test_classify_witnesses_pass_through_the_oracle(monkeypatch, b):
     """classify takes its special-point witnesses from ``_solve_at``; that
