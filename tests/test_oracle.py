@@ -395,6 +395,23 @@ def _unit_witness(p, part, j, k):
     )
 
 
+def _column(residuals):
+    """One unit witness's residuals as {(label, top/sub, exponents): value}."""
+    return {
+        (label, part_tag, exps[:3]): c
+        for label, pair in residuals.items()
+        for part_tag, poly in zip("ts", pair)
+        for exps, c in poly.terms.items()
+    }
+
+
+def _columns_as_rows(columns):
+    """Sparse {column: value} rows, sorted by (label, top/sub, exponents),
+    of per-column {position: value} maps: the layout _residual_rows uses."""
+    positions = sorted({pos for col in columns for pos in col})
+    return [{c: col[pos] for c, col in enumerate(columns) if pos in col} for pos in positions]
+
+
 @settings(max_examples=40, deadline=None)
 @given(_problems())
 def test_tagged_witness_matrix_equals_the_literal_unit_witness_columns(p):
@@ -406,19 +423,59 @@ def test_tagged_witness_matrix_equals_the_literal_unit_witness_columns(p):
     columns = []
     for part, j, k in unknowns:
         residuals = _LiteralModel(p.shape, env, _unit_witness(p, part, j, k)).all_residuals()
-        columns.append({
-            (label, part_tag, exps[:3]): c
-            for label, pair in residuals.items()
-            for part_tag, poly in zip("ts", pair)
-            for exps, c in poly.terms.items()
-        })
-    positions = sorted({pos for col in columns for pos in col})
-    want = [{c: col[pos] for c, col in enumerate(columns) if pos in col} for pos in positions]
+        columns.append(_column(residuals))
+    want = _columns_as_rows(columns)
     got = oracle._residual_rows(p.shape, env, unknowns)
     assert got == want
     assert brute_dims(p)[0] == len(unknowns) - _rank(
         [[row.get(c, 0) for c in range(len(unknowns))] for row in want]
     )
+
+
+@settings(max_examples=25, deadline=None)
+@given(_problems(), st.randoms(use_true_random=False))
+def test_shared_memo_gives_each_unit_witness_its_own_column(p, rnd):
+    """The tagged witness runs every unit witness through one model, one
+    memo; in any column order, each column is the one that unit witness's
+    own model, with a memo of its own, gives."""
+    env = p.env()
+    unknowns = oracle._unknowns(p)
+    rnd.shuffle(unknowns)
+    columns = []
+    for part, j, k in unknowns:
+        residuals = oracle._Model(p.shape, env, _unit_witness(p, part, j, k)).all_residuals()
+        columns.append(_column(residuals))
+    assert oracle._residual_rows(p.shape, env, unknowns) == _columns_as_rows(columns)
+
+
+@settings(max_examples=20, deadline=None)
+@given(_problems(), st.randoms(use_true_random=False))
+def test_unit_witness_residuals_in_one_memo_equal_the_literal_composition(p, rnd):
+    """One model on the tagged witness sum_c t^(c+1) * unit_c: the t^(c+1)
+    part of its residuals plus the untagged t^0 part is, label for label
+    and in label order, unit_c's residuals composed from scratch."""
+    env = p.env()
+    unknowns = oracle._unknowns(p)
+    rnd.shuffle(unknowns)
+    tagged = {"f": {}, "g": {}, "h": {}}
+    for c, (part, j, k) in enumerate(unknowns):
+        tagged[part][(j, k, 0, c + 1)] = Fraction(1)
+    f, g, h = (MultiPoly(tagged[part]) for part in "fgh")
+    w = CocycleWitness(f=f, g=g, h=h if p.shape == 2 else None)
+    shared = oracle._Model(p.shape, env, w).all_residuals()
+
+    def tag_part(poly, c):
+        terms = {}
+        for (e0, e1, e2, e3), x in poly.terms.items():
+            if e3 in (0, c + 1):
+                key = (e0, e1, e2, 0)
+                terms[key] = terms.get(key, 0) + x
+        return MultiPoly(terms)
+
+    for c, (part, j, k) in enumerate(unknowns):
+        got = {label: (tag_part(top, c), tag_part(sub, c)) for label, (top, sub) in shared.items()}
+        want = _LiteralModel(p.shape, env, _unit_witness(p, part, j, k)).all_residuals()
+        _assert_same_residuals(got, want)
 
 
 @st.composite
