@@ -13,25 +13,22 @@ in ``linalg``.
 Memoisation.  ``brute_dims`` runs one model, on one tagged witness that
 carries every unknown monomial at once (see ``_residual_rows``), and each
 call of ``verify_witness_env`` or ``verify_witness`` runs one model on its
-witness.  A model keeps its own memos, dropped with it, so nothing is
-cached at module level and memory is bounded by one call.  They hold each
-piece the identities ask for more than once: the top (quotient) half of
-every action, difference and multiple, ``D + alpha + delta*slot``, the
-right-hand-side factors ``l - u``, ``-(b*l + u)``, ``l + b*u`` and ``-l``,
-the powers of ``d + slot`` that every shift in d is expanded against, the
-witness's f and g at each of the three slots L, U and L+U, and each
-generator action applied, per (generator, slot, element).  The checker
-stays independent: every identity is still composed literally from
-``apply_gen`` and ``apply_d``, and only public polynomial arithmetic is
-used.  Keys are object identities, with a tag where kinds of entry share
-a dict (hashing a ``MultiPoly`` costs more than the work saved), and every
-entry holds its key objects, so no id is reused while the model lives.
+witness.  A model is the module actions composed literally, and it keeps
+three memos of its own, dropped with it, so nothing is cached at module
+level and memory is bounded by one call: each generator action applied,
+per (generator, slot, element), which the six identities ask for again and
+again; the witness's f and g at each of the three slots L, U and L+U; and
+the powers of ``d + slot`` that every shift in d is expanded against.  They
+are safe because an entry depends only on its key objects and the model's
+fixed witness and parameters, and it holds those key objects, so no id is
+reused while the model lives.  The right-hand-side factors and the L-action
+coefficients at the three slots are computed once per model.  Only public
+polynomial arithmetic is used.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -49,8 +46,10 @@ __all__ = [
 
 _LU = L + U
 _DL = D + L
-# the generators' unit coefficients and the two elements all_residuals acts
-# on, one object each, so that repeated pieces meet the same memo keys
+# the bracket slots the identities act at, the generators' unit coefficients
+# and the two elements all_residuals acts on: one object each, so that
+# repeated pieces meet the same memo keys
+_SLOTS = (L, U, _LU)
 _ONE = MultiPoly.const(Fraction(1))
 _ZERO = MultiPoly.zero()
 _TOP = (_ONE, _ZERO)
@@ -81,20 +80,20 @@ class _Model:
     a deformed translation action, shape 3 is (free, free).  Parameters come
     from an environment of constant (or scan-variable) polynomials.
 
-    The model owns its memos (see the module docstring): ``_memo`` keeps
-    pieces keyed by a tag and the ids of their arguments, and holds those
-    arguments; ``_at_slot`` and ``_applied`` keep its f and g at each slot
-    and each generator action it applied.
+    The right-hand-side factors and the L-action coefficients at the three
+    slots L, U and L+U are computed once, in ``__init__``.  Three memos,
+    dropped with the model, keep what the identities ask for more than once:
+    ``_applied`` each generator action applied, ``_at_slot`` the witness's f
+    and g at each slot, and ``_powers`` the powers of ``d + slot`` that every
+    shift in d is expanded against.  They are keyed by object identities
+    (hashing a ``MultiPoly`` costs more than the work saved), and every entry
+    holds its key objects, so no id is reused while the model lives.
     """
 
     def __init__(self, shape: int, env: dict, w: CocycleWitness):
         self.shape = shape
-        self.alpha = env["alpha"]
         self.b = env.get("b")
         self.gamma = env.get("gamma")
-        self.abar = env.get("abar")
-        self.delta = env["delta"]
-        self.dbar = env.get("dbar")
         self.f = w.f
         self.g = w.g
         self.h = w.h if w.h is not None else MultiPoly.zero()
@@ -105,33 +104,22 @@ class _Model:
             raise ValueError("only shape 2 carries the translation deformation h")
         if w.h is not None and w.h.uses_var("l"):
             raise ValueError("h must be a polynomial in d alone")
-        self._memo = {}
-        self._at_slot = {}  # id(slot) -> (slot, f at slot, g at slot)
+        self._factors = _rhs_factors(self.b)
+        # the quotient's L action D + alpha + delta*slot and, in shape 3, the
+        # sub's D + abar + dbar*slot, at each slot the identities use
+        self._quot = {id(s): D + env["alpha"] + env["delta"] * s for s in _SLOTS}
+        if shape == 3:
+            self._sub_act = {id(s): D + env["abar"] + env["dbar"] * s for s in _SLOTS}
         self._applied = {}  # (gen, id(slot), id(elem)) -> (slot, elem, action)
-
-    def _once(self, tag: str, fn, *args):
-        """``fn(*args)``, computed once per model."""
-        # the tag keeps each kind of entry in its own key space
-        key = (tag, *map(id, args))
-        hit = self._memo.get(key)
-        if hit is None:
-            hit = self._memo[key] = (args, fn(*args))
-        return hit[1]
-
-    def _times(self, c, top):
-        return self._once("mul", operator.mul, c, top)
-
-    # an action of L with bracket variable `slot` on the free generator
-    def _l_coeff(self, slot, alpha, delta):
-        return self._once("coeff", _l_action, slot, alpha, delta)
+        self._at_slot = {}  # id(slot) -> (slot, f at slot, g at slot)
+        self._powers = {}  # id(slot) -> (slot, [1, d + slot, (d + slot)^2, ...])
 
     def _shift_d(self, poly, slot):
         """``poly`` with d -> d + slot, expanded against the memo's powers of
         ``d + slot`` (``slot`` is free of d)."""
-        key = ("pow", id(slot))
-        hit = self._memo.get(key)
+        hit = self._powers.get(id(slot))
         if hit is None:
-            hit = self._memo[key] = (slot, [_ONE, D + slot])
+            hit = self._powers[id(slot)] = (slot, [_ONE, D + slot])
         powers = hit[1]
         out = {}
         get = out.get
@@ -151,26 +139,13 @@ class _Model:
             hit = self._at_slot[id(slot)] = (slot, fs, gs)
         return hit[1], hit[2]
 
-    def _top_action(self, gen: str, slot, top):
-        """(top shifted by slot, gen's action on the top): the quotient's own action."""
-        key = ("top", gen, id(slot), id(top))
-        hit = self._memo.get(key)
-        if hit is None:
-            shifted = self._shift_d(top, slot)
-            if gen == "L":
-                new_top = shifted * self._l_coeff(slot, self.alpha, self.delta)
-            else:
-                new_top = _ZERO
-            hit = self._memo[key] = (slot, top, shifted, new_top)
-        return hit[2], hit[3]
-
     def apply_d(self, elem):
         top, sub = elem
         if self.shape == 1:
-            return (self._times(D, top), self.gamma * sub)
+            return (D * top, self.gamma * sub)
         if self.shape == 2:
-            return (self._times(self.gamma, top), top * self.h + D * sub)
-        return (self._times(D, top), D * sub)
+            return (self.gamma * top, top * self.h + D * sub)
+        return (D * top, D * sub)
 
     def apply_gen(self, gen: str, slot: MultiPoly, elem):
         key = (gen, id(slot), id(elem))
@@ -182,48 +157,43 @@ class _Model:
     def _act(self, gen: str, slot: MultiPoly, elem):
         top, sub = elem
         fs, gs = self._witness_at(slot)
+        quot = self._quot[id(slot)]
         if self.shape == 1:
-            shifted, new_top = self._top_action(gen, slot, top)
-            if gen == "L":
-                new_sub = (shifted * fs).subst("d", self.gamma)
-            else:
-                new_sub = (shifted * gs).subst("d", self.gamma)
+            shifted = self._shift_d(top, slot)
+            new_top = shifted * quot if gen == "L" else _ZERO
+            new_sub = (shifted * (fs if gen == "L" else gs)).subst("d", self.gamma)
             return (new_top, new_sub)
         if self.shape == 2:
             if gen == "L":
-                new_sub = top * fs + self._shift_d(sub, slot) * self._l_coeff(
-                    slot, self.alpha, self.delta
-                )
+                new_sub = top * fs + self._shift_d(sub, slot) * quot
             else:
                 new_sub = top * gs
             return (_ZERO, new_sub)
-        shifted, new_top = self._top_action(gen, slot, top)
+        shifted = self._shift_d(top, slot)
         if gen == "L":
-            new_sub = shifted * fs + self._shift_d(sub, slot) * self._l_coeff(
-                slot, self.abar, self.dbar
-            )
-        else:
-            new_sub = shifted * gs
-        return (new_top, new_sub)
+            sub_act = self._sub_act[id(slot)]
+            return (shifted * quot, shifted * fs + self._shift_d(sub, slot) * sub_act)
+        return (_ZERO, shifted * gs)
 
-    def _sub(self, e1, e2):
-        return (self._once("sub", operator.sub, e1[0], e2[0]), e1[1] - e2[1])
+    @staticmethod
+    def _sub(e1, e2):
+        return (e1[0] - e2[0], e1[1] - e2[1])
 
-    def _scale(self, c: MultiPoly, e):
-        return (self._times(c, e[0]), c * e[1])
+    @staticmethod
+    def _scale(c, e):
+        return (c * e[0], c * e[1])
 
     def commutator_residual(self, a: str, bgen: str, elem):
         """[a_l, b_u] applied to elem, minus the bracket's right-hand side."""
         e1 = self.apply_gen(a, L, self.apply_gen(bgen, U, elem))
         e2 = self.apply_gen(bgen, U, self.apply_gen(a, L, elem))
         comm = self._sub(e1, e2)
-        factors = self._once("rhs", _rhs_factors, self.b)
         if a == "L" and bgen == "L":
-            rhs = self._scale(factors["LL"], self.apply_gen("L", _LU, elem))
+            rhs = self._scale(self._factors["LL"], self.apply_gen("L", _LU, elem))
         elif a == "L" and bgen == "H":
-            rhs = self._scale(factors["LH"], self.apply_gen("H", _LU, elem))
+            rhs = self._scale(self._factors["LH"], self.apply_gen("H", _LU, elem))
         elif a == "H" and bgen == "L":
-            rhs = self._scale(factors["HL"], self.apply_gen("H", _LU, elem))
+            rhs = self._scale(self._factors["HL"], self.apply_gen("H", _LU, elem))
         else:
             rhs = (_ZERO, _ZERO)
         return self._sub(comm, rhs)
@@ -234,8 +204,7 @@ class _Model:
         e1 = self.apply_d(a_elem)
         e2 = self.apply_gen(a, L, self.apply_d(elem))
         comm = self._sub(e1, e2)
-        minus_l = self._once("rhs", _rhs_factors, self.b)["d"]
-        return self._sub(comm, self._scale(minus_l, a_elem))
+        return self._sub(comm, self._scale(self._factors["d"], a_elem))
 
     def all_residuals(self) -> dict:
         gens = ("L",) if self.b is None else ("L", "H")
@@ -249,10 +218,6 @@ class _Model:
             for a in gens:
                 out[f"[d,{a}] on {tag}"] = self.translation_residual(a, elem)
         return out
-
-
-def _l_action(slot, alpha, delta):
-    return D + alpha + delta * slot
 
 
 def _rhs_factors(b):
@@ -315,14 +280,10 @@ def _monomials(shape: int, part: str, caps: Caps):
 
 
 def _rank(rows) -> int:
-    """The rank of dense ``rows``, which are left unchanged; see ``_sparse_rank``."""
-    return _sparse_rank([{j: x for j, x in enumerate(row) if x} for row in rows])
-
-
-def _sparse_rank(rows) -> int:
     """Forward elimination, with no pivoting refinements; ``rows`` are unchanged.
 
-    Rows are ``{column: value}`` dicts holding only non-zero entries, and the
+    Rows are ``{column: value}`` dicts holding only non-zero entries, with
+    columns of one sortable kind (ints, or ``(part, j, k)`` keys), and the
     first non-zero entry of each column is its pivot, in exact integers.  Each
     row is multiplied by the lcm of its denominators: a rational row becomes
     ``int``s, and a row with a ``QuadExt`` entry becomes ``(p, q)`` pairs
@@ -478,19 +439,14 @@ def brute_dims(p: ExtProblem) -> tuple[int, int, int]:
     """
     env = p.env()
     unknowns = _unknowns(p)
-    nullity = len(unknowns) - _sparse_rank(_residual_rows(p.shape, env, unknowns))
+    nullity = len(unknowns) - _rank(_residual_rows(p.shape, env, unknowns))
 
     cob_maps = _split_basis_change_maps(p, env)
     if not cob_maps:
         return (nullity, 0, nullity)
     in_caps = set(unknowns)
-    full_rows, over_rows = [], []
-    keys = sorted({key for m in cob_maps for key in m})
-    over_keys = [key for key in keys if key not in in_caps]
-    for m in cob_maps:
-        full_rows.append([m.get(key, Fraction(0)) for key in keys])
-        over_rows.append([m.get(key, Fraction(0)) for key in over_keys])
-    cob_dim = _rank(full_rows) - (_rank(over_rows) if over_keys else 0)
+    over_rows = [{key: x for key, x in m.items() if key not in in_caps} for m in cob_maps]
+    cob_dim = _rank(cob_maps) - _rank(over_rows)
     return (nullity, cob_dim, nullity - cob_dim)
 
 
@@ -508,9 +464,7 @@ def independent_mod_coboundaries(p: ExtProblem, basis) -> bool:
         _poly_map({name: poly for name, poly in w.parts().items() if poly is not None})
         for w in basis
     ]
-    keys = sorted({key for m in maps for key in m})
-    rows = [[m.get(key, Fraction(0)) for key in keys] for m in maps]
-    return _rank(rows) == _rank(rows[: len(cob_maps)]) + len(basis)
+    return _rank(maps) == _rank(cob_maps) + len(basis)
 
 
 def _split_basis_change_maps(p: ExtProblem, env: dict):

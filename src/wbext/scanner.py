@@ -74,7 +74,7 @@ from .equations import (
 from .linalg import rank as matrix_rank
 from .oracle import verify_witness_env
 from .poly import MultiPoly, T, UniPoly
-from .problems import Caps, CocycleWitness, ExtProblem
+from .problems import SECTORS, Caps, CocycleWitness, ExtProblem
 from .qext import QuadExt, quad
 
 __all__ = [
@@ -967,8 +967,10 @@ def candidate_diffs(b, sector: str) -> list[Fraction]:
     diff = m + b with m <= 3; the first-generator sector is blind to b and
     lives on integer differences 0..6.  Both bounds are theorems re-checked
     by the test suite's off-line probes, not heuristics.  ``b`` is None, an
-    ``int`` or a ``Fraction``.
+    ``int`` or a ``Fraction``; ``sector`` is one of ``SECTORS``.
     """
+    if sector not in SECTORS:
+        raise ValueError(f"sector must be one of {SECTORS}, got {sector!r}")
     g_lines = []
     if b is not None:
         b = _rational_b(b)

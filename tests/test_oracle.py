@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wbext import oracle
+from wbext import oracle, scanner
 from wbext.engine import solve_ext
 from wbext.linalg import rank
 from wbext.oracle import _rank, brute_dims, verify_witness
@@ -180,15 +180,21 @@ def _sparse_matrices(draw):
     return rows, ncols
 
 
+def _sparse(rows):
+    """Dense rows as the ``{column: value}`` rows ``_rank`` takes."""
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
 @settings(max_examples=200, deadline=None)
 @given(_sparse_matrices())
 def test_oracle_rank_matches_linalg_and_transpose(case):
     rows, _ncols = case
-    before = [list(r) for r in rows]
-    r = _rank(rows)
-    assert rows == before  # the input rows are not eliminated in place
+    sparse = _sparse(rows)
+    before = [dict(r) for r in sparse]
+    r = _rank(sparse)
+    assert sparse == before  # the input rows are not eliminated in place
     assert r == rank([tuple((c, v) for c, v in enumerate(row) if v) for row in rows])
-    assert r == _rank([list(col) for col in zip(*rows)])
+    assert r == _rank(_sparse(zip(*rows)))
 
 
 _BIG = st.builds(Fraction, st.integers(-(2**64), 2**64), st.integers(1, 10**6))
@@ -224,13 +230,14 @@ def _large_dependent_matrices(draw):
 @given(_large_dependent_matrices())
 def test_oracle_rank_at_scale_matches_linalg_and_transpose(case):
     rows, base = case
-    before = [list(r) for r in rows]
-    r = _rank(rows)
-    assert rows == before  # the input rows are not eliminated in place
+    sparse = _sparse(rows)
+    before = [dict(r) for r in sparse]
+    r = _rank(sparse)
+    assert sparse == before  # the input rows are not eliminated in place
     assert r == rank([tuple((c, v) for c, v in enumerate(row) if v) for row in rows])
-    assert r == _rank([list(col) for col in zip(*rows)])
+    assert r == _rank(_sparse(zip(*rows)))
     # the combinations lie in the span of the rational rows, over any field
-    assert r == _rank(base)
+    assert r == _rank(_sparse(base))
 
 
 def _weight(draw, disc):
@@ -427,17 +434,15 @@ def test_tagged_witness_matrix_equals_the_literal_unit_witness_columns(p):
     want = _columns_as_rows(columns)
     got = oracle._residual_rows(p.shape, env, unknowns)
     assert got == want
-    assert brute_dims(p)[0] == len(unknowns) - _rank(
-        [[row.get(c, 0) for c in range(len(unknowns))] for row in want]
-    )
+    assert brute_dims(p)[0] == len(unknowns) - _rank(want)
 
 
 @settings(max_examples=25, deadline=None)
 @given(_problems(), st.randoms(use_true_random=False))
 def test_shared_memo_gives_each_unit_witness_its_own_column(p, rnd):
-    """The tagged witness runs every unit witness through one model, one
-    memo; in any column order, each column is the one that unit witness's
-    own model, with a memo of its own, gives."""
+    """The tagged witness runs every unit witness through one model and its
+    memos; in any column order, each column is the one that unit witness's
+    own model, with memos of its own, gives."""
     env = p.env()
     unknowns = oracle._unknowns(p)
     rnd.shuffle(unknowns)
@@ -507,3 +512,48 @@ def test_verify_witness_reports_the_literal_residuals(case):
     assert report.passed == (not violations)
     expected = oracle.VerifyReport(passed=not violations, residuals=want, violations=violations)
     assert str(report) == str(expected)
+
+
+@st.composite
+def _scan_lines_and_witnesses(draw):
+    """A scan line's Q[t] environment, in either chart and any sector, and a
+    witness inside small caps whose coefficients are polynomials in t of
+    degree at most 2.  Now and then the witness is the line's own g-sector
+    family (a cocycle over Q[t]), so both verdicts occur."""
+    b = draw(_SMALL.filter(bool))
+    sector = draw(st.sampled_from(("full", "f", "g")))
+    m = draw(st.integers(0, 2))
+    family = sector != "f" and draw(st.booleans())
+    diff = m + b if family else draw(_SMALL)
+    chart = draw(st.sampled_from((scanner.scan_dbar, scanner.scan_delta)))
+    caps = Caps(2, 2, 2, 2)
+    env = chart(b, diff, sector=sector, caps=caps).env_t()
+    if family:
+        return env, scanner.g_family_witness(m, b, dbar=env["dbar"])
+    coeff = st.one_of(st.just(Fraction(0)), _SMALL)
+    parts = {"full": "fg", "f": "f", "g": "g"}[sector]
+
+    def part(name):
+        if name not in parts:
+            return MultiPoly.zero()
+        terms = {}
+        for j, k in oracle._monomials(3, name, caps):
+            for e in range(3):
+                terms[(j, k, 0, e)] = draw(coeff)
+        return MultiPoly(terms)
+
+    return env, CocycleWitness(f=part("f"), g=part("g"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_scan_lines_and_witnesses())
+def test_verify_witness_env_over_q_t_reports_the_literal_residuals(case):
+    """The scanner's line-family check: over Q[t], verify_witness_env reports
+    the residuals and violations of the literal composition."""
+    env, w = case
+    report = oracle.verify_witness_env(3, env, w)
+    want = _LiteralModel(3, env, w).all_residuals()
+    _assert_same_residuals(report.residuals, want)
+    violations = [label for label, (top, sub) in want.items() if top or sub]
+    assert report.violations == violations
+    assert report.passed == (not violations)

@@ -16,7 +16,7 @@ from wbext.equations import assemble_linear_system, build_equations_env, key_ran
 from wbext.linalg import rank
 from wbext.oracle import verify_witness
 from wbext.poly import MultiPoly, UniPoly
-from wbext.problems import Caps
+from wbext.problems import Caps, ExtProblem
 from wbext.qext import quad
 from wbext.scanner import (
     candidate_diffs,
@@ -300,6 +300,20 @@ def test_family_helpers_refuse_b_as_classify_does(bad, message):
         assert str(exc.value) == message
     assert candidate_diffs(None, "f") == [Fraction(s) for s in range(7)]
     assert candidate_diffs(None, "g") == []
+
+
+@pytest.mark.parametrize("sector", ["bogus", "F", "", None])
+def test_candidate_diffs_refuses_a_sector_as_ext_problem_does(sector):
+    """An unknown sector is refused with ExtProblem's message, not read as
+    the full-sector union."""
+    message = f"sector must be one of ('full', 'f', 'g'), got {sector!r}"
+    for b in (2, None):
+        with pytest.raises(ValueError) as exc:
+            candidate_diffs(b, sector)
+        assert str(exc.value) == message
+    with pytest.raises(ValueError) as exc:
+        ExtProblem(shape=3, b=2, alpha=0, abar=0, delta=1, dbar=0, sector=sector)
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("b", [Fraction(2), Fraction(-2, 3)])
