@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from . import scanner
 from .engine import solve_ext
-from .oracle import brute_dims, independent_mod_coboundaries, verify_witness
+from .oracle import _sector_parts, brute_dims, independent_mod_coboundaries, verify_witness
 from .problems import PARAM_FIELDS, SHAPE_WEIGHTS, Caps, ExtProblem
 from .qext import parse_rational
 from .records import OutputRecord, RecordError, parse_record, scalar_str
@@ -296,13 +296,21 @@ def _cmd_verify(args) -> tuple[str, int]:
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read --input file: {exc}") from None
     record = parse_record(text)  # RecordError propagates as a usage failure
+    sector = record.problem.sector
+    parts = _sector_parts(record.problem.shape, sector)  # the parts the oracle's checks read
     out = []
+    outside = []
     failures = 0
     for i, witness in enumerate(record.basis):
         try:
             report = verify_witness(record.problem, witness)
         except ValueError as exc:  # a witness that does not fit the problem's shape
             raise UsageError(f"basis[{i}]: {exc}") from None
+        outside += [
+            f"claim FAILS: basis[{i}] has a non-zero {part} part, which sector {sector} excludes"
+            for part, poly in witness.parts().items()
+            if part not in parts and not poly.is_zero()
+        ]
         verdict = "ok" if report.passed else "FAIL"
         out.append(f"witness [{i}] {witness}: {verdict}")
         if not report.passed:
@@ -317,6 +325,8 @@ def _cmd_verify(args) -> tuple[str, int]:
         out.append(
             f"{len(record.basis) - failures}/{len(record.basis)} witness(es) verified"
         )
+    failures += len(outside)
+    out += outside
     # the document's whole claim, re-derived by the oracle alone; a dimension
     # the document leaves out is not claimed
     claimed = json.loads(text)

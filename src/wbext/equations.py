@@ -40,6 +40,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, repeat
 from operator import mul
 
 from .poly import D, L, U, MultiPoly
@@ -92,51 +93,22 @@ def unknown_basis(shape: int, caps: Caps, sector: str) -> list:
 
 
 class _Powers:
-    """Monomial images under the slot substitutions used by the identities.
-
-    A slot product depends only on ``(j, k)``, so each is computed on first
-    use and kept.
-    """
+    """The powers ``0 .. cap + 1`` of d, l, u, d + l, d + u and l + u, each
+    entry the one before times its base.  An identity multiplies two of them
+    in parentheses, so each affine weight factor is multiplied once, by that
+    product."""
 
     def __init__(self, cap: int):
-        n = cap + 2
-        self.d = [D**j for j in range(n)]
-        self.l = [L**k for k in range(n)]
-        self.u = [U**k for k in range(n)]
-        self.dl = [(D + L) ** j for j in range(n)]
-        self.du = [(D + U) ** j for j in range(n)]
-        self.lu = [(L + U) ** k for k in range(n)]
-        self._products = {}
-
-    def _slot(self, name, j, k, left, right):
-        key = (name, j, k)
-        out = self._products.get(key)
-        if out is None:
-            out = self._products[key] = left[j] * right[k]
-        return out
-
-    def m(self, j, k):  # m(d, l)
-        return self._slot("m", j, k, self.d, self.l)
-
-    def m_u(self, j, k):  # m(d, u)
-        return self._slot("m_u", j, k, self.d, self.u)
-
-    def m_dl_u(self, j, k):  # m(d+l, u)
-        return self._slot("m_dl_u", j, k, self.dl, self.u)
-
-    def m_du_l(self, j, k):  # m(d+u, l)
-        return self._slot("m_du_l", j, k, self.du, self.l)
-
-    def m_lu(self, j, k):  # m(d, l+u)
-        return self._slot("m_lu", j, k, self.d, self.lu)
+        self.d, self.l, self.u, self.dl, self.du, self.lu = (
+            list(accumulate(repeat(base, cap + 1), mul, initial=MultiPoly.const(1)))
+            for base in (D, L, U, D + L, D + U, L + U)
+        )
 
 
-# The powers and slot products depend only on the cap and MultiPoly is
-# immutable, so every build at one cap shares them, the engine's templates
-# and the scanner's line templates alike; a solve and its caps+2 re-run use
-# two.
-# The engine's basis-change images read ``d**j`` and ``(d+l)**j`` here too,
-# at the phi cap.
+# The powers depend only on the cap and MultiPoly is immutable, so every
+# build at one cap shares them, the engine's templates and the scanner's line
+# templates alike; a solve and its caps+2 re-run use two.  The engine's
+# basis-change images read ``d**j`` and ``(d+l)**j`` here too, at the phi cap.
 @lru_cache(maxsize=16)
 def _powers(cap: int) -> _Powers:
     return _Powers(cap)
@@ -296,29 +268,33 @@ def build_equations_env(shape: int, env: dict, caps: Caps, sector: str) -> list:
             cols = {}
             for _, j, k in f_keys:
                 cols[("f", j, k)] = (
-                    act * pw.m_dl_u(j, k)
-                    - act_u * pw.m_du_l(j, k)
-                    - (L - U) * pw.m_lu(j, k)
+                    act * (pw.dl[j] * pw.u[k])
+                    - act_u * (pw.du[j] * pw.l[k])
+                    - (L - U) * (pw.d[j] * pw.lu[k])
                 )
             identities.append(Identity("LL", cols))
             cols = {}
             for _, j, k in f_keys:
-                cols[("f", j, k)] = (D + L - gamma) * pw.m(j, k)
+                cols[("f", j, k)] = (D + L - gamma) * (pw.d[j] * pw.l[k])
             for _, j, _ in h_keys:
                 cols[("h", j, 0)] = -act * pw.dl[j]
             identities.append(Identity("dL", cols))
         if g_keys:
             cols = {}
             for _, j, k in g_keys:
-                cols[("g", j, k)] = (D + L - gamma) * pw.m(j, k)
+                cols[("g", j, k)] = (D + L - gamma) * (pw.d[j] * pw.l[k])
             identities.append(Identity("dH", cols))
             cols = {}
             for _, j, k in g_keys:
-                cols[("g", j, k)] = act * pw.m_dl_u(j, k) + (b * L + U) * pw.m_lu(j, k)
+                cols[("g", j, k)] = (
+                    act * (pw.dl[j] * pw.u[k]) + (b * L + U) * (pw.d[j] * pw.lu[k])
+                )
             identities.append(Identity("LH", cols))
             cols = {}
             for _, j, k in g_keys:
-                cols[("g", j, k)] = act_u * pw.m_du_l(j, k) + (L + b * U) * pw.m_lu(j, k)
+                cols[("g", j, k)] = (
+                    act_u * (pw.du[j] * pw.l[k]) + (L + b * U) * (pw.d[j] * pw.lu[k])
+                )
             identities.append(Identity("HL", cols))
         return identities
 
@@ -334,24 +310,28 @@ def build_equations_env(shape: int, env: dict, caps: Caps, sector: str) -> list:
         cols = {}
         for _, j, k in f_keys:
             cols[("f", j, k)] = (
-                top_l * pw.m(j, k)
-                + sub_l * pw.m_dl_u(j, k)
-                - top_u * pw.m_u(j, k)
-                - sub_u * pw.m_du_l(j, k)
-                - (L - U) * pw.m_lu(j, k)
+                top_l * (pw.d[j] * pw.l[k])
+                + sub_l * (pw.dl[j] * pw.u[k])
+                - top_u * (pw.d[j] * pw.u[k])
+                - sub_u * (pw.du[j] * pw.l[k])
+                - (L - U) * (pw.d[j] * pw.lu[k])
             )
         identities.append(Identity("LL", cols))
     if g_keys:
         cols = {}
         for _, j, k in g_keys:
             cols[("g", j, k)] = (
-                sub_l * pw.m_dl_u(j, k) - top_u * pw.m_u(j, k) + (b * L + U) * pw.m_lu(j, k)
+                sub_l * (pw.dl[j] * pw.u[k])
+                - top_u * (pw.d[j] * pw.u[k])
+                + (b * L + U) * (pw.d[j] * pw.lu[k])
             )
         identities.append(Identity("LH", cols))
         cols = {}
         for _, j, k in g_keys:
             cols[("g", j, k)] = (
-                top_l * pw.m(j, k) - sub_u * pw.m_du_l(j, k) - (L + b * U) * pw.m_lu(j, k)
+                top_l * (pw.d[j] * pw.l[k])
+                - sub_u * (pw.du[j] * pw.l[k])
+                - (L + b * U) * (pw.d[j] * pw.lu[k])
             )
         identities.append(Identity("HL", cols))
     return identities

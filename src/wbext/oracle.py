@@ -494,9 +494,6 @@ def _split_basis_change_maps(p: ExtProblem, env: dict):
         for phi, phi_l in _moves(p.caps.phi):
             parts = {"f": phi_l * sub - quot * phi}
             maps.append(_poly_map(parts))
-    if p.sector == "f" or p.shape != 2:
-        wanted = {"f", "h"} if p.shape == 2 else {"f"}
-        maps = [{k: v for k, v in m.items() if k[0] in wanted} for m in maps]
     return [m for m in maps if m]
 
 

@@ -20,10 +20,11 @@ from hypothesis import strategies as st
 
 from wbext import cli, scanner, tables
 from wbext.cli import main
+from wbext.engine import solve_ext
 from wbext.oracle import verify_witness_env
 from wbext.poly import MultiPoly
 from wbext.problems import Caps, CocycleWitness, ExtProblem
-from wbext.records import parse_poly, parse_record
+from wbext.records import OutputRecord, parse_poly, parse_record
 
 _SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -307,25 +308,46 @@ def _zero_witness(doc):
     return {part: "0" for part in doc["basis"][0]}
 
 
+def _sector_doc(tmp_path, sector):
+    """The solve document of the shape-3 problem at b = -1, (alpha, abar,
+    delta, dbar) = (0, 0, 1, 1) in one sector, which the CLI cannot pick."""
+    p = ExtProblem(shape=3, b=-1, alpha=0, abar=0, delta=1, dbar=1, sector=sector)
+    target = tmp_path / "result.json"
+    target.write_text(OutputRecord.from_solution(p, solve_ext(p)).to_json())
+    return target, json.loads(target.read_text())
+
+
 @pytest.mark.parametrize(
-    "edit, claims",
+    "sector, edit, claims",
     [
-        (lambda d: {"basis": [d["basis"][0], d["basis"][0]]}, ["witness(es) are not independent"]),
-        (lambda d: {"basis": [_zero_witness(d)] * 2}, ["witness(es) are not independent"]),
+        (None, lambda d: {"basis": [d["basis"][0], d["basis"][0]]},
+         ["witness(es) are not independent"]),
+        (None, lambda d: {"basis": [_zero_witness(d)] * 2}, ["witness(es) are not independent"]),
         (
+            None,
             lambda d: {"cocycle_dim": 11, "ext_dim": 3, "basis": d["basis"] + [_zero_witness(d)]},
             ["cocycle_dim = 11, the oracle finds 10", "ext_dim = 3, the oracle finds 2",
              "witness(es) are not independent"],
         ),
+        # each witness satisfies the identities, but outside the sector's unknowns
+        ("g", lambda d: {"basis": [{"f": "1", "g": "0"}]},
+         ["basis[0] has a non-zero f part, which sector g excludes"]),
+        ("f", lambda d: {"basis": [{"f": "0", "g": "d + l"}] + d["basis"][1:]},
+         ["basis[0] has a non-zero g part, which sector f excludes"]),
     ],
-    ids=["repeated-witness", "zero-witnesses", "dims-11-8-3"],
+    ids=["repeated-witness", "zero-witnesses", "dims-11-8-3", "f-part-in-g-sector",
+         "g-part-in-f-sector"],
 )
-def test_verify_checks_the_whole_claim(capsys, tmp_path, edit, claims):
+def test_verify_checks_the_whole_claim(capsys, tmp_path, sector, edit, claims):
     """Witnesses that each satisfy the identities but do not make up the
     claimed extension space are refused, with the failing claim printed."""
-    target, doc = _solve_doc(tmp_path, SOLVE_T3)
-    capsys.readouterr()
-    assert (doc["cocycle_dim"], doc["coboundary_dim"], doc["ext_dim"]) == (10, 8, 2)
+    if sector is None:
+        target, doc = _solve_doc(tmp_path, SOLVE_T3)
+        capsys.readouterr()
+        assert (doc["cocycle_dim"], doc["coboundary_dim"], doc["ext_dim"]) == (10, 8, 2)
+    else:
+        target, doc = _sector_doc(tmp_path, sector)
+        assert len(doc["basis"]) == doc["ext_dim"] == {"g": 1, "f": 2}[sector]
     doc.update(edit(doc))
     target.write_text(json.dumps(doc))
     rc, out, _ = run(capsys, ["verify", "--input", str(target)])

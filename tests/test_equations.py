@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from wbext.equations import (
     Identity,
     _Affine,
-    _powers,
+    _Powers,
     assemble_linear_system,
     build_equations,
     build_equations_env,
@@ -255,10 +255,14 @@ def test_weight_symbols_refuse_a_product_of_two_weights():
         (D + alpha) * (L - delta)
 
 
-def test_slot_products_are_computed_once_per_cap():
-    pw = _powers(4)
-    for name, left, right in (("m", pw.d, pw.l), ("m_u", pw.d, pw.u), ("m_dl_u", pw.dl, pw.u),
-                              ("m_du_l", pw.du, pw.l), ("m_lu", pw.d, pw.lu)):
-        product = getattr(pw, name)(2, 3)
-        assert product == left[2] * right[3]
-        assert getattr(pw, name)(2, 3) is product
+def test_slot_powers_are_the_powers_of_their_base():
+    # the templates and the direct builds both read these lists, so only a
+    # check against ``MultiPoly.__pow__`` catches a wrong power
+    bases = {"d": D, "l": L, "u": U, "dl": D + L, "du": D + U, "lu": L + U}
+    for cap in range(11):
+        pw = _Powers(cap)
+        for name, base in bases.items():
+            powers = getattr(pw, name)
+            assert len(powers) == cap + 2
+            for j, power in enumerate(powers):
+                assert power == base**j, (cap, name, j)

@@ -550,6 +550,25 @@ def test_certificate_is_square_free_primitive_and_covers_every_pivot(b, diff, se
             assert scanner._quotient(cert, _squarefree_part(p)) is not None
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    b=_SMALL_Q.filter(bool),
+    diff=_SMALL_Q,
+    sector=st.sampled_from(["full", "f", "g"]),
+    promote=st.sampled_from(["dbar", "delta"]),
+    samples=st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=7), min_size=2,
+                     max_size=2),
+)
+def test_point_check_agrees_with_the_oracle(b, diff, sector, promote, samples):
+    """The scanner's point check against the oracle's independent route, at
+    every certificate candidate (quadratic ones included) and at two random
+    rationals of the line."""
+    base = scan_dbar(b, diff, sector=sector, caps=Caps(f=3, g=3, h=3, phi=3)).base
+    sp = scanner.ScanProblem(base, promote)
+    for t0 in _certificate_roots(sp) + samples:
+        assert ext_dim_at(sp, t0) == oracle.brute_dims(sp.specialize(t0))[2], t0
+
+
 def test_pivots_and_certificates_hold_ints_as_computed():
     """``fraction_free_rank``'s pivots and the certificate have ``int``
     coefficients, and a line keeps those pivots' coefficient tuples as they
