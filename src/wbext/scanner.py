@@ -11,14 +11,15 @@ The systems of every line with one (caps, sector, chart) are built once, as
 an integer template (:func:`_line_template`): the one transcription of the
 equations and of the basis-change images runs with the scan variable t and
 the line's ``b`` and ``diff`` as affine symbols, so each entry is ``c0 +
-c_b*b + c_diff*diff + c_t*t`` with integer coefficients.  A line evaluates
-it at its (b, diff) to the package's one sparse row format (see
+c_b*b + c_diff*diff + c_t*t`` with integer coefficients; its equations are
+split into their blocks there, once per template.  A line evaluates it at
+its (b, diff) to the package's one sparse row format (see
 :mod:`wbext.linalg`) over Z[t]: every row is scaled by a positive constant
 to primitive integer coefficients, so a value is a tuple of ``int``
 coefficients of a non-zero polynomial in Z[t], and the rows are those of
 the line's direct build so scaled.  Scaling a row moves no rank, at t or
-at any point.  A line keeps one list of
-matrices (the equation blocks, then the full and the overflow coboundary
+at any point.  A line keeps one list of matrices (the equation blocks
+that do not vanish on it, then the full and the overflow coboundary
 matrices) and one formula that turns their ranks into an ext dimension.
 That list feeds two consumers:
 
@@ -95,6 +96,7 @@ __all__ = [
 ]
 
 _PROMOTE = ("delta", "dbar")
+_MAX_G_DEGREE = 3  # the g-sector degree law: g families only on diff = m + b, m in 0..3
 
 
 @dataclass(frozen=True)
@@ -336,7 +338,7 @@ def fraction_free_rank(rows) -> tuple[int, list]:
     elimination over the unscaled rational rows times non-zero constants
     (the row scales), so their square-free primitive parts, and with them
     the certificate, do not depend on the scaling.  Rows that cancel to
-    zero are dropped as they appear.
+    zero stay in place, empty, so ties break as in plain Bareiss.
 
     Every entry is packed as one ``int``, its value at t = 2**K
     (Kronecker substitution).  Evaluation is a ring map, so each step is
@@ -401,12 +403,7 @@ def fraction_free_rank(rows) -> tuple[int, list]:
         prow = work[r]
         piv = prow[col]
         pivots.append(UniPoly(_unpack(piv, k)))
-        kept = work[: r + 1]
-        for row in work[r + 1 :]:
-            new = step(row, prow, col, prev)
-            if new:
-                kept.append(new)
-        work = kept
+        work[r + 1 :] = [step(row, prow, col, prev) if row else row for row in work[r + 1 :]]
         prev = piv
         r += 1
     return r, pivots
@@ -455,19 +452,19 @@ def _line_env(sector: str, promote: str) -> dict:
 # One template per (caps, sector, chart), shared by every line with that
 # key.  classify meets 2 keys, (caps, full, dbar) and (caps, f, dbar), and
 # ``wbext scan --promote delta`` one more.  At the default caps a full
-# template's rows take 0.06 MB, an f template's 0.04 MB and a g template's
-# 0.02 MB, their values shared tuples.
+# template's rows, split into blocks once, take 0.06 MB, an f template's
+# 0.04 MB and a g template's 0.02 MB, their values shared tuples.
 @lru_cache(maxsize=8)
 def _line_template(caps: Caps, sector: str, promote: str) -> tuple:
-    """``(keys, equation rows, image rows, overflow width)`` of every line
+    """``(keys, equation blocks, image rows, overflow width)`` of every line
     with this key, each value an integer tuple ``(c0, c_b, c_diff, c_t)``
     (no ``c_b`` in the f sector).
 
     Built by the one transcription of each system, :func:`build_equations_env`
-    and :func:`engine.coboundary_span_env`, over :func:`_line_env`; the images
-    are laid out overflow-first by :func:`engine.coeff_rows`, so the overflow
-    block holds every out-of-cap key some line reaches, and the g sector has
-    none (basis moves never produce g-parts).
+    and :func:`engine.coboundary_span_env`, over :func:`_line_env`; the
+    equations split once by :func:`_block_split`, the images laid out
+    overflow-first by :func:`engine.coeff_rows` (the overflow block holds
+    every out-of-cap key some line reaches; the g sector has none).
     """
     env = _line_env(sector, promote)
     keys = unknown_basis(3, caps, sector)
@@ -476,7 +473,7 @@ def _line_template(caps: Caps, sector: str, promote: str) -> tuple:
     if sector != "g":
         span = engine.coboundary_span_env(3, env, caps.phi)
         images, over = engine.coeff_rows([engine.witness_coeff_map(w) for w in span], keys)
-    return keys, system.rows, tuple(images), over
+    return keys, _block_split(keys, system.rows), tuple(images), over
 
 
 def _lower(rows, point) -> list:
@@ -514,16 +511,14 @@ def _block_split(keys, rows):
     Sound because scan lines are homogeneous (both shift parameters vanish):
     every identity then maps a homogeneous witness monomial to equations of
     a single adjacent degree, so distinct degrees never mix and each small
-    block can be eliminated on its own.  Returns ``(part, rows)`` per block;
-    the blocks lead the line's one matrix list.  A mixed row would break
-    that argument, so it raises ``ArithmeticError``.
+    block can be eliminated on its own.  Returns ``(part, block-local rows)``
+    per block.  A mixed row would break that argument, so it raises
+    ``ArithmeticError``; on a template that checks every line at once.
     """
     group_of = [(key[0], key[1] + key[2]) for key in keys]
     buckets: dict = {}
     for row in rows:
         support = {group_of[j] for j, _e in row}
-        if not support:
-            continue
         if len(support) > 1:
             raise ArithmeticError("homogeneous block split saw a mixed row")
         buckets.setdefault(support.pop(), []).append(row)
@@ -531,15 +526,9 @@ def _block_split(keys, rows):
     for group in sorted(buckets):
         # block-local columns, in key order
         local = {j: k for k, j in enumerate(j for j, g in enumerate(group_of) if g == group)}
-        blocks.append((group[0], [tuple((local[j], e) for j, e in row) for row in buckets[group]]))
-    return blocks
-
-
-def _cob_rows_t(images, over, point):
-    """Basis-change image matrix over Z[t], columns ordered overflow-first,
-    and its overflow block."""
-    full_rows = _lower(images, point)
-    return full_rows, [tuple((j, e) for j, e in row if j < over) for row in full_rows]
+        rows = tuple(tuple((local[j], e) for j, e in row) for row in buckets[group])
+        blocks.append((group[0], rows))
+    return tuple(blocks)
 
 
 # Each line is built once and then re-read by its own special_values,
@@ -548,13 +537,15 @@ def _cob_rows_t(images, over, point):
 # hits, 39 misses, one per line).  Eviction keeps a long sweep over b bounded.
 @lru_cache(maxsize=16)
 def _line_data(sp: ScanProblem) -> _LineData:
-    keys, equations, images, over = _line_template(sp.base.caps, sp.base.sector, sp.promote)
+    keys, blocks, images, over = _line_template(sp.base.caps, sp.base.sector, sp.promote)
     point = (sp.diff,) if sp.base.sector == "f" else (Fraction(sp.base.b), sp.diff)
-    blocks = _block_split(keys, _lower(equations, point))
+    lowered = [(part, mat) for part, rows in blocks if (mat := _lower(rows, point))]
+    full = _lower(images, point)
+    overflow = [tuple((j, e) for j, e in row if j < over) for row in full]
     matrices = []
     pivots = []
     g_rank = 0
-    for part, mat in blocks + [(None, cob) for cob in _cob_rows_t(images, over, point)]:
+    for part, mat in lowered + [(None, full), (None, overflow)]:
         rank, piv = fraction_free_rank(mat)
         piv = [p.coeffs for p in piv]
         matrices.append((mat, rank, piv[-1] if piv else None))
@@ -603,8 +594,10 @@ def ext_dim_at(sp: ScanProblem, t0) -> int:
     integers at a rational t0.  The result equals solve_ext on the
     specialized problem (the same integer rows; each row differs from the
     engine's by a positive constant), at a fraction of the cost; works for
-    Fraction and QuadExt points.
+    int, Fraction and QuadExt points; any other t0 raises ``ValueError``.
     """
+    if isinstance(t0, bool) or not isinstance(t0, (int, Fraction, QuadExt)):
+        raise ValueError(f"t0 must be an int, a Fraction or a QuadExt, got {t0!r}")
     data = _line_data(sp)
     at = _rows_at([((0, last),) if last else () for _rows, _r, last in data.matrices], t0)
     return data.ext_dim(
@@ -888,7 +881,7 @@ def line_family(sp: ScanProblem) -> CocycleWitness | None:
     if _line_data(sp).g_generic <= 0:
         return None
     m = sp.diff - Fraction(sp.base.b)
-    if m.denominator != 1 or not 0 <= m <= 3:
+    if m.denominator != 1 or not 0 <= m <= _MAX_G_DEGREE:
         raise ArithmeticError(f"generic g-sector solutions at m = {m}, off the degree law")
     env = sp.env_t()
     fam = g_family_witness(int(m), sp.base.b, dbar=env["dbar"])
@@ -957,7 +950,7 @@ def _line_entry(b, diff, sector, caps) -> LineEntry:
 # classify pays for it once per caps and reuses it for every later b.
 @lru_cache(maxsize=4)
 def _virasoro_layer(caps) -> tuple:
-    return tuple(_line_entry(None, Fraction(s), "f", caps) for s in range(7))
+    return tuple(_line_entry(None, diff, "f", caps) for diff in candidate_diffs(None, "f"))
 
 
 def candidate_diffs(b, sector: str) -> list[Fraction]:
@@ -974,7 +967,7 @@ def candidate_diffs(b, sector: str) -> list[Fraction]:
     g_lines = []
     if b is not None:
         b = _rational_b(b)
-        g_lines = [m + b for m in range(4)]
+        g_lines = [m + b for m in range(_MAX_G_DEGREE + 1)]
     f_lines = [Fraction(s) for s in range(7)]
     if sector == "g":
         return g_lines
@@ -996,5 +989,5 @@ def classify(b, caps=None) -> ClassifyReport:
     if b == 0:
         raise ValueError("b = 0 is outside this family of algebras")
     caps = caps if caps is not None else Caps()
-    per_b = [_line_entry(b, Fraction(m) + b, "full", caps) for m in range(4)]
+    per_b = [_line_entry(b, diff, "full", caps) for diff in candidate_diffs(b, "g")]
     return ClassifyReport(b=b, layer=_virasoro_layer(caps), per_b=per_b)

@@ -604,6 +604,9 @@ for argv in (
     "solve --type 3 --b 2 --alpha 0 --abar 0 --delta 3 --dbar 1 --json",
     "scan --b -2/3 --sector full --json",
     "scan --b 5 --sector full --json",
+    "scan --b 2 --sector full --json",
+    "scan --b 3 --sector full --json",
+    "scan --b 6 --sector full --json",
     "scan --b 2 --sector f --promote delta --diff 2",
     "scan --b 3 --sector full --promote delta --json",
     "scan --b -2/3 --sector g --promote delta --json",
@@ -622,6 +625,9 @@ _PINNED_OUTPUT_HASHES = [
     "3c8ef7c0169fc78f333e1268e2f71a9c9c653b8006f68ad498db52015fd7eb06",
     "2ccc2458508cc3e5fbe307a2db526b39301fea85cbf427fa799b8bec1e2cf49f",
     "88c21d00c6addfb6a1c708158cbfc88f4601ba83dd2b36768e051ec95e1678c0",
+    "fd22cf0bb0a50a1cd6840d03efd8fe629be0c92ffd23361d5c64c646920fe821",
+    "029a1baedb2594234b94b5d58ae9cfcd80806753939887e1ca5c1e0c9459abac",
+    "1d922712d5925c5e4ef8fe48671afdd45165a313b69db163301fb65881f6f613",
     "bfb451c261d6a02f7cace9a2d0ef8d235f5d30b83f79e6cfdaad17f8393ac007",
     "fb9da1f30be964ed7f62f037f6ffc79dbbaf94df8abeb499119d7cdb49378894",
     "3089cc328e299a1c7f5898166dd58b592c4097e2d311895dd9ef5c5ad79fa759",

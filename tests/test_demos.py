@@ -12,6 +12,10 @@ _ROOT = Path(__file__).resolve().parents[1]
 # it prints
 _TOUR_SHA256 = "17912a549917389abd70a57bc5de2e72e0abd5af8b8971994278e5454a059915"
 
+# sha256 of the CLI session's stdout: every command's printed bytes, the
+# verify round trip and the rejection of the tampered document
+_SESSION_SHA256 = "f537cb757604bca8eee1cb578571857d8a75f7abd95f72493569a052ad26a5ba"
+
 
 def test_classification_tour_runs():
     env = {**os.environ, "PYTHONPATH": str(_ROOT / "src")}
@@ -45,3 +49,4 @@ def test_cli_session_runs(tmp_path):
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "tampered document rejected, as expected" in proc.stdout
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == _SESSION_SHA256

@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import zip_longest
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wbext import engine, oracle, scanner
@@ -277,6 +277,17 @@ def test_classify_takes_only_an_int_or_a_fraction():
     assert classify(Fraction(-2, 3), caps=_SMALL_CAPS).b == Fraction(-2, 3)
 
 
+@pytest.mark.parametrize("bad", [0.5, True, "1"], ids=["float", "bool", "str"])
+def test_ext_dim_at_takes_only_an_int_a_fraction_or_a_quadext(bad):
+    """A float, a bool or a string is refused, not converted or read as 1,
+    in ExtProblem's words; an int is the Fraction it equals."""
+    sp = scan_dbar(2, 1, caps=_SMALL_CAPS)
+    with pytest.raises(ValueError) as exc:
+        ext_dim_at(sp, bad)
+    assert str(exc.value) == f"t0 must be an int, a Fraction or a QuadExt, got {bad!r}"
+    assert ext_dim_at(sp, 1) == ext_dim_at(sp, Fraction(1))
+
+
 @pytest.mark.parametrize(
     "bad, message",
     [
@@ -466,14 +477,29 @@ def _keyed(rows, columns):
 def test_line_template_equals_the_direct_build_on_the_line(b, diff, sector, promote):
     """The template of a (caps, sector, chart), evaluated on one line, gives
     the rows of that line's own build over Q[t], scaled to primitive
-    integers: value for value and in order."""
+    integers: block for block, value for value and in order.  Its blocks,
+    put back in the key columns, are its equation rows, each once."""
     assume(b is not None or sector == "f")
     sp = scanner.ScanProblem(scan_dbar(b, diff, sector=sector, caps=_SMALL_CAPS).base, promote)
-    keys, equations, images, over = scanner._line_template(_SMALL_CAPS, sector, promote)
+    keys, blocks, images, over = scanner._line_template(_SMALL_CAPS, sector, promote)
     point = (sp.diff,) if sector == "f" else (Fraction(b), sp.diff)
     env = sp.env_t()
     direct = assemble_linear_system(build_equations_env(3, env, _SMALL_CAPS, sector), keys)
-    assert scanner._lower(equations, point) == _int_rows(direct.rows)
+    # blocks that vanish on the line are left out, as a split of its own rows has none
+    lowered = [(part, rows) for part, block in blocks if (rows := scanner._lower(block, point))]
+    assert lowered == [
+        (part, list(rows)) for part, rows in scanner._block_split(keys, _int_rows(direct.rows))
+    ]
+    symbolic = build_equations_env(3, scanner._line_env(sector, promote), _SMALL_CAPS, sector)
+    template = assemble_linear_system(symbolic, keys).rows
+    group_of = [(key[0], key[1] + key[2]) for key in keys]
+    groups = sorted({group_of[j] for row in template for j, _e in row})
+    assert [part for part, _rows in blocks] == [part for part, _degree in groups]
+    unsplit = []
+    for group, (_part, rows) in zip(groups, blocks):
+        columns = [j for j, g in enumerate(group_of) if g == group]
+        unsplit.extend(tuple((columns[k], e) for k, e in row) for row in rows)
+    assert sorted(unsplit) == sorted(template)
     if sector == "g":
         assert images == () and over == 0
         return
@@ -710,6 +736,11 @@ def _uni_matrices(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(rows=_uni_matrices())
+# the second row cancels; the last two pivot candidates then tie in degree
+@example(
+    rows=[[(1,), (), ()], [(1,), (), ()], [(), (0, 0, 1), ()], [(), (), (0, 0, 1)],
+          [(), (0, 1), (1, 1)]]
+)
 def test_integer_bareiss_matches_the_fraction_reference(rows):
     sparse = [tuple((j, UniPoly(e).to_multipoly()) for j, e in enumerate(row) if e) for row in rows]
     rank, pivots = scanner.fraction_free_rank(_int_rows(sparse))
