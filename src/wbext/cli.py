@@ -25,7 +25,7 @@ from fractions import Fraction
 from . import scanner
 from .engine import solve_ext
 from .oracle import _sector_parts, brute_dims, independent_mod_coboundaries, verify_witness
-from .problems import PARAM_FIELDS, SHAPE_WEIGHTS, Caps, ExtProblem
+from .problems import PARAM_FIELDS, SECTORS, SHAPE_WEIGHTS, Caps, ExtProblem
 from .qext import parse_rational
 from .records import OutputRecord, RecordError, parse_record, scalar_str
 
@@ -108,6 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--abar", type=_rational)
     p_solve.add_argument("--delta", type=_rational)
     p_solve.add_argument("--dbar", type=_rational)
+    p_solve.add_argument("--sector", default="full", choices=SECTORS)
     add_caps(p_solve)
     p_solve.add_argument("--json", action="store_true", help="machine-readable output")
     add_out(p_solve)
@@ -166,6 +167,7 @@ def _cmd_solve(args) -> tuple[str, int]:
             delta=args.delta,
             dbar=args.dbar,
             caps=_caps(args),
+            sector=args.sector,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None

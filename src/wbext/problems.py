@@ -13,6 +13,8 @@ __all__ = ["Caps", "ExtProblem", "CocycleWitness", "ExtSolution",
            "PARAM_FIELDS", "SECTORS", "SHAPE_WEIGHTS"]
 
 SECTORS = ("full", "f", "g")
+# ExtProblem's refusal of b = 0, which the scanner's b checks repeat word for word
+_B_ZERO_MESSAGE = "b = 0 is excluded: out of scope for this family"
 # the weight parameters of a problem, in the order documents list them
 PARAM_FIELDS = ("b", "alpha", "gamma", "abar", "delta", "dbar")
 # the weights each shape needs besides b; it takes none of the others
@@ -79,7 +81,7 @@ class ExtProblem:
             if self.sector != "f":
                 raise ValueError("b may be omitted only for the f-only sector")
         elif scalar(self.b) == 0:
-            raise ValueError("b = 0 is excluded: out of scope for this family")
+            raise ValueError(_B_ZERO_MESSAGE)
         self.caps.validate()
         needed = SHAPE_WEIGHTS[self.shape]
         if any(getattr(self, name) is None for name in needed):

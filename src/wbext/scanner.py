@@ -35,13 +35,15 @@ That list feeds two consumers:
   dimension equals the generic one, so every jump hides among the
   certificate's roots.  The pivots are integer-scaled (non-zero constants
   times those of the unscaled rational rows); the certificate, the product
-  of their square-free primitive parts, is the same.  It is built in Z[t]
-  with gcds by the primitive remainder sequence, and
-  :func:`uni_factor_special` finds each new factor's rational roots and
-  quadratic factors there too, by exact division.  A line keeps its pivots
-  as ``int`` coefficient tuples; the pivots :func:`fraction_free_rank`
-  returns and the certificate in :class:`ScanReport` are ``UniPoly``
-  values over those same ``int`` coefficients.
+  of their square-free primitive parts, is the same.  It is built in Z[t]:
+  a linear pivot, irreducible, joins it unless one exact division shows it
+  already divides it, and the other pivots through gcds by the primitive
+  remainder sequence.  :func:`uni_factor_special` finds each new factor's
+  rational roots and quadratic factors there too, by exact division.  A
+  line keeps its pivots as ``int`` coefficient tuples; the pivots
+  :func:`fraction_free_rank` returns and the certificate in
+  :class:`ScanReport` are ``UniPoly`` values over those same ``int``
+  coefficients.
 * The exact point check :func:`ext_dim_at` at each candidate root t0.  By
   Sylvester's identity every Bareiss pivot is a minor of the input, and
   the last one of a matrix of generic rank r is a non-zero r x r minor.
@@ -75,7 +77,7 @@ from .equations import (
 from .linalg import rank as matrix_rank
 from .oracle import verify_witness_env
 from .poly import MultiPoly, T, UniPoly
-from .problems import SECTORS, Caps, CocycleWitness, ExtProblem
+from .problems import _B_ZERO_MESSAGE, SECTORS, Caps, CocycleWitness, ExtProblem
 from .qext import QuadExt, quad
 
 __all__ = [
@@ -142,8 +144,15 @@ class ScanProblem:
         return _chart(self.promote, t0, self.diff)
 
     def specialize(self, t0) -> ExtProblem:
+        _check_point(t0)
         delta, dbar = self.weights_at(t0)
         return replace(self.base, delta=delta, dbar=dbar)
+
+
+def _check_point(t0) -> None:
+    """Refuse a scan point ``t0`` that is not an int, a Fraction or a QuadExt."""
+    if isinstance(t0, bool) or not isinstance(t0, (int, Fraction, QuadExt)):
+        raise ValueError(f"t0 must be an int, a Fraction or a QuadExt, got {t0!r}")
 
 
 def _chart(promote: str, t, diff):
@@ -596,8 +605,7 @@ def ext_dim_at(sp: ScanProblem, t0) -> int:
     engine's by a positive constant), at a fraction of the cost; works for
     int, Fraction and QuadExt points; any other t0 raises ``ValueError``.
     """
-    if isinstance(t0, bool) or not isinstance(t0, (int, Fraction, QuadExt)):
-        raise ValueError(f"t0 must be an int, a Fraction or a QuadExt, got {t0!r}")
+    _check_point(t0)
     data = _line_data(sp)
     at = _rows_at([((0, last),) if last else () for _rows, _r, last in data.matrices], t0)
     return data.ext_dim(
@@ -695,14 +703,20 @@ def uni_factor_special(p) -> tuple[list, list, list]:
 def _factor_pivots(pivots):
     """Factor the pivot product incrementally; (candidates, cert, notes).
 
-    The certificate is built in Z[t] by the primitive remainder sequence of
-    :func:`_gcd`.  Each pivot's square-free part ``p / gcd(p, p')`` is
-    reduced by what previous pivots already contributed, so only small new
-    factors ever reach :func:`uni_factor_special`; the accumulated product
-    is exactly the square-free pivot certificate.  Every factor is primitive
-    with a positive lead, and so, by Gauss's lemma, is the product.  The
-    candidates are the factors' rational roots and both roots of each
-    quadratic factor; the factors are pairwise coprime, so none repeats.
+    The certificate is built in Z[t].  Each pivot's square-free part ``p /
+    gcd(p, p')`` is reduced by what previous pivots already contributed, so
+    only small new factors ever reach :func:`uni_factor_special`; the
+    accumulated product is exactly the square-free pivot certificate.  Every
+    factor is primitive with a positive lead, and so, by Gauss's lemma, is
+    the product.  The candidates are the factors' rational roots and both
+    roots of each quadratic factor; the factors are pairwise coprime, so
+    none repeats.
+
+    A linear pivot, most of them, needs no gcd: its primitive part is
+    irreducible, so its gcd with the certificate is itself or 1, and as both
+    are primitive it divides the certificate in Q[t] exactly when one
+    :func:`_quotient` in Z[t] is exact.  Pivots of higher degree take the
+    gcds by the primitive remainder sequence of :func:`_gcd`.
     """
     cert = (1,)
     candidates: list = []
@@ -710,11 +724,17 @@ def _factor_pivots(pivots):
     for p in pivots:
         if len(p) < 2:
             continue
-        dp = tuple(k * c for k, c in enumerate(p))[1:]
-        sf = _primitive(_exact_quotient(p, _gcd(p, dp)))
-        extra = _exact_quotient(sf, _gcd(cert, sf))
-        if len(extra) < 2:
-            continue
+        if len(p) == 2:
+            # irreducible: its gcd with the certificate is itself or 1
+            extra = _primitive(p)
+            if _quotient(cert, extra) is not None:
+                continue
+        else:
+            dp = tuple(k * c for k, c in enumerate(p))[1:]
+            sf = _primitive(_exact_quotient(p, _gcd(p, dp)))
+            extra = _exact_quotient(sf, _gcd(cert, sf))
+            if len(extra) < 2:
+                continue
         cert = _mul(cert, extra)
         roots, quadratics, found = uni_factor_special(extra)
         candidates.extend(roots)
@@ -838,12 +858,15 @@ class ClassifyReport:
 
 
 def _rational_b(b) -> Fraction:
-    """``b`` as a ``Fraction``: an ``int`` or a ``Fraction`` is taken, any
-    other value raises ``ValueError``."""
+    """``b`` as a ``Fraction``: a non-zero ``int`` or ``Fraction`` is taken,
+    any other value raises ``ValueError``, b = 0 with ``ExtProblem``'s
+    message."""
     if isinstance(b, QuadExt):
         raise ValueError("scan lines must have rational parameters")
     if isinstance(b, bool) or not isinstance(b, (int, Fraction)):
         raise ValueError(f"b must be an int or a Fraction, got {b!r}")
+    if b == 0:
+        raise ValueError(_B_ZERO_MESSAGE)
     return Fraction(b)
 
 
@@ -986,8 +1009,6 @@ def classify(b, caps=None) -> ClassifyReport:
     witnesses, and confirmed isolated jumps with engine witnesses.
     """
     b = _rational_b(b)
-    if b == 0:
-        raise ValueError("b = 0 is outside this family of algebras")
     caps = caps if caps is not None else Caps()
     per_b = [_line_entry(b, diff, "full", caps) for diff in candidate_diffs(b, "g")]
     return ClassifyReport(b=b, layer=_virasoro_layer(caps), per_b=per_b)

@@ -100,6 +100,15 @@ def test_zero_b_is_a_usage_error(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("sector", ["full", "f", "g"])
+@pytest.mark.parametrize("diff", [[], ["--diff", "2"]], ids=["all-lines", "one-line"])
+def test_scan_zero_b_is_a_usage_error(capsys, sector, diff):
+    """``scan --b 0`` is refused in ExtProblem's words, whichever lines it
+    would scan."""
+    rc, out, err = run(capsys, ["scan", "--b", "0", "--sector", sector] + diff)
+    assert (rc, out, err) == (2, "", "error: b = 0 is excluded: out of scope for this family\n")
+
+
 def test_negative_rational_option_values_parse(capsys):
     # ``-2/3`` must be treated as a value for --b, not mistaken for a flag.
     rc, out, _ = run(
@@ -308,13 +317,40 @@ def _zero_witness(doc):
     return {part: "0" for part in doc["basis"][0]}
 
 
+SOLVE_T3_SECTOR = [
+    "solve", "--type", "3", "--b", "-1",
+    "--alpha", "0", "--abar", "0", "--delta", "1", "--dbar", "1", "--sector",
+]
+
+
 def _sector_doc(tmp_path, sector):
     """The solve document of the shape-3 problem at b = -1, (alpha, abar,
-    delta, dbar) = (0, 0, 1, 1) in one sector, which the CLI cannot pick."""
+    delta, dbar) = (0, 0, 1, 1) in one sector."""
+    return _solve_doc(tmp_path, SOLVE_T3_SECTOR + [sector])
+
+
+@pytest.mark.parametrize("sector", ["full", "f", "g"])
+def test_solve_sector_flag_writes_the_library_document(capsys, tmp_path, sector):
+    """``solve --sector`` solves ExtProblem's sector: its document is the
+    library's, byte for byte, and passes ``verify``."""
+    target, doc = _sector_doc(tmp_path, sector)
     p = ExtProblem(shape=3, b=-1, alpha=0, abar=0, delta=1, dbar=1, sector=sector)
-    target = tmp_path / "result.json"
-    target.write_text(OutputRecord.from_solution(p, solve_ext(p)).to_json())
-    return target, json.loads(target.read_text())
+    assert target.read_text() == OutputRecord.from_solution(p, solve_ext(p)).to_json()
+    assert doc["problem"]["sector"] == sector
+    capsys.readouterr()
+    rc, out, err = run(capsys, ["verify", "--input", str(target)])
+    assert (rc, err) == (0, "")
+    n = len(doc["basis"])
+    assert n == doc["ext_dim"] == {"full": 3, "f": 2, "g": 1}[sector]
+    assert out.endswith(f"{n}/{n} witness(es) verified\n")
+
+
+def test_solve_sector_defaults_to_full(capsys):
+    assert run(capsys, SOLVE_T3) == run(capsys, SOLVE_T3 + ["--sector", "full"])
+    with pytest.raises(SystemExit) as exc:
+        main(SOLVE_T3 + ["--sector", "h"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'h'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

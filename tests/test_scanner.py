@@ -262,8 +262,23 @@ def test_classify_small_b():
 
 
 def test_classify_rejects_b_zero():
-    with pytest.raises(ValueError):
-        classify(0)
+    """classify, candidate_diffs and g_family_witness refuse b = 0 in
+    ExtProblem's words, before any arithmetic on it."""
+    with pytest.raises(ValueError) as exc:
+        ExtProblem(shape=3, b=0, alpha=0, abar=0, delta=1, dbar=0)
+    message = str(exc.value)
+    for zero in (0, Fraction(0)):
+        for call in (
+            lambda: classify(zero, caps=_SMALL_CAPS),
+            lambda: candidate_diffs(zero, "g"),
+            lambda: candidate_diffs(zero, "f"),
+            lambda: candidate_diffs(zero, "full"),
+            lambda: g_family_witness(1, zero),
+            lambda: g_family_witness(0, zero),
+        ):
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == message
 
 
 def test_classify_takes_only_an_int_or_a_fraction():
@@ -280,12 +295,21 @@ def test_classify_takes_only_an_int_or_a_fraction():
 @pytest.mark.parametrize("bad", [0.5, True, "1"], ids=["float", "bool", "str"])
 def test_ext_dim_at_takes_only_an_int_a_fraction_or_a_quadext(bad):
     """A float, a bool or a string is refused, not converted or read as 1,
-    in ExtProblem's words; an int is the Fraction it equals."""
+    in ExtProblem's words; an int is the Fraction it equals.  ``specialize``
+    refuses it with the same error, before any arithmetic on it, in either
+    chart."""
     sp = scan_dbar(2, 1, caps=_SMALL_CAPS)
-    with pytest.raises(ValueError) as exc:
-        ext_dim_at(sp, bad)
-    assert str(exc.value) == f"t0 must be an int, a Fraction or a QuadExt, got {bad!r}"
+    message = f"t0 must be an int, a Fraction or a QuadExt, got {bad!r}"
+    for call in (
+        lambda: ext_dim_at(sp, bad),
+        lambda: sp.specialize(bad),
+        lambda: scan_delta(2, 1, caps=_SMALL_CAPS).specialize(bad),
+    ):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message
     assert ext_dim_at(sp, 1) == ext_dim_at(sp, Fraction(1))
+    assert sp.specialize(1) == sp.specialize(Fraction(1))
 
 
 @pytest.mark.parametrize(
@@ -993,3 +1017,70 @@ def test_integer_gcd_and_squarefree_part_match_the_fraction_reference(pair):
         assert prim == _q_primitive(p)
         if len(p) > 1:
             assert _squarefree_part(p) == _ref_squarefree_part(p)
+
+
+# ---------------------------------------------------------------------------
+# the certificate: linear pivots by one exact division against gcds alone
+# ---------------------------------------------------------------------------
+
+
+def _factor_pivots_by_gcds(pivots):
+    """``scanner._factor_pivots`` with every pivot, linear ones too, taken
+    through ``gcd(p, p')`` and its gcd with the certificate."""
+    cert = (1,)
+    candidates: list = []
+    notes: list = []
+    for p in pivots:
+        if len(p) < 2:
+            continue
+        dp = tuple(k * c for k, c in enumerate(p))[1:]
+        sf = scanner._primitive(scanner._exact_quotient(p, scanner._gcd(p, dp)))
+        extra = scanner._exact_quotient(sf, scanner._gcd(cert, sf))
+        if len(extra) < 2:
+            continue
+        cert = scanner._mul(cert, extra)
+        roots, quadratics, found = scanner.uni_factor_special(extra)
+        candidates.extend(roots)
+        for c, b, a in quadratics:
+            for s in (1, -1):
+                candidates.append(quad(Fraction(-b, 2 * a), Fraction(s, 2 * a), b * b - 4 * a * c))
+        notes.extend(found)
+    return candidates, UniPoly(cert), notes
+
+
+_NONZERO = st.integers(-6, 6).filter(bool)
+# a constant term whose primitive linear factor stays above the root
+# finder's divisor limit whatever the lead
+_HUGE = st.integers(7 * scanner._DIVISOR_LIMIT, 10 * scanner._DIVISOR_LIMIT).flatmap(
+    lambda n: st.sampled_from([n, -n])
+)
+_LINEAR = st.tuples(st.one_of(st.integers(-6, 6), _HUGE), _NONZERO)
+_QUADRATIC = st.tuples(st.integers(-6, 6), st.integers(-6, 6), _NONZERO)
+
+
+@st.composite
+def _pivot_lists(draw):
+    """Pivot lists over one small pool of linear and quadratic factors, so
+    roots repeat across pivots: each pivot a constant times a product of
+    pool factors, some repeated (not square-free), the constant of either
+    sign and possibly large (a non-primitive lead)."""
+    pool = draw(st.lists(_LINEAR, min_size=1, max_size=4)) + draw(
+        st.lists(_QUADRATIC, max_size=2)
+    )
+    pivots = []
+    for _ in range(draw(st.integers(1, 8))):
+        p = (draw(st.one_of(_NONZERO, st.integers(-(10**13), 10**13).filter(bool))),)
+        for f in draw(st.lists(st.sampled_from(pool), max_size=3)):
+            p = scanner._mul(p, f)
+        pivots.append(p)
+    return pivots
+
+
+@settings(max_examples=300, deadline=None)
+@given(pivots=_pivot_lists())
+@example(pivots=[(3, -6), (-2, 4), (0, 5), (0, -1, 0, 2), (5 * 10**12 + 1, 3)])
+def test_linear_pivots_join_the_certificate_as_the_gcds_would(pivots):
+    """Candidates, their order, the certificate and every note, including a
+    root search cut short by the divisor limit, are those of the gcd-only
+    loop."""
+    assert scanner._factor_pivots(pivots) == _factor_pivots_by_gcds(pivots)
