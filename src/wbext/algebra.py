@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .poly import D, L, U, MultiPoly
+from .problems import _rational_b
 from .qext import scalar
 
 __all__ = [
@@ -72,10 +73,10 @@ class ModuleSpec:
 
 
 def make_wb(b) -> AlgebraSpec:
-    """The rank-two table above; raises on b = 0 (out-of-scope degeneration)."""
-    b = Fraction(b)
-    if b == 0:
-        raise ValueError("b = 0 is excluded: that member of the family is out of scope")
+    """The rank-two table above, for a non-zero ``int`` or ``Fraction`` b;
+    any other b raises ``ValueError``, b = 0 (the out-of-scope degeneration)
+    with ``ExtProblem``'s message."""
+    b = _rational_b(b)
     lh = D + (1 - b) * L
     # [H_l L] follows from skew-symmetry: -(coefficient with l -> -d-l)
     hl = -(lh.subst("l", -(D + L)))

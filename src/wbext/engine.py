@@ -8,13 +8,13 @@ vectors modulo that intersection to get representatives.
 
 The system is built once per (shape, caps, sector), as an integer affine
 template in the weights (see :mod:`wbext.equations`), and so are the
-change-of-basis images, in one entry of a 32-entry LRU cache that fills on
-first use, never at import.  Each solve, and the replay tables' class
-check, evaluates them at its weights.  That is exact, not an approximation:
-the weight symbols refuse any non-affine product, so a template is affine
-by construction and its rows equal a direct build's at that point, value
-for value and in order, as numerators in Z (or Z[sqrt D] at a Q(sqrt D)
-point) over the point's common denominator.  (The images' template may hold
+change-of-basis images (the g sector has none), in one entry of a 32-entry
+LRU cache that fills on first use, never at import.  Each solve, and the
+replay tables' class check, evaluates them at its weights.  That is exact,
+not an approximation: the weight symbols refuse any non-affine product, so
+a template is affine by construction and its rows equal a direct build's at
+that point, value for value and in order, as numerators in Z (or Z[sqrt D]
+at a Q(sqrt D) point) over the point's common denominator.  (The images' template may hold
 more out-of-cap columns than the images at one point reach; those are zero
 there.)  Those rows go straight into the integer elimination kernel of
 :mod:`wbext.linalg`, which builds no ``Fraction`` until it hands back a
@@ -22,11 +22,13 @@ basis.  The self-check, which tests every capped coboundary against the
 equations, runs in the same numerators: each coboundary is scaled once to
 its own.
 
-:func:`coboundary_span_env` is the one construction of the change-of-basis
-images, for the solver's templates and the scanner's alike, reading
-``d**j`` and ``(d+l)**j`` from the slot powers the equation builds share
-(``equations._powers``), and :func:`coeff_rows` the one layout of
-``{unknown key: coefficient}`` maps as rows.  Every basis :func:`solve_ext`
+:func:`image_rows` is the one construction of the change-of-basis images
+as rows, for the solver's templates and the scanner's alike, and the one
+place that knows the g sector has none: it builds them by
+:func:`coboundary_span_env`, which reads ``d**j`` and ``(d+l)**j`` from the
+slot powers the equation builds share (``equations._powers``), and lays them
+out by :func:`coeff_rows`, the one layout of ``{unknown key: coefficient}``
+maps as rows.  Every basis :func:`solve_ext`
 returns, the scanner's special points included, has passed
 :mod:`wbext.oracle`, which recomputes residuals by a route that shares no
 equation code with this module.
@@ -57,6 +59,7 @@ from .problems import Caps, CocycleWitness, ExtProblem, ExtSolution
 __all__ = [
     "coboundary_span_env",
     "coeff_rows",
+    "image_rows",
     "solve_core",
     "solve_ext",
     "witness_coeff_map",
@@ -136,6 +139,22 @@ def coboundary_span_env(shape: int, env: dict, phi_cap: int) -> list[CocycleWitn
     return [w for w in out if not w.is_zero()]
 
 
+def image_rows(shape: int, env: dict, caps: Caps, sector: str, keys) -> tuple[tuple, int]:
+    """The change-of-basis images over ``env`` as rows against ``keys``,
+    laid out by :func:`coeff_rows`, and the width of their overflow block.
+
+    In the g sector there are none, ``((), 0)``: a basis move shifts the
+    lifted quotient generator by phi times the submodule generator, which
+    has no component along the second generator, so no image has a g part
+    and none reaches the caps, whose unknowns there are all g.
+    """
+    if sector == "g":
+        return (), 0
+    span = coboundary_span_env(shape, env, caps.phi)
+    rows, over = coeff_rows([witness_coeff_map(w) for w in span], keys)
+    return tuple(rows), over
+
+
 def _cob_vectors_in_caps(p: ExtProblem) -> list[tuple]:
     """Coboundary vectors that fit entirely inside the unknown basis.
 
@@ -145,7 +164,9 @@ def _cob_vectors_in_caps(p: ExtProblem) -> list[tuple]:
     system.  Its columns, shifted by the overflow width, index the unknown
     keys.  The template's overflow block holds every out-of-cap key that an
     image reaches at some point, a superset of those it reaches at ``p``;
-    the others are zero columns here, which change no RREF row.
+    the others are zero columns here, which change no RREF row.  The g
+    sector has no images (see :func:`image_rows`), so no rows and none in
+    the caps.
     """
     _keys, _equations, images, over = _template(p.shape, p.caps, p.sector)
     rows = images.concrete_rows(template_point(p))
@@ -157,19 +178,19 @@ def _cob_vectors_in_caps(p: ExtProblem) -> list[tuple]:
 
 
 # A replay of every table meets 14 (shape, caps, sector) keys and the
-# seeded solve_sweep 18; its 18 entries hold 1.36 MB of shared tuples: 1.20
-# MB of equations, 0.14 MB of basis-change images and 0.06 MB of keys.
+# seeded solve_sweep 18; its 18 entries hold 1.33 MB of shared tuples: 0.06
+# MB of keys, 1.20 MB of equations and 0.07 MB more of basis-change images,
+# none of them in the 6 g-sector entries.
 @lru_cache(maxsize=32)
 def _template(shape: int, caps: Caps, sector: str) -> tuple:
     """``(keys, equations, images, overflow width)`` of every problem with
     this key: the unknown keys, and the equations and the basis-change
     images as integer affine templates, the images laid out overflow-first
-    by :func:`coeff_rows`."""
+    by :func:`image_rows` (none in the g sector)."""
     keys = tuple(unknown_basis(shape, caps, sector))
     equations = assemble_linear_system(build_equations(shape, caps, sector), keys)
-    span = coboundary_span_env(shape, template_env(shape, sector), caps.phi)
-    images, over = coeff_rows([witness_coeff_map(w) for w in span], keys)
-    return keys, equations, LinearSystem(rows=tuple(images)), over
+    images, over = image_rows(shape, template_env(shape, sector), caps, sector, keys)
+    return keys, equations, LinearSystem(rows=images), over
 
 
 def solve_core(p: ExtProblem) -> ExtSolution:

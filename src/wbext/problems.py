@@ -13,7 +13,7 @@ __all__ = ["Caps", "ExtProblem", "CocycleWitness", "ExtSolution",
            "PARAM_FIELDS", "SECTORS", "SHAPE_WEIGHTS"]
 
 SECTORS = ("full", "f", "g")
-# ExtProblem's refusal of b = 0, which the scanner's b checks repeat word for word
+# ExtProblem's refusal of b = 0, which every other b check repeats word for word
 _B_ZERO_MESSAGE = "b = 0 is excluded: out of scope for this family"
 # the weight parameters of a problem, in the order documents list them
 PARAM_FIELDS = ("b", "alpha", "gamma", "abar", "delta", "dbar")
@@ -23,6 +23,17 @@ SHAPE_WEIGHTS = {
     2: ("alpha", "gamma", "delta"),
     3: ("alpha", "abar", "delta", "dbar"),
 }
+
+
+def _rational_b(b) -> Fraction:
+    """``b`` as a ``Fraction``: a non-zero ``int`` or ``Fraction`` is taken,
+    any other value raises ``ValueError``, b = 0 with ``ExtProblem``'s
+    message."""
+    if isinstance(b, bool) or not isinstance(b, (int, Fraction)):
+        raise ValueError(f"b must be an int or a Fraction, got {b!r}")
+    if b == 0:
+        raise ValueError(_B_ZERO_MESSAGE)
+    return Fraction(b)
 
 
 @dataclass(frozen=True)

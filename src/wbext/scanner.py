@@ -77,7 +77,7 @@ from .equations import (
 from .linalg import rank as matrix_rank
 from .oracle import verify_witness_env
 from .poly import MultiPoly, T, UniPoly
-from .problems import _B_ZERO_MESSAGE, SECTORS, Caps, CocycleWitness, ExtProblem
+from .problems import SECTORS, Caps, CocycleWitness, ExtProblem, _rational_b
 from .qext import QuadExt, quad
 
 __all__ = [
@@ -136,15 +136,16 @@ class ScanProblem:
     def env_t(self) -> dict:
         """Parameter environment with the scan variable t substituted."""
         env = self.base.env()
-        env["delta"], env["dbar"] = self.weights_at(T)
+        env["delta"], env["dbar"] = _chart(self.promote, T, self.diff)
         return env
 
     def weights_at(self, t0):
-        """(delta, dbar) at t = t0: a concrete point, or the scan variable T."""
+        """(delta, dbar) at the point t = t0, an int, a Fraction or a
+        QuadExt; any other t0 raises ``ValueError``."""
+        _check_point(t0)
         return _chart(self.promote, t0, self.diff)
 
     def specialize(self, t0) -> ExtProblem:
-        _check_point(t0)
         delta, dbar = self.weights_at(t0)
         return replace(self.base, delta=delta, dbar=dbar)
 
@@ -469,20 +470,18 @@ def _line_template(caps: Caps, sector: str, promote: str) -> tuple:
     with this key, each value an integer tuple ``(c0, c_b, c_diff, c_t)``
     (no ``c_b`` in the f sector).
 
-    Built by the one transcription of each system, :func:`build_equations_env`
-    and :func:`engine.coboundary_span_env`, over :func:`_line_env`; the
-    equations split once by :func:`_block_split`, the images laid out
-    overflow-first by :func:`engine.coeff_rows` (the overflow block holds
-    every out-of-cap key some line reaches; the g sector has none).
+    Built over :func:`_line_env` by the one transcription of the equations,
+    :func:`build_equations_env`, split once by :func:`_block_split`, and
+    the one image construction the solver's templates share,
+    :func:`engine.image_rows`: the images laid out overflow-first, the
+    overflow block holding every out-of-cap key some line reaches (in the g
+    sector there are no images, and no overflow).
     """
     env = _line_env(sector, promote)
     keys = unknown_basis(3, caps, sector)
     system = assemble_linear_system(build_equations_env(3, env, caps, sector), keys)
-    images, over = [], 0
-    if sector != "g":
-        span = engine.coboundary_span_env(3, env, caps.phi)
-        images, over = engine.coeff_rows([engine.witness_coeff_map(w) for w in span], keys)
-    return keys, _block_split(keys, system.rows), tuple(images), over
+    images, over = engine.image_rows(3, env, caps, sector, keys)
+    return keys, _block_split(keys, system.rows), images, over
 
 
 def _lower(rows, point) -> list:
@@ -857,17 +856,12 @@ class ClassifyReport:
         ]
 
 
-def _rational_b(b) -> Fraction:
-    """``b`` as a ``Fraction``: a non-zero ``int`` or ``Fraction`` is taken,
-    any other value raises ``ValueError``, b = 0 with ``ExtProblem``'s
-    message."""
+def _scan_b(b) -> Fraction:
+    """``b`` as :func:`problems._rational_b` takes it, a ``QuadExt`` refused
+    in the scan's words."""
     if isinstance(b, QuadExt):
         raise ValueError("scan lines must have rational parameters")
-    if isinstance(b, bool) or not isinstance(b, (int, Fraction)):
-        raise ValueError(f"b must be an int or a Fraction, got {b!r}")
-    if b == 0:
-        raise ValueError(_B_ZERO_MESSAGE)
-    return Fraction(b)
+    return _rational_b(b)
 
 
 def g_family_witness(m: int, b, dbar=None) -> CocycleWitness:
@@ -875,10 +869,13 @@ def g_family_witness(m: int, b, dbar=None) -> CocycleWitness:
 
     Coefficients follow the recursion b*a_i = -a_0*C(m, i+1) - a_0*dbar*C(m, i)
     with a_0 = 1.  ``dbar`` is a concrete weight or a polynomial in t; the
-    default is the scan variable t itself (the ``t = dbar`` chart).  ``b``
-    is an ``int`` or a ``Fraction``, as ``classify`` takes it.
+    default is the scan variable t itself (the ``t = dbar`` chart).  ``m``
+    is a non-negative ``int`` and ``b`` an ``int`` or a ``Fraction``, as
+    ``classify`` takes it; any other value raises ``ValueError``.
     """
-    b = _rational_b(b)
+    if isinstance(m, bool) or not isinstance(m, int) or m < 0:
+        raise ValueError(f"m must be a non-negative int, got {m!r}")
+    b = _scan_b(b)
     if dbar is None:
         dbar = T
     elif not isinstance(dbar, MultiPoly):
@@ -989,7 +986,7 @@ def candidate_diffs(b, sector: str) -> list[Fraction]:
         raise ValueError(f"sector must be one of {SECTORS}, got {sector!r}")
     g_lines = []
     if b is not None:
-        b = _rational_b(b)
+        b = _scan_b(b)
         g_lines = [m + b for m in range(_MAX_G_DEGREE + 1)]
     f_lines = [Fraction(s) for s in range(7)]
     if sector == "g":
@@ -1008,7 +1005,7 @@ def classify(b, caps=None) -> ClassifyReport:
     f-companions.  Entries record generic dimensions, one-parameter family
     witnesses, and confirmed isolated jumps with engine witnesses.
     """
-    b = _rational_b(b)
+    b = _scan_b(b)
     caps = caps if caps is not None else Caps()
     per_b = [_line_entry(b, diff, "full", caps) for diff in candidate_diffs(b, "g")]
     return ClassifyReport(b=b, layer=_virasoro_layer(caps), per_b=per_b)

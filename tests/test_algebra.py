@@ -13,6 +13,8 @@ from wbext.algebra import (
     make_wb,
     trivial_module,
 )
+from wbext.problems import _B_ZERO_MESSAGE
+from wbext.qext import quad
 
 
 def test_wb_bracket_satisfies_axioms():
@@ -27,8 +29,20 @@ def test_virasoro_bracket_satisfies_axioms():
 
 
 def test_b_zero_is_rejected():
-    with pytest.raises(ValueError):
-        make_wb(0)
+    for zero in (0, Fraction(0)):
+        with pytest.raises(ValueError) as exc:
+            make_wb(zero)
+        assert str(exc.value) == _B_ZERO_MESSAGE
+
+
+@pytest.mark.parametrize("bad", [0.5, True, quad(1, 1, 2)], ids=["float", "bool", "quadext"])
+def test_make_wb_takes_only_an_int_or_a_fraction(bad):
+    """A float is not converted to W(1/2), a bool is not read as W(1), and
+    a Q(sqrt D) value is refused as well."""
+    with pytest.raises(ValueError) as exc:
+        make_wb(bad)
+    assert str(exc.value) == f"b must be an int or a Fraction, got {bad!r}"
+    assert make_wb(2).b == make_wb(Fraction(2)).b == 2
 
 
 def test_free_module_axioms_random_parameters():

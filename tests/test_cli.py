@@ -109,6 +109,17 @@ def test_scan_zero_b_is_a_usage_error(capsys, sector, diff):
     assert (rc, out, err) == (2, "", "error: b = 0 is excluded: out of scope for this family\n")
 
 
+@pytest.mark.parametrize("module", [[], ["--alpha", "1", "--delta", "2"]], ids=["bracket", "module"])
+def test_check_axioms_zero_b_is_refused_as_solve_refuses_it(capsys, module):
+    """``check-axioms --b 0`` prints solve's error line, byte for byte."""
+    solve = run(capsys, ["solve", "--type", "1", "--b", "0", "--alpha", "0", "--gamma", "0",
+                         "--delta", "1"])
+    rc, out, err = run(capsys, ["check-axioms", "--b", "0"] + module)
+    assert (rc, out, err) == solve == (
+        2, "", "error: b = 0 is excluded: out of scope for this family\n"
+    )
+
+
 def test_negative_rational_option_values_parse(capsys):
     # ``-2/3`` must be treated as a value for --b, not mistaken for a flag.
     rc, out, _ = run(

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wbext import engine, oracle
+from wbext import engine, oracle, scanner
 from wbext.engine import (
     coboundary_span_env,
     coeff_rows,
@@ -391,6 +391,14 @@ def test_image_template_at_a_point_equals_the_images_built_there(case):
     at = template.concrete_rows(point)
     images = coboundary_span_env(p.shape, p.env(), phi)
     rows, direct_over = coeff_rows([witness_coeff_map(w) for w in images], keys)
+    q = replace(p, caps=caps) if phi else None
+    if p.sector == "g":
+        # no basis move has a g part, so every image built at the point lies
+        # in the overflow block: the template lays out none of them
+        assert (template.rows, over) == ((), 0)
+        assert all(c < direct_over for row in rows for c, _v in row)
+        assert q is None or engine._cob_vectors_in_caps(q) == []
+        return
     # the template's overflow block also holds keys that no image reaches at
     # this point; those columns are zero here, and dropping them must give
     # the point's own overflow block, in order
@@ -404,16 +412,32 @@ def test_image_template_at_a_point_equals_the_images_built_there(case):
                for c, v in row])
         for row in at
     ] == _constant_rows(rows)
-    if phi == 0:
+    if q is None:
         return
     # the capped coboundaries equal the route through images built at p
-    q = replace(p, caps=caps)
     expected = []
     if images:
         reduced, pivots = rref(_constant_rows(rows))
         expected = [tuple([(c - direct_over, v) for c, v in row])
                     for row, piv in zip(reduced, pivots) if piv >= direct_over]
     assert engine._cob_vectors_in_caps(q) == expected
+
+
+def test_no_g_sector_template_holds_an_image():
+    """The engine's and the scanner's g-sector templates lay out no image
+    and no overflow; the other sectors' lay out images, so the rule is not
+    vacuous."""
+    for sector in ("full", "f", "g"):
+        engine_images = [engine._template(shape, Caps(), sector) for shape in (1, 2, 3)]
+        line_images = [scanner._line_template(Caps(), sector, promote)
+                       for promote in ("dbar", "delta")]
+        laid_out = [(images.rows, over) for _k, _e, images, over in engine_images]
+        laid_out += [(images, over) for _k, _b, images, over in line_images]
+        for rows, over in laid_out:
+            if sector == "g":
+                assert (rows, over) == ((), 0)
+            else:
+                assert rows
 
 
 # ---------------------------------------------------------------------------

@@ -296,20 +296,38 @@ def test_classify_takes_only_an_int_or_a_fraction():
 def test_ext_dim_at_takes_only_an_int_a_fraction_or_a_quadext(bad):
     """A float, a bool or a string is refused, not converted or read as 1,
     in ExtProblem's words; an int is the Fraction it equals.  ``specialize``
-    refuses it with the same error, before any arithmetic on it, in either
-    chart."""
+    and ``weights_at`` refuse it with the same error, before any arithmetic
+    on it, in either chart."""
     sp = scan_dbar(2, 1, caps=_SMALL_CAPS)
+    other = scan_delta(2, 1, caps=_SMALL_CAPS)
     message = f"t0 must be an int, a Fraction or a QuadExt, got {bad!r}"
     for call in (
         lambda: ext_dim_at(sp, bad),
         lambda: sp.specialize(bad),
-        lambda: scan_delta(2, 1, caps=_SMALL_CAPS).specialize(bad),
+        lambda: other.specialize(bad),
+        lambda: sp.weights_at(bad),
+        lambda: other.weights_at(bad),
     ):
         with pytest.raises(ValueError) as exc:
             call()
         assert str(exc.value) == message
     assert ext_dim_at(sp, 1) == ext_dim_at(sp, Fraction(1))
     assert sp.specialize(1) == sp.specialize(Fraction(1))
+    for line in (sp, other):
+        assert line.weights_at(1) == line.weights_at(Fraction(1))
+        delta, dbar = line.weights_at(quad(1, 1, 2))
+        assert delta - dbar == line.diff
+
+
+@pytest.mark.parametrize("m", [-1, True, 1.5, Fraction(1), "1"],
+                         ids=["negative", "bool", "float", "fraction", "str"])
+def test_g_family_witness_takes_only_a_non_negative_int_degree(m):
+    """A negative degree is refused, not built with d^(-1); a bool is not
+    read as 1, and a float or a Fraction is not a degree."""
+    with pytest.raises(ValueError) as exc:
+        g_family_witness(m, 2)
+    assert str(exc.value) == f"m must be a non-negative int, got {m!r}"
+    assert g_family_witness(0, 2).g == MultiPoly.const(1)
 
 
 @pytest.mark.parametrize(
@@ -822,8 +840,8 @@ def _tuple_bareiss(rows):
                 )
                 if e:
                     new[j] = scanner._exact_quotient(e, prev)
-            if new:
-                kept.append(new)
+            # a row that cancels stays in place, empty, as in the kernel
+            kept.append(new)
         work = kept
         prev = piv
         r += 1
@@ -930,6 +948,10 @@ def _steep_matrices(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(rows=_steep_matrices())
+# the second row cancels at the first pivot; the next swap moves it, and
+# with it the order of the two rows that tie for the third pivot
+@example(rows=[[[0], [0], [1], [0]], [[0, 1], [0], [0], [0]], [[0], [0], [1], [1]],
+               [[1], [0], [0], [0]], [[0], [1], [0], [0]]])
 def test_packed_pivot_degrees_equal_the_tuple_kernel(rows):
     _assert_matches_the_references(rows)
 
