@@ -99,8 +99,8 @@ def make_virasoro() -> AlgebraSpec:
 
 def free_module(alg: AlgebraSpec, alpha, delta) -> ModuleSpec:
     """The rank-one free module: ``L_l v = (d + alpha + delta*l) v``, ``H_l v = 0``."""
-    alpha = scalar(alpha)
-    delta = scalar(delta)
+    alpha = scalar(alpha, "alpha")
+    delta = scalar(delta, "delta")
     actions = {g: MultiPoly.zero() for g in alg.generators}
     actions["L"] = D + alpha + delta * L
     return ModuleSpec(kind="free", actions=actions, alpha=alpha, delta=delta)
@@ -109,7 +109,7 @@ def free_module(alg: AlgebraSpec, alpha, delta) -> ModuleSpec:
 def trivial_module(alg: AlgebraSpec, gamma) -> ModuleSpec:
     """The one-dimensional module: all generators act by zero, ``d`` by gamma."""
     actions = {g: MultiPoly.zero() for g in alg.generators}
-    return ModuleSpec(kind="trivial", actions=actions, gamma=scalar(gamma))
+    return ModuleSpec(kind="trivial", actions=actions, gamma=scalar(gamma, "gamma"))
 
 
 @dataclass

@@ -192,7 +192,7 @@ def _weights(shape: int, sector: str) -> tuple:
 
 def template_point(p: ExtProblem) -> tuple:
     """``p``'s weights in the order of a template value's components."""
-    return tuple(scalar(getattr(p, name)) for name in _weights(p.shape, p.sector))
+    return tuple(scalar(getattr(p, name), name) for name in _weights(p.shape, p.sector))
 
 
 def affine_symbols(names) -> dict:

@@ -12,10 +12,23 @@ fields refuse to mix.
 
 Every ``MultiPoly`` holds a ``terms`` dict with 4-tuple int exponents and
 non-zero ``Fraction`` or ``QuadExt`` coefficients, never ``int``.  The public
-constructor establishes this by validating its input.  The arithmetic in
-this module (``+``, ``-``, negation, ``*`` by a polynomial or a scalar, and
-``subst``) builds dicts that already hold it and wraps them with the private
+constructor establishes this by validating its input: an ``int`` becomes a
+``Fraction``, and any other coefficient (a ``float``, a ``bool`` or a
+``str``, say) raises ``ValueError``.  The arithmetic in this module (``+``,
+``-``, negation, ``*`` by a polynomial or a scalar, and ``subst``) builds
+dicts that already hold it and wraps them with the private
 ``MultiPoly._clean``, which checks nothing; no other code may call it.
+
+The product of two polynomials relies on that invariant.  It writes each
+operand once as integer numerators over the lcm of its denominators (``a``
+over Q, or ``a + b*sqrt(disc)`` when the coefficients lie in one field
+Q(sqrt(disc))), sums the term-pair products as plain ``int``
+multiply-adds, and builds one coefficient per output term, through
+:func:`~wbext.qext.quad` when it is irrational.  The terms come out in the
+order, and with the values, of the pairwise product in the coefficients'
+own arithmetic.  That product still serves an operand of at most one term,
+which leaves nothing to accumulate, and operands over two different
+fields, whose ``ValueError`` it raises.
 
 A polynomial in the scan variable alone is a :class:`UniPoly`, the public
 type of the scanner's pivots and certificates: a read-only dense
@@ -28,6 +41,7 @@ rendering goes through ``MultiPoly``, so both print alike.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -50,13 +64,49 @@ _ZERO4 = (0, 0, 0, 0)
 
 
 def _is_scalar(x) -> bool:
-    return isinstance(x, (int, Fraction, QuadExt))
+    return isinstance(x, (int, Fraction, QuadExt)) and not isinstance(x, bool)
 
 
 def _as_coeff(x):
-    if isinstance(x, int):
+    if isinstance(x, (Fraction, QuadExt)):
+        return x
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
-    return x
+    raise ValueError(f"coefficient must be an int, a Fraction or a QuadExt, got {x!r}")
+
+
+def _numerators(terms: dict):
+    """``terms`` as integer numerators over one common denominator.
+
+    Returns ``(den, disc, items)``: each ``(exps, a, b)`` in ``items`` stands
+    for the coefficient ``(a + b*sqrt(disc)) / den``, in ``terms``' order.
+    Over Q, ``disc`` is 0 and every ``b`` is 0.  Returns None when the
+    ``QuadExt`` coefficients do not share one ``disc`` or a coefficient is
+    neither a ``Fraction`` nor a ``QuadExt``.
+    """
+    disc = 0
+    dens = []
+    for c in terms.values():
+        if type(c) is Fraction:
+            dens.append(c.denominator)
+        elif type(c) is QuadExt and disc in (0, c.disc):
+            disc = c.disc
+            dens.append(c.p.denominator)
+            dens.append(c.q.denominator)
+        else:
+            return None
+    den = math.lcm(*dens)
+    if not disc:
+        return den, 0, [(e, c.numerator * (den // c.denominator), 0) for e, c in terms.items()]
+    items = []
+    for e, c in terms.items():
+        if type(c) is Fraction:
+            items.append((e, c.numerator * (den // c.denominator), 0))
+        else:
+            p, q = c.p, c.q
+            a = p.numerator * (den // p.denominator)
+            items.append((e, a, q.numerator * (den // q.denominator)))
+    return den, disc, items
 
 
 class MultiPoly:
@@ -182,6 +232,48 @@ class MultiPoly:
                 return MultiPoly.zero()
             # a field has no zero divisors, so no product term vanishes
             return MultiPoly._clean({e: cc * c for e, cc in self.terms.items()})
+        # with at most one term on a side there is nothing to accumulate, and
+        # the pairwise loop is the cheaper one
+        if len(self.terms) < 2 or len(other.terms) < 2:
+            return self._pairwise_mul(other)
+        views = (_numerators(self.terms), _numerators(other.terms))
+        if None in views:
+            return self._pairwise_mul(other)
+        (den1, disc1, left), (den2, disc2, right) = views
+        if disc1 and disc2 and disc1 != disc2:
+            return self._pairwise_mul(other)
+        den, disc = den1 * den2, disc1 or disc2
+        out = {}
+        get = out.get
+        if not disc:
+            for (a0, a1, a2, a3), n1, _ in left:
+                for (b0, b1, b2, b3), n2, _ in right:
+                    e = (a0 + b0, a1 + b1, a2 + b2, a3 + b3)
+                    out[e] = get(e, 0) + n1 * n2
+            return MultiPoly._clean({e: Fraction(n, den) for e, n in out.items() if n})
+        # (p1 + q1*r)(p2 + q2*r) with r = sqrt(disc): rational parts in out,
+        # irrational parts in irr, both keyed in the pairwise loop's order
+        irr = {}
+        iget = irr.get
+        for (a0, a1, a2, a3), p1, q1 in left:
+            dq1 = disc * q1
+            for (b0, b1, b2, b3), p2, q2 in right:
+                e = (a0 + b0, a1 + b1, a2 + b2, a3 + b3)
+                out[e] = get(e, 0) + p1 * p2 + dq1 * q2
+                irr[e] = iget(e, 0) + p1 * q2 + q1 * p2
+        terms = {}
+        for e, p in out.items():
+            q = irr[e]
+            c = quad(Fraction(p, den), Fraction(q, den), disc) if q else Fraction(p, den)
+            if c:
+                terms[e] = c
+        return MultiPoly._clean(terms)
+
+    def _pairwise_mul(self, other: "MultiPoly") -> "MultiPoly":
+        """The product one term pair at a time, in the coefficients' own
+        arithmetic: for an operand of at most one term, and for operands
+        :func:`_numerators` cannot write over Z, such as two quadratic
+        fields, whose mix ``QuadExt`` refuses with its own ``ValueError``."""
         out = {}
         get = out.get
         right = other.terms.items()

@@ -84,14 +84,14 @@ class ExtProblem:
             raise ValueError(f"sector must be one of {SECTORS}, got {self.sector!r}")
         params = [getattr(self, name) for name in PARAM_FIELDS]
         for name, v in zip(PARAM_FIELDS, params):
-            if isinstance(v, bool) or not isinstance(v, (int, Fraction, QuadExt, type(None))):
-                raise ValueError(f"{name} must be an int, a Fraction or a QuadExt, got {v!r}")
+            if v is not None:
+                scalar(v, name)
         if len({v.disc for v in params if isinstance(v, QuadExt)}) > 1:
             raise ValueError("parameters must lie in one quadratic field Q(sqrt(D))")
         if self.b is None:
             if self.sector != "f":
                 raise ValueError("b may be omitted only for the f-only sector")
-        elif scalar(self.b) == 0:
+        elif scalar(self.b, "b") == 0:
             raise ValueError(_B_ZERO_MESSAGE)
         self.caps.validate()
         needed = SHAPE_WEIGHTS[self.shape]
@@ -106,7 +106,7 @@ class ExtProblem:
     def env(self) -> dict:
         """Parameter environment as constant polynomials (scanner overrides some)."""
         return {
-            name: MultiPoly.const(scalar(v))
+            name: MultiPoly.const(scalar(v, name))
             for name in PARAM_FIELDS
             if (v := getattr(self, name)) is not None
         }

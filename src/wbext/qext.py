@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from functools import lru_cache
 
 __all__ = [
     "QuadExt",
@@ -36,6 +37,9 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(num, den)
 
 
+# quad() splits the disc of every QuadExt sum, difference and product, and a
+# run meets only a handful of discs
+@lru_cache(maxsize=256)
 def split_square(n: int) -> tuple[int, int]:
     """Write ``n = s^2 * r`` with ``r`` square-free (best effort) and return ``(s, r)``.
 
@@ -223,9 +227,12 @@ def quad(p, q, disc: int):
     return QuadExt(p, q * s, r)
 
 
-def scalar(x):
-    """Accept a rational or quadratic-irrational value: ``QuadExt`` as is,
-    anything else as ``Fraction``."""
+def scalar(x, name: str):
+    """``x`` as an exact weight: a ``QuadExt`` as is, an ``int`` or a
+    ``Fraction`` as ``Fraction``.  Any other value, a ``bool`` included,
+    raises ``ValueError`` naming it ``name``."""
     if isinstance(x, QuadExt):
         return x
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+        raise ValueError(f"{name} must be an int, a Fraction or a QuadExt, got {x!r}")
     return Fraction(x)

@@ -78,7 +78,7 @@ from .linalg import rank as matrix_rank
 from .oracle import verify_witness_env
 from .poly import MultiPoly, T, UniPoly
 from .problems import SECTORS, Caps, CocycleWitness, ExtProblem, _rational_b
-from .qext import QuadExt, quad
+from .qext import QuadExt, quad, scalar
 
 __all__ = [
     "ClassifyReport",
@@ -142,18 +142,12 @@ class ScanProblem:
     def weights_at(self, t0):
         """(delta, dbar) at the point t = t0, an int, a Fraction or a
         QuadExt; any other t0 raises ``ValueError``."""
-        _check_point(t0)
+        scalar(t0, "t0")
         return _chart(self.promote, t0, self.diff)
 
     def specialize(self, t0) -> ExtProblem:
         delta, dbar = self.weights_at(t0)
         return replace(self.base, delta=delta, dbar=dbar)
-
-
-def _check_point(t0) -> None:
-    """Refuse a scan point ``t0`` that is not an int, a Fraction or a QuadExt."""
-    if isinstance(t0, bool) or not isinstance(t0, (int, Fraction, QuadExt)):
-        raise ValueError(f"t0 must be an int, a Fraction or a QuadExt, got {t0!r}")
 
 
 def _chart(promote: str, t, diff):
@@ -604,7 +598,7 @@ def ext_dim_at(sp: ScanProblem, t0) -> int:
     engine's by a positive constant), at a fraction of the cost; works for
     int, Fraction and QuadExt points; any other t0 raises ``ValueError``.
     """
-    _check_point(t0)
+    scalar(t0, "t0")
     data = _line_data(sp)
     at = _rows_at([((0, last),) if last else () for _rows, _r, last in data.matrices], t0)
     return data.ext_dim(
@@ -868,10 +862,11 @@ def g_family_witness(m: int, b, dbar=None) -> CocycleWitness:
     """The homogeneous degree-m g-sector family on the line diff = m + b.
 
     Coefficients follow the recursion b*a_i = -a_0*C(m, i+1) - a_0*dbar*C(m, i)
-    with a_0 = 1.  ``dbar`` is a concrete weight or a polynomial in t; the
-    default is the scan variable t itself (the ``t = dbar`` chart).  ``m``
-    is a non-negative ``int`` and ``b`` an ``int`` or a ``Fraction``, as
-    ``classify`` takes it; any other value raises ``ValueError``.
+    with a_0 = 1.  ``dbar`` is a concrete weight (an ``int``, a ``Fraction``
+    or a ``QuadExt``) or a polynomial in t; the default is the scan variable
+    t itself (the ``t = dbar`` chart).  ``m`` is a non-negative ``int`` and
+    ``b`` an ``int`` or a ``Fraction``, as ``classify`` takes it; any other
+    value of the three raises ``ValueError``.
     """
     if isinstance(m, bool) or not isinstance(m, int) or m < 0:
         raise ValueError(f"m must be a non-negative int, got {m!r}")
@@ -879,6 +874,10 @@ def g_family_witness(m: int, b, dbar=None) -> CocycleWitness:
     if dbar is None:
         dbar = T
     elif not isinstance(dbar, MultiPoly):
+        if isinstance(dbar, bool) or not isinstance(dbar, (int, Fraction, QuadExt)):
+            raise ValueError(
+                f"dbar must be a MultiPoly, an int, a Fraction or a QuadExt, got {dbar!r}"
+            )
         dbar = MultiPoly.const(dbar)
     g = MultiPoly.monomial((m, 0, 0, 0), Fraction(1))
     for i in range(1, m + 1):

@@ -45,6 +45,25 @@ def test_make_wb_takes_only_an_int_or_a_fraction(bad):
     assert make_wb(2).b == make_wb(Fraction(2)).b == 2
 
 
+
+@pytest.mark.parametrize("bad", [0.5, True, "1"], ids=["float", "bool", "str"])
+def test_module_weights_take_only_an_int_a_fraction_or_a_quadext(bad):
+    """free_module and trivial_module refuse a float, a bool or a string
+    weight in ExtProblem's words, rather than reading 0.5 as 1/2 or True
+    as 1; an int is the Fraction it equals."""
+    alg = make_wb(2)
+    for name, call in (
+        ("alpha", lambda: free_module(alg, bad, 1)),
+        ("delta", lambda: free_module(alg, 1, bad)),
+        ("gamma", lambda: trivial_module(alg, bad)),
+    ):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == f"{name} must be an int, a Fraction or a QuadExt, got {bad!r}"
+    module = free_module(alg, 1, quad(1, 1, 2))
+    assert (module.alpha, module.delta) == (Fraction(1), quad(1, 1, 2))
+    assert trivial_module(alg, 3).gamma == Fraction(3)
+
 def test_free_module_axioms_random_parameters():
     rng = random.Random(20240814)
     for _ in range(15):

@@ -346,3 +346,103 @@ def test_multipoly_arithmetic_is_clean_and_matches_reference(case, name):
         assert got == want
     assert (a - a).terms == {}
     assert (a + (-a)).terms == {}
+
+
+# ---------------------------------------------------------------------------
+# the integer-numerator product against the pairwise product
+# ---------------------------------------------------------------------------
+
+
+def _pairwise_mul(a, b):
+    """Reference product: one term pair at a time in the coefficients' own
+    arithmetic, summed in a dict in first-seen order, zeros dropped."""
+    out = {}
+    get = out.get
+    right = b.terms.items()
+    for (a0, a1, a2, a3), c1 in a.terms.items():
+        for (b0, b1, b2, b3), c2 in right:
+            e = (a0 + b0, a1 + b1, a2 + b2, a3 + b3)
+            acc = get(e)
+            out[e] = c1 * c2 if acc is None else acc + c1 * c2
+    return MultiPoly({e: c for e, c in out.items() if c})
+
+
+_COEFF12 = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+_EXPS3 = st.tuples(*[st.integers(0, 3)] * 4)
+
+
+@st.composite
+def _mul_operands(draw):
+    """Two polynomials, each over Q or over one Q(sqrt(disc)); disc 12 is
+    left with its square part, as ``QuadExt(p, q, 12)`` built directly."""
+    disc = draw(st.sampled_from((2, 3, -5, 12)))
+    if disc == 12:
+        irrational = st.builds(lambda p, q: QuadExt(p, q, 12), _COEFF12, _COEFF12.filter(bool))
+    else:
+        irrational = st.builds(lambda p, q: quad(p, q, disc), _COEFF12, _COEFF12)
+    polys = [
+        st.builds(MultiPoly, st.dictionaries(_EXPS3, coeff, max_size=6))
+        for coeff in (_COEFF12, st.one_of(_COEFF12, irrational))
+    ]
+    return draw(st.one_of(polys)), draw(st.one_of(polys))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mul_operands())
+def test_product_equals_the_pairwise_product_in_value_and_order(operands):
+    """Both orders of a Fraction and a QuadExt operand, an empty operand,
+    and products whose cross terms cancel, as (a + b)(a - b) does.  Where
+    the pairwise product refuses to mix two discs (a sum of disc-12 terms
+    holds disc 3 beside disc 12), the product raises its ValueError."""
+    a, b = operands
+    zero = MultiPoly()
+    for x, y in ((a, b), (b, a), (a + b, a - b), (a, -a), (a, zero), (zero, b)):
+        try:
+            want = _pairwise_mul(x, y)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got_exc:
+                x * y
+            assert str(got_exc.value) == str(exc)
+            continue
+        got = x * y
+        _assert_clean(got)
+        assert got.terms == want.terms
+        assert list(got.terms) == list(want.terms)
+
+
+def test_product_normalises_a_square_part_of_disc_as_quad_does():
+    a = MultiPoly({(1, 0, 0, 0): QuadExt(1, 1, 12), (0, 1, 0, 0): Fraction(1, 12)})
+    b = MultiPoly({(0, 0, 0, 1): QuadExt(0, 1, 12), (1, 0, 0, 0): Fraction(-5, 6)})
+    got = a * b
+    assert got.terms == _pairwise_mul(a, b).terms
+    assert got.terms[(1, 0, 0, 1)] == QuadExt(12, 2, 3)
+    assert {c.disc for c in got.terms.values() if isinstance(c, QuadExt)} == {3}
+
+
+def test_product_across_two_quadratic_fields_is_refused():
+    a = MultiPoly({(1, 0, 0, 0): quad(0, 1, 2), (0, 0, 0, 0): Fraction(1)})
+    b = MultiPoly({(0, 1, 0, 0): quad(1, 1, 3), (0, 0, 0, 1): Fraction(1, 2)})
+    for x, y, message in (
+        (a, b, "mixed quadratic fields: sqrt(2) vs sqrt(3)"),
+        (b, a, "mixed quadratic fields: sqrt(3) vs sqrt(2)"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            x * y
+        assert str(exc.value) == message
+    # one polynomial over two fields meets no second field through Q
+    mixed = a + MultiPoly({(0, 0, 1, 0): quad(0, 1, 3)})
+    rational = MultiPoly({(0, 0, 0, 1): Fraction(2, 3), (0, 0, 0, 0): Fraction(1)})
+    assert (mixed * rational).terms == _pairwise_mul(mixed, rational).terms
+
+
+@pytest.mark.parametrize("bad", [0.5, True, "1"], ids=["float", "bool", "str"])
+def test_constructor_refuses_a_coefficient_that_is_not_exact(bad):
+    """A float is not kept as a coefficient, a bool is not read as 1 and a
+    string is not stored; an int becomes the Fraction it equals."""
+    for build in (lambda: MultiPoly({(1, 0, 0, 0): bad}), lambda: MultiPoly.const(bad)):
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == (
+            f"coefficient must be an int, a Fraction or a QuadExt, got {bad!r}"
+        )
+    assert type(MultiPoly({(1, 0, 0, 0): 2}).terms[(1, 0, 0, 0)]) is Fraction

@@ -330,6 +330,17 @@ def test_g_family_witness_takes_only_a_non_negative_int_degree(m):
     assert g_family_witness(0, 2).g == MultiPoly.const(1)
 
 
+@pytest.mark.parametrize("bad", [0.5, True, "1"], ids=["float", "bool", "str"])
+def test_g_family_witness_takes_only_an_exact_dbar(bad):
+    """A float dbar is refused, not built into a float witness (d - 0.25*l
+    at dbar = 0.5), and a bool is not read as 1; an int is the Fraction it
+    equals."""
+    with pytest.raises(ValueError) as exc:
+        g_family_witness(1, 2, dbar=bad)
+    message = f"dbar must be a MultiPoly, an int, a Fraction or a QuadExt, got {bad!r}"
+    assert str(exc.value) == message
+    assert g_family_witness(1, 2, dbar=1) == g_family_witness(1, 2, dbar=Fraction(1))
+
 @pytest.mark.parametrize(
     "bad, message",
     [
