@@ -23,8 +23,9 @@ weights, to numerators in Z, or in Z[sqrt D] at a Q(sqrt D) point;
 :mod:`wbext.engine` keeps each template in a 32-entry LRU cache, filled on
 first use, in one entry with its basis-change images, laid out from the
 same symbols (:func:`template_env`) as a second template.
-:mod:`wbext.scanner` builds its scan lines' templates the same way, with
-the scan variable ``t`` and the line's parameters as the symbols.
+:mod:`wbext.scanner` builds its scan lines' templates the same way, over
+``b``, ``delta`` and ``dbar`` with zero shifts, and evaluates them at a
+point of a line by :meth:`LinearSystem.concrete_rows` too.
 
 The template is exact, not interpolated: the symbol type supports only
 ``+``, ``-`` and ``*`` by a parameter-free polynomial and raises on a product

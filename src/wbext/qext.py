@@ -37,8 +37,8 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(num, den)
 
 
-# quad() splits the disc of every QuadExt sum, difference and product, and a
-# run meets only a handful of discs
+# every QuadExt splits its disc when it is built, and quad() every sum,
+# difference and product's; a run meets only a handful of discs
 @lru_cache(maxsize=256)
 def split_square(n: int) -> tuple[int, int]:
     """Write ``n = s^2 * r`` with ``r`` square-free (best effort) and return ``(s, r)``.
@@ -71,8 +71,11 @@ class QuadExt:
 
     Instances always have ``q != 0``; purely rational results collapse back to
     ``Fraction`` (see :func:`quad`), so equality and hashing never straddle the
-    two types.  ``disc`` is a fixed non-square integer, negative values
-    allowed.  Elements over different discriminants cannot be mixed.
+    two types.  ``disc`` is a non-square integer, negative values allowed
+    (a square one is refused: :func:`quad` makes that value a ``Fraction``),
+    whose square part :func:`split_square` folds into ``q``, so one field
+    has one ``disc``: ``QuadExt(0, 1, 12)`` is ``QuadExt(0, 2, 3)``.
+    Elements over different fields cannot be mixed.
     """
 
     __slots__ = ("p", "q", "disc")
@@ -82,11 +85,13 @@ class QuadExt:
         q = Fraction(q)
         if q == 0:
             raise ValueError("QuadExt requires q != 0; use quad() for general construction")
-        if disc == 0 or disc == 1:
-            raise ValueError(f"invalid discriminant {disc}")
+        s, r = split_square(disc)
+        if r in (0, 1):
+            msg = f"invalid discriminant {disc}: sqrt({disc}) is rational"
+            raise ValueError(f"{msg}; use quad() for general construction")
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "disc", disc)
+        object.__setattr__(self, "q", q * s)
+        object.__setattr__(self, "disc", r)
 
     def __setattr__(self, name, value):
         raise AttributeError("QuadExt is immutable")
@@ -213,9 +218,9 @@ class QuadExt:
 def quad(p, q, disc: int):
     """Construct ``p + q*sqrt(disc)``, collapsing to ``Fraction`` when exact.
 
-    Square parts of ``disc`` are folded into ``q`` so that, for example,
-    ``quad(0, 1, 12) == quad(0, 2, 3)``; a perfect-square ``disc`` yields a
-    plain rational, and ``disc = 0`` yields ``p``.
+    ``q = 0``, ``disc = 0`` and a perfect-square ``disc`` yield a plain
+    rational; any other value is a :class:`QuadExt`, which folds the square
+    part of ``disc`` into ``q``, so ``quad(0, 1, 12) == quad(0, 2, 3)``.
     """
     p = Fraction(p)
     q = Fraction(q)
@@ -224,7 +229,7 @@ def quad(p, q, disc: int):
     s, r = split_square(disc)
     if r == 1:
         return p + q * s
-    return QuadExt(p, q * s, r)
+    return QuadExt(p, q, disc)
 
 
 def scalar(x, name: str):

@@ -7,21 +7,22 @@ parameters vanish, which loses nothing, since an equal shift of alpha and
 abar moves no dimension.  The cocycle system then has entries in Q[t] and
 splits into independent blocks by part and degree.
 
-The systems of every line with one (caps, sector, chart) are built once, as
-an integer template (:func:`_line_template`): the one transcription of the
-equations and of the basis-change images runs with the scan variable t and
-the line's ``b`` and ``diff`` as affine symbols, so each entry is ``c0 +
-c_b*b + c_diff*diff + c_t*t`` with integer coefficients; its equations are
-split into their blocks there, once per template.  A line evaluates it at
-its (b, diff) to the package's one sparse row format (see
-:mod:`wbext.linalg`) over Z[t]: every row is scaled by a positive constant
-to primitive integer coefficients, so a value is a tuple of ``int``
-coefficients of a non-zero polynomial in Z[t], and the rows are those of
-the line's direct build so scaled.  Scaling a row moves no rank, at t or
-at any point.  A line keeps one list of matrices (the equation blocks
-that do not vanish on it, then the full and the overflow coboundary
-matrices) and one formula that turns their ranks into an ext dimension.
-That list feeds two consumers:
+The systems of every line with one (caps, sector) are built once, for
+both charts, as an integer template (:func:`_line_template`): the one
+transcription of the equations and of the basis-change images runs over
+the solver's weight names ``b``, ``delta`` and ``dbar`` as affine symbols,
+so each entry is ``c0 + c_b*b + c_delta*delta + c_dbar*dbar`` with integer
+coefficients; its equations are split into their blocks there, once per
+template.  In both charts t raises delta and dbar by 1, so a line lowers
+it at its weights at t = 0, with ``c_t = c_delta + c_dbar``, to the
+package's one sparse row format (see :mod:`wbext.linalg`) over Z[t]: every
+row is scaled by a positive constant to primitive integer coefficients, so
+a value is a tuple of ``int`` coefficients of a non-zero polynomial in
+Z[t], and the rows are those of the line's direct build so scaled.
+Scaling a row moves no rank, at t or at any point.  A line keeps one list
+of matrices (the equation blocks that do not vanish on it, then the full
+and the overflow coboundary matrices) and one formula that turns their
+ranks into an ext dimension.  That list feeds two consumers:
 
 * Bareiss fraction-free elimination over Z[t] (:func:`fraction_free_rank`),
   with every entry packed into one ``int``, its value at t = 2**K
@@ -49,10 +50,9 @@ That list feeds two consumers:
   the last one of a matrix of generic rank r is a non-zero r x r minor.
   Where it does not vanish at t0 that minor survives, so the rank at t0
   is r: specialising t can only lower a rank.  Only the matrices whose
-  last pivot vanishes at t0 are evaluated and ranked, so each reported
-  value and dimension is exact: to integers at a rational t0 (each row
-  scaled by the same power of t0's denominator), in Q(sqrt(d)) at a
-  quadratic one.
+  last pivot vanishes at t0 are evaluated there, by the solver's template
+  evaluator, and ranked, so each reported value and dimension is exact:
+  in integers at a rational t0, in Z[sqrt(d)] at a quadratic one.
 
 :func:`line_family` is the one derivation of a line's second-generator
 family; it verifies the family before returning it, and both
@@ -63,12 +63,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product, zip_longest
+from itertools import accumulate, product, repeat, zip_longest
 from math import comb, gcd, isqrt, lcm, prod
 from operator import mul
 
 from . import engine
 from .equations import (
+    LinearSystem,
     affine_symbols,
     assemble_linear_system,
     build_equations_env,
@@ -417,14 +418,14 @@ def fraction_free_rank(rows) -> tuple[int, list]:
 class _LineData:
     """Everything reusable about one scan line's systems over Q[t].
 
-    ``matrices`` holds ``(rows, generic rank, last pivot)`` for the equation
-    blocks, then the full and the overflow coboundary matrices, every one in
-    the sparse Z[t] rows of :func:`_lower` (:func:`_rows_at` evaluates them
-    at a point).  The last pivot, None for a matrix of rank 0, is the
-    minor that keeps the generic rank wherever it does not vanish.
-    ``pivots`` are the pivot polynomials of all of them, in that order: the
-    certificate input, kept as the ``int`` coefficient tuples of
-    :func:`fraction_free_rank`'s pivots, like row entries.
+    ``matrices`` holds ``(template system, generic rank, last pivot)`` for
+    the equation blocks, then the full and the overflow coboundary
+    matrices: the system of :func:`_line_template`, and the rank and pivots
+    of its rows lowered by :func:`_lower`.  The last pivot, None for a
+    matrix of rank 0, is the minor that keeps the generic rank wherever it
+    does not vanish.  ``pivots`` are the pivot polynomials of all of them,
+    in that order: the certificate input, kept as the ``int`` coefficient
+    tuples of :func:`fraction_free_rank`'s pivots, like row entries.
     """
 
     nunk: int
@@ -439,55 +440,58 @@ class _LineData:
 
     @property
     def generic_ext(self) -> int:
-        return self.ext_dim([rank for _rows, rank, _last in self.matrices])
+        return self.ext_dim([rank for _system, rank, _last in self.matrices])
 
 
-def _line_env(sector: str, promote: str) -> dict:
-    """The parameter environment of every line with this sector and chart:
-    zero shifts, and ``(delta, dbar)`` in the chart, with the scan variable
-    t, ``diff`` and (outside the f sector, where it never enters) ``b`` as
-    affine symbols, in template order ``(b, diff, t)``."""
-    env = affine_symbols(("diff", "t") if sector == "f" else ("b", "diff", "t"))
-    env["delta"], env["dbar"] = _chart(promote, env.pop("t"), env.pop("diff"))
-    env["alpha"] = env["abar"] = 0
-    return env
+def _line_point(sp: ScanProblem, t0) -> tuple:
+    """The line's weights at t = t0 in the order of a line template value's
+    components: ``(b, delta, dbar)``, or ``(delta, dbar)`` in the f sector."""
+    weights = sp.weights_at(t0)
+    return weights if sp.base.sector == "f" else (Fraction(sp.base.b), *weights)
 
 
-# One template per (caps, sector, chart), shared by every line with that
-# key.  classify meets 2 keys, (caps, full, dbar) and (caps, f, dbar), and
-# ``wbext scan --promote delta`` one more.  At the default caps a full
+# One template per (caps, sector), shared by every line with that key in
+# both charts.  classify meets 2 keys, (caps, full) and (caps, f), and
+# ``wbext scan --promote delta`` shares them.  At the default caps a full
 # template's rows, split into blocks once, take 0.06 MB, an f template's
 # 0.04 MB and a g template's 0.02 MB, their values shared tuples.
 @lru_cache(maxsize=8)
-def _line_template(caps: Caps, sector: str, promote: str) -> tuple:
-    """``(keys, equation blocks, image rows, overflow width)`` of every line
-    with this key, each value an integer tuple ``(c0, c_b, c_diff, c_t)``
-    (no ``c_b`` in the f sector).
+def _line_template(caps: Caps, sector: str) -> tuple:
+    """``(keys, equation blocks as (part, system), images, overflow)`` of
+    every line with this key, each system a :class:`LinearSystem` whose
+    values are integer tuples ``(c0, c_b, c_delta, c_dbar)`` (no ``c_b`` in
+    the f sector): ``engine._template(3, caps, sector)``'s without alpha
+    and abar, as the shifts are zero.
 
-    Built over :func:`_line_env` by the one transcription of the equations,
+    Built by the one transcription of the equations,
     :func:`build_equations_env`, split once by :func:`_block_split`, and
     the one image construction the solver's templates share,
     :func:`engine.image_rows`: the images laid out overflow-first, the
-    overflow block holding every out-of-cap key some line reaches (in the g
-    sector there are no images, and no overflow).
+    overflow block, which ``overflow`` cuts them to, holding every
+    out-of-cap key some line reaches (none in the g sector, which has no
+    images).
     """
-    env = _line_env(sector, promote)
+    env = affine_symbols(("delta", "dbar") if sector == "f" else ("b", "delta", "dbar"))
+    env["alpha"] = env["abar"] = 0
     keys = unknown_basis(3, caps, sector)
     system = assemble_linear_system(build_equations_env(3, env, caps, sector), keys)
+    blocks = tuple((part, LinearSystem(rows)) for part, rows in _block_split(keys, system.rows))
     images, over = engine.image_rows(3, env, caps, sector, keys)
-    return keys, _block_split(keys, system.rows), images, over
+    overflow = tuple(tuple((j, e) for j, e in row if j < over) for row in images)
+    return keys, blocks, LinearSystem(images), LinearSystem(overflow)
 
 
 def _lower(rows, point) -> list:
-    """Template rows on the line at ``point`` = (b, diff), or (diff,) in the
-    f sector, as sparse rows (see :mod:`wbext.linalg`) over Z[t].
+    """Template rows on the line through ``point``, its weights at t = 0,
+    as sparse rows (see :mod:`wbext.linalg`) over Z[t].
 
     The value ``(c0, c1, ..., ck)`` stands for ``c0 + c1*t + ... + ck*t^k``
-    with ``ck != 0``.  Each entry is evaluated times the common denominator
-    of ``point``, one dot product for its constant term, and each row is
-    then divided by the gcd of its coefficients: the primitive positive
-    scaling of the line's own rows, which moves no rank, at t or at any
-    point.  Entries and then rows that vanish on the line are dropped.
+    with ``ck != 0``; t raises delta and dbar by 1, so ``c1 = c_delta +
+    c_dbar``.  Each entry is evaluated times the common denominator of
+    ``point``, and each row is then divided by the gcd of its coefficients:
+    the primitive positive scaling of the line's own rows, which moves no
+    rank, at t or at any point.  Entries and then rows that vanish on the
+    line are dropped.
     """
     den = lcm(*(w.denominator for w in point))
     nums = (den, *[w.numerator * (den // w.denominator) for w in point])
@@ -495,8 +499,7 @@ def _lower(rows, point) -> list:
     for row in rows:
         lowered = []
         for j, vec in row:
-            # map stops at the end of nums, before the last component, c_t
-            c0, ct = sum(map(mul, vec, nums)), vec[-1] * den
+            c0, ct = sum(map(mul, vec, nums)), (vec[-2] + vec[-1]) * den
             if ct:
                 lowered.append((j, (c0, ct)))
             elif c0:
@@ -539,18 +542,17 @@ def _block_split(keys, rows):
 # hits, 39 misses, one per line).  Eviction keeps a long sweep over b bounded.
 @lru_cache(maxsize=16)
 def _line_data(sp: ScanProblem) -> _LineData:
-    keys, blocks, images, over = _line_template(sp.base.caps, sp.base.sector, sp.promote)
-    point = (sp.diff,) if sp.base.sector == "f" else (Fraction(sp.base.b), sp.diff)
-    lowered = [(part, mat) for part, rows in blocks if (mat := _lower(rows, point))]
-    full = _lower(images, point)
-    overflow = [tuple((j, e) for j, e in row if j < over) for row in full]
+    keys, blocks, images, overflow = _line_template(sp.base.caps, sp.base.sector)
+    point = _line_point(sp, 0)
+    lowered = [(part, ls, mat) for part, ls in blocks if (mat := _lower(ls.rows, point))]
+    lowered += [(None, ls, _lower(ls.rows, point)) for ls in (images, overflow)]
     matrices = []
     pivots = []
     g_rank = 0
-    for part, mat in lowered + [(None, full), (None, overflow)]:
+    for part, system, mat in lowered:
         rank, piv = fraction_free_rank(mat)
         piv = [p.coeffs for p in piv]
-        matrices.append((mat, rank, piv[-1] if piv else None))
+        matrices.append((system, rank, piv[-1] if piv else None))
         pivots.extend(piv)
         if part == "g":
             g_rank += rank
@@ -567,44 +569,31 @@ def _line_data(sp: ScanProblem) -> _LineData:
 # ---------------------------------------------------------------------------
 
 
-def _rows_at(rows, t0) -> list:
-    """The Z[t] rows evaluated at t = t0 as sparse rows (see :mod:`wbext.linalg`).
-
-    At a rational t0 = a/q every entry is evaluated homogenised, as
-    ``sum(c_i * a**i * q**(deg - i))`` for the largest degree ``deg`` in
-    ``rows``: that is the value times ``q**deg``, an integer, and every row
-    is scaled by the same positive constant, which moves no rank.  A
-    quadratic t0 evaluates in ``QuadExt``.
-    """
-    deg = max((len(e) for row in rows for _j, e in row), default=1) - 1
-    if isinstance(t0, QuadExt):
-        powers = [t0**i for i in range(deg + 1)]
-    else:
-        a, q = t0.numerator, t0.denominator
-        powers = [a**i * q ** (deg - i) for i in range(deg + 1)]
-    return [tuple([(j, v) for j, e in row if (v := sum(map(mul, e, powers)))]) for row in rows]
-
-
 def ext_dim_at(sp: ScanProblem, t0) -> int:
     """Exact ext dimension at t = t0, from the specialized line systems.
 
     A matrix whose last pivot does not vanish at t0 (or that has none, at
     rank 0) keeps its generic rank there: that pivot is a non-zero minor of
     the generic rank's size, and specialising t raises no rank.  Only the
-    other matrices are evaluated at t0 and ranked exactly.  The last pivots
-    are evaluated as one-entry rows, all in one :func:`_rows_at` call, so in
-    integers at a rational t0.  The result equals solve_ext on the
-    specialized problem (the same integer rows; each row differs from the
-    engine's by a positive constant), at a fraction of the cost; works for
-    int, Fraction and QuadExt points; any other t0 raises ``ValueError``.
+    other matrices are ranked, each evaluated at t0's weights by
+    :meth:`LinearSystem.concrete_rows`, the solver's own evaluator.  A last
+    pivot is affine in t, t**2, ..., so all of them are evaluated as one
+    row, a column per matrix, by one more ``concrete_rows`` call at those
+    powers of t0: in integers at a rational t0.  The result equals
+    solve_ext on the specialized problem, at a fraction of the cost; works
+    for int, Fraction and QuadExt points; any other t0 raises
+    ``ValueError``.
     """
-    scalar(t0, "t0")
+    point = _line_point(sp, t0)
     data = _line_data(sp)
-    at = _rows_at([((0, last),) if last else () for _rows, _r, last in data.matrices], t0)
+    lasts = tuple((i, last) for i, (_s, _r, last) in enumerate(data.matrices) if last)
+    deg = max((len(last) for _i, last in lasts), default=1) - 1
+    powers = tuple(accumulate(repeat(t0, deg), mul))
+    kept = {i for row in LinearSystem((lasts,)).concrete_rows(powers) for i, _v in row}
     return data.ext_dim(
         [
-            rank if last is None or value else matrix_rank(_rows_at(rows, t0))
-            for (rows, rank, last), value in zip(data.matrices, at)
+            rank if last is None or i in kept else matrix_rank(system.concrete_rows(point))
+            for i, (system, rank, last) in enumerate(data.matrices)
         ]
     )
 

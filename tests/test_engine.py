@@ -137,7 +137,7 @@ def test_import_builds_no_template():
     assert proc.returncode == 0, proc.stderr
     *sizes, line_templates = proc.stdout.split()
     assert sizes == ["0", "0", "0", "1", "0"]
-    # one classify meets the (caps, full, dbar) and (caps, f, dbar) lines
+    # one classify meets the (caps, full) and (caps, f) line templates
     assert 1 <= int(line_templates) <= 2
 
 
@@ -170,6 +170,15 @@ def test_quadratic_weight_solve():
     assert sol.ext_dim == 1
     (w,) = sol.basis
     assert w.f.uses_var("d") or w.f.uses_var("l")
+
+
+def test_weights_in_two_forms_of_one_field_solve_as_one():
+    """sqrt(12) and 2*sqrt(3) are one element of Q(sqrt(3)), so a problem
+    that writes its weights both ways is the problem in one form."""
+    root12 = QuadExt(0, 1, 12)
+    p = ExtProblem(shape=3, b=2, alpha=0, abar=0, delta=root12 + 1, dbar=root12)
+    assert p == ExtProblem(shape=3, b=2, alpha=0, abar=0, delta=quad(1, 2, 3), dbar=quad(0, 2, 3))
+    assert solve_ext(p).ext_dim == oracle.brute_dims(p)[2]
 
 
 def test_virasoro_requires_f_sector():
@@ -429,13 +438,12 @@ def test_no_g_sector_template_holds_an_image():
     vacuous."""
     for sector in ("full", "f", "g"):
         engine_images = [engine._template(shape, Caps(), sector) for shape in (1, 2, 3)]
-        line_images = [scanner._line_template(Caps(), sector, promote)
-                       for promote in ("dbar", "delta")]
         laid_out = [(images.rows, over) for _k, _e, images, over in engine_images]
-        laid_out += [(images, over) for _k, _b, images, over in line_images]
+        _keys, _blocks, images, overflow = scanner._line_template(Caps(), sector)
+        laid_out.append((images.rows, overflow.rows))
         for rows, over in laid_out:
             if sector == "g":
-                assert (rows, over) == ((), 0)
+                assert rows == () and not over
             else:
                 assert rows
 

@@ -1,5 +1,6 @@
-"""Every name a wbext module lists in ``__all__`` exists, and every module
-imports only the standard library and wbext itself."""
+"""Every name a wbext module lists in ``__all__`` exists, every module
+imports only the standard library and wbext itself, and no module leaves a
+name dangling: an import it never uses, or a definition nothing reaches."""
 
 import ast
 import importlib
@@ -11,6 +12,28 @@ import pytest
 import wbext
 
 _MODULES = ["wbext"] + [f"wbext.{m.name}" for m in pkgutil.iter_modules(wbext.__path__)]
+
+
+def _tree(name):
+    with open(importlib.import_module(name).__file__, encoding="utf-8") as fh:
+        return ast.parse(fh.read())
+
+
+def _loaded(tree) -> set:
+    """The bare names ``tree`` reads."""
+    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+
+
+def _read(tree) -> set:
+    """Every name ``tree`` reads: a bare name, an attribute or a name it
+    imports from another module."""
+    names = _loaded(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
 
 
 @pytest.mark.parametrize("name", _MODULES)
@@ -41,3 +64,34 @@ def test_every_module_imports_only_the_stdlib_and_wbext(name):
             if n.split(".")[0] != "wbext" and n.split(".")[0] not in sys.stdlib_module_names
         ]
     assert outside == []
+
+
+@pytest.mark.parametrize("name", _MODULES)
+def test_every_module_uses_every_name_it_imports(name):
+    """An import a module never reads is dead, unless ``__all__`` re-exports it."""
+    tree = _tree(name)
+    read = _loaded(tree) | set(importlib.import_module(name).__all__)
+    unused = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            unused += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            unused += [a.asname or a.name for a in node.names]
+    assert [n for n in unused if n not in read] == []
+
+
+@pytest.mark.parametrize("name", _MODULES)
+def test_every_module_level_definition_is_reached(name):
+    """A module-level function, class or private constant is listed in
+    ``__all__`` or read somewhere in the package, so deleting its last
+    caller deletes it too.  Dunder names (``__getattr__``, ``__all__``)
+    are read by Python itself."""
+    read = set().union(*(_read(_tree(m)) for m in _MODULES))
+    read |= set(importlib.import_module(name).__all__)
+    defined = []
+    for node in _tree(name).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.append(node.name)
+        elif isinstance(node, ast.Assign):
+            defined += [t.id for t in node.targets if isinstance(t, ast.Name) and t.id[0] == "_"]
+    assert [n for n in defined if n not in read and not n.startswith("__")] == []

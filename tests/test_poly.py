@@ -374,7 +374,8 @@ _EXPS3 = st.tuples(*[st.integers(0, 3)] * 4)
 @st.composite
 def _mul_operands(draw):
     """Two polynomials, each over Q or over one Q(sqrt(disc)); disc 12 is
-    left with its square part, as ``QuadExt(p, q, 12)`` built directly."""
+    built directly, as ``QuadExt(p, q, 12)``, which folds its square part
+    into q as ``quad`` does."""
     disc = draw(st.sampled_from((2, 3, -5, 12)))
     if disc == 12:
         irrational = st.builds(lambda p, q: QuadExt(p, q, 12), _COEFF12, _COEFF12.filter(bool))
@@ -392,8 +393,8 @@ def _mul_operands(draw):
 def test_product_equals_the_pairwise_product_in_value_and_order(operands):
     """Both orders of a Fraction and a QuadExt operand, an empty operand,
     and products whose cross terms cancel, as (a + b)(a - b) does.  Where
-    the pairwise product refuses to mix two discs (a sum of disc-12 terms
-    holds disc 3 beside disc 12), the product raises its ValueError."""
+    the pairwise product refuses to mix two discs, the product raises its
+    ValueError."""
     a, b = operands
     zero = MultiPoly()
     for x, y in ((a, b), (b, a), (a + b, a - b), (a, -a), (a, zero), (zero, b)):

@@ -1,5 +1,6 @@
 """Scalar layer: exact rationals and quadratic-field elements."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -53,6 +54,32 @@ def test_quadext_requires_nonzero_irrational_part():
         QuadExt(1, 0, 19)
     with pytest.raises(ValueError):
         QuadExt(1, 1, 1)
+
+
+def test_quadext_normalises_its_discriminant_as_quad_does():
+    """A square part of ``disc`` goes into ``q`` when the element is built,
+    so one field has one ``disc`` and its elements mix."""
+    assert QuadExt(0, 1, 12) == quad(0, 1, 12) == QuadExt(0, 2, 3)
+    assert (QuadExt(0, 1, 12).q, QuadExt(0, 1, 12).disc) == (2, 3)
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    assert QuadExt(-5 * half, quarter, 76) == quad(-5 * half, half, 19)
+    assert QuadExt(1, 1, -12).disc == -3
+    assert QuadExt(0, 1, 12) + 1 - QuadExt(0, 1, 12) == 1
+    names = {"QuadExt": QuadExt, "Fraction": Fraction}
+    assert eval(repr(QuadExt(1, 1, 12)), names) == quad(1, 2, 3)
+
+
+@pytest.mark.parametrize("disc", [0, 1, 4, 9, 12 * 12])
+def test_quadext_refuses_a_rational_square_root(disc):
+    """``QuadExt(1, 1, 4)`` would be 3 yet not equal to it; ``quad`` builds
+    such a value as the ``Fraction`` it is, and the message says so."""
+    with pytest.raises(ValueError) as exc:
+        QuadExt(1, 1, disc)
+    assert str(exc.value) == (
+        f"invalid discriminant {disc}: sqrt({disc}) is rational; "
+        "use quad() for general construction"
+    )
+    assert quad(1, 1, disc) == 1 + math.isqrt(disc)
 
 
 def test_quadext_is_immutable():

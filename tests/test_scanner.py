@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 
 from wbext import engine, oracle, scanner
 from wbext.engine import solve_core, solve_ext
-from wbext.equations import assemble_linear_system, build_equations_env, key_rank
+from wbext.equations import affine_symbols, assemble_linear_system, build_equations_env, key_rank
 from wbext.linalg import rank
 from wbext.oracle import verify_witness
 from wbext.poly import MultiPoly, UniPoly
 from wbext.problems import Caps, ExtProblem
-from wbext.qext import quad
+from wbext.qext import QuadExt, quad
 from wbext.scanner import (
     candidate_diffs,
     classify,
@@ -520,6 +520,28 @@ def _keyed(rows, columns):
     return [{columns[j]: e for j, e in row} for row in rows]
 
 
+def _line_template_env(sector):
+    """The line templates' symbols, spelled out here: the solver's weight
+    names (b, delta, dbar), no b in the f sector, and zero shifts."""
+    env = affine_symbols(("delta", "dbar") if sector == "f" else ("b", "delta", "dbar"))
+    env["alpha"] = env["abar"] = 0
+    return env
+
+
+def _without_shifts(rows, sector):
+    """Rows of ``engine._template(3, ., sector)`` with the alpha and abar
+    components of every value deleted, and the entries and then the rows
+    that vanish with them dropped."""
+    shifts = {1, 2} if sector == "f" else {2, 3}
+    out = []
+    for row in rows:
+        kept = [(j, tuple(c for i, c in enumerate(vec) if i not in shifts)) for j, vec in row]
+        kept = tuple((j, vec) for j, vec in kept if any(vec))
+        if kept:
+            out.append(kept)
+    return out
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     b=st.one_of(st.none(), _SMALL_Q.filter(bool)),
@@ -528,40 +550,45 @@ def _keyed(rows, columns):
     promote=st.sampled_from(["dbar", "delta"]),
 )
 def test_line_template_equals_the_direct_build_on_the_line(b, diff, sector, promote):
-    """The template of a (caps, sector, chart), evaluated on one line, gives
-    the rows of that line's own build over Q[t], scaled to primitive
-    integers: block for block, value for value and in order.  Its blocks,
-    put back in the key columns, are its equation rows, each once."""
+    """The template of a (caps, sector), evaluated on one line in either
+    chart, gives the rows of that line's own build over Q[t], scaled to
+    primitive integers: block for block, value for value and in order.  Its
+    blocks, put back in the key columns, are the solver's template's
+    equation rows without their alpha and abar components, each once."""
     assume(b is not None or sector == "f")
     sp = scanner.ScanProblem(scan_dbar(b, diff, sector=sector, caps=_SMALL_CAPS).base, promote)
-    keys, blocks, images, over = scanner._line_template(_SMALL_CAPS, sector, promote)
-    point = (sp.diff,) if sector == "f" else (Fraction(b), sp.diff)
+    keys, blocks, images, overflow = scanner._line_template(_SMALL_CAPS, sector)
+    point = scanner._line_point(sp, 0)
+    assert point == ((Fraction(b),) if sector != "f" else ()) + sp.weights_at(0)
     env = sp.env_t()
     direct = assemble_linear_system(build_equations_env(3, env, _SMALL_CAPS, sector), keys)
     # blocks that vanish on the line are left out, as a split of its own rows has none
-    lowered = [(part, rows) for part, block in blocks if (rows := scanner._lower(block, point))]
+    lowered = [(part, rows) for part, sys in blocks if (rows := scanner._lower(sys.rows, point))]
     assert lowered == [
         (part, list(rows)) for part, rows in scanner._block_split(keys, _int_rows(direct.rows))
     ]
-    symbolic = build_equations_env(3, scanner._line_env(sector, promote), _SMALL_CAPS, sector)
-    template = assemble_linear_system(symbolic, keys).rows
+    engine_keys, equations, _images, _over = engine._template(3, _SMALL_CAPS, sector)
+    assert keys == list(engine_keys)
+    template = _without_shifts(equations.rows, sector)
     group_of = [(key[0], key[1] + key[2]) for key in keys]
     groups = sorted({group_of[j] for row in template for j, _e in row})
-    assert [part for part, _rows in blocks] == [part for part, _degree in groups]
+    assert [part for part, _system in blocks] == [part for part, _degree in groups]
     unsplit = []
-    for group, (_part, rows) in zip(groups, blocks):
+    for group, (_part, block) in zip(groups, blocks):
         columns = [j for j, g in enumerate(group_of) if g == group]
-        unsplit.extend(tuple((columns[k], e) for k, e in row) for row in rows)
+        unsplit.extend(tuple((columns[k], e) for k, e in row) for row in block.rows)
     assert sorted(unsplit) == sorted(template)
     if sector == "g":
-        assert images == () and over == 0
+        assert images.rows == () and overflow.rows == ()
         return
     # the template's overflow block may hold keys that are zero on this line
-    _maps, template_columns, width = _image_columns(scanner._line_env(sector, promote), keys)
+    _maps, template_columns, width = _image_columns(_line_template_env(sector), keys)
     maps, columns, _width = _image_columns(env, keys)
     direct_images, _over = engine.coeff_rows(maps, keys)
-    assert width == over
-    assert _keyed(scanner._lower(images, point), template_columns) == _keyed(
+    assert overflow.rows == tuple(
+        tuple((j, e) for j, e in row if j < width) for row in images.rows
+    )
+    assert _keyed(scanner._lower(images.rows, point), template_columns) == _keyed(
         _int_rows(direct_images), columns
     )
 
@@ -576,10 +603,26 @@ def _certificate_roots(sp):
     return candidates
 
 
+def _horner(e, t0):
+    """The Z[t] entry ``e``, lowest degree first, at t = t0."""
+    value = 0
+    for c in reversed(e):
+        value = value * t0 + c
+    return value
+
+
 def _exact_ext_dim_at(sp, t0):
-    """The ext dimension at t0 with every matrix of the line ranked exactly."""
+    """The ext dimension at t0 with every matrix of the line ranked exactly:
+    its rows lowered to Z[t] by ``_lower``, then evaluated at t0 by Horner's
+    rule, independently of ``LinearSystem.concrete_rows``."""
     data = scanner._line_data(sp)
-    return data.ext_dim([rank(scanner._rows_at(rows, t0)) for rows, _r, _last in data.matrices])
+    point = scanner._line_point(sp, 0)
+    ranks = []
+    for system, _r, _last in data.matrices:
+        rows = scanner._lower(system.rows, point)
+        at_t0 = [tuple((j, v) for j, e in row if (v := _horner(e, t0))) for row in rows]
+        ranks.append(rank(at_t0))
+    return data.ext_dim(ranks)
 
 
 @settings(max_examples=100, deadline=None)
@@ -592,7 +635,7 @@ def test_point_check_is_exact_at_every_certificate_root(b, diff, sector):
     """Keeping the generic rank where a matrix's last pivot survives gives
     the exact dimension at every root, and so the same scan result."""
     sp = scan_dbar(b, diff, sector=sector, caps=_SMALL_CAPS)
-    lasts = [last for _rows, _r, last in scanner._line_data(sp).matrices if last is not None]
+    lasts = [last for _system, _r, last in scanner._line_data(sp).matrices if last is not None]
     for t0 in _certificate_roots(sp):
         ranked = []
         with pytest.MonkeyPatch.context() as mp:
@@ -659,7 +702,12 @@ def test_pivots_and_certificates_hold_ints_as_computed():
     ]
     for sp in lines:
         data = scanner._line_data(sp)
-        pivots = [p for rows, _r, _l in data.matrices for p in scanner.fraction_free_rank(rows)[1]]
+        point = scanner._line_point(sp, 0)
+        pivots = [
+            p
+            for system, _r, _l in data.matrices
+            for p in scanner.fraction_free_rank(scanner._lower(system.rows, point))[1]
+        ]
         assert data.pivots == tuple(p.coeffs for p in pivots)
         cert = special_values(sp).certificate
         assert cert.degree() > 0
@@ -668,17 +716,65 @@ def test_pivots_and_certificates_hold_ints_as_computed():
 
 def test_quadratic_roots_reach_the_exact_ranks():
     """At the Q(sqrt(19)) roots of the difference-6 line some last pivot
-    vanishes, so the point check ranks that matrix over Q(sqrt(19))."""
-    sp = scan_dbar(None, 6, sector="f", caps=CAPS)
-    data = scanner._line_data(sp)
-    specials = special_values(sp).special_values
-    for half in (Fraction(-1, 2), Fraction(1, 2)):
-        t0 = quad(Fraction(-5, 2), half, 19)
-        assert any(
-            last is not None and not UniPoly(last).eval(t0) for _rows, _r, last in data.matrices
-        )
-        assert ext_dim_at(sp, t0) == _exact_ext_dim_at(sp, t0) == 1
-        assert (t0, 1) in specials
+    vanishes, so the point check ranks that matrix over Q(sqrt(19)), in
+    both charts, and in the same field when t0 is written over sqrt(76)."""
+    base = scan_dbar(None, 6, sector="f", caps=CAPS).base
+    for sp in (scanner.ScanProblem(base, "dbar"), scanner.ScanProblem(base, "delta")):
+        data = scanner._line_data(sp)
+        specials = special_values(sp).special_values
+        for half in (Fraction(-1, 2), Fraction(1, 2)):
+            t0 = quad(Fraction(-5, 2), half, 19) + (6 if sp.promote == "delta" else 0)
+            assert any(
+                last is not None and not UniPoly(last).eval(t0)
+                for _system, _r, last in data.matrices
+            )
+            assert ext_dim_at(sp, t0) == _exact_ext_dim_at(sp, t0) == 1
+            assert ext_dim_at(sp, QuadExt(t0.p, t0.q / 2, 76)) == 1
+            assert (t0, 1) in specials
+
+
+def test_both_charts_share_one_line_template():
+    """A dbar line and a delta line with one (caps, sector) build one
+    template between them."""
+    scanner._line_data.cache_clear()
+    scanner._line_template.cache_clear()
+    for sector in ("full", "f", "g"):
+        before = scanner._line_template.cache_info().currsize
+        scanner._line_data(scan_dbar(2, 3, sector=sector, caps=_SMALL_CAPS))
+        scanner._line_data(scan_delta(2, 3, sector=sector, caps=_SMALL_CAPS))
+        assert scanner._line_template.cache_info().currsize == before + 1
+
+
+@st.composite
+def _quadratic_points(draw, sp):
+    """A point ``p + 2*q*sqrt(D)`` of Q(sqrt(D)) as ``(p, q, D)``: a
+    quadratic root of the line's certificate, or a random point."""
+    roots = [(r.p, r.q / 2, r.disc) for r in _certificate_roots(sp) if isinstance(r, QuadExt)]
+    small = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+    random_points = st.tuples(small, small.filter(bool), st.sampled_from((2, 3, 5, 19, -1, -3)))
+    return draw(st.one_of(st.sampled_from(roots), random_points) if roots else random_points)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    b=_SMALL_Q.filter(bool),
+    diff=_SMALL_Q,
+    sector=st.sampled_from(["full", "f", "g"]),
+    promote=st.sampled_from(["dbar", "delta"]),
+    data=st.data(),
+)
+def test_point_check_reads_a_quadratic_point_in_any_form_of_its_field(
+    b, diff, sector, promote, data
+):
+    """t0 written as ``QuadExt(p, q, 4*D)`` is ``quad(p, 2*q, D)``: the point
+    check gives one dimension for both, and so does the engine's solve of
+    the line at that point."""
+    sp = scanner.ScanProblem(scan_dbar(b, diff, sector=sector, caps=_SMALL_CAPS).base, promote)
+    p, q, disc = data.draw(_quadratic_points(sp))
+    t0 = QuadExt(p, q, 4 * disc)
+    dim = ext_dim_at(sp, t0)
+    assert dim == ext_dim_at(sp, quad(p, 2 * q, disc))
+    assert dim == solve_ext(sp.specialize(t0), stabilize=False).ext_dim
 
 
 # ---------------------------------------------------------------------------
