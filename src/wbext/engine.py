@@ -33,12 +33,19 @@ returns, the scanner's special points included, has passed
 :mod:`wbext.oracle`, which recomputes residuals by a route that shares no
 equation code with this module.
 Results are immutable, and :func:`solve_ext` keeps them in a bounded cache.
+
+The cap-stability re-run of :func:`solve_ext` solves at caps+2 at the
+problem's alpha = 0 point (:func:`_at_alpha_zero`): d -> d + c moves
+(alpha, abar, gamma) to (alpha + c, abar + c, gamma - c) and keeps every
+total-degree cap, so both points have the same dimensions, and at alpha = 0
+the rows are sparser.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import replace
+from fractions import Fraction
 from functools import lru_cache
 
 from . import oracle
@@ -246,6 +253,26 @@ def solve_core(p: ExtProblem) -> ExtSolution:
     )
 
 
+def _at_alpha_zero(p: ExtProblem) -> ExtProblem:
+    """``p`` moved along its shift class to alpha = 0, with every dimension
+    kept.
+
+    The substitution d -> d + c turns a cocycle of the problem at (alpha,
+    abar, gamma) into one at (alpha + c, abar + c, gamma - c), and a
+    basis-change image into the image of phi(d + c).  It maps the
+    polynomials of total degree at most a cap onto themselves, so it maps
+    the capped cocycles, the images and the capped coboundaries of one
+    problem isomorphically onto the other's.  c = -alpha gives shape 3
+    ``(0, abar - alpha)`` and shapes 1 and 2 ``(alpha, gamma) = (0, alpha +
+    gamma)``; there every template entry loses its alpha term.
+    """
+    if p.alpha == 0:
+        return p
+    if p.shape == 3:
+        return replace(p, alpha=Fraction(0), abar=p.abar - p.alpha)
+    return replace(p, alpha=Fraction(0), gamma=p.gamma + p.alpha)
+
+
 # A full ``replay --table all`` makes 70 full solves, which this cache holds
 # with room for a scan's specialised solves.  Older entries are evicted, so
 # a long sweep stays bounded in memory.
@@ -254,8 +281,12 @@ def solve_ext(p: ExtProblem, stabilize: bool = True) -> ExtSolution:
     """Full solve with cap-stability re-run and independent verification.
 
     ``stabilize`` repeats the solve with all caps raised by 2 and records
-    whether the dimension moved (``diagnostics["stable"]``).  Every basis
-    witness is pushed through the naive-composition checker.  Results are
+    whether the dimension moved (``diagnostics["stable"]``).  It compares
+    only that dimension, so the re-run solves the problem's alpha = 0 point
+    (:func:`_at_alpha_zero`), whose every dimension is the caller's and
+    whose rows are sparser; it is still :func:`solve_core`, with both of its
+    cross-checks.  Every basis witness, from the solve at the caller's own
+    point, is pushed through the naive-composition checker.  Results are
     cached per call and immutable.
     """
     core = solve_core(p)
@@ -265,7 +296,8 @@ def solve_ext(p: ExtProblem, stabilize: bool = True) -> ExtSolution:
         diag["degenerate"] = tuple(notes)
     if stabilize:
         c = p.caps
-        bumped = solve_core(replace(p, caps=Caps(c.f + 2, c.g + 2, c.h + 2, c.phi + 2)))
+        bumped_caps = Caps(c.f + 2, c.g + 2, c.h + 2, c.phi + 2)
+        bumped = solve_core(replace(_at_alpha_zero(p), caps=bumped_caps))
         diag["stable"] = bumped.ext_dim == core.ext_dim
         if not diag["stable"]:
             diag["cap_too_small"] = (

@@ -233,8 +233,14 @@ class MultiPoly:
             # a field has no zero divisors, so no product term vanishes
             return MultiPoly._clean({e: cc * c for e, cc in self.terms.items()})
         # with at most one term on a side there is nothing to accumulate, and
-        # the pairwise loop is the cheaper one
+        # the pairwise loop is the cheaper one; a monomial of coefficient 1,
+        # such as d or l, only shifts the other side's exponents
         if len(self.terms) < 2 or len(other.terms) < 2:
+            for mono, rest in ((other, self), (self, other)):
+                if len(mono.terms) == 1:
+                    [(exps, c)] = mono.terms.items()
+                    if c == 1:
+                        return rest._shifted(exps)
             return self._pairwise_mul(other)
         views = (_numerators(self.terms), _numerators(other.terms))
         if None in views:
@@ -268,6 +274,15 @@ class MultiPoly:
             if c:
                 terms[e] = c
         return MultiPoly._clean(terms)
+
+    def _shifted(self, exps) -> "MultiPoly":
+        """The product with the monomial of exponents ``exps`` and coefficient
+        1: every term's exponents raised by ``exps``, its coefficient and its
+        place kept, as the pairwise loop leaves them."""
+        b0, b1, b2, b3 = exps
+        return MultiPoly._clean(
+            {(a0 + b0, a1 + b1, a2 + b2, a3 + b3): c for (a0, a1, a2, a3), c in self.terms.items()}
+        )
 
     def _pairwise_mul(self, other: "MultiPoly") -> "MultiPoly":
         """The product one term pair at a time, in the coefficients' own

@@ -66,12 +66,19 @@ def split_square(n: int) -> tuple[int, int]:
     return s, sign * n
 
 
+def _check_disc(disc) -> None:
+    """Refuse a ``disc`` that is not a plain ``int``, a ``bool`` included."""
+    if type(disc) is not int:
+        raise ValueError(f"disc must be an int, got {disc!r}")
+
+
 class QuadExt:
     """An element ``p + q*sqrt(disc)`` of a quadratic extension of Q.
 
     Instances always have ``q != 0``; purely rational results collapse back to
     ``Fraction`` (see :func:`quad`), so equality and hashing never straddle the
-    two types.  ``disc`` is a non-square integer, negative values allowed
+    two types.  ``disc`` is a non-square ``int`` (no other type is taken,
+    here or by :func:`quad`), negative values allowed
     (a square one is refused: :func:`quad` makes that value a ``Fraction``),
     whose square part :func:`split_square` folds into ``q``, so one field
     has one ``disc``: ``QuadExt(0, 1, 12)`` is ``QuadExt(0, 2, 3)``.
@@ -81,6 +88,7 @@ class QuadExt:
     __slots__ = ("p", "q", "disc")
 
     def __init__(self, p, q, disc: int):
+        _check_disc(disc)
         p = Fraction(p)
         q = Fraction(q)
         if q == 0:
@@ -222,6 +230,7 @@ def quad(p, q, disc: int):
     rational; any other value is a :class:`QuadExt`, which folds the square
     part of ``disc`` into ``q``, so ``quad(0, 1, 12) == quad(0, 2, 3)``.
     """
+    _check_disc(disc)
     p = Fraction(p)
     q = Fraction(q)
     if q == 0 or disc == 0:

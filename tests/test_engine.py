@@ -330,6 +330,89 @@ def test_random_dimensions_are_shift_invariant(p, c):
 
 
 # ---------------------------------------------------------------------------
+# the caps+2 re-solve at the alpha = 0 point of the shift class
+# ---------------------------------------------------------------------------
+
+
+def _bumped(p: ExtProblem) -> ExtProblem:
+    c = p.caps
+    return replace(p, caps=Caps(c.f + 2, c.g + 2, c.h + 2, c.phi + 2))
+
+
+@st.composite
+def _shift_class_problems(draw):
+    """``_small_problems`` at caps from 1 to 4, where shape 3 may have alpha
+    != abar and shapes 1 and 2 alpha + gamma != 0; half of them with delta
+    (and dbar by as much) moved into Q(sqrt(5)), the field alpha may lie in."""
+    p = draw(_small_problems())
+    p = replace(p, caps=Caps(*draw(st.tuples(*[st.integers(1, 4)] * 4))))
+    if draw(st.booleans()):
+        s = quad(0, draw(st.sampled_from((1, Fraction(-1, 2)))), 5)
+        moved = {"delta": p.delta + s}
+        if p.shape == 3:
+            moved["dbar"] = p.dbar + s
+        p = replace(p, **moved)
+    return p
+
+
+@settings(max_examples=80, deadline=None)
+@given(_shift_class_problems())
+def test_the_alpha_zero_point_has_the_same_dimensions(p):
+    """solve_ext re-solves at caps+2 at ``_at_alpha_zero(p)``: the same
+    problem moved along its shift class, with every dimension kept."""
+    q = engine._at_alpha_zero(p)
+    assert q.alpha == 0
+    assert (q.shape, q.b, q.delta, q.dbar, q.caps, q.sector) == (
+        p.shape, p.b, p.delta, p.dbar, p.caps, p.sector)
+    if p.shape == 3:
+        assert q.abar - q.alpha == p.abar - p.alpha
+    else:
+        assert q.alpha + q.gamma == p.alpha + p.gamma
+    assert _dims(q) == _dims(p)
+    assert _dims(_bumped(q)) == _dims(_bumped(p))
+
+
+_RT5 = quad(1, 1, 5)
+
+
+@pytest.mark.parametrize(
+    "p, moved",
+    [
+        (ExtProblem(shape=1, b=2, alpha=3, gamma=-3, delta=2, caps=Caps(1, 1, 1, 1)), (1, 2)),
+        (ExtProblem(shape=1, b=1, alpha=_RT5, gamma=-_RT5, delta=1, caps=Caps(1, 1, 1, 1),
+                    sector="f"), (0, 1)),
+        (ExtProblem(shape=3, b=1, alpha=Fraction(1, 2), abar=Fraction(1, 2), delta=3, dbar=1,
+                    caps=Caps(1, 1, 1, 1)), (1, 2)),
+        (ExtProblem(shape=3, b=1, alpha=_RT5, abar=_RT5, delta=3, dbar=1, caps=Caps(1, 1, 1, 1),
+                    sector="f"), (0, 1)),
+        (ExtProblem(shape=3, b=1, alpha=3, abar=3, delta=3, dbar=0, caps=Caps(1, 1, 1, 1),
+                    sector="g"), (0, 1)),
+    ],
+)
+def test_stability_diagnostics_equal_the_literal_caps_plus_2_solve(
+    monkeypatch, p, moved
+):
+    """``stable`` and ``cap_too_small`` are what ``solve_core`` at caps+2 at
+    the caller's own point gives.  The re-solve is the unchanged
+    ``solve_core``, with both its cross-checks, at the alpha = 0 point; the
+    oracle checks the basis at the caller's problem."""
+    base, literal = solve_core(p).ext_dim, solve_core(_bumped(p)).ext_dim
+    assert (base, literal) == moved
+    cores, checked = [], []
+    monkeypatch.setattr(engine, "solve_core", lambda q: cores.append(q) or solve_core(q))
+    verify = oracle.verify_witness
+    monkeypatch.setattr(oracle, "verify_witness", lambda q, w: checked.append(q) or verify(q, w))
+    sol = solve_ext.__wrapped__(p)
+    assert cores == [p, _bumped(engine._at_alpha_zero(p))]
+    assert cores[1].alpha == 0 != p.alpha
+    assert checked == [p] * base
+    assert sol.diagnostics["stable"] is False
+    assert sol.diagnostics["cap_too_small"] == (
+        f"dimension moved from {base} to {literal} when caps were raised by 2"
+    )
+
+
+# ---------------------------------------------------------------------------
 # the basis-change images against the oracle's own transcription
 # ---------------------------------------------------------------------------
 

@@ -372,43 +372,67 @@ _EXPS3 = st.tuples(*[st.integers(0, 3)] * 4)
 
 
 @st.composite
-def _mul_operands(draw):
-    """Two polynomials, each over Q or over one Q(sqrt(disc)); disc 12 is
-    built directly, as ``QuadExt(p, q, 12)``, which folds its square part
-    into q as ``quad`` does."""
+def _mul_operand(draw):
+    """A polynomial over Q or over one Q(sqrt(disc)); disc 12 is built
+    directly, as ``QuadExt(p, q, 12)``, which folds its square part into q
+    as ``quad`` does, so it is the field of disc 3."""
     disc = draw(st.sampled_from((2, 3, -5, 12)))
     if disc == 12:
         irrational = st.builds(lambda p, q: QuadExt(p, q, 12), _COEFF12, _COEFF12.filter(bool))
     else:
         irrational = st.builds(lambda p, q: quad(p, q, disc), _COEFF12, _COEFF12)
-    polys = [
-        st.builds(MultiPoly, st.dictionaries(_EXPS3, coeff, max_size=6))
-        for coeff in (_COEFF12, st.one_of(_COEFF12, irrational))
-    ]
-    return draw(st.one_of(polys)), draw(st.one_of(polys))
+    coeff = draw(st.sampled_from((_COEFF12, st.one_of(_COEFF12, irrational))))
+    return draw(st.builds(MultiPoly, st.dictionaries(_EXPS3, coeff, max_size=6)))
+
+
+# each operand draws its own field, so two fields meet in some products
+_mul_operands = st.tuples(_mul_operand(), _mul_operand())
 
 
 @settings(max_examples=200, deadline=None)
-@given(_mul_operands())
+@given(_mul_operands)
 def test_product_equals_the_pairwise_product_in_value_and_order(operands):
     """Both orders of a Fraction and a QuadExt operand, an empty operand,
     and products whose cross terms cancel, as (a + b)(a - b) does.  Where
     the pairwise product refuses to mix two discs, the product raises its
-    ValueError."""
+    ValueError.  Operands over two fields that meet at one exponent have no
+    sum to multiply."""
     a, b = operands
     zero = MultiPoly()
-    for x, y in ((a, b), (b, a), (a + b, a - b), (a, -a), (a, zero), (zero, b)):
-        try:
-            want = _pairwise_mul(x, y)
-        except ValueError as exc:
-            with pytest.raises(ValueError) as got_exc:
-                x * y
-            assert str(got_exc.value) == str(exc)
-            continue
-        got = x * y
-        _assert_clean(got)
-        assert got.terms == want.terms
-        assert list(got.terms) == list(want.terms)
+    pairs = [(a, b), (b, a), (a, -a), (a, zero), (zero, b)]
+    try:
+        pairs.append((a + b, a - b))
+    except ValueError:
+        pass
+    for x, y in pairs:
+        _assert_product_is_pairwise(x, y)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_mul_operand(), _EXPS3, st.sampled_from((1, Fraction(-1), Fraction(2, 3), quad(1, 1, 2))))
+def test_product_by_a_monomial_equals_the_pairwise_product_in_value_and_order(a, exps, c):
+    """A monomial of coefficient 1, as d and l are in the oracle's actions,
+    only shifts the other side's exponents; any other coefficient, a
+    QuadExt among them, still goes through the pairwise loop."""
+    mono = MultiPoly.monomial(exps, c)
+    for x, y in ((a, mono), (mono, a), (mono, mono), (mono, MultiPoly())):
+        _assert_product_is_pairwise(x, y)
+
+
+def _assert_product_is_pairwise(x, y):
+    """``x * y`` equals the reference product in value and term order, or
+    raises the ValueError the reference raises."""
+    try:
+        want = _pairwise_mul(x, y)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got_exc:
+            x * y
+        assert str(got_exc.value) == str(exc)
+        return
+    got = x * y
+    _assert_clean(got)
+    assert got.terms == want.terms
+    assert list(got.terms) == list(want.terms)
 
 
 def test_product_normalises_a_square_part_of_disc_as_quad_does():

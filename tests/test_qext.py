@@ -82,6 +82,17 @@ def test_quadext_refuses_a_rational_square_root(disc):
     assert quad(1, 1, disc) == 1 + math.isqrt(disc)
 
 
+@pytest.mark.parametrize("disc", [2.0, 8.0, True, "2", Fraction(8), Fraction(2, 1)])
+def test_a_disc_that_is_not_an_int_is_refused(disc):
+    """A float disc would reach ``math.isqrt`` and a ``Fraction`` one would
+    be kept; both entry points refuse any disc but a plain ``int`` with a
+    ``ValueError`` that names it, as every weight entry point does."""
+    for build in (QuadExt, quad):
+        with pytest.raises(ValueError) as exc:
+            build(1, 1, disc)
+        assert str(exc.value) == f"disc must be an int, got {disc!r}"
+
+
 def test_quadext_is_immutable():
     x = quad(1, 1, 19)
     with pytest.raises(AttributeError):
