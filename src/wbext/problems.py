@@ -93,6 +93,8 @@ class ExtProblem:
                 raise ValueError("b may be omitted only for the f-only sector")
         elif scalar(self.b, "b") == 0:
             raise ValueError(_B_ZERO_MESSAGE)
+        if not isinstance(self.caps, Caps):
+            raise ValueError(f"caps must be a Caps, got {self.caps!r}")
         self.caps.validate()
         needed = SHAPE_WEIGHTS[self.shape]
         if any(getattr(self, name) is None for name in needed):

@@ -7,22 +7,27 @@ parameters vanish, which loses nothing, since an equal shift of alpha and
 abar moves no dimension.  The cocycle system then has entries in Q[t] and
 splits into independent blocks by part and degree.
 
-The systems of every line with one (caps, sector) are built once, for
-both charts, as an integer template (:func:`_line_template`): the one
-transcription of the equations and of the basis-change images runs over
-the solver's weight names ``b``, ``delta`` and ``dbar`` as affine symbols,
-so each entry is ``c0 + c_b*b + c_delta*delta + c_dbar*dbar`` with integer
-coefficients; its equations are split into their blocks there, once per
-template.  In both charts t raises delta and dbar by 1, so a line lowers
-it at its weights at t = 0, with ``c_t = c_delta + c_dbar``, to the
-package's one sparse row format (see :mod:`wbext.linalg`) over Z[t]: every
-row is scaled by a positive constant to primitive integer coefficients, so
-a value is a tuple of ``int`` coefficients of a non-zero polynomial in
-Z[t], and the rows are those of the line's direct build so scaled.
-Scaling a row moves no rank, at t or at any point.  A line keeps one list
-of matrices (the equation blocks that do not vanish on it, then the full
-and the overflow coboundary matrices) and one formula that turns their
-ranks into an ext dimension.  That list feeds two consumers:
+The systems of every line with one caps are built once, for all three
+sectors and both charts, as one integer template (:func:`_line_template`):
+the one transcription of the full sector's equations and basis-change
+images runs over the solver's weight names ``b``, ``delta`` and ``dbar`` as
+affine symbols, so each entry is ``c0 + c_b*b + c_delta*delta +
+c_dbar*dbar`` with integer coefficients; its equations are split into their
+blocks there, once per caps, and an f- or g-sector line reads the blocks of
+its own part.  No f block and no image involves b, so a line's b-free part,
+those matrices ranked as below, depends only on its weights at t = 0 and is
+shared by every line through them, whatever its b (:func:`_f_part`); only
+the g blocks are ranked for each line.  In both charts t raises delta and
+dbar by 1, so a line lowers it at its weights at t = 0, with ``c_t =
+c_delta + c_dbar``, to the package's one sparse row format (see
+:mod:`wbext.linalg`) over Z[t]: every row is scaled by a positive constant
+to primitive integer coefficients, so a value is a tuple of ``int``
+coefficients of a non-zero polynomial in Z[t], and the rows are those of
+the line's direct build so scaled.  Scaling a row moves no rank, at t or
+at any point.  A line keeps one list of matrices (the equation blocks that
+do not vanish on it, then the full and the overflow coboundary matrices)
+and one formula that turns their ranks into an ext dimension.  That list
+feeds two consumers:
 
 * Bareiss fraction-free elimination over Z[t] (:func:`fraction_free_rank`),
   with every entry packed into one ``int``, its value at t = 2**K
@@ -419,13 +424,16 @@ class _LineData:
     """Everything reusable about one scan line's systems over Q[t].
 
     ``matrices`` holds ``(template system, generic rank, last pivot)`` for
-    the equation blocks, then the full and the overflow coboundary
-    matrices: the system of :func:`_line_template`, and the rank and pivots
-    of its rows lowered by :func:`_lower`.  The last pivot, None for a
-    matrix of rank 0, is the minor that keeps the generic rank wherever it
-    does not vanish.  ``pivots`` are the pivot polynomials of all of them,
-    in that order: the certificate input, kept as the ``int`` coefficient
-    tuples of :func:`fraction_free_rank`'s pivots, like row entries.
+    the equation blocks of the line's sector that do not vanish on it, f
+    blocks before g blocks, then the full and the overflow coboundary
+    matrices (empty, of rank 0, in the g sector): systems of
+    :func:`_line_template`, and the rank and pivots of their rows lowered
+    by :func:`_lower`.  The last pivot, None for a matrix of rank 0, is the
+    minor that keeps the generic rank wherever it does not vanish.
+    ``pivots`` are the pivot polynomials of all of them, in that order: the
+    certificate input, kept as the ``int`` coefficient tuples of
+    :func:`fraction_free_rank`'s pivots, like row entries.  Every field is
+    a tuple, as the b-free part is shared (see :func:`_f_part`).
     """
 
     nunk: int
@@ -445,38 +453,49 @@ class _LineData:
 
 def _line_point(sp: ScanProblem, t0) -> tuple:
     """The line's weights at t = t0 in the order of a line template value's
-    components: ``(b, delta, dbar)``, or ``(delta, dbar)`` in the f sector."""
-    weights = sp.weights_at(t0)
-    return weights if sp.base.sector == "f" else (Fraction(sp.base.b), *weights)
+    components, ``(b, delta, dbar)``, with b = 0 where the line has none (an
+    f-sector line, which never reads b)."""
+    return (Fraction(sp.base.b or 0), *sp.weights_at(t0))
 
 
-# One template per (caps, sector), shared by every line with that key in
-# both charts.  classify meets 2 keys, (caps, full) and (caps, f), and
-# ``wbext scan --promote delta`` shares them.  At the default caps a full
-# template's rows, split into blocks once, take 0.06 MB, an f template's
-# 0.04 MB and a g template's 0.02 MB, their values shared tuples.
+# One template per caps, shared by every line at those caps in every sector
+# and both charts: classify, the Virasoro layer and ``wbext scan`` build it
+# once.  At the default caps its rows, split into blocks once, take 0.06 MB,
+# their values shared tuples.
 @lru_cache(maxsize=8)
-def _line_template(caps: Caps, sector: str) -> tuple:
+def _line_template(caps: Caps) -> tuple:
     """``(keys, equation blocks as (part, system), images, overflow)`` of
-    every line with this key, each system a :class:`LinearSystem` whose
-    values are integer tuples ``(c0, c_b, c_delta, c_dbar)`` (no ``c_b`` in
-    the f sector): ``engine._template(3, caps, sector)``'s without alpha
-    and abar, as the shifts are zero.
+    every line at ``caps``, each system a :class:`LinearSystem` whose values
+    are integer tuples ``(c0, c_b, c_delta, c_dbar)``:
+    ``engine._template(3, caps, "full")``'s without alpha and abar, as the
+    shifts are zero.
+
+    It is the full sector's; a line of another sector reads its own part's
+    slices, which are that sector's own build: the f sector's keys are the
+    f keys, which come first, and its blocks are the f blocks with the
+    images and the overflow; the g sector's are the g keys and the g
+    blocks, and it has no images.
 
     Built by the one transcription of the equations,
     :func:`build_equations_env`, split once by :func:`_block_split`, and
     the one image construction the solver's templates share,
     :func:`engine.image_rows`: the images laid out overflow-first, the
     overflow block, which ``overflow`` cuts them to, holding every
-    out-of-cap key some line reaches (none in the g sector, which has no
-    images).
+    out-of-cap key some line reaches.  No f block or image (and so no
+    overflow) entry involves b: each has ``c_b = 0``, checked here once, so
+    their ranks on a line depend only on its weights and :func:`_f_part`
+    keys them without b.  An entry with ``c_b != 0`` raises
+    ``ArithmeticError``.
     """
-    env = affine_symbols(("delta", "dbar") if sector == "f" else ("b", "delta", "dbar"))
+    env = affine_symbols(("b", "delta", "dbar"))
     env["alpha"] = env["abar"] = 0
-    keys = unknown_basis(3, caps, sector)
-    system = assemble_linear_system(build_equations_env(3, env, caps, sector), keys)
+    keys = tuple(unknown_basis(3, caps, "full"))
+    system = assemble_linear_system(build_equations_env(3, env, caps, "full"), keys)
     blocks = tuple((part, LinearSystem(rows)) for part, rows in _block_split(keys, system.rows))
-    images, over = engine.image_rows(3, env, caps, sector, keys)
+    images, over = engine.image_rows(3, env, caps, "full", keys)
+    b_free = [ls.rows for part, ls in blocks if part == "f"] + [images]
+    if any(vec[1] for rows in b_free for row in rows for _j, vec in row):
+        raise ArithmeticError("an f block or image of the line template involves b")
     overflow = tuple(tuple((j, e) for j, e in row if j < over) for row in images)
     return keys, blocks, LinearSystem(images), LinearSystem(overflow)
 
@@ -536,31 +555,61 @@ def _block_split(keys, rows):
     return tuple(blocks)
 
 
+def _ranked(system: LinearSystem, rows) -> tuple:
+    """``(system, generic rank, pivots)`` of ``rows``, ``system``'s rows
+    lowered on a line, each pivot an ``int`` coefficient tuple."""
+    rank, pivots = fraction_free_rank(rows)
+    return system, rank, tuple(p.coeffs for p in pivots)
+
+
+def _ranked_blocks(blocks, part: str, point) -> list:
+    """:func:`_ranked` of every equation block of ``part`` that does not
+    vanish on the line through ``point``."""
+    return [_ranked(ls, rows) for p, ls in blocks if p == part and (rows := _lower(ls.rows, point))]
+
+
+# The b-free part of every line through one point at t = 0, whatever its b
+# or sector (the point fixes the chart: (diff, 0) or (0, -diff)).  The 167
+# lines of the 40 seeded classify inputs of perfbench's seed 101 (160 per-b
+# lines and the Virasoro layer's 7) pass through 78 points: 89 hits, 78
+# misses; at seed 404, 82 points.  128 entries keep every hit of such a
+# sweep, 64 lose 1 at seed 101 and 9 at seed 404; an entry takes about 5 KB
+# at the default caps.
+@lru_cache(maxsize=128)
+def _f_part(caps: Caps, weights: tuple) -> tuple:
+    """``(system, generic rank, pivots)`` of the f blocks that do not vanish
+    on the lines through ``weights``, their (delta, dbar) at t = 0, then of
+    the images and of the overflow: the matrices of a line that never read
+    b (see :func:`_line_template`), ranked once for all those lines."""
+    _keys, blocks, images, overflow = _line_template(caps)
+    point = (0, *weights)
+    tail = [_ranked(ls, _lower(ls.rows, point)) for ls in (images, overflow)]
+    return (*_ranked_blocks(blocks, "f", point), *tail)
+
+
+# The g sector's images and overflow: none, of rank 0.
+_NO_IMAGES = ((LinearSystem(()), 0, ()),) * 2
+
+
 # Each line is built once and then re-read by its own special_values,
-# line_family and ext_dim_at calls, and by ``wbext scan``'s family pass; the
-# lines of one classify share only their template (8 seeded classifies: 804
-# hits, 39 misses, one per line).  Eviction keeps a long sweep over b bounded.
+# line_family and ext_dim_at calls, and by ``wbext scan``'s family pass
+# (perfbench's 40 seed-101 classify inputs: 3455 hits, 167 misses, one per
+# line); only its g blocks are ranked for it, its b-free part comes from
+# _f_part.  Eviction keeps a long sweep over b bounded.
 @lru_cache(maxsize=16)
 def _line_data(sp: ScanProblem) -> _LineData:
-    keys, blocks, images, overflow = _line_template(sp.base.caps, sp.base.sector)
-    point = _line_point(sp, 0)
-    lowered = [(part, ls, mat) for part, ls in blocks if (mat := _lower(ls.rows, point))]
-    lowered += [(None, ls, _lower(ls.rows, point)) for ls in (images, overflow)]
-    matrices = []
-    pivots = []
-    g_rank = 0
-    for part, system, mat in lowered:
-        rank, piv = fraction_free_rank(mat)
-        piv = [p.coeffs for p in piv]
-        matrices.append((system, rank, piv[-1] if piv else None))
-        pivots.extend(piv)
-        if part == "g":
-            g_rank += rank
+    caps, sector = sp.base.caps, sp.base.sector
+    keys, blocks, _images, _overflow = _line_template(caps)
+    parts = ("f", "g") if sector == "full" else (sector,)
+    *f_blocks, images, overflow = _f_part(caps, sp.weights_at(0)) if "f" in parts else _NO_IMAGES
+    g_blocks = _ranked_blocks(blocks, "g", _line_point(sp, 0)) if "g" in parts else []
+    matrices = (*f_blocks, *g_blocks, images, overflow)
+    keys = [k for k in keys if k[0] in parts]
     return _LineData(
         nunk=len(keys),
-        matrices=tuple(matrices),
-        pivots=tuple(pivots),
-        g_generic=sum(1 for k in keys if k[0] == "g") - g_rank,
+        matrices=tuple((system, rank, piv[-1] if piv else None) for system, rank, piv in matrices),
+        pivots=tuple(p for _s, _r, piv in matrices for p in piv),
+        g_generic=sum(1 for k in keys if k[0] == "g") - sum(r for _s, r, _p in g_blocks),
     )
 
 

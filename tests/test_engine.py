@@ -126,9 +126,10 @@ def test_import_builds_no_template():
         "import wbext, wbext.engine as e, wbext.equations as q, wbext.scanner as s\n"
         "sizes = lambda: [e._template.cache_info().currsize]\n"
         "lines = lambda: s._line_template.cache_info().currsize\n"
-        "print(*sizes(), q._powers.cache_info().currsize, lines())\n"
+        "parts = lambda: s._f_part.cache_info().currsize\n"
+        "print(*sizes(), q._powers.cache_info().currsize, lines(), parts())\n"
         "e.solve_core(wbext.ExtProblem(shape=1, b=1, alpha=0, gamma=0, delta=1))\n"
-        "print(*sizes(), lines())\n"
+        "print(*sizes(), lines(), parts())\n"
         "s.classify(2)\n"
         "print(lines())\n"
     )
@@ -136,9 +137,9 @@ def test_import_builds_no_template():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     *sizes, line_templates = proc.stdout.split()
-    assert sizes == ["0", "0", "0", "1", "0"]
-    # one classify meets the (caps, full) and (caps, f) line templates
-    assert 1 <= int(line_templates) <= 2
+    assert sizes == ["0", "0", "0", "0", "1", "0", "0"]
+    # one classify, in the full and the f sector, meets the one template of its caps
+    assert line_templates == "1"
 
 
 def test_shift_invariance_single_case():
@@ -184,6 +185,21 @@ def test_weights_in_two_forms_of_one_field_solve_as_one():
 def test_virasoro_requires_f_sector():
     with pytest.raises(ValueError):
         ExtProblem(shape=3, b=None, alpha=0, abar=0, delta=3, dbar=1)
+
+
+@pytest.mark.parametrize("bad", [(2, 2, 2, 2), [2, 2, 2, 2], None], ids=["tuple", "list", "none"])
+def test_caps_must_be_a_caps(bad):
+    """Caps given as anything but a ``Caps`` are refused by name, also by
+    classify, whose caches key on them; a valid ``Caps`` still solves."""
+    message = f"caps must be a Caps, got {bad!r}"
+    with pytest.raises(ValueError) as exc:
+        ExtProblem(shape=1, b=1, alpha=0, gamma=0, delta=1, caps=bad)
+    assert str(exc.value) == message
+    if bad is not None:  # classify reads None as the default caps
+        with pytest.raises(ValueError) as exc:
+            scanner.classify(2, caps=bad)
+        assert str(exc.value) == message
+    assert solve_ext(ExtProblem(shape=1, b=1, alpha=0, gamma=0, delta=1, caps=Caps(2, 2, 2, 2)))
 
 
 def test_solve_core_skips_diagnostics():
@@ -516,17 +532,18 @@ def test_image_template_at_a_point_equals_the_images_built_there(case):
 
 
 def test_no_g_sector_template_holds_an_image():
-    """The engine's and the scanner's g-sector templates lay out no image
-    and no overflow; the other sectors' lay out images, so the rule is not
-    vacuous."""
+    """The engine's g-sector templates and the scanner's g-sector lines lay
+    out no image and no overflow; the other sectors' lay out images, so the
+    rule is not vacuous."""
     for sector in ("full", "f", "g"):
         engine_images = [engine._template(shape, Caps(), sector) for shape in (1, 2, 3)]
         laid_out = [(images.rows, over) for _k, _e, images, over in engine_images]
-        _keys, _blocks, images, overflow = scanner._line_template(Caps(), sector)
+        data = scanner._line_data(scanner.scan_dbar(2, 3, sector=sector))
+        (images, _rank, _last), (overflow, over_rank, _over_last) = data.matrices[-2:]
         laid_out.append((images.rows, overflow.rows))
         for rows, over in laid_out:
             if sector == "g":
-                assert rows == () and not over
+                assert rows == () and not over and not over_rank
             else:
                 assert rows
 

@@ -2,7 +2,7 @@
 
 import math
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from itertools import zip_longest
 
@@ -12,7 +12,14 @@ from hypothesis import strategies as st
 
 from wbext import engine, oracle, scanner
 from wbext.engine import solve_core, solve_ext
-from wbext.equations import affine_symbols, assemble_linear_system, build_equations_env, key_rank
+from wbext.equations import (
+    LinearSystem,
+    affine_symbols,
+    assemble_linear_system,
+    build_equations_env,
+    key_rank,
+    unknown_basis,
+)
 from wbext.linalg import rank
 from wbext.oracle import verify_witness
 from wbext.poly import MultiPoly, UniPoly
@@ -520,26 +527,36 @@ def _keyed(rows, columns):
     return [{columns[j]: e for j, e in row} for row in rows]
 
 
-def _line_template_env(sector):
-    """The line templates' symbols, spelled out here: the solver's weight
-    names (b, delta, dbar), no b in the f sector, and zero shifts."""
-    env = affine_symbols(("delta", "dbar") if sector == "f" else ("b", "delta", "dbar"))
+def _line_template_env(names=("b", "delta", "dbar")):
+    """Line template symbols, spelled out here: the solver's weight names
+    ``names`` (the line template's by default) and zero shifts."""
+    env = affine_symbols(names)
     env["alpha"] = env["abar"] = 0
     return env
 
 
 def _without_shifts(rows, sector):
-    """Rows of ``engine._template(3, ., sector)`` with the alpha and abar
-    components of every value deleted, and the entries and then the rows
-    that vanish with them dropped."""
-    shifts = {1, 2} if sector == "f" else {2, 3}
+    """Rows of ``engine._template(3, ., sector)`` as line template values
+    ``(c0, c_b, c_delta, c_dbar)``: the alpha and abar components deleted, a
+    zero ``c_b`` put in the f sector, which has no b, and the entries and
+    then the rows that vanish with them dropped."""
     out = []
     for row in rows:
-        kept = [(j, tuple(c for i, c in enumerate(vec) if i not in shifts)) for j, vec in row]
+        if sector == "f":
+            kept = [(j, (vec[0], 0, *vec[3:])) for j, vec in row]
+        else:
+            kept = [(j, (*vec[:2], *vec[4:])) for j, vec in row]
         kept = tuple((j, vec) for j, vec in kept if any(vec))
         if kept:
             out.append(kept)
     return out
+
+
+def _sector_slices(sector):
+    """The line template's keys and equation blocks of ``sector``'s parts."""
+    keys, blocks, _images, _overflow = scanner._line_template(_SMALL_CAPS)
+    parts = ("f", "g") if sector == "full" else (sector,)
+    return [k for k in keys if k[0] in parts], [(p, ls) for p, ls in blocks if p in parts]
 
 
 @settings(max_examples=100, deadline=None)
@@ -550,16 +567,18 @@ def _without_shifts(rows, sector):
     promote=st.sampled_from(["dbar", "delta"]),
 )
 def test_line_template_equals_the_direct_build_on_the_line(b, diff, sector, promote):
-    """The template of a (caps, sector), evaluated on one line in either
-    chart, gives the rows of that line's own build over Q[t], scaled to
-    primitive integers: block for block, value for value and in order.  Its
-    blocks, put back in the key columns, are the solver's template's
-    equation rows without their alpha and abar components, each once."""
+    """The one template of a caps, sliced to a sector's parts and evaluated
+    on one line in either chart, gives the rows of that line's own build
+    over Q[t], scaled to primitive integers: block for block, value for
+    value and in order.  Its blocks, put back in the key columns, are the
+    solver's template's equation rows without their alpha and abar
+    components, each once; no f block or image involves b."""
     assume(b is not None or sector == "f")
     sp = scanner.ScanProblem(scan_dbar(b, diff, sector=sector, caps=_SMALL_CAPS).base, promote)
-    keys, blocks, images, overflow = scanner._line_template(_SMALL_CAPS, sector)
+    keys, blocks = _sector_slices(sector)
+    _keys, _blocks, images, overflow = scanner._line_template(_SMALL_CAPS)
     point = scanner._line_point(sp, 0)
-    assert point == ((Fraction(b),) if sector != "f" else ()) + sp.weights_at(0)
+    assert point == (Fraction(b or 0), *sp.weights_at(0))
     env = sp.env_t()
     direct = assemble_linear_system(build_equations_env(3, env, _SMALL_CAPS, sector), keys)
     # blocks that vanish on the line are left out, as a split of its own rows has none
@@ -579,18 +598,111 @@ def test_line_template_equals_the_direct_build_on_the_line(b, diff, sector, prom
         unsplit.extend(tuple((columns[k], e) for k, e in row) for row in block.rows)
     assert sorted(unsplit) == sorted(template)
     if sector == "g":
-        assert images.rows == () and overflow.rows == ()
+        # a g-sector line reads no image and no overflow of the template
+        line_images, line_overflow = scanner._line_data(sp).matrices[-2:]
+        assert line_images[0].rows == () and line_overflow[0].rows == ()
         return
     # the template's overflow block may hold keys that are zero on this line
-    _maps, template_columns, width = _image_columns(_line_template_env(sector), keys)
+    _maps, template_columns, width = _image_columns(_line_template_env(), _keys)
     maps, columns, _width = _image_columns(env, keys)
     direct_images, _over = engine.coeff_rows(maps, keys)
     assert overflow.rows == tuple(
         tuple((j, e) for j, e in row if j < width) for row in images.rows
     )
+    assert all(vec[1] == 0 for row in images.rows for _j, vec in row)
     assert _keyed(scanner._lower(images.rows, point), template_columns) == _keyed(
         _int_rows(direct_images), columns
     )
+
+
+def _direct_line_data(sp):
+    """``(nunk, g_generic, matrices as (rank, last pivot), pivots)`` of a
+    line from scratch: its sector's own template build at zero shifts (over
+    delta and dbar alone in the f sector), every block lowered to Z[t] and
+    the non-vanishing ones ranked by ``fraction_free_rank``, then the images
+    and the overflow."""
+    sector = sp.base.sector
+    env = _line_template_env(("delta", "dbar") if sector == "f" else ("b", "delta", "dbar"))
+    keys = unknown_basis(3, _SMALL_CAPS, sector)
+    system = assemble_linear_system(build_equations_env(3, env, _SMALL_CAPS, sector), keys)
+    images, over = engine.image_rows(3, env, _SMALL_CAPS, sector, keys)
+    overflow = [tuple((j, e) for j, e in row if j < over) for row in images]
+    point = sp.weights_at(0) if sector == "f" else (Fraction(sp.base.b), *sp.weights_at(0))
+    blocks = [(part, scanner._lower(rows, point)) for part, rows in
+              scanner._block_split(keys, system.rows)]
+    lowered = [(part, rows) for part, rows in blocks if rows]
+    lowered += [(None, scanner._lower(rows, point)) for rows in (images, overflow)]
+    matrices, pivots, g_rank = [], [], 0
+    for part, rows in lowered:
+        r, piv = scanner.fraction_free_rank(rows)
+        matrices.append((r, piv[-1].coeffs if piv else None))
+        pivots.extend(p.coeffs for p in piv)
+        g_rank += r if part == "g" else 0
+    g_generic = sum(1 for k in keys if k[0] == "g") - g_rank
+    return len(keys), g_generic, matrices, tuple(pivots)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    bs=st.lists(st.one_of(st.none(), _SMALL_Q.filter(bool)), min_size=2, max_size=2,
+                unique=True),
+    diff=_SMALL_Q,
+    sector=st.sampled_from(["full", "f", "g"]),
+    order=st.permutations(range(4)),
+)
+def test_line_data_equals_a_from_scratch_build(bs, diff, sector, order):
+    """Two b on one difference, in both charts and in any order of build,
+    each give the line data of a from-scratch build of the line alone: the
+    b-free part shared between them is the one each would rank itself."""
+    assume(sector == "f" or None not in bs)
+    scanner._line_data.cache_clear()
+    scanner._f_part.cache_clear()
+    lines = [(b, promote) for b in bs for promote in ("dbar", "delta")]
+    for b, promote in (lines[i] for i in order):
+        base = scan_dbar(b, diff, sector=sector, caps=_SMALL_CAPS).base
+        sp = scanner.ScanProblem(base, promote)
+        data = scanner._line_data(sp)
+        got = (data.nunk, data.g_generic, [(r, last) for _s, r, last in data.matrices],
+               data.pivots)
+        assert got == _direct_line_data(sp), (b, promote)
+
+
+def _assert_tuples_only(obj):
+    """``obj`` is made of tuples, template systems and immutable scalars."""
+    if isinstance(obj, LinearSystem):
+        _assert_tuples_only(obj.rows)
+    elif isinstance(obj, tuple):
+        for item in obj:
+            _assert_tuples_only(item)
+    else:
+        assert obj is None or type(obj) in (int, str, Fraction), type(obj)
+
+
+def test_shared_line_parts_hold_only_tuples():
+    """The template, the shared b-free parts and the line data hold tuples
+    only, so nothing a caller gets back can change another line's result."""
+    _assert_tuples_only(scanner._line_template(_SMALL_CAPS))
+    for sector in ("full", "f", "g"):
+        for sp in (scan_dbar(2, 3, sector=sector, caps=_SMALL_CAPS),
+                   scan_delta(2, 3, sector=sector, caps=_SMALL_CAPS)):
+            data = scanner._line_data(sp)
+            for field in fields(data):
+                _assert_tuples_only(getattr(data, field.name))
+            if sector != "g":
+                _assert_tuples_only(scanner._f_part(_SMALL_CAPS, sp.weights_at(0)))
+
+
+@pytest.mark.parametrize("where", ["f block", "image"])
+def test_a_template_entry_with_b_in_the_b_free_part_is_refused(monkeypatch, where):
+    """The b-free part is keyed without b only because no f block or image
+    entry has a ``c_b``; the template build refuses one that has."""
+    bad = (((0, (0, 1, 0, 0)),),)  # the entry b, in column 0
+    if where == "f block":
+        monkeypatch.setattr(scanner, "_block_split", lambda keys, rows: (("f", bad),))
+    else:
+        monkeypatch.setattr(engine, "image_rows", lambda *args: (bad, 1))
+    with pytest.raises(ArithmeticError, match="involves b"):
+        scanner._line_template.__wrapped__(_SMALL_CAPS)
 
 
 # ---------------------------------------------------------------------------
@@ -734,15 +846,17 @@ def test_quadratic_roots_reach_the_exact_ranks():
 
 
 def test_both_charts_share_one_line_template():
-    """A dbar line and a delta line with one (caps, sector) build one
-    template between them."""
+    """Dbar and delta lines of every sector at one caps build one template
+    between them; the full and f lines of one chart, at two b, share one
+    b-free part, and the two charts' parts are two."""
     scanner._line_data.cache_clear()
     scanner._line_template.cache_clear()
-    for sector in ("full", "f", "g"):
-        before = scanner._line_template.cache_info().currsize
-        scanner._line_data(scan_dbar(2, 3, sector=sector, caps=_SMALL_CAPS))
-        scanner._line_data(scan_delta(2, 3, sector=sector, caps=_SMALL_CAPS))
-        assert scanner._line_template.cache_info().currsize == before + 1
+    scanner._f_part.cache_clear()
+    for sector, b in (("full", 2), ("f", None), ("full", -1), ("g", 2), ("f", 5)):
+        scanner._line_data(scan_dbar(b, 3, sector=sector, caps=_SMALL_CAPS))
+        scanner._line_data(scan_delta(b, 3, sector=sector, caps=_SMALL_CAPS))
+        assert scanner._line_template.cache_info().currsize == 1
+        assert scanner._f_part.cache_info().currsize == 2
 
 
 @st.composite
