@@ -6,8 +6,9 @@ tables, ``check-axioms`` for the bracket/module identities, and ``verify``
 to re-check witnesses from a result document.
 
 All numeric flags take exact rationals (``p/q`` or integers; floats are
-rejected).  ``WB_EXT_CAPS="f,g,h,phi"`` overrides the default degree caps;
-explicit ``--cap-*`` flags win over the environment.  Output goes to
+rejected), and ``--type`` and the caps integers, all in ASCII decimal digits.
+``WB_EXT_CAPS="f,g,h,phi"`` overrides the default degree caps; explicit
+``--cap-*`` flags win over the environment.  Output goes to
 stdout or ``--out <path>`` and is byte-deterministic for fixed inputs.
 Exit codes: 0 success, 1 mathematical mismatch or failed verification,
 2 usage error.
@@ -43,6 +44,24 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+_INT_RE = re.compile(r"\s*[+-]?[0-9]+\s*\Z")
+
+
+def _strict_int(text: str) -> int:
+    """An integer in ASCII decimal digits, signed or space-padded; ``int()``
+    alone also takes ``1_0`` and non-ASCII digits."""
+    if not _INT_RE.match(text):
+        raise ValueError(f"invalid int value: {text!r}")
+    return int(text)
+
+
+def _int_arg(text: str) -> int:
+    try:
+        return _strict_int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _caps(args) -> Caps:
     default = Caps()
     vals = [default.f, default.g, default.h, default.phi]
@@ -54,7 +73,7 @@ def _caps(args) -> Caps:
                 f"WB_EXT_CAPS must be four comma-separated integers 'f,g,h,phi', got {env!r}"
             )
         try:
-            vals = [int(p) for p in parts]
+            vals = [_strict_int(p) for p in parts]
         except ValueError:
             raise UsageError(f"WB_EXT_CAPS entries must be integers, got {env!r}") from None
     for i, name in enumerate(("cap_f", "cap_g", "cap_h", "cap_phi")):
@@ -92,16 +111,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_caps(p):
-        p.add_argument("--cap-f", type=int, help="degree cap for the first-part polynomial")
-        p.add_argument("--cap-g", type=int, help="degree cap for the second-part polynomial")
-        p.add_argument("--cap-h", type=int, help="degree cap for the translation deformation")
-        p.add_argument("--cap-phi", type=int, help="degree cap for basis-change moves")
+        p.add_argument("--cap-f", type=_int_arg, help="degree cap for the first-part polynomial")
+        p.add_argument("--cap-g", type=_int_arg, help="degree cap for the second-part polynomial")
+        p.add_argument("--cap-h", type=_int_arg, help="degree cap for the translation deformation")
+        p.add_argument("--cap-phi", type=_int_arg, help="degree cap for basis-change moves")
 
     def add_out(p):
         p.add_argument("--out", help="write the output document to this path instead of stdout")
 
     p_solve = sub.add_parser("solve", help="solve one extension problem exactly")
-    p_solve.add_argument("--type", dest="shape", type=int, required=True, choices=(1, 2, 3))
+    p_solve.add_argument("--type", dest="shape", type=_int_arg, required=True, choices=(1, 2, 3))
     p_solve.add_argument("--b", type=_rational, required=True)
     p_solve.add_argument("--alpha", type=_rational, required=True)
     p_solve.add_argument("--gamma", type=_rational)

@@ -6,10 +6,17 @@ weights, take its kernel (cocycles inside the degree caps), intersect the
 change-of-basis images with the caps (coboundaries), and reduce kernel
 vectors modulo that intersection to get representatives.
 
-The system is built once per (shape, caps, sector), as an integer affine
-template in the weights (see :mod:`wbext.equations`), and so are the
-change-of-basis images (the g sector has none), in one entry of a 32-entry
-LRU cache that fills on first use, never at import.  Each solve, and the
+The system is an integer affine template in the weights (see
+:mod:`wbext.equations`).  It is transcribed once per shape, in the full
+sector, at the largest caps met so far (:func:`_transcription`), and the
+template of each (shape, caps, sector) is restricted from that build
+(:func:`_restrict`): the equations are linear in the unknowns, the caps only
+bound them, and each identity reads a single part (f with h, or g alone),
+so smaller caps or one sector only delete columns.  A stabilised solve
+transcribes at caps+2 first, so it and its re-run restrict one build.  Each
+template, with its change-of-basis images (the g sector has none), sits in
+one entry of a 32-entry LRU cache; both caches fill on first use, never at
+import.  Each solve, and the
 replay tables' class check, evaluates them at its weights.  That is exact,
 not an approximation: the weight symbols refuse any non-affine product, so
 a template is affine by construction and its rows equal a direct build's at
@@ -52,6 +59,7 @@ from . import oracle
 from .equations import (
     LinearSystem,
     _powers,
+    _shared,
     assemble_linear_system,
     build_equations,
     key_rank,
@@ -184,18 +192,73 @@ def _cob_vectors_in_caps(p: ExtProblem) -> list[tuple]:
     return [tuple([(c - over, v) for c, v in row]) for row in kept]
 
 
+# shape -> (caps, keys, equations): the largest full-sector transcription
+# built so far, filled on first use, never at import.
+_transcriptions: dict[int, tuple] = {}
+
+
+def _transcription(shape: int, caps: Caps) -> tuple:
+    """``(caps, keys, equations)`` of a full-sector template of ``shape`` whose
+    f and g caps, and for shape 2 (the only one with h unknowns) h cap, cover
+    ``caps``: the one this module holds for ``shape``, or, where that falls
+    short, a new build at the larger of the two caps in each part, which
+    replaces it.  The only place the engine transcribes."""
+    held = _transcriptions.get(shape)
+    if held is not None:
+        have = held[0]
+        if caps.f <= have.f and caps.g <= have.g and (shape != 2 or caps.h <= have.h):
+            return held
+        caps = Caps(*(max(getattr(caps, n), getattr(have, n)) for n in ("f", "g", "h", "phi")))
+    keys = tuple(unknown_basis(shape, caps, "full"))
+    held = caps, keys, assemble_linear_system(build_equations(shape, caps, "full"), keys)
+    _transcriptions[shape] = held
+    return held
+
+
+def _restrict(transcription: tuple, keys: tuple, sector: str) -> LinearSystem:
+    """The template over ``keys`` cut from a full-sector ``transcription``.
+
+    The equations are linear in the unknowns, the caps only bound them, and
+    each identity reads one part (f with h, or g alone), so a smaller caps or
+    a single sector only deletes columns: keep those of ``keys``, re-indexed,
+    and drop the rows that empties.  Both key lists are in :func:`key_rank`
+    order, so the entries and the rows stay in the direct build's order.  The
+    f sector's values leave out the b component, which must be 0 there: a
+    non-zero one raises ``ArithmeticError``.  Equal keys give the
+    transcription's own system.
+    """
+    _caps, full_keys, system = transcription
+    if keys == full_keys:
+        return system
+    index = {k: i for i, k in enumerate(keys)}
+    cols = [index.get(k) for k in full_keys]
+    rows = [
+        row
+        for full_row in system.rows
+        if (row := tuple([(cols[j], vec) for j, vec in full_row if cols[j] is not None]))
+    ]
+    if sector == "f":
+        if any(vec[1] for row in rows for _j, vec in row):
+            raise ArithmeticError("an f-sector entry of the transcription involves b")
+        rows = [tuple([(j, _shared(vec[:1] + vec[2:])) for j, vec in row]) for row in rows]
+    return LinearSystem(rows=tuple(rows))
+
+
 # A replay of every table meets 14 (shape, caps, sector) keys and the
-# seeded solve_sweep 18; its 18 entries hold 1.33 MB of shared tuples: 0.06
-# MB of keys, 1.20 MB of equations and 0.07 MB more of basis-change images,
-# none of them in the 6 g-sector entries.
+# seeded solve_sweep 18, all cut from 3 transcriptions; its 18 entries hold
+# 1.28 MB of shared tuples: 0.06 MB of keys, 1.14 MB of equations and 0.07
+# MB more of basis-change images, none of them in the 6 g-sector entries.
+# The transcriptions add 0.02 MB, their key lists: each one's system is a
+# caps+2 full-sector entry's own.
 @lru_cache(maxsize=32)
 def _template(shape: int, caps: Caps, sector: str) -> tuple:
     """``(keys, equations, images, overflow width)`` of every problem with
     this key: the unknown keys, and the equations and the basis-change
-    images as integer affine templates, the images laid out overflow-first
-    by :func:`image_rows` (none in the g sector)."""
+    images as integer affine templates.  The equations are restricted from
+    the shape's transcription (:func:`_restrict`); the images are laid out
+    overflow-first by :func:`image_rows` (none in the g sector)."""
     keys = tuple(unknown_basis(shape, caps, sector))
-    equations = assemble_linear_system(build_equations(shape, caps, sector), keys)
+    equations = _restrict(_transcription(shape, caps), keys, sector)
     images, over = image_rows(shape, template_env(shape, sector), caps, sector, keys)
     return keys, equations, LinearSystem(rows=images), over
 
@@ -289,14 +352,17 @@ def solve_ext(p: ExtProblem, stabilize: bool = True) -> ExtSolution:
     point, is pushed through the naive-composition checker.  Results are
     cached per call and immutable.
     """
+    c = p.caps
+    bumped_caps = Caps(c.f + 2, c.g + 2, c.h + 2, c.phi + 2)
+    if stabilize:
+        # transcribed once, at caps+2: both solves restrict that build
+        _transcription(p.shape, bumped_caps)
     core = solve_core(p)
     diag = {"caps": (p.caps.f, p.caps.g, p.caps.h, p.caps.phi)}
     notes = p.degenerate_weights()
     if notes:
         diag["degenerate"] = tuple(notes)
     if stabilize:
-        c = p.caps
-        bumped_caps = Caps(c.f + 2, c.g + 2, c.h + 2, c.phi + 2)
         bumped = solve_core(replace(_at_alpha_zero(p), caps=bumped_caps))
         diag["stable"] = bumped.ext_dim == core.ext_dim
         if not diag["stable"]:

@@ -13,16 +13,18 @@ coefficients ``c_k``.  Keys are ``("f", j, k)`` for the coefficient of
 :func:`build_equations_env` is the one transcription.  It works over a
 parameter environment whose values are polynomials, so constant weights and
 affine parameter symbols (:func:`affine_symbols`) flow through alike.
-:func:`build_equations` runs it once per (shape, caps, sector) with every
-weight a symbol, and :func:`assemble_linear_system` lays the result
-out as a template: the sparse rows of a direct build, in the same order,
-each value a tuple of ints ``(c0, c_1, ..., c_k)`` standing for ``c0 + sum
-c_i w_i`` over the weights ``w_i`` of :func:`template_point`.
-:meth:`LinearSystem.concrete_rows` evaluates a template at a problem's
-weights, to numerators in Z, or in Z[sqrt D] at a Q(sqrt D) point;
-:mod:`wbext.engine` keeps each template in a 32-entry LRU cache, filled on
-first use, in one entry with its basis-change images, laid out from the
-same symbols (:func:`template_env`) as a second template.
+:func:`build_equations` runs it with every weight a symbol, and
+:func:`assemble_linear_system` lays the result out as a template: the sparse
+rows of a direct build, in the same order, each value a tuple of ints
+``(c0, c_1, ..., c_k)`` standing for ``c0 + sum c_i w_i`` over the weights
+``w_i`` of :func:`template_point`.  :meth:`LinearSystem.concrete_rows`
+evaluates a template at a problem's weights, to numerators in Z, or in
+Z[sqrt D] at a Q(sqrt D) point.  :mod:`wbext.engine` builds one template per
+shape, in the full sector at the largest caps it has met, and cuts the
+template of each (shape, caps, sector) from it by deleting columns; it keeps
+each in a 32-entry LRU cache, filled on first use, in one entry with its
+basis-change images, laid out from the same symbols (:func:`template_env`)
+as a second template.
 :mod:`wbext.scanner` builds its scan lines' templates the same way, over
 ``b``, ``delta`` and ``dbar`` with zero shifts, and evaluates them at a
 point of a line by :meth:`LinearSystem.concrete_rows` too.

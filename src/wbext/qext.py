@@ -21,12 +21,14 @@ __all__ = [
     "split_square",
 ]
 
-_RAT_RE = re.compile(r"([+-]?\d+)(?:\s*/\s*(-?\d+))?\Z")
+_RAT_RE = re.compile(r"([+-]?[0-9]+)(?:\s*/\s*(-?[0-9]+))?\Z")
 _TRIAL_BOUND = 100_000  # split_square's largest trial divisor
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse ``p/q`` or an integer literal.  Decimal/float forms are rejected."""
+    """Parse ``p/q`` or an integer literal in ASCII decimal digits.
+    Decimal/float forms, digit separators (``1_0``) and non-ASCII digits are
+    rejected."""
     m = _RAT_RE.match(text.strip())
     if m is None:
         raise ValueError(f"not an exact rational (use p/q or an integer): {text!r}")

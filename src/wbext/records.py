@@ -50,8 +50,8 @@ def scalar_str(x) -> str:
 
 
 _QUAD_RE = re.compile(
-    r"^\s*(?:(?P<p>-?\d+(?:/\d+)?)\s*(?P<sign>[+-])\s*)?"
-    r"(?P<qsign>-)?(?:(?P<q>\d+(?:/\d+)?)\*)?sqrt\((?P<disc>-?\d+)\)\s*$"
+    r"^\s*(?:(?P<p>-?[0-9]+(?:/[0-9]+)?)\s*(?P<sign>[+-])\s*)?"
+    r"(?P<qsign>-)?(?:(?P<q>[0-9]+(?:/[0-9]+)?)\*)?sqrt\((?P<disc>-?[0-9]+)\)\s*$"
 )
 
 

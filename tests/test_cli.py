@@ -212,6 +212,49 @@ def test_malformed_caps_environment_is_a_usage_error(capsys, monkeypatch):
     assert "WB_EXT_CAPS" in err
 
 
+@pytest.mark.parametrize("env", ["8_0,5,8,8", "8,\uff15,8,8", "8,5,8,\u0668"])
+def test_caps_environment_takes_only_ascii_decimal_digits(capsys, monkeypatch, env):
+    monkeypatch.setenv("WB_EXT_CAPS", env)
+    rc, out, err = run(capsys, SOLVE_T1)
+    assert rc == 2 and out == ""
+    assert err == f"error: WB_EXT_CAPS entries must be integers, got {env!r}\n"
+
+
+@pytest.mark.parametrize(
+    ("argv", "flag", "value"),
+    [
+        (SOLVE_T1, "--cap-f", "0_3"),
+        (SOLVE_T1, "--cap-g", "\uff13"),
+        (["scan", "--b", "2", "--sector", "f"], "--cap-phi", "1_0"),
+        (["solve", "--b", "1", "--alpha", "0", "--gamma", "0", "--delta", "1"], "--type", "0_1"),
+    ],
+)
+def test_integer_flags_take_only_ascii_decimal_digits(capsys, argv, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag, value])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: argument {flag}: invalid int value: {value!r}\n"
+    )
+
+
+def test_signed_and_padded_integers_still_parse(capsys, monkeypatch):
+    monkeypatch.setenv("WB_EXT_CAPS", " 3, +2,4 ,4")
+    rc, out, _ = run(capsys, SOLVE_T1 + ["--json", "--cap-h", " 5 "])
+    assert rc == 0
+    assert json.loads(out)["diagnostics"]["caps"] == [3, 2, 5, 4]
+
+
+def test_verify_rejects_a_weight_in_non_ascii_digits(capsys, tmp_path):
+    target, doc = _solve_doc(tmp_path, SOLVE_T1)
+    capsys.readouterr()
+    doc["problem"]["b"] = "\uff11"
+    target.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, ["verify", "--input", str(target)])
+    assert rc == 2 and out == ""
+    assert err.startswith("error: field 'problem.b'") and "not an exact scalar" in err
+
+
 def test_replay_suite_passes(capsys):
     rc, out, _ = run(capsys, ["replay", "--table", "theo2"])
     assert rc == 0
@@ -657,6 +700,9 @@ for argv in (
     "scan --b 2 --sector f --promote delta --diff 2",
     "scan --b 3 --sector full --promote delta --json",
     "scan --b -2/3 --sector g --promote delta --json",
+    "replay --table all",
+    "solve --type 3 --b 2 --alpha 0 --abar 0 --delta 1 --dbar 1 --sector f --json",
+    "solve --type 2 --b 3 --alpha 1 --gamma -1 --delta 1 --sector g --json",
 ):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -678,6 +724,9 @@ _PINNED_OUTPUT_HASHES = [
     "bfb451c261d6a02f7cace9a2d0ef8d235f5d30b83f79e6cfdaad17f8393ac007",
     "fb9da1f30be964ed7f62f037f6ffc79dbbaf94df8abeb499119d7cdb49378894",
     "3089cc328e299a1c7f5898166dd58b592c4097e2d311895dd9ef5c5ad79fa759",
+    "c2773d60191fd753b1832ec14267954e80b08ab9fe1089b95ea41321ccb58250",
+    "f06da686523500a6d77a9b9b946abde2452a62cf3d7b0c131b784979a9650153",
+    "e39e2c37e6544a4ee00ccfc5adba2e539cc77e938737a8fe8496413d6c70a195",
 ]
 
 

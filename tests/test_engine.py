@@ -1,5 +1,6 @@
 """Extension solver: dimensions, witnesses, caches, and diagnostics."""
 
+import ast
 import math
 import os
 import subprocess
@@ -23,7 +24,9 @@ from wbext.engine import (
 )
 from wbext.equations import (
     assemble_linear_system,
+    build_equations,
     build_equations_env,
+    template_env,
     template_point,
     unknown_basis,
 )
@@ -124,7 +127,7 @@ def test_mutating_returned_rows_cannot_change_the_next_solve():
 def test_import_builds_no_template():
     code = (
         "import wbext, wbext.engine as e, wbext.equations as q, wbext.scanner as s\n"
-        "sizes = lambda: [e._template.cache_info().currsize]\n"
+        "sizes = lambda: [e._template.cache_info().currsize, len(e._transcriptions)]\n"
         "lines = lambda: s._line_template.cache_info().currsize\n"
         "parts = lambda: s._f_part.cache_info().currsize\n"
         "print(*sizes(), q._powers.cache_info().currsize, lines(), parts())\n"
@@ -137,9 +140,114 @@ def test_import_builds_no_template():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     *sizes, line_templates = proc.stdout.split()
-    assert sizes == ["0", "0", "0", "0", "1", "0", "0"]
+    assert sizes == ["0", "0", "0", "0", "0", "1", "1", "0", "0"]
     # one classify, in the full and the f sector, meets the one template of its caps
     assert line_templates == "1"
+
+
+_COUNT_BUILDS = (
+    "import wbext.engine as e\n"
+    "calls = []\n"
+    "build = e.build_equations\n"
+    "def counted(shape, caps, sector):\n"
+    "    calls.append((shape, (caps.f, caps.g, caps.h, caps.phi), sector))\n"
+    "    return build(shape, caps, sector)\n"
+    "e.build_equations = counted\n"
+)
+
+
+def _builds_in_a_fresh_interpreter(code: str) -> list:
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    script = _COUNT_BUILDS + code + "print(calls)\n"
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return ast.literal_eval(proc.stdout)
+
+
+def test_a_stabilised_solve_transcribes_once_at_caps_plus_2():
+    # the base solve and the caps+2 re-run restrict one full-sector build
+    code = (
+        "from wbext import Caps, ExtProblem\n"
+        "p = ExtProblem(shape=2, b=3, alpha=1, gamma=-1, delta=1, caps=Caps(4, 3, 4, 4), sector='f')\n"
+        "assert e.solve_ext(p).diagnostics['stable']\n"
+    )
+    assert _builds_in_a_fresh_interpreter(code) == [(2, (6, 5, 6, 6), "full")]
+
+
+def test_replaying_every_table_transcribes_each_shape_once():
+    code = "import wbext.tables as t\nassert t.run_table('all').passed\n"
+    builds = _builds_in_a_fresh_interpreter(code)
+    assert sorted(shape for shape, _caps, _sector in builds) == [1, 2, 3]
+    assert {sector for _shape, _caps, sector in builds} == {"full"}
+
+
+@st.composite
+def _restriction_cases(draw):
+    """A shape, a sector, caps, and either larger caps to transcribe first or
+    None: the transcription is then the one the template itself asks for."""
+    small = Caps(*(draw(st.integers(1, 4)) for _ in range(4)))
+    larger = None
+    if draw(st.booleans()):
+        larger = Caps(*(getattr(small, n) + draw(st.integers(0, 3)) for n in ("f", "g", "h", "phi")))
+    return draw(st.sampled_from((1, 2, 3))), draw(st.sampled_from(("full", "f", "g"))), small, larger
+
+
+@settings(max_examples=60, deadline=None)
+@given(_restriction_cases())
+def test_a_template_restricted_from_the_transcription_equals_the_direct_build(case):
+    shape, sector, caps, larger = case
+    engine._transcriptions.clear()
+    engine._template.cache_clear()
+    try:
+        if larger is not None:
+            engine._transcription(shape, larger)
+        keys, equations, _images, _over = engine._template(shape, caps, sector)
+        direct = assemble_linear_system(build_equations(shape, caps, sector), keys)
+        assert equations.rows == direct.rows
+        full_caps, full_keys, transcription = engine._transcriptions[shape]
+        assert full_caps == (larger or caps)
+        # equal keys share the transcription's own rows
+        assert (equations is transcription) == (keys == full_keys)
+    finally:
+        engine._transcriptions.clear()
+        engine._template.cache_clear()
+
+
+def test_only_shape_2_transcribes_again_for_a_larger_h_cap():
+    engine._transcriptions.clear()
+    try:
+        for shape in (1, 2, 3):
+            held = engine._transcription(shape, Caps(2, 2, 2, 2))
+            again = engine._transcription(shape, Caps(2, 1, 5, 9))
+            assert (again is held) == (shape != 2)
+            # a larger f cap transcribes again, at the larger cap of each part
+            h, phi = (5, 9) if shape == 2 else (2, 2)
+            assert engine._transcription(shape, Caps(3, 1, 1, 1))[0] == Caps(3, 2, h, phi)
+    finally:
+        engine._transcriptions.clear()
+        engine._template.cache_clear()
+
+
+def test_an_f_sector_entry_with_a_b_component_is_refused(monkeypatch):
+    build = engine.build_equations
+
+    def with_b(shape, caps, sector):
+        identities = build(shape, caps, sector)
+        cols = identities[0].cols  # "LL", which reads f alone
+        key = next(iter(cols))
+        cols[key] = cols[key] + template_env(shape, sector)["b"] * MultiPoly.parse("l")
+        return identities
+
+    monkeypatch.setattr(engine, "build_equations", with_b)
+    engine._transcriptions.clear()
+    engine._template.cache_clear()
+    try:
+        engine._template(3, Caps(2, 2, 2, 2), "full")  # b is a weight there
+        with pytest.raises(ArithmeticError, match="f-sector entry .* involves b"):
+            engine._template(3, Caps(2, 2, 2, 2), "f")
+    finally:
+        engine._transcriptions.clear()
+        engine._template.cache_clear()
 
 
 def test_shift_invariance_single_case():

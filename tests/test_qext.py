@@ -22,6 +22,14 @@ def test_parse_rational_rejects_non_rationals(bad):
         parse_rational(bad)
 
 
+# a ``\d`` pattern takes non-ASCII digits, and int() reads them
+@pytest.mark.parametrize("bad", ["\uff11", "1/\uff12", "-\u0663"])
+def test_parse_rational_takes_only_ascii_decimal_digits(bad):
+    with pytest.raises(ValueError, match="not an exact rational"):
+        parse_rational(bad)
+    assert parse_rational(" -12/ 8 ") == Fraction(-3, 2)
+
+
 def test_format_rational_round_trips():
     for x in (Fraction(0), Fraction(-7, 3), Fraction(22, 11)):
         assert parse_rational(str(x)) == x

@@ -28,7 +28,10 @@ def test_scalar_round_trip():
 
 
 def test_parse_scalar_rejects_floats_and_noise():
-    for bad in ("0.5", "sqrt(4", "1 + ", "2**3", ""):
+    # a digit separator or a non-ASCII digit, in a rational or a quadratic
+    # irrational, is noise too
+    noise = ("1_0", "\uff11", "1+sqrt(\uff11\uff19)", "\u0661/2*sqrt(5)")
+    for bad in ("0.5", "sqrt(4", "1 + ", "2**3", "") + noise:
         with pytest.raises(RecordError) as err:
             parse_scalar(bad, "problem.delta")
         assert err.value.field == "problem.delta"
