@@ -16,18 +16,22 @@ so smaller caps or one sector only delete columns.  A stabilised solve
 transcribes at caps+2 first, so it and its re-run restrict one build.  Each
 template, with its change-of-basis images (the g sector has none), sits in
 one entry of a 32-entry LRU cache; both caches fill on first use, never at
-import.  Each solve, and the
-replay tables' class check, evaluates them at its weights.  That is exact,
-not an approximation: the weight symbols refuse any non-affine product, so
-a template is affine by construction and its rows equal a direct build's at
-that point, value for value and in order, as numerators in Z (or Z[sqrt D]
-at a Q(sqrt D) point) over the point's common denominator.  (The images' template may hold
-more out-of-cap columns than the images at one point reach; those are zero
-there.)  Those rows go straight into the integer elimination kernel of
-:mod:`wbext.linalg`, which builds no ``Fraction`` until it hands back a
-basis.  The self-check, which tests every capped coboundary against the
-equations, runs in the same numerators: each coboundary is scaled once to
-its own.
+import.  Each solve, and the replay tables' class check, evaluates them at
+its weights.  That is exact, not an approximation: the weight symbols
+refuse any non-affine product, so a template is affine by construction and
+its rows are a direct build's at that point, value for value and in order,
+as numerators in Z (or Z[sqrt D] at a Q(sqrt D) point) over the point's
+common denominator, less each row whose template is a constant multiple of
+an earlier one's (:func:`_distinct`): about half of them, as the build
+writes each identity with its swapped twin.  A multiple as a template is one
+at every point, so the row space, the kernel and its RREF basis are the
+direct build's; a swapped identity that does not mirror its twin is kept.
+(The images' template may hold more out-of-cap columns than the images at
+one point reach; those are zero there.)  Those rows go straight into the
+integer elimination kernel of :mod:`wbext.linalg`, which builds no
+``Fraction`` until it hands back a basis.  The self-check, which tests every
+capped coboundary against the equations, runs in the same numerators: each
+coboundary is scaled once to its own.
 
 :func:`image_rows` is the one construction of the change-of-basis images
 as rows, for the solver's templates and the scanner's alike, and the one
@@ -54,6 +58,7 @@ from collections import defaultdict
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 from . import oracle
 from .equations import (
@@ -210,7 +215,8 @@ def _transcription(shape: int, caps: Caps) -> tuple:
             return held
         caps = Caps(*(max(getattr(caps, n), getattr(have, n)) for n in ("f", "g", "h", "phi")))
     keys = tuple(unknown_basis(shape, caps, "full"))
-    held = caps, keys, assemble_linear_system(build_equations(shape, caps, "full"), keys)
+    system = assemble_linear_system(build_equations(shape, caps, "full"), keys)
+    held = caps, keys, LinearSystem(rows=_distinct(system.rows))
     _transcriptions[shape] = held
     return held
 
@@ -224,8 +230,9 @@ def _restrict(transcription: tuple, keys: tuple, sector: str) -> LinearSystem:
     and drop the rows that empties.  Both key lists are in :func:`key_rank`
     order, so the entries and the rows stay in the direct build's order.  The
     f sector's values leave out the b component, which must be 0 there: a
-    non-zero one raises ``ArithmeticError``.  Equal keys give the
-    transcription's own system.
+    non-zero one raises ``ArithmeticError``.  The cut can make rows
+    proportional, so each row is kept once up to a constant factor
+    (:func:`_distinct`).  Equal keys give the transcription's own system.
     """
     _caps, full_keys, system = transcription
     if keys == full_keys:
@@ -241,22 +248,34 @@ def _restrict(transcription: tuple, keys: tuple, sector: str) -> LinearSystem:
         if any(vec[1] for row in rows for _j, vec in row):
             raise ArithmeticError("an f-sector entry of the transcription involves b")
         rows = [tuple([(j, _shared(vec[:1] + vec[2:])) for j, vec in row]) for row in rows]
-    return LinearSystem(rows=tuple(rows))
+    return LinearSystem(rows=_distinct(rows))
+
+
+def _distinct(rows) -> tuple:
+    """Template ``rows`` less each that is a non-zero constant multiple of
+    an earlier one, in order: a row's class is its entries over the gcd of
+    their integer components, signed so the first non-zero one is positive."""
+    first = {}
+    for row in rows:
+        flat = [x for _j, vec in row for x in vec]
+        g = gcd(*flat) if next(filter(None, flat)) > 0 else -gcd(*flat)
+        first.setdefault(tuple([(j, tuple([x // g for x in vec])) for j, vec in row]), row)
+    return tuple(first.values())
 
 
 # A replay of every table meets 14 (shape, caps, sector) keys and the
 # seeded solve_sweep 18, all cut from 3 transcriptions; its 18 entries hold
-# 1.28 MB of shared tuples: 0.06 MB of keys, 1.14 MB of equations and 0.07
-# MB more of basis-change images, none of them in the 6 g-sector entries.
-# The transcriptions add 0.02 MB, their key lists: each one's system is a
-# caps+2 full-sector entry's own.
+# 0.80 MB of shared tuples: 0.06 MB of keys, 0.66 MB of equations (2,602
+# rows, of a direct build's 4,908) and 0.08 MB more of images, none of them
+# in the 6 g-sector entries.  The transcriptions add 0.02 MB, their key
+# lists: each one's system is a caps+2 full-sector entry's own.
 @lru_cache(maxsize=32)
 def _template(shape: int, caps: Caps, sector: str) -> tuple:
     """``(keys, equations, images, overflow width)`` of every problem with
     this key: the unknown keys, and the equations and the basis-change
     images as integer affine templates.  The equations are restricted from
-    the shape's transcription (:func:`_restrict`); the images are laid out
-    overflow-first by :func:`image_rows` (none in the g sector)."""
+    the shape's transcription (:func:`_restrict`), each row once up to a
+    factor; the images are laid out overflow-first by :func:`image_rows`."""
     keys = tuple(unknown_basis(shape, caps, sector))
     equations = _restrict(_transcription(shape, caps), keys, sector)
     images, over = image_rows(shape, template_env(shape, sector), caps, sector, keys)
@@ -275,9 +294,10 @@ def solve_core(p: ExtProblem) -> ExtSolution:
     rows = equations.concrete_rows(template_point(p))
     cocycles = nullspace(rows, len(keys))
     cob = _cob_vectors_in_caps(p)
-    # every capped coboundary against every assembled row, independently of
-    # the nullspace just computed; a row that shares no column with the
-    # vector sums to zero, so only the rows meeting its support are summed.
+    # every capped coboundary against every row, which span the direct
+    # build's at the point, independently of the nullspace just computed; a
+    # row that shares no column with the vector sums to zero, so only the
+    # rows meeting its support are summed.
     # Both sides are numerators, in Z or Z[sqrt D]: the rows over the point's
     # denominator, each vector over its own, so the test stays exact.  A sum
     # with an irrational part is a ``_Root``, never equal to 0.

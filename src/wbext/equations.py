@@ -21,13 +21,13 @@ rows of a direct build, in the same order, each value a tuple of ints
 evaluates a template at a problem's weights, to numerators in Z, or in
 Z[sqrt D] at a Q(sqrt D) point.  :mod:`wbext.engine` builds one template per
 shape, in the full sector at the largest caps it has met, and cuts the
-template of each (shape, caps, sector) from it by deleting columns; it keeps
-each in a 32-entry LRU cache, filled on first use, in one entry with its
-basis-change images, laid out from the same symbols (:func:`template_env`)
-as a second template.
+template of each (shape, caps, sector) from it by deleting columns and the
+rows that repeat an earlier one up to a factor; it caches each, with its
+basis-change images laid out from the same symbols (:func:`template_env`)
+as a second template, in one entry of a 32-entry LRU filled on first use.
 :mod:`wbext.scanner` builds its scan lines' templates the same way, over
-``b``, ``delta`` and ``dbar`` with zero shifts, and evaluates them at a
-point of a line by :meth:`LinearSystem.concrete_rows` too.
+``b``, ``delta`` and ``dbar`` with zero shifts and every row kept, and
+evaluates them at a point of a line by :meth:`LinearSystem.concrete_rows`.
 
 The template is exact, not interpolated: the symbol type supports only
 ``+``, ``-`` and ``*`` by a parameter-free polynomial and raises on a product

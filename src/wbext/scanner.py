@@ -466,9 +466,9 @@ def _line_point(sp: ScanProblem, t0) -> tuple:
 def _line_template(caps: Caps) -> tuple:
     """``(keys, equation blocks as (part, system), images, overflow)`` of
     every line at ``caps``, each system a :class:`LinearSystem` whose values
-    are integer tuples ``(c0, c_b, c_delta, c_dbar)``:
-    ``engine._template(3, caps, "full")``'s without alpha and abar, as the
-    shifts are zero.
+    are integer tuples ``(c0, c_b, c_delta, c_dbar)``: the full sector's
+    direct build without alpha and abar, as the shifts are zero, with the
+    rows that repeat another (the row order picks the Bareiss pivots).
 
     It is the full sector's; a line of another sector reads its own part's
     slices, which are that sector's own build: the f sector's keys are the

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import defaultdict
 from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 from pathlib import Path
@@ -192,9 +193,25 @@ def _restriction_cases(draw):
     return draw(st.sampled_from((1, 2, 3))), draw(st.sampled_from(("full", "f", "g"))), small, larger
 
 
+def _kept(rows) -> list:
+    """The indices of ``rows`` that are not a non-zero constant multiple of
+    an earlier row, in order: the reference of the engine's deduplication,
+    which keys each row by its entries divided by its first non-zero integer
+    component, as ``Fraction``s."""
+    seen, kept = set(), []
+    for i, row in enumerate(rows):
+        lead = next(x for _j, vec in row for x in vec if x)
+        key = tuple((j, tuple(Fraction(x, lead) for x in vec)) for j, vec in row)
+        if key not in seen:
+            seen.add(key)
+            kept.append(i)
+    return kept
+
+
 @settings(max_examples=60, deadline=None)
 @given(_restriction_cases())
 def test_a_template_restricted_from_the_transcription_equals_the_direct_build(case):
+    """Row for row and in order, the direct build less its proportional repeats."""
     shape, sector, caps, larger = case
     engine._transcriptions.clear()
     engine._template.cache_clear()
@@ -203,11 +220,51 @@ def test_a_template_restricted_from_the_transcription_equals_the_direct_build(ca
             engine._transcription(shape, larger)
         keys, equations, _images, _over = engine._template(shape, caps, sector)
         direct = assemble_linear_system(build_equations(shape, caps, sector), keys)
-        assert equations.rows == direct.rows
+        assert equations.rows == tuple(direct.rows[i] for i in _kept(direct.rows))
         full_caps, full_keys, transcription = engine._transcriptions[shape]
         assert full_caps == (larger or caps)
         # equal keys share the transcription's own rows
         assert (equations is transcription) == (keys == full_keys)
+    finally:
+        engine._transcriptions.clear()
+        engine._template.cache_clear()
+
+
+def _ratio(row, other):
+    """The constant ``c`` with ``other == c * row`` as templates, or None."""
+    if [j for j, _vec in row] != [j for j, _vec in other]:
+        return None
+    pairs = [(x, y) for (_j, vec), (_k, wec) in zip(row, other) for x, y in zip(vec, wec)]
+    c = next(Fraction(y, x) for x, y in pairs if x)
+    return c if all(y == c * x for x, y in pairs) else None
+
+
+@settings(max_examples=60, deadline=None)
+@given(_restriction_cases())
+def test_a_template_keeps_each_direct_row_once_up_to_a_constant_factor(case):
+    """The template's rows are a subsequence of the direct build's; each row
+    left out is a non-zero multiple of an earlier kept one, and no two kept
+    rows are multiples of each other."""
+    shape, sector, caps, larger = case
+    engine._transcriptions.clear()
+    engine._template.cache_clear()
+    try:
+        if larger is not None:
+            engine._transcription(shape, larger)
+        keys, equations, _images, _over = engine._template(shape, caps, sector)
+        direct = assemble_linear_system(build_equations(shape, caps, sector), keys).rows
+        kept = iter(equations.rows)
+        want = next(kept, None)
+        earlier = defaultdict(list)  # the kept rows so far, by columns
+        for row in direct:
+            columns = tuple(j for j, _vec in row)
+            if row == want:
+                assert not any(_ratio(k, row) for k in earlier[columns])
+                earlier[columns].append(row)
+                want = next(kept, None)
+            else:
+                assert any(_ratio(k, row) for k in earlier[columns])
+        assert want is None
     finally:
         engine._transcriptions.clear()
         engine._template.cache_clear()
@@ -245,6 +302,46 @@ def test_an_f_sector_entry_with_a_b_component_is_refused(monkeypatch):
         engine._template(3, Caps(2, 2, 2, 2), "full")  # b is a weight there
         with pytest.raises(ArithmeticError, match="f-sector entry .* involves b"):
             engine._template(3, Caps(2, 2, 2, 2), "f")
+    finally:
+        engine._transcriptions.clear()
+        engine._template.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "p, key",
+    [
+        (ExtProblem(shape=1, b=1, alpha=0, gamma=0, delta=1, caps=Caps(3, 3, 3, 3)), ("g", 0, 0)),
+        (ExtProblem(shape=3, b=1, alpha=0, abar=0, delta=3, dbar=1, caps=Caps(3, 3, 3, 3)),
+         ("g", 0, 1)),
+    ],
+)
+def test_a_swapped_identity_that_no_longer_mirrors_its_twin_is_kept(monkeypatch, p, key):
+    """The implied ``HL`` rows are multiples of ``LH``'s, so the template
+    keeps one of each pair.  With one ``HL`` column wrong they are not: the
+    template keeps them, and the solve disagrees with the oracle."""
+    build = engine.build_equations
+
+    def wrong(shape, caps, sector):
+        identities = build(shape, caps, sector)
+        assert identities[-1].name == "HL"
+        cols = identities[-1].cols
+        cols[key] = cols[key] + MultiPoly.parse("l")
+        return identities
+
+    engine._transcriptions.clear()
+    engine._template.cache_clear()
+    try:
+        right = engine._template(p.shape, p.caps, p.sector)[1].rows
+        assert _dims(p) == oracle.brute_dims(p)
+        monkeypatch.setattr(engine, "build_equations", wrong)
+        engine._transcriptions.clear()
+        engine._template.cache_clear()
+        keys, equations, _images, _over = engine._template(p.shape, p.caps, p.sector)
+        swapped = assemble_linear_system(wrong(p.shape, p.caps, p.sector)[-1:], keys).rows
+        changed = [row for row in swapped if not any(_ratio(r, row) for r in right)]
+        assert changed and all(row in equations.rows for row in changed)
+        assert len(equations.rows) == len(right) + len(changed)
+        assert _dims(p) != oracle.brute_dims(p)
     finally:
         engine._transcriptions.clear()
         engine._template.cache_clear()
@@ -496,6 +593,30 @@ def test_the_alpha_zero_point_has_the_same_dimensions(p):
     assert _dims(_bumped(q)) == _dims(_bumped(p))
 
 
+@settings(max_examples=60, deadline=None)
+@given(_shift_class_problems())
+def test_solve_core_equals_a_solve_of_every_direct_row(p):
+    """Dimensions and basis equal a reference solve of every row of the
+    direct build at ``p``, proportional repeats included: its kernel,
+    reduced modulo the capped coboundaries."""
+    keys = unknown_basis(p.shape, p.caps, p.sector)
+    system = assemble_linear_system(build_equations_env(p.shape, p.env(), p.caps, p.sector), keys)
+    cocycles = nullspace(_constant_rows(system.rows), len(keys))
+    cob = engine._cob_vectors_in_caps(p)
+    rs = RowSpace()
+    for vec in cob:
+        rs.add(vec)
+    reps = []
+    for vec in cocycles:
+        if residue := rs.reduce(vec):
+            residue = tuple((c, x / residue[0][1]) for c, x in residue)
+            reps.append(residue)
+            rs.add(residue)
+    sol = solve_core(p)
+    assert (sol.cocycle_dim, sol.coboundary_dim, sol.ext_dim) == (len(cocycles), len(cob), len(reps))
+    assert sol.basis == tuple(witness_from_vector(v, keys, p.shape) for v in reps)
+
+
 _RT5 = quad(1, 1, 5)
 
 
@@ -688,7 +809,17 @@ def test_every_row_producer_emits_sparse_rows(p):
         # integer numerators over the point's common denominator
         den = math.lcm(*(w.denominator for w in point))
         assert all(type(v) is int for row in concrete for _c, v in row)
-        assert [tuple([(c, Fraction(v, den)) for c, v in row]) for row in concrete] == rows
+        # the direct build at the point, less the rows whose template is a
+        # multiple of an earlier row's
+        direct = assemble_linear_system(build_equations(p.shape, p.caps, p.sector), keys).rows
+        at = [
+            tuple([(c, v) for c, vec in row if (v := vec[0] + sum(x * w for x, w in zip(vec[1:], point)))])
+            for row in direct
+        ]
+        assert [row for row in at if row] == rows
+        assert [tuple([(c, Fraction(v, den)) for c, v in row]) for row in concrete] == [
+            at[i] for i in _kept(direct) if at[i]
+        ]
     reduced, _pivots = rref(rows)
     null = nullspace(rows, len(keys))
     rs = RowSpace()

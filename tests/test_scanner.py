@@ -16,6 +16,7 @@ from wbext.equations import (
     LinearSystem,
     affine_symbols,
     assemble_linear_system,
+    build_equations,
     build_equations_env,
     key_rank,
     unknown_basis,
@@ -536,7 +537,8 @@ def _line_template_env(names=("b", "delta", "dbar")):
 
 
 def _without_shifts(rows, sector):
-    """Rows of ``engine._template(3, ., sector)`` as line template values
+    """Rows of a shape-3 direct build over the solver's weights (see
+    :func:`build_equations`) as line template values
     ``(c0, c_b, c_delta, c_dbar)``: the alpha and abar components deleted, a
     zero ``c_b`` put in the f sector, which has no b, and the entries and
     then the rows that vanish with them dropped."""
@@ -571,8 +573,9 @@ def test_line_template_equals_the_direct_build_on_the_line(b, diff, sector, prom
     on one line in either chart, gives the rows of that line's own build
     over Q[t], scaled to primitive integers: block for block, value for
     value and in order.  Its blocks, put back in the key columns, are the
-    solver's template's equation rows without their alpha and abar
-    components, each once; no f block or image involves b."""
+    rows of the solver's direct build, proportional repeats included,
+    without their alpha and abar components, each once; no f block or
+    image involves b."""
     assume(b is not None or sector == "f")
     sp = scanner.ScanProblem(scan_dbar(b, diff, sector=sector, caps=_SMALL_CAPS).base, promote)
     keys, blocks = _sector_slices(sector)
@@ -586,9 +589,10 @@ def test_line_template_equals_the_direct_build_on_the_line(b, diff, sector, prom
     assert lowered == [
         (part, list(rows)) for part, rows in scanner._block_split(keys, _int_rows(direct.rows))
     ]
-    engine_keys, equations, _images, _over = engine._template(3, _SMALL_CAPS, sector)
-    assert keys == list(engine_keys)
-    template = _without_shifts(equations.rows, sector)
+    assert keys == unknown_basis(3, _SMALL_CAPS, sector)
+    template = _without_shifts(
+        assemble_linear_system(build_equations(3, _SMALL_CAPS, sector), keys).rows, sector
+    )
     group_of = [(key[0], key[1] + key[2]) for key in keys]
     groups = sorted({group_of[j] for row in template for j, _e in row})
     assert [part for part, _system in blocks] == [part for part, _degree in groups]
