@@ -254,11 +254,15 @@ def _restrict(transcription: tuple, keys: tuple, sector: str) -> LinearSystem:
 def _distinct(rows) -> tuple:
     """Template ``rows`` less each that is a non-zero constant multiple of
     an earlier one, in order: a row's class is its entries over the gcd of
-    their integer components, signed so the first non-zero one is positive."""
+    their integer components, signed so the first non-zero one is positive.
+    A row with no non-zero component, which moves no rank, is dropped."""
     first = {}
     for row in rows:
         flat = [x for _j, vec in row for x in vec]
-        g = gcd(*flat) if next(filter(None, flat)) > 0 else -gcd(*flat)
+        lead = next(filter(None, flat), 0)
+        if not lead:
+            continue
+        g = gcd(*flat) if lead > 0 else -gcd(*flat)
         first.setdefault(tuple([(j, tuple([x // g for x in vec])) for j, vec in row]), row)
     return tuple(first.values())
 

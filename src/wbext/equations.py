@@ -26,8 +26,9 @@ rows that repeat an earlier one up to a factor; it caches each, with its
 basis-change images laid out from the same symbols (:func:`template_env`)
 as a second template, in one entry of a 32-entry LRU filled on first use.
 :mod:`wbext.scanner` builds its scan lines' templates the same way, over
-``b``, ``delta`` and ``dbar`` with zero shifts and every row kept, and
-evaluates them at a point of a line by :meth:`LinearSystem.concrete_rows`.
+``b``, ``delta`` and ``dbar`` with zero shifts and each row kept once up
+to a factor, and evaluates them at a point of a line by
+:meth:`LinearSystem.concrete_rows`.
 
 The template is exact, not interpolated: the symbol type supports only
 ``+``, ``-`` and ``*`` by a parameter-free polynomial and raises on a product

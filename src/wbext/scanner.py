@@ -12,22 +12,25 @@ sectors and both charts, as one integer template (:func:`_line_template`):
 the one transcription of the full sector's equations and basis-change
 images runs over the solver's weight names ``b``, ``delta`` and ``dbar`` as
 affine symbols, so each entry is ``c0 + c_b*b + c_delta*delta +
-c_dbar*dbar`` with integer coefficients; its equations are split into their
-blocks there, once per caps, and an f- or g-sector line reads the blocks of
-its own part.  No f block and no image involves b, so a line's b-free part,
-those matrices ranked as below, depends only on its weights at t = 0 and is
-shared by every line through them, whatever its b (:func:`_f_part`); only
-the g blocks are ranked for each line.  In both charts t raises delta and
-dbar by 1, so a line lowers it at its weights at t = 0, with ``c_t =
-c_delta + c_dbar``, to the package's one sparse row format (see
-:mod:`wbext.linalg`) over Z[t]: every row is scaled by a positive constant
-to primitive integer coefficients, so a value is a tuple of ``int``
-coefficients of a non-zero polynomial in Z[t], and the rows are those of
-the line's direct build so scaled.  Scaling a row moves no rank, at t or
-at any point.  A line keeps one list of matrices (the equation blocks that
-do not vanish on it, then the full and the overflow coboundary matrices)
-and one formula that turns their ranks into an ext dimension.  That list
-feeds two consumers:
+c_dbar*dbar`` with integer coefficients; its equations, each row kept once
+up to a non-zero constant factor (the build writes each identity with its
+swapped twin), are split into their blocks there, once per caps, and an f-
+or g-sector line reads the blocks of its own part.  No f block and no image
+involves b, so a line's b-free part, those matrices ranked as below,
+depends only on its weights at t = 0 and is shared by every line through
+them, whatever its b (:func:`_f_part`); only the g blocks are ranked for
+each line.  In both charts t raises delta and dbar by 1, so a line lowers
+it at its weights at t = 0, with ``c_t = c_delta + c_dbar``, to the
+package's one sparse row format (see :mod:`wbext.linalg`) over Z[t]: every
+row is scaled by a positive constant to primitive integer coefficients, so
+a value is a tuple of ``int`` coefficients of a non-zero polynomial in
+Z[t], and the rows are those of the line's direct build so scaled, less
+each whose template is a multiple of an earlier row's.  Scaling a row moves
+no rank, at t or at any point, and a row that is a multiple of another as a
+template is one on every line and at every point of it.  A line keeps one
+list of matrices (the equation blocks that do not vanish on it, then the
+full and the overflow coboundary matrices) and one formula that turns their
+ranks into an ext dimension.  That list feeds two consumers:
 
 * Bareiss fraction-free elimination over Z[t] (:func:`fraction_free_rank`),
   with every entry packed into one ``int``, its value at t = 2**K
@@ -460,15 +463,20 @@ def _line_point(sp: ScanProblem, t0) -> tuple:
 
 # One template per caps, shared by every line at those caps in every sector
 # and both charts: classify, the Virasoro layer and ``wbext scan`` build it
-# once.  At the default caps its rows, split into blocks once, take 0.06 MB,
+# once.  At the default caps its 151 equation rows (302 before the
+# proportional repeats are dropped), split into blocks once, take 0.03 MB,
 # their values shared tuples.
 @lru_cache(maxsize=8)
 def _line_template(caps: Caps) -> tuple:
     """``(keys, equation blocks as (part, system), images, overflow)`` of
     every line at ``caps``, each system a :class:`LinearSystem` whose values
     are integer tuples ``(c0, c_b, c_delta, c_dbar)``: the full sector's
-    direct build without alpha and abar, as the shifts are zero, with the
-    rows that repeat another (the row order picks the Bareiss pivots).
+    direct build without alpha and abar, as the shifts are zero, each row
+    kept once up to a non-zero constant factor (:func:`engine._distinct`):
+    the build writes each identity with its swapped twin, so half its rows
+    repeat an earlier one.  Without them every generic rank is the same and
+    every Bareiss pivot the same up to a constant factor, so the
+    certificates are too (the test suite checks this on random lines).
 
     It is the full sector's; a line of another sector reads its own part's
     slices, which are that sector's own build: the f sector's keys are the
@@ -491,6 +499,7 @@ def _line_template(caps: Caps) -> tuple:
     env["alpha"] = env["abar"] = 0
     keys = tuple(unknown_basis(3, caps, "full"))
     system = assemble_linear_system(build_equations_env(3, env, caps, "full"), keys)
+    system = LinearSystem(engine._distinct(system.rows))
     blocks = tuple((part, LinearSystem(rows)) for part, rows in _block_split(keys, system.rows))
     images, over = engine.image_rows(3, env, caps, "full", keys)
     b_free = [ls.rows for part, ls in blocks if part == "f"] + [images]

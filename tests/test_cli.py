@@ -703,6 +703,8 @@ for argv in (
     "replay --table all",
     "solve --type 3 --b 2 --alpha 0 --abar 0 --delta 1 --dbar 1 --sector f --json",
     "solve --type 2 --b 3 --alpha 1 --gamma -1 --delta 1 --sector g --json",
+    "scan --b 3 --sector f --json",
+    "scan --b 6 --sector g --json",
 ):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -727,6 +729,8 @@ _PINNED_OUTPUT_HASHES = [
     "c2773d60191fd753b1832ec14267954e80b08ab9fe1089b95ea41321ccb58250",
     "f06da686523500a6d77a9b9b946abde2452a62cf3d7b0c131b784979a9650153",
     "e39e2c37e6544a4ee00ccfc5adba2e539cc77e938737a8fe8496413d6c70a195",
+    "8ee00a57c6a5af00e6216a4e96f818370c6d302e082c02137fc65e4f2da2a26e",
+    "ff98bbcad5c484c689ef13e909b21cd7c9983fd8cb9b8c6e88f9b81d0adc2f46",
 ]
 
 

@@ -270,6 +270,17 @@ def test_a_template_keeps_each_direct_row_once_up_to_a_constant_factor(case):
         engine._template.cache_clear()
 
 
+def test_a_zero_row_is_dropped_and_ends_no_iteration():
+    """A row with no non-zero component, empty or of zero entries, moves no
+    rank and is dropped; it raises nothing that would silently end a ``map``
+    over several row sets, so each set keeps its place."""
+    row = ((0, (2, 0, 4)), (3, (0, -6, 0)))
+    twin = ((0, (-1, 0, -2)), (3, (0, 3, 0)))
+    assert engine._distinct([(), ((1, (0, 0, 0)),), row, twin]) == (row,)
+    for zero in ((), ((0, (0, 0)),)):
+        assert tuple(map(engine._distinct, [(row,), (zero,), (row,)])) == ((row,), (), (row,))
+
+
 def test_only_shape_2_transcribes_again_for_a_larger_h_cap():
     engine._transcriptions.clear()
     try:

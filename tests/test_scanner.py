@@ -554,6 +554,35 @@ def _without_shifts(rows, sector):
     return out
 
 
+def _kept(rows) -> list:
+    """The indices of ``rows`` that are not a non-zero constant multiple of
+    an earlier row, in order: the reference of the line template's
+    deduplication, which keys each row by its entries divided by its first
+    non-zero integer component, as ``Fraction``s."""
+    seen, kept = set(), []
+    for i, row in enumerate(rows):
+        lead = next(x for _j, vec in row for x in vec if x)
+        key = tuple((j, tuple(Fraction(x, lead) for x in vec)) for j, vec in row)
+        if key not in seen:
+            seen.add(key)
+            kept.append(i)
+    return kept
+
+
+def _on_line(rows, env):
+    """Line template rows ``(c0, c_b, c_delta, c_dbar)`` as ``MultiPoly``
+    values in t over a line's ``env``, the entries that vanish there
+    dropped; a row may be left empty, so indices still match ``rows``."""
+    out = []
+    for row in rows:
+        values = []
+        for j, (c0, *coeffs) in row:
+            terms = [c * env[name] for c, name in zip(coeffs, ("b", "delta", "dbar")) if c]
+            values.append((j, sum(terms, MultiPoly.const(c0))))
+        out.append(tuple((j, v) for j, v in values if v.terms))
+    return out
+
+
 def _sector_slices(sector):
     """The line template's keys and equation blocks of ``sector``'s parts."""
     keys, blocks, _images, _overflow = scanner._line_template(_SMALL_CAPS)
@@ -572,10 +601,11 @@ def test_line_template_equals_the_direct_build_on_the_line(b, diff, sector, prom
     """The one template of a caps, sliced to a sector's parts and evaluated
     on one line in either chart, gives the rows of that line's own build
     over Q[t], scaled to primitive integers: block for block, value for
-    value and in order.  Its blocks, put back in the key columns, are the
-    rows of the solver's direct build, proportional repeats included,
-    without their alpha and abar components, each once; no f block or
-    image involves b."""
+    value and in order, less the rows whose template is a non-zero constant
+    multiple of an earlier row's.  Its blocks, put back in the key columns,
+    are the rows of the solver's direct build without their alpha and abar
+    components, each once and less those proportional repeats; no f block
+    or image involves b."""
     assume(b is not None or sector == "f")
     sp = scanner.ScanProblem(scan_dbar(b, diff, sector=sector, caps=_SMALL_CAPS).base, promote)
     keys, blocks = _sector_slices(sector)
@@ -584,15 +614,21 @@ def test_line_template_equals_the_direct_build_on_the_line(b, diff, sector, prom
     assert point == (Fraction(b or 0), *sp.weights_at(0))
     env = sp.env_t()
     direct = assemble_linear_system(build_equations_env(3, env, _SMALL_CAPS, sector), keys)
+    assert keys == unknown_basis(3, _SMALL_CAPS, sector)
+    every = _without_shifts(
+        assemble_linear_system(build_equations(3, _SMALL_CAPS, sector), keys).rows, sector
+    )
+    # the solver's rows on the line are the line's own build, repeats included
+    on_line = _int_rows(_on_line(every, env))
+    assert [row for row in on_line if row] == _int_rows(direct.rows)
+    kept = _kept(every)
+    template = [every[i] for i in kept]
     # blocks that vanish on the line are left out, as a split of its own rows has none
     lowered = [(part, rows) for part, sys in blocks if (rows := scanner._lower(sys.rows, point))]
     assert lowered == [
-        (part, list(rows)) for part, rows in scanner._block_split(keys, _int_rows(direct.rows))
+        (part, list(rows))
+        for part, rows in scanner._block_split(keys, [on_line[i] for i in kept if on_line[i]])
     ]
-    assert keys == unknown_basis(3, _SMALL_CAPS, sector)
-    template = _without_shifts(
-        assemble_linear_system(build_equations(3, _SMALL_CAPS, sector), keys).rows, sector
-    )
     group_of = [(key[0], key[1] + key[2]) for key in keys]
     groups = sorted({group_of[j] for row in template for j, _e in row})
     assert [part for part, _system in blocks] == [part for part, _degree in groups]
@@ -619,23 +655,31 @@ def test_line_template_equals_the_direct_build_on_the_line(b, diff, sector, prom
     )
 
 
-def _direct_line_data(sp):
-    """``(nunk, g_generic, matrices as (rank, last pivot), pivots)`` of a
-    line from scratch: its sector's own template build at zero shifts (over
-    delta and dbar alone in the f sector), every block lowered to Z[t] and
-    the non-vanishing ones ranked by ``fraction_free_rank``, then the images
-    and the overflow."""
-    sector = sp.base.sector
+def _direct_lowered(sp):
+    """``(keys, matrices as (part, rows))`` of a line from scratch: its
+    sector's own template build at zero shifts (over delta and dbar alone in
+    the f sector), every row kept, proportional repeats included; the
+    blocks that do not vanish on the line lowered to Z[t], then the images
+    and the overflow, of part None."""
+    sector, caps = sp.base.sector, sp.base.caps
     env = _line_template_env(("delta", "dbar") if sector == "f" else ("b", "delta", "dbar"))
-    keys = unknown_basis(3, _SMALL_CAPS, sector)
-    system = assemble_linear_system(build_equations_env(3, env, _SMALL_CAPS, sector), keys)
-    images, over = engine.image_rows(3, env, _SMALL_CAPS, sector, keys)
+    keys = unknown_basis(3, caps, sector)
+    system = assemble_linear_system(build_equations_env(3, env, caps, sector), keys)
+    images, over = engine.image_rows(3, env, caps, sector, keys)
     overflow = [tuple((j, e) for j, e in row if j < over) for row in images]
     point = sp.weights_at(0) if sector == "f" else (Fraction(sp.base.b), *sp.weights_at(0))
     blocks = [(part, scanner._lower(rows, point)) for part, rows in
               scanner._block_split(keys, system.rows)]
     lowered = [(part, rows) for part, rows in blocks if rows]
     lowered += [(None, scanner._lower(rows, point)) for rows in (images, overflow)]
+    return keys, lowered
+
+
+def _direct_line_data(sp):
+    """``(nunk, g_generic, matrices as (rank, last pivot), pivots)`` of a
+    line from scratch (:func:`_direct_lowered`), every matrix ranked by
+    ``fraction_free_rank``."""
+    keys, lowered = _direct_lowered(sp)
     matrices, pivots, g_rank = [], [], 0
     for part, rows in lowered:
         r, piv = scanner.fraction_free_rank(rows)
@@ -763,6 +807,55 @@ def test_point_check_is_exact_at_every_certificate_root(b, diff, sector):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scanner, "ext_dim_at", _exact_ext_dim_at)
         assert special_values(sp) == report
+
+
+@st.composite
+def _lines_up_to_small_caps(draw):
+    """A line of any sector, chart, b and difference at caps up to (4, 3, 4, 4)."""
+    sector = draw(st.sampled_from(["full", "f", "g"]))
+    b = None if sector == "f" and draw(st.booleans()) else draw(_SMALL_Q.filter(bool))
+    caps = Caps(*(draw(st.integers(1, top)) for top in (4, 3, 4, 4)))
+    base = scan_dbar(b, draw(_SMALL_Q), sector=sector, caps=caps).base
+    return scanner.ScanProblem(base, draw(st.sampled_from(["dbar", "delta"])))
+
+
+def _proportional(p, q) -> bool:
+    """Whether the Z[t] polynomials ``p`` and ``q``, lowest degree first and
+    each with a non-zero lead, are non-zero constant multiples of each other."""
+    return len(p) == len(q) and all(a * q[-1] == b * p[-1] for a, b in zip(p, q))
+
+
+def _every_row_ext_dim_at(nunk, matrices, t0):
+    """The ext dimension at t0 from a line's matrices with every row kept
+    (:func:`_direct_lowered`), each evaluated at t0 by Horner's rule and
+    ranked exactly."""
+    ranks = [
+        rank([tuple((j, v) for j, e in row if (v := _horner(e, t0))) for row in rows])
+        for _part, rows in matrices
+    ]
+    *blocks, full, over = ranks
+    return nunk - sum(blocks) - (full - over)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_lines_up_to_small_caps())
+def test_dropping_proportional_repeats_moves_no_rank_pivot_or_special_value(sp):
+    """A line's matrices, each equation row kept once up to a constant
+    factor, against the line's every row (the reference, built from
+    scratch): equal generic ranks, each Bareiss pivot the same up to a
+    non-zero constant factor, pivot for pivot, and so the same certificate,
+    candidates and notes, and the same ext dimension at every candidate."""
+    data = scanner._line_data(sp)
+    keys, every = _direct_lowered(sp)
+    ranked = [scanner.fraction_free_rank(rows) for _part, rows in every]
+    assert [r for _system, r, _last in data.matrices] == [r for r, _piv in ranked]
+    pivots = [p.coeffs for _r, piv in ranked for p in piv]
+    assert len(data.pivots) == len(pivots)
+    assert all(map(_proportional, data.pivots, pivots))
+    factored = scanner._factor_pivots(data.pivots)
+    assert factored == scanner._factor_pivots(pivots)
+    for t0 in factored[0]:
+        assert ext_dim_at(sp, t0) == _every_row_ext_dim_at(len(keys), every, t0)
 
 
 @settings(max_examples=100, deadline=None)
