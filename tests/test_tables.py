@@ -8,7 +8,7 @@ from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
-from wbext import tables
+from wbext import oracle, tables
 from wbext.engine import coboundary_span_env, coeff_rows, solve_ext, witness_coeff_map
 from wbext.linalg import rank
 from wbext.oracle import verify_witness
@@ -245,3 +245,78 @@ def test_a_listed_witness_above_the_caps_fails_its_case():
     assert not result.passed
     assert result.ext_dim == case.golden_ext
     assert f"listed witness {high} has a term outside the caps and sector" in result.lines
+
+
+# ---------------------------------------------------------------------------
+# the witness checks: each (problem, witness) once, and the failure lines
+# ---------------------------------------------------------------------------
+
+
+def test_replay_checks_each_witness_once(monkeypatch):
+    """Over the whole replay no (problem, witness) pair reaches the oracle
+    twice, and every witness a case names or its solve returns is checked."""
+    checked = []
+
+    def recording(check):
+        def counted(p, w):
+            checked.append((p, w))
+            return check(p, w)
+
+        return counted
+
+    monkeypatch.setattr(tables, "verify_witness", recording(tables.verify_witness))
+    monkeypatch.setattr(oracle, "verify_witness", recording(oracle.verify_witness))
+    solve_ext.cache_clear()
+    cases = iter_cases("all")
+    assert all(run_case(case).passed for case in cases)
+    named = set()
+    for case in cases:
+        d = case.discrepancy
+        forms = () if d is None else (d.printed, d.corrected)
+        named |= {
+            (case.problem, w)
+            for w in (*case.witnesses, *forms, *solve_ext(case.problem).basis)
+        }
+    assert set(checked) == named
+    assert len(checked) == len(named) == 103
+
+
+def test_a_listed_witness_that_fails_substitution_fails_its_case():
+    case = _case("vir-th4-diff4")
+    (w,) = case.witnesses
+    assert w.f == MultiPoly.parse("4*d^3*l^2 + 6*d^2*l^3 - d*l^4 + l^5")
+    bad = replace(w, f=MultiPoly.parse("4*d^3*l^2 + 7*d^2*l^3 - d*l^4 + l^5"))
+    result = run_case(replace(case, witnesses=(bad,)))
+    assert not result.passed
+    assert result.ext_dim == case.golden_ext
+    assert f"witness FAILS substitution: {bad}  ([L,L] on top)" in result.lines
+
+
+def test_a_discrepancy_with_its_forms_swapped_is_reported_stale():
+    case = _case("theo3-b2-iii")
+    d = case.discrepancy
+    swapped = replace(d, printed=d.corrected, corrected=d.printed)
+    result = run_case(replace(case, discrepancy=swapped))
+    assert not result.passed
+    assert result.ext_dim == case.golden_ext
+    assert f"  printed form : {d.corrected} [verifies]" in result.lines
+    assert f"  machine form : {d.printed} [fails verification]" in result.lines
+    assert "  discrepancy record is stale: verdicts flipped" in result.lines
+
+
+# ---------------------------------------------------------------------------
+# conformal duality on the shape-3 cases
+# ---------------------------------------------------------------------------
+
+
+def _dual_problem(p):
+    """The shape-3 problem between the conformal duals: M(alpha, delta) has
+    dual M(-alpha, 1 - delta), and the sub and quotient modules swap."""
+    return replace(p, alpha=-p.abar, abar=-p.alpha, delta=1 - p.dbar, dbar=1 - p.delta)
+
+
+def test_every_shape_3_case_has_its_golden_dimension_at_the_dual_problem():
+    cases = [c for c in iter_cases("all") if c.problem.shape == 3]
+    assert len(cases) == 54
+    for case in cases:
+        assert solve_ext(_dual_problem(case.problem)).ext_dim == case.golden_ext, case.id
