@@ -10,20 +10,14 @@ Dimensions come from a plain sparse forward elimination written here (see
 transcriptions are right; it shares no code with the solver's sparse kernel
 in ``linalg``.
 
-Memoisation.  ``brute_dims`` runs one model, on one tagged witness that
+Computed once.  ``brute_dims`` runs one model, on one tagged witness that
 carries every unknown monomial at once (see ``_residual_rows``), and each
 call of ``verify_witness_env`` or ``verify_witness`` runs one model on its
-witness.  A model is the module actions composed literally, and it keeps
-three memos of its own, dropped with it, so nothing is cached at module
-level and memory is bounded by one call: each generator action applied,
-per (generator, slot, element), which the six identities ask for again and
-again; the witness's f and g at each of the three slots L, U and L+U; and
-the powers of ``d + slot`` that every shift in d is expanded against.  They
-are safe because an entry depends only on its key objects and the model's
-fixed witness and parameters, and it holds those key objects, so no id is
-reused while the model lives.  The right-hand-side factors and the L-action
-coefficients at the three slots are computed once per model.  Only public
-polynomial arithmetic is used.
+witness.  A model is the module actions composed literally.  It computes
+what every action at a slot reads once per slot (L, U and L+U), and each
+generator's first action on each generator element once, and builds every
+identity from those.  Nothing is cached at module level, so memory is
+bounded by one call.  Only public polynomial arithmetic is used.
 """
 
 from __future__ import annotations
@@ -44,12 +38,10 @@ __all__ = [
     "independent_mod_coboundaries",
 ]
 
-_LU = L + U
 _DL = D + L
-# the bracket slots the identities act at, the generators' unit coefficients
-# and the two elements all_residuals acts on: one object each, so that
-# repeated pieces meet the same memo keys
-_SLOTS = (L, U, _LU)
+# the bracket slots the identities act at, by index (0 = L, 1 = U, 2 = L+U),
+# the generators' unit coefficients and the two elements all_residuals acts on
+_SLOTS = (L, U, L + U)
 _ONE = MultiPoly.const(Fraction(1))
 _ZERO = MultiPoly.zero()
 _TOP = (_ONE, _ZERO)
@@ -80,14 +72,12 @@ class _Model:
     a deformed translation action, shape 3 is (free, free).  Parameters come
     from an environment of constant (or scan-variable) polynomials.
 
-    The right-hand-side factors and the L-action coefficients at the three
-    slots L, U and L+U are computed once, in ``__init__``.  Three memos,
-    dropped with the model, keep what the identities ask for more than once:
-    ``_applied`` each generator action applied, ``_at_slot`` the witness's f
-    and g at each slot, and ``_powers`` the powers of ``d + slot`` that every
-    shift in d is expanded against.  They are keyed by object identities
-    (hashing a ``MultiPoly`` costs more than the work saved), and every entry
-    holds its key objects, so no id is reused while the model lives.
+    A slot is an index into ``_SLOTS``.  ``__init__`` computes the
+    right-hand-side factors and, per slot, every value an action reads there:
+    the quotient's L action, in shape 3 the sub's, the witness's f and g at
+    the slot, and the first powers of ``d + slot``, which ``_shift_d``
+    extends as it needs them.  ``all_residuals`` computes each generator's first action on
+    each generator element once and builds every identity from those.
     """
 
     def __init__(self, shape: int, env: dict, w: CocycleWitness):
@@ -106,21 +96,18 @@ class _Model:
             raise ValueError("h must be a polynomial in d alone")
         self._factors = _rhs_factors(self.b)
         # the quotient's L action D + alpha + delta*slot and, in shape 3, the
-        # sub's D + abar + dbar*slot, at each slot the identities use
-        self._quot = {id(s): D + env["alpha"] + env["delta"] * s for s in _SLOTS}
+        # sub's D + abar + dbar*slot
+        self._quot = [D + env["alpha"] + env["delta"] * s for s in _SLOTS]
         if shape == 3:
-            self._sub_act = {id(s): D + env["abar"] + env["dbar"] * s for s in _SLOTS}
-        self._applied = {}  # (gen, id(slot), id(elem)) -> (slot, elem, action)
-        self._at_slot = {}  # id(slot) -> (slot, f at slot, g at slot)
-        self._powers = {}  # id(slot) -> (slot, [1, d + slot, (d + slot)^2, ...])
+            self._sub_act = [D + env["abar"] + env["dbar"] * s for s in _SLOTS]
+        self._f_at = [self.f.subst("l", s) for s in _SLOTS]
+        self._g_at = [self.g.subst("l", s) for s in _SLOTS]
+        self._powers = [[_ONE, D + s] for s in _SLOTS]  # 1, d + slot, (d + slot)^2, ...
 
-    def _shift_d(self, poly, slot):
-        """``poly`` with d -> d + slot, expanded against the memo's powers of
-        ``d + slot`` (``slot`` is free of d)."""
-        hit = self._powers.get(id(slot))
-        if hit is None:
-            hit = self._powers[id(slot)] = (slot, [_ONE, D + slot])
-        powers = hit[1]
+    def _shift_d(self, poly, i):
+        """``poly`` with d -> d + slot i, expanded against the slot's powers
+        of ``d + slot`` (a slot is free of d)."""
+        powers = self._powers[i]
         out = {}
         get = out.get
         for (k, e1, e2, e3), c in poly.terms.items():
@@ -132,13 +119,6 @@ class _Model:
                 out[e] = c * c2 if acc is None else acc + c * c2
         return MultiPoly(out)
 
-    def _witness_at(self, slot):
-        hit = self._at_slot.get(id(slot))
-        if hit is None:
-            fs, gs = self.f.subst("l", slot), self.g.subst("l", slot)
-            hit = self._at_slot[id(slot)] = (slot, fs, gs)
-        return hit[1], hit[2]
-
     def apply_d(self, elem):
         top, sub = elem
         if self.shape == 1:
@@ -147,77 +127,60 @@ class _Model:
             return (self.gamma * top, top * self.h + D * sub)
         return (D * top, D * sub)
 
-    def apply_gen(self, gen: str, slot: MultiPoly, elem):
-        key = (gen, id(slot), id(elem))
-        hit = self._applied.get(key)
-        if hit is None:
-            hit = self._applied[key] = (slot, elem, self._act(gen, slot, elem))
-        return hit[2]
-
-    def _act(self, gen: str, slot: MultiPoly, elem):
+    def apply_gen(self, gen: str, i: int, elem):
+        """Generator ``gen`` at slot ``i`` applied to ``elem``."""
         top, sub = elem
-        fs, gs = self._witness_at(slot)
-        quot = self._quot[id(slot)]
+        fs, gs, quot = self._f_at[i], self._g_at[i], self._quot[i]
         if self.shape == 1:
-            shifted = self._shift_d(top, slot)
+            shifted = self._shift_d(top, i)
             new_top = shifted * quot if gen == "L" else _ZERO
             new_sub = (shifted * (fs if gen == "L" else gs)).subst("d", self.gamma)
             return (new_top, new_sub)
         if self.shape == 2:
             if gen == "L":
-                new_sub = top * fs + self._shift_d(sub, slot) * quot
+                new_sub = top * fs + self._shift_d(sub, i) * quot
             else:
                 new_sub = top * gs
             return (_ZERO, new_sub)
-        shifted = self._shift_d(top, slot)
+        shifted = self._shift_d(top, i)
         if gen == "L":
-            sub_act = self._sub_act[id(slot)]
-            return (shifted * quot, shifted * fs + self._shift_d(sub, slot) * sub_act)
+            sub_act = self._sub_act[i]
+            return (shifted * quot, shifted * fs + self._shift_d(sub, i) * sub_act)
         return (_ZERO, shifted * gs)
 
-    @staticmethod
-    def _sub(e1, e2):
-        return (e1[0] - e2[0], e1[1] - e2[1])
-
-    @staticmethod
-    def _scale(c, e):
-        return (c * e[0], c * e[1])
-
-    def commutator_residual(self, a: str, bgen: str, elem):
-        """[a_l, b_u] applied to elem, minus the bracket's right-hand side."""
-        e1 = self.apply_gen(a, L, self.apply_gen(bgen, U, elem))
-        e2 = self.apply_gen(bgen, U, self.apply_gen(a, L, elem))
-        comm = self._sub(e1, e2)
-        if a == "L" and bgen == "L":
-            rhs = self._scale(self._factors["LL"], self.apply_gen("L", _LU, elem))
-        elif a == "L" and bgen == "H":
-            rhs = self._scale(self._factors["LH"], self.apply_gen("H", _LU, elem))
-        elif a == "H" and bgen == "L":
-            rhs = self._scale(self._factors["HL"], self.apply_gen("H", _LU, elem))
-        else:
-            rhs = (_ZERO, _ZERO)
-        return self._sub(comm, rhs)
-
-    def translation_residual(self, a: str, elem):
-        """[d, a_l] + l*a_l applied to elem (must vanish)."""
-        a_elem = self.apply_gen(a, L, elem)
-        e1 = self.apply_d(a_elem)
-        e2 = self.apply_gen(a, L, self.apply_d(elem))
-        comm = self._sub(e1, e2)
-        return self._sub(comm, self._scale(self._factors["d"], a_elem))
-
     def all_residuals(self) -> dict:
+        """Each identity's residual on each generator element, labelled:
+        ``[a_l, b_u]`` minus the bracket's right-hand side, and ``[d, a_l] +
+        l*a_l``, all of which must vanish."""
         gens = ("L",) if self.b is None else ("L", "H")
         if self.b is None and not self.g.is_zero():
             raise ValueError("a nonzero g needs the second generator; supply b")
+        factors = self._factors
         out = {}
         for tag, elem in (("top", _TOP), ("sub", _SUB)):
+            # each generator's first action on elem, at each slot
+            once = {(a, i): self.apply_gen(a, i, elem) for a in gens for i in range(3)}
             for a in gens:
                 for bgen in gens:
-                    out[f"[{a},{bgen}] on {tag}"] = self.commutator_residual(a, bgen, elem)
+                    e1 = self.apply_gen(a, 0, once[bgen, 1])
+                    res = _sub(e1, self.apply_gen(bgen, 1, once[a, 0]))
+                    if a + bgen != "HH":  # [H_l, H_u] = 0; a bracket with H lands in H
+                        rhs = once["H" if "H" in (a, bgen) else "L", 2]
+                        res = _sub(res, _scale(factors[a + bgen], rhs))
+                    out[f"[{a},{bgen}] on {tag}"] = res
+            d_elem = self.apply_d(elem)
             for a in gens:
-                out[f"[d,{a}] on {tag}"] = self.translation_residual(a, elem)
+                comm = _sub(self.apply_d(once[a, 0]), self.apply_gen(a, 0, d_elem))
+                out[f"[d,{a}] on {tag}"] = _sub(comm, _scale(factors["d"], once[a, 0]))
         return out
+
+
+def _sub(e1, e2):
+    return (e1[0] - e2[0], e1[1] - e2[1])
+
+
+def _scale(c, e):
+    return (c * e[0], c * e[1])
 
 
 def _rhs_factors(b):

@@ -70,8 +70,11 @@ def parse_scalar(text: str, field_name: str = "value"):
     m = _QUAD_RE.match(text)
     if m is None or (m.group("sign") and m.group("qsign")):
         raise RecordError(field_name, f"not an exact scalar: {text!r}")
-    p = Fraction(m.group("p")) if m.group("p") else Fraction(0)
-    q = Fraction(m.group("q")) if m.group("q") else Fraction(1)
+    try:
+        p = Fraction(m.group("p")) if m.group("p") else Fraction(0)
+        q = Fraction(m.group("q")) if m.group("q") else Fraction(1)
+    except ZeroDivisionError:
+        raise RecordError(field_name, f"zero denominator in scalar: {text!r}") from None
     if m.group("sign") == "-" or m.group("qsign"):
         q = -q
     return quad(p, q, int(m.group("disc")))

@@ -78,20 +78,10 @@ def _mono(exps, c) -> MultiPoly:
     return MultiPoly.monomial(exps, c)
 
 
-def _second_gen_line(b, dbar, degree: int) -> CocycleWitness:
-    """The listed degree-0/1/2 second-generator families ``a0``, ``d - (1/b)*dbar*l``,
-    ``d^2 - (1/b)(1+2*dbar)*d*l - (1/b)*dbar*l^2`` at a concrete sub-module weight."""
-    b = Fraction(b)
-    if degree == 0:
-        return _w(g="1")
-    if degree == 1:
-        g = _mono((1, 0, 0, 0), Fraction(1)) + _mono((0, 1, 0, 0), -dbar / b)
-        return CocycleWitness(f=MultiPoly.zero(), g=g)
-    g = (
-        _mono((2, 0, 0, 0), Fraction(1))
-        + _mono((1, 1, 0, 0), -(1 + 2 * dbar) / b)
-        + _mono((0, 2, 0, 0), -dbar / b)
-    )
+def _second_gen_line(b, dbar) -> CocycleWitness:
+    """The listed degree-1 second-generator family ``d - (dbar/b)*l`` at a
+    concrete sub-module weight."""
+    g = _mono((1, 0, 0, 0), Fraction(1)) + _mono((0, 1, 0, 0), -dbar / Fraction(b))
     return CocycleWitness(f=MultiPoly.zero(), g=g)
 
 
@@ -364,7 +354,7 @@ THEO3 = (
     ReplayCase(
         id="theo3-b3-ii",
         problem=_p3(3, 7, 3),
-        witnesses=(_quintic_line_f(Fraction(3)), _second_gen_line(3, Fraction(3), 1)),
+        witnesses=(_quintic_line_f(Fraction(3)), _second_gen_line(3, Fraction(3))),
         golden_ext=2,
     ),
     ReplayCase(
@@ -386,7 +376,7 @@ THEO3 = (
     ReplayCase(
         id="theo3-b4-ii",
         problem=_p3(4, 6, 1),
-        witnesses=(_second_gen_line(4, Fraction(1), 1),),
+        witnesses=(_second_gen_line(4, Fraction(1)),),
         golden_ext=1,
     ),
     ReplayCase(
@@ -424,7 +414,7 @@ THEO3 = (
     ReplayCase(
         id="theo3-b5-ii",
         problem=_p3(5, 7, 1),
-        witnesses=(_second_gen_line(5, Fraction(1), 1),),
+        witnesses=(_second_gen_line(5, Fraction(1)),),
         golden_ext=1,
     ),
     ReplayCase(
@@ -432,7 +422,7 @@ THEO3 = (
         problem=_p3(5, _QW_PLUS, _QW_PLUS - 6),
         witnesses=(
             _septic_point_f(_QW_PLUS - 6),
-            _second_gen_line(5, _QW_PLUS - 6, 1),
+            _second_gen_line(5, _QW_PLUS - 6),
         ),
         golden_ext=2,
         note="quadratic-irrational weights; all arithmetic in Q(sqrt(19))",
@@ -442,7 +432,7 @@ THEO3 = (
         problem=_p3(5, _QW_MINUS, _QW_MINUS - 6),
         witnesses=(
             _septic_point_f(_QW_MINUS - 6),
-            _second_gen_line(5, _QW_MINUS - 6, 1),
+            _second_gen_line(5, _QW_MINUS - 6),
         ),
         golden_ext=2,
     ),
@@ -474,7 +464,7 @@ THEO3 = (
     ReplayCase(
         id="theo3-b6-ii",
         problem=_p3(6, 8, 1),
-        witnesses=(_second_gen_line(6, Fraction(1), 1),),
+        witnesses=(_second_gen_line(6, Fraction(1)),),
         golden_ext=1,
     ),
     ReplayCase(
@@ -518,7 +508,7 @@ THEO3 = (
     ReplayCase(
         id="theo3-generic-m1",
         problem=_p3(Fraction(9, 7), Fraction(23, 7), 1),
-        witnesses=(_second_gen_line(Fraction(9, 7), Fraction(1), 1),),
+        witnesses=(_second_gen_line(Fraction(9, 7), Fraction(1)),),
         golden_ext=1,
     ),
     ReplayCase(

@@ -578,6 +578,17 @@ def test_verify_division_by_zero_in_a_witness_is_a_usage_error(capsys, tmp_path)
     assert err.startswith("error:") and "basis[0].f" in err
 
 
+@pytest.mark.parametrize("delta", ["1/0+sqrt(2)", "1+2/0*sqrt(2)"])
+def test_verify_zero_denominator_in_a_quadratic_weight_is_a_usage_error(capsys, tmp_path, delta):
+    target, doc = _solve_doc(tmp_path, SOLVE_T3)
+    capsys.readouterr()
+    doc["problem"]["delta"] = delta
+    target.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, ["verify", "--input", str(target)])
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "problem.delta" in err
+
+
 def test_verify_deeply_nested_witness_is_a_usage_error(capsys, tmp_path):
     """Nesting past the parser's bound is reported against its field, with
     exit 2, rather than as a RecursionError."""

@@ -116,6 +116,32 @@ def test_zero_witness_always_passes():
     assert verify_witness(p, _w()).passed
 
 
+@pytest.mark.parametrize(
+    ("p", "w", "calls"),
+    [
+        (ExtProblem(shape=1, b=1, alpha=0, gamma=0, delta=1), _w(f="l^2"), 32),
+        (ExtProblem(shape=2, b=3, alpha=1, gamma=-1, delta=1), _w(f="1", h="1"), 32),
+        (ExtProblem(shape=3, b=3, alpha=0, abar=0, delta=1, dbar=-4), _w(g="d + l"), 32),
+        (ExtProblem(shape=3, b=None, sector="f", alpha=0, abar=0, delta=1, dbar=-4), _w(f="l"), 12),
+    ],
+)
+def test_verify_witness_applies_each_action_once(monkeypatch, p, w, calls):
+    """Per generator element, each generator's first action at each slot is
+    computed once and reused: with L and H that is 6 first and 10 second
+    actions, 16 per element, and with L alone 3 and 3."""
+    count = 0
+    apply_gen = oracle._Model.apply_gen
+
+    def counted(self, *args):
+        nonlocal count
+        count += 1
+        return apply_gen(self, *args)
+
+    monkeypatch.setattr(oracle._Model, "apply_gen", counted)
+    verify_witness(p, w)
+    assert count == calls
+
+
 def test_brute_dims_match_engine_on_sample():
     cases = [
         ExtProblem(shape=1, b=1, alpha=0, gamma=0, delta=1),

@@ -37,6 +37,13 @@ def test_parse_scalar_rejects_floats_and_noise():
         assert err.value.field == "problem.delta"
 
 
+@pytest.mark.parametrize("bad", ["1/0+sqrt(2)", "1+2/0*sqrt(2)"])
+def test_parse_scalar_zero_denominator_in_a_quadratic_names_the_field(bad):
+    with pytest.raises(RecordError) as err:
+        parse_scalar(bad, "problem.delta")
+    assert err.value.field == "problem.delta"
+
+
 def test_poly_round_trip_with_quadratic_coefficients():
     text = "(2-sqrt(19))*d^3*l^4 + 1/2*l"
     assert str(parse_poly(text, "f")) == text
