@@ -12,7 +12,9 @@ sector, at the largest caps met so far (:func:`_transcription`), and the
 template of each (shape, caps, sector) is restricted from that build
 (:func:`_restrict`): the equations are linear in the unknowns, the caps only
 bound them, and each identity reads a single part (f with h, or g alone),
-so smaller caps or one sector only delete columns.  A stabilised solve
+so smaller caps or one sector only delete columns.  Every template reads
+the weights in one order, b first, and an f-sector problem, whose equations
+never involve b, reads it as 0 (:func:`template_point`).  A stabilised solve
 transcribes at caps+2 first, so it and its re-run restrict one build.  Each
 template, with its change-of-basis images (the g sector has none), sits in
 one entry of a 32-entry LRU cache; both caches fill on first use, never at
@@ -64,7 +66,6 @@ from . import oracle
 from .equations import (
     LinearSystem,
     _powers,
-    _shared,
     assemble_linear_system,
     build_equations,
     key_rank,
@@ -175,28 +176,6 @@ def image_rows(shape: int, env: dict, caps: Caps, sector: str, keys) -> tuple[tu
     return tuple(rows), over
 
 
-def _cob_vectors_in_caps(p: ExtProblem) -> list[tuple]:
-    """Coboundary vectors that fit entirely inside the unknown basis.
-
-    Columns are ordered overflow-first, so after row reduction a row whose
-    pivot sits past the overflow block has no out-of-cap coefficients at
-    all: exactly the part of the coboundary space visible to the truncated
-    system.  Its columns, shifted by the overflow width, index the unknown
-    keys.  The template's overflow block holds every out-of-cap key that an
-    image reaches at some point, a superset of those it reaches at ``p``;
-    the others are zero columns here, which change no RREF row.  The g
-    sector has no images (see :func:`image_rows`), so no rows and none in
-    the caps.
-    """
-    _keys, _equations, images, over = _template(p.shape, p.caps, p.sector)
-    rows = images.concrete_rows(template_point(p))
-    if not rows:
-        return []
-    reduced, pivots = rref(rows)
-    kept = [row for row, piv in zip(reduced, pivots) if piv >= over]
-    return [tuple([(c - over, v) for c, v in row]) for row in kept]
-
-
 # shape -> (caps, keys, equations): the largest full-sector transcription
 # built so far, filled on first use, never at import.
 _transcriptions: dict[int, tuple] = {}
@@ -207,7 +186,9 @@ def _transcription(shape: int, caps: Caps) -> tuple:
     f and g caps, and for shape 2 (the only one with h unknowns) h cap, cover
     ``caps``: the one this module holds for ``shape``, or, where that falls
     short, a new build at the larger of the two caps in each part, which
-    replaces it.  The only place the engine transcribes."""
+    replaces it.  The only place the engine transcribes.  A row that reads f
+    or h and involves b raises ``ArithmeticError``: an f-sector problem
+    reads b as 0 (:func:`template_point`)."""
     held = _transcriptions.get(shape)
     if held is not None:
         have = held[0]
@@ -216,21 +197,23 @@ def _transcription(shape: int, caps: Caps) -> tuple:
         caps = Caps(*(max(getattr(caps, n), getattr(have, n)) for n in ("f", "g", "h", "phi")))
     keys = tuple(unknown_basis(shape, caps, "full"))
     system = assemble_linear_system(build_equations(shape, caps, "full"), keys)
+    for row in system.rows:
+        if any(keys[j][0] != "g" for j, _vec in row) and any(vec[1] for _j, vec in row):
+            raise ArithmeticError("an f/h entry of the transcription involves b")
     held = caps, keys, LinearSystem(rows=_distinct(system.rows))
     _transcriptions[shape] = held
     return held
 
 
-def _restrict(transcription: tuple, keys: tuple, sector: str) -> LinearSystem:
+def _restrict(transcription: tuple, keys: tuple) -> LinearSystem:
     """The template over ``keys`` cut from a full-sector ``transcription``.
 
     The equations are linear in the unknowns, the caps only bound them, and
     each identity reads one part (f with h, or g alone), so a smaller caps or
     a single sector only deletes columns: keep those of ``keys``, re-indexed,
     and drop the rows that empties.  Both key lists are in :func:`key_rank`
-    order, so the entries and the rows stay in the direct build's order.  The
-    f sector's values leave out the b component, which must be 0 there: a
-    non-zero one raises ``ArithmeticError``.  The cut can make rows
+    order, so the entries and the rows stay in the direct build's order, and
+    the values are the transcription's own tuples.  The cut can make rows
     proportional, so each row is kept once up to a constant factor
     (:func:`_distinct`).  Equal keys give the transcription's own system.
     """
@@ -244,10 +227,6 @@ def _restrict(transcription: tuple, keys: tuple, sector: str) -> LinearSystem:
         for full_row in system.rows
         if (row := tuple([(cols[j], vec) for j, vec in full_row if cols[j] is not None]))
     ]
-    if sector == "f":
-        if any(vec[1] for row in rows for _j, vec in row):
-            raise ArithmeticError("an f-sector entry of the transcription involves b")
-        rows = [tuple([(j, _shared(vec[:1] + vec[2:])) for j, vec in row]) for row in rows]
     return LinearSystem(rows=_distinct(rows))
 
 
@@ -269,20 +248,25 @@ def _distinct(rows) -> tuple:
 
 # A replay of every table meets 14 (shape, caps, sector) keys and the
 # seeded solve_sweep 18, all cut from 3 transcriptions; its 18 entries hold
-# 0.80 MB of shared tuples: 0.06 MB of keys, 0.66 MB of equations (2,602
-# rows, of a direct build's 4,908) and 0.08 MB more of images, none of them
-# in the 6 g-sector entries.  The transcriptions add 0.02 MB, their key
-# lists: each one's system is a caps+2 full-sector entry's own.
+# 0.79 MB of shared tuples: 0.06 MB of keys, 0.65 MB of equations (2,602
+# rows, of a direct build's 4,908, every value one of the transcription's)
+# and 0.08 MB more of images, none of them in the 6 g-sector entries.  The
+# transcriptions add 0.02 MB, their key lists: each one's system is a caps+2
+# full-sector entry's own.
 @lru_cache(maxsize=32)
 def _template(shape: int, caps: Caps, sector: str) -> tuple:
     """``(keys, equations, images, overflow width)`` of every problem with
     this key: the unknown keys, and the equations and the basis-change
     images as integer affine templates.  The equations are restricted from
     the shape's transcription (:func:`_restrict`), each row once up to a
-    factor; the images are laid out overflow-first by :func:`image_rows`."""
+    factor; the images are laid out overflow-first by :func:`image_rows`,
+    and one that involves b raises ``ArithmeticError``, as f-sector
+    problems read b as 0."""
     keys = tuple(unknown_basis(shape, caps, sector))
-    equations = _restrict(_transcription(shape, caps), keys, sector)
-    images, over = image_rows(shape, template_env(shape, sector), caps, sector, keys)
+    equations = _restrict(_transcription(shape, caps), keys)
+    images, over = image_rows(shape, template_env(shape), caps, sector, keys)
+    if any(vec[1] for row in images for _j, vec in row):
+        raise ArithmeticError("a basis-change image involves b")
     return keys, equations, LinearSystem(rows=images), over
 
 
@@ -294,10 +278,17 @@ def solve_core(p: ExtProblem) -> ExtSolution:
     disagrees with the dimension arithmetic) -- both would mean the
     equations and the basis-change images were transcribed inconsistently.
     """
-    keys, equations, _images, _over = _template(p.shape, p.caps, p.sector)
-    rows = equations.concrete_rows(template_point(p))
+    keys, equations, images, over = _template(p.shape, p.caps, p.sector)
+    point = template_point(p)
+    rows = equations.concrete_rows(point)
     cocycles = nullspace(rows, len(keys))
-    cob = _cob_vectors_in_caps(p)
+    # the capped coboundaries: images laid out overflow-first, so a reduced
+    # row whose pivot is past the overflow block has no out-of-cap term, and
+    # its columns, shifted by that width, index the keys.  The template's
+    # overflow block may hold keys no image reaches at this point; those are
+    # zero columns here, which change no RREF row.
+    reduced, pivots = rref(images.concrete_rows(point))
+    cob = [tuple([(c - over, v) for c, v in row]) for row, piv in zip(reduced, pivots) if piv >= over]
     # every capped coboundary against every row, which span the direct
     # build's at the point, independently of the nullspace just computed; a
     # row that shares no column with the vector sums to zero, so only the

@@ -188,15 +188,12 @@ def _shared(vec: tuple) -> tuple:
     return vec
 
 
-def _weights(shape: int, sector: str) -> tuple:
-    """The weights a (shape, sector) system depends on, in template order."""
-    names = SHAPE_WEIGHTS[shape]
-    return names if sector == "f" else ("b",) + names
-
-
 def template_point(p: ExtProblem) -> tuple:
-    """``p``'s weights in the order of a template value's components."""
-    return tuple(scalar(getattr(p, name), name) for name in _weights(p.shape, p.sector))
+    """``p``'s weights in the order of a template value's components, ``(b,
+    *SHAPE_WEIGHTS[shape])``, with b = 0 where the problem has none (an
+    f-sector problem, whose equations never read b)."""
+    b = Fraction(0) if p.b is None else scalar(p.b, "b")
+    return (b, *(scalar(getattr(p, name), name) for name in SHAPE_WEIGHTS[p.shape]))
 
 
 def affine_symbols(names) -> dict:
@@ -206,17 +203,17 @@ def affine_symbols(names) -> dict:
     return {name: _Affine.symbol(i, len(names)) for i, name in enumerate(names)}
 
 
-def template_env(shape: int, sector: str) -> dict:
-    """Every weight of a (shape, sector) system as an affine symbol, in the
-    order of :func:`template_point`."""
-    return affine_symbols(_weights(shape, sector))
+def template_env(shape: int) -> dict:
+    """Every weight of a shape's systems, b first, as an affine symbol, in
+    the order of :func:`template_point`."""
+    return affine_symbols(("b", *SHAPE_WEIGHTS[shape]))
 
 
 def build_equations(shape: int, caps: Caps, sector: str) -> list:
     """Identities of one (shape, caps, sector) with every weight an affine
     symbol; assembled, they are the template of every problem with that key.
     See :func:`build_equations_env`."""
-    return build_equations_env(shape, template_env(shape, sector), caps, sector)
+    return build_equations_env(shape, template_env(shape), caps, sector)
 
 
 def build_equations_env(shape: int, env: dict, caps: Caps, sector: str) -> list:

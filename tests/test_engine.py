@@ -49,6 +49,17 @@ def _coboundary_span(p: ExtProblem) -> list[CocycleWitness]:
     return coboundary_span_env(p.shape, p.env(), p.caps.phi)
 
 
+def _capped_coboundaries(p: ExtProblem) -> list[tuple]:
+    """The reference capped coboundaries of ``p``, with no template: the
+    images built at ``p``, laid out overflow-first and reduced, and of the
+    reduced rows those whose pivot is past the overflow block, shifted onto
+    the unknown keys."""
+    keys = unknown_basis(p.shape, p.caps, p.sector)
+    rows, over = coeff_rows([witness_coeff_map(w) for w in _coboundary_span(p)], keys)
+    reduced, pivots = rref(_constant_rows(rows))
+    return [tuple([(c - over, v) for c, v in row]) for row, piv in zip(reduced, pivots) if piv >= over]
+
+
 def test_shape1_known_dimensions():
     # trivial submodule: two classes at (b, delta) = (1, 1), none off the locus
     assert solve_ext(ExtProblem(shape=1, b=1, alpha=0, gamma=0, delta=1)).ext_dim == 2
@@ -297,24 +308,51 @@ def test_only_shape_2_transcribes_again_for_a_larger_h_cap():
 
 
 def test_an_f_sector_entry_with_a_b_component_is_refused(monkeypatch):
+    """Every template reads b first, and an f-sector problem reads it as 0,
+    so a b term in an identity that reads f is refused when the
+    transcription is built, whichever sector's template asks for it."""
     build = engine.build_equations
 
     def with_b(shape, caps, sector):
         identities = build(shape, caps, sector)
         cols = identities[0].cols  # "LL", which reads f alone
         key = next(iter(cols))
-        cols[key] = cols[key] + template_env(shape, sector)["b"] * MultiPoly.parse("l")
+        cols[key] = cols[key] + template_env(shape)["b"] * MultiPoly.parse("l")
         return identities
 
     monkeypatch.setattr(engine, "build_equations", with_b)
-    engine._transcriptions.clear()
-    engine._template.cache_clear()
     try:
-        engine._template(3, Caps(2, 2, 2, 2), "full")  # b is a weight there
-        with pytest.raises(ArithmeticError, match="f-sector entry .* involves b"):
-            engine._template(3, Caps(2, 2, 2, 2), "f")
+        for sector in ("full", "f", "g"):
+            engine._transcriptions.clear()
+            engine._template.cache_clear()
+            with pytest.raises(ArithmeticError, match="f/h entry of the transcription involves b"):
+                engine._template(3, Caps(2, 2, 2, 2), sector)
+            assert not engine._transcriptions
     finally:
         engine._transcriptions.clear()
+        engine._template.cache_clear()
+
+
+def test_a_basis_change_image_with_a_b_component_is_refused(monkeypatch):
+    """A b term in a basis-change image is refused by every template that
+    lays the images out, the full sector's as well as the f sector's; the g
+    sector lays out none."""
+    span = engine.coboundary_span_env
+
+    def with_b(shape, env, phi_cap):
+        first, *rest = span(shape, env, phi_cap)
+        return [replace(first, f=first.f + env["b"] * MultiPoly.parse("d")), *rest]
+
+    monkeypatch.setattr(engine, "coboundary_span_env", with_b)
+    engine._template.cache_clear()
+    try:
+        for shape in (1, 2, 3):
+            for sector in ("full", "f"):
+                with pytest.raises(ArithmeticError, match="basis-change image involves b"):
+                    engine._template(shape, Caps(2, 2, 2, 2), sector)
+            _keys, _equations, images, over = engine._template(shape, Caps(2, 2, 2, 2), "g")
+            assert (images.rows, over) == ((), 0)
+    finally:
         engine._template.cache_clear()
 
 
@@ -609,11 +647,11 @@ def test_the_alpha_zero_point_has_the_same_dimensions(p):
 def test_solve_core_equals_a_solve_of_every_direct_row(p):
     """Dimensions and basis equal a reference solve of every row of the
     direct build at ``p``, proportional repeats included: its kernel,
-    reduced modulo the capped coboundaries."""
+    reduced modulo the capped coboundaries of the images built at ``p``."""
     keys = unknown_basis(p.shape, p.caps, p.sector)
     system = assemble_linear_system(build_equations_env(p.shape, p.env(), p.caps, p.sector), keys)
     cocycles = nullspace(_constant_rows(system.rows), len(keys))
-    cob = engine._cob_vectors_in_caps(p)
+    cob = _capped_coboundaries(p)
     rs = RowSpace()
     for vec in cob:
         rs.add(vec)
@@ -745,7 +783,7 @@ def test_image_template_at_a_point_equals_the_images_built_there(case):
         # in the overflow block: the template lays out none of them
         assert (template.rows, over) == ((), 0)
         assert all(c < direct_over for row in rows for c, _v in row)
-        assert q is None or engine._cob_vectors_in_caps(q) == []
+        assert q is None or solve_core(q).coboundary_dim == 0 == len(_capped_coboundaries(q))
         return
     # the template's overflow block also holds keys that no image reaches at
     # this point; those columns are zero here, and dropping them must give
@@ -762,13 +800,8 @@ def test_image_template_at_a_point_equals_the_images_built_there(case):
     ] == _constant_rows(rows)
     if q is None:
         return
-    # the capped coboundaries equal the route through images built at p
-    expected = []
-    if images:
-        reduced, pivots = rref(_constant_rows(rows))
-        expected = [tuple([(c - direct_over, v) for c, v in row])
-                    for row, piv in zip(reduced, pivots) if piv >= direct_over]
-    assert engine._cob_vectors_in_caps(q) == expected
+    # the solve counts the capped coboundaries of the images built at p
+    assert solve_core(q).coboundary_dim == len(_capped_coboundaries(q))
 
 
 def test_no_g_sector_template_holds_an_image():

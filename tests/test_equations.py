@@ -21,7 +21,7 @@ from wbext.equations import (
 )
 from wbext.linalg import _Root, nullspace, rank
 from wbext.poly import D, L, U, MultiPoly
-from wbext.problems import Caps, ExtProblem
+from wbext.problems import SHAPE_WEIGHTS, Caps, ExtProblem
 from wbext.qext import QuadExt, quad
 
 
@@ -225,8 +225,8 @@ def test_concrete_rows_refuses_weights_in_two_quadratic_fields():
 def test_template_values_are_integer_tuples_over_the_weights():
     caps = Caps(3, 2, 3, 3)
     for shape in (1, 2, 3):
-        weights = 3 if shape in (1, 2) else 4  # without b
-        for sector, width in (("full", 2 + weights), ("g", 2 + weights), ("f", 1 + weights)):
+        width = 2 + len(SHAPE_WEIGHTS[shape])  # c0, then b and the shape's weights
+        for sector in ("full", "f", "g"):
             values = [v for row in _template(shape, caps, sector).rows for _c, v in row]
             assert values and all(len(v) == width for v in values)
             assert all(type(c) is int for v in values for c in v)

@@ -321,7 +321,7 @@ def test_brute_dims_leaves_nothing_for_the_next_call(p2, step):
 
 
 # ---------------------------------------------------------------------------
-# the residuals against the oracle's action composed with no memo at all
+# the residuals against the oracle's action composed literally from scratch
 # ---------------------------------------------------------------------------
 
 
@@ -465,10 +465,10 @@ def test_tagged_witness_matrix_equals_the_literal_unit_witness_columns(p):
 
 @settings(max_examples=25, deadline=None)
 @given(_problems(), st.randoms(use_true_random=False))
-def test_shared_memo_gives_each_unit_witness_its_own_column(p, rnd):
-    """The tagged witness runs every unit witness through one model and its
-    memos; in any column order, each column is the one that unit witness's
-    own model, with memos of its own, gives."""
+def test_one_tagged_model_gives_each_unit_witness_its_own_column(p, rnd):
+    """The tagged witness runs every unit witness through one model; in any
+    column order, each column is the one that unit witness's own model
+    gives."""
     env = p.env()
     unknowns = oracle._unknowns(p)
     rnd.shuffle(unknowns)
@@ -481,7 +481,7 @@ def test_shared_memo_gives_each_unit_witness_its_own_column(p, rnd):
 
 @settings(max_examples=20, deadline=None)
 @given(_problems(), st.randoms(use_true_random=False))
-def test_unit_witness_residuals_in_one_memo_equal_the_literal_composition(p, rnd):
+def test_unit_witness_residuals_in_one_tagged_model_equal_the_literal_composition(p, rnd):
     """One model on the tagged witness sum_c t^(c+1) * unit_c: the t^(c+1)
     part of its residuals plus the untagged t^0 part is, label for label
     and in label order, unit_c's residuals composed from scratch."""

@@ -536,18 +536,14 @@ def _line_template_env(names=("b", "delta", "dbar")):
     return env
 
 
-def _without_shifts(rows, sector):
+def _without_shifts(rows):
     """Rows of a shape-3 direct build over the solver's weights (see
     :func:`build_equations`) as line template values
-    ``(c0, c_b, c_delta, c_dbar)``: the alpha and abar components deleted, a
-    zero ``c_b`` put in the f sector, which has no b, and the entries and
-    then the rows that vanish with them dropped."""
+    ``(c0, c_b, c_delta, c_dbar)``: the alpha and abar components deleted,
+    and the entries and then the rows that vanish with them dropped."""
     out = []
     for row in rows:
-        if sector == "f":
-            kept = [(j, (vec[0], 0, *vec[3:])) for j, vec in row]
-        else:
-            kept = [(j, (*vec[:2], *vec[4:])) for j, vec in row]
+        kept = [(j, (*vec[:2], *vec[4:])) for j, vec in row]
         kept = tuple((j, vec) for j, vec in kept if any(vec))
         if kept:
             out.append(kept)
@@ -615,9 +611,7 @@ def test_line_template_equals_the_direct_build_on_the_line(b, diff, sector, prom
     env = sp.env_t()
     direct = assemble_linear_system(build_equations_env(3, env, _SMALL_CAPS, sector), keys)
     assert keys == unknown_basis(3, _SMALL_CAPS, sector)
-    every = _without_shifts(
-        assemble_linear_system(build_equations(3, _SMALL_CAPS, sector), keys).rows, sector
-    )
+    every = _without_shifts(assemble_linear_system(build_equations(3, _SMALL_CAPS, sector), keys).rows)
     # the solver's rows on the line are the line's own build, repeats included
     on_line = _int_rows(_on_line(every, env))
     assert [row for row in on_line if row] == _int_rows(direct.rows)
