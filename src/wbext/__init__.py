@@ -10,6 +10,7 @@ and over the Virasoro algebra.  The main entry points:
 * :func:`classify` / :func:`special_values` — weight-line scans.
 * :func:`run_table` — replay the published classification tables.
 * :func:`parse_record` / :class:`OutputRecord` — result documents.
+* :func:`clear_caches` — empty every module-level cache.
 """
 
 from .algebra import (
@@ -35,6 +36,7 @@ from .scanner import (
     scan_delta,
     special_values,
 )
+from . import engine, equations, qext, scanner
 
 __version__ = "0.1.0"
 
@@ -54,6 +56,7 @@ __all__ = [
     "check_algebra_axioms",
     "check_module_axioms",
     "classify",
+    "clear_caches",
     "free_module",
     "g_family_witness",
     "make_virasoro",
@@ -71,6 +74,25 @@ __all__ = [
     "verify_witness",
     "__version__",
 ]
+
+
+def clear_caches() -> None:
+    """Empty every module-level cache of the package, the one place that
+    names them all: to time a cold call, or to free their memory.  No cache
+    changes an answer."""
+    engine._transcriptions.clear()
+    for cache in (
+        engine._template,
+        engine.solve_ext,
+        scanner._line_template,
+        scanner._f_part,
+        scanner._line_data,
+        scanner._virasoro_layer,
+        equations._powers,
+        equations._shared,
+        qext.split_square,
+    ):
+        cache.cache_clear()
 
 
 def __getattr__(name):

@@ -11,10 +11,11 @@ The system is an integer affine template in the weights (see
 sector, at the largest caps met so far (:func:`_transcription`), and the
 template of each (shape, caps, sector) is restricted from that build
 (:func:`_restrict`): the equations are linear in the unknowns, the caps only
-bound them, and each identity reads a single part (f with h, or g alone),
-so smaller caps or one sector only delete columns.  Every template reads
-the weights in one order, b first, and an f-sector problem, whose equations
-never involve b, reads it as 0 (:func:`template_point`).  A stabilised solve
+bound them, and each identity reads a single part (f with h, or g alone;
+checked at each build), so smaller caps or one sector only delete columns.
+Every template reads the weights in one order, b first, and an f-sector
+problem, whose equations never involve b, reads it as 0
+(:func:`template_point`).  A stabilised solve
 transcribes at caps+2 first, so it and its re-run restrict one build.  Each
 template, with its change-of-basis images (the g sector has none), sits in
 one entry of a 32-entry LRU cache; both caches fill on first use, never at
@@ -97,8 +98,6 @@ def witness_coeff_map(w: CocycleWitness) -> dict:
     """
     coeffs = {}
     for name, poly in w.parts().items():
-        if poly is None:
-            continue
         for exps, c in poly.coeffs_by(("d", "l")):
             coeffs[(name, exps[0], exps[1])] = c
     return coeffs
@@ -186,9 +185,10 @@ def _transcription(shape: int, caps: Caps) -> tuple:
     f and g caps, and for shape 2 (the only one with h unknowns) h cap, cover
     ``caps``: the one this module holds for ``shape``, or, where that falls
     short, a new build at the larger of the two caps in each part, which
-    replaces it.  The only place the engine transcribes.  A row that reads f
-    or h and involves b raises ``ArithmeticError``: an f-sector problem
-    reads b as 0 (:func:`template_point`)."""
+    replaces it.  The only place the engine transcribes.  A row that reads g
+    and also f or h, which :func:`_restrict` could not cut by deleting
+    columns, or that reads f or h and involves b, as an f-sector problem
+    reads b as 0 (:func:`template_point`), raises ``ArithmeticError``."""
     held = _transcriptions.get(shape)
     if held is not None:
         have = held[0]
@@ -198,7 +198,10 @@ def _transcription(shape: int, caps: Caps) -> tuple:
     keys = tuple(unknown_basis(shape, caps, "full"))
     system = assemble_linear_system(build_equations(shape, caps, "full"), keys)
     for row in system.rows:
-        if any(keys[j][0] != "g" for j, _vec in row) and any(vec[1] for _j, vec in row):
+        reads_g = {keys[j][0] == "g" for j, _vec in row}
+        if len(reads_g) > 1:
+            raise ArithmeticError("a transcription row reads g and also f or h")
+        if False in reads_g and any(vec[1] for _j, vec in row):
             raise ArithmeticError("an f/h entry of the transcription involves b")
     held = caps, keys, LinearSystem(rows=_distinct(system.rows))
     _transcriptions[shape] = held
@@ -351,9 +354,10 @@ def _at_alpha_zero(p: ExtProblem) -> ExtProblem:
     return replace(p, alpha=Fraction(0), gamma=p.gamma + p.alpha)
 
 
-# A full ``replay --table all`` makes 70 full solves, which this cache holds
-# with room for a scan's specialised solves.  Older entries are evicted, so
-# a long sweep stays bounded in memory.
+# No workload re-reads a solution: replay, classify and solve_sweep make
+# 70, 69 and 200 calls at seed 101 with no hit, and classify and solve_sweep
+# none at seeds 404 and 505.  Its one re-reader is the test suite.  Older
+# entries are evicted, so a long sweep stays bounded in memory.
 @lru_cache(maxsize=128)
 def solve_ext(p: ExtProblem, stabilize: bool = True) -> ExtSolution:
     """Full solve with cap-stability re-run and independent verification.

@@ -19,16 +19,11 @@ rows of a direct build, in the same order, each value a tuple of ints
 ``(c0, c_1, ..., c_k)`` standing for ``c0 + sum c_i w_i`` over the weights
 ``w_i`` of :func:`template_point`.  :meth:`LinearSystem.concrete_rows`
 evaluates a template at a problem's weights, to numerators in Z, or in
-Z[sqrt D] at a Q(sqrt D) point.  :mod:`wbext.engine` builds one template per
-shape, in the full sector at the largest caps it has met, and cuts the
-template of each (shape, caps, sector) from it by deleting columns and the
-rows that repeat an earlier one up to a factor; it caches each, with its
-basis-change images laid out from the same symbols (:func:`template_env`)
-as a second template, in one entry of a 32-entry LRU filled on first use.
-:mod:`wbext.scanner` builds its scan lines' templates the same way, over
-``b``, ``delta`` and ``dbar`` with zero shifts and each row kept once up
-to a factor, and evaluates them at a point of a line by
-:meth:`LinearSystem.concrete_rows`.
+Z[sqrt D] at a Q(sqrt D) point.  The solver's templates, with their
+basis-change images over the same symbols (:func:`template_env`), and the
+scanner's scan-line templates, over ``b``, ``delta`` and ``dbar``, are
+built and cached by :mod:`wbext.engine` and :mod:`wbext.scanner`; each
+module's docstring says how.
 
 The template is exact, not interpolated: the symbol type supports only
 ``+``, ``-`` and ``*`` by a parameter-free polynomial and raises on a product

@@ -423,10 +423,7 @@ def independent_mod_coboundaries(p: ExtProblem, basis) -> bool:
     ``len(basis)``.
     """
     cob_maps = _split_basis_change_maps(p, p.env())
-    maps = cob_maps + [
-        _poly_map({name: poly for name, poly in w.parts().items() if poly is not None})
-        for w in basis
-    ]
+    maps = cob_maps + [_poly_map(w.parts()) for w in basis]
     return _rank(maps) == _rank(cob_maps) + len(basis)
 
 

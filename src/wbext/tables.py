@@ -3,9 +3,9 @@
 Each :class:`ReplayCase` pairs a concrete extension problem with the
 witness polynomials listed in the published classification (embedded in
 the shifted form, i.e. at shift parameter zero) and the expected quotient
-dimension.  Witnesses carry provenance ``"listed"``; dimensions carry
-``"golden"`` — they were generated once by the independent brute-force
-checker, because the listing gives polynomials but not dimension counts.
+dimension.  The dimensions are golden data: they were generated once by
+the independent brute-force checker, because the listing gives polynomials
+but not dimension counts.
 
 ``run_table`` solves each problem, checks dimensions against the goldens,
 verifies every listed witness by substitution (once: a witness in the
@@ -60,8 +60,6 @@ class ReplayCase:
     problem: ExtProblem
     witnesses: tuple
     golden_ext: int
-    witness_provenance: str = "listed"
-    dim_provenance: str = "golden"
     note: str = ""
     discrepancy: Discrepancy | None = None
 
@@ -74,14 +72,11 @@ def _w(f: str = "0", g: str = "0", h: str | None = None) -> CocycleWitness:
     )
 
 
-def _mono(exps, c) -> MultiPoly:
-    return MultiPoly.monomial(exps, c)
-
-
 def _second_gen_line(b, dbar) -> CocycleWitness:
     """The listed degree-1 second-generator family ``d - (dbar/b)*l`` at a
     concrete sub-module weight."""
-    g = _mono((1, 0, 0, 0), Fraction(1)) + _mono((0, 1, 0, 0), -dbar / Fraction(b))
+    g = MultiPoly.monomial((1, 0, 0, 0), Fraction(1))
+    g += MultiPoly.monomial((0, 1, 0, 0), -dbar / Fraction(b))
     return CocycleWitness(f=MultiPoly.zero(), g=g)
 
 
@@ -89,10 +84,10 @@ def _quintic_line_f(dbar) -> CocycleWitness:
     """The listed degree-5 first-generator family on the difference-4 line;
     the top coefficient is the sub-module weight."""
     f = (
-        _mono((3, 2, 0, 0), Fraction(4))
-        + _mono((2, 3, 0, 0), Fraction(6))
-        + _mono((1, 4, 0, 0), Fraction(-1))
-        + _mono((0, 5, 0, 0), dbar)
+        MultiPoly.monomial((3, 2, 0, 0), Fraction(4))
+        + MultiPoly.monomial((2, 3, 0, 0), Fraction(6))
+        + MultiPoly.monomial((1, 4, 0, 0), Fraction(-1))
+        + MultiPoly.monomial((0, 5, 0, 0), dbar)
     )
     return CocycleWitness(f=f, g=MultiPoly.zero())
 
@@ -101,11 +96,11 @@ def _septic_point_f(dbar) -> CocycleWitness:
     """The listed degree-7 first-generator witness at the quadratic-weight
     points of the difference-6 line (coefficients in Q(sqrt(19)))."""
     f = (
-        _mono((4, 3, 0, 0), Fraction(1))
-        + _mono((3, 4, 0, 0), -(2 * dbar + 3))
-        + _mono((2, 5, 0, 0), -3 * dbar)
-        + _mono((1, 6, 0, 0), -(3 * dbar + 1))
-        + _mono((0, 7, 0, 0), -(dbar + Fraction(9, 28)))
+        MultiPoly.monomial((4, 3, 0, 0), Fraction(1))
+        + MultiPoly.monomial((3, 4, 0, 0), -(2 * dbar + 3))
+        + MultiPoly.monomial((2, 5, 0, 0), -3 * dbar)
+        + MultiPoly.monomial((1, 6, 0, 0), -(3 * dbar + 1))
+        + MultiPoly.monomial((0, 7, 0, 0), -(dbar + Fraction(9, 28)))
     )
     return CocycleWitness(f=f, g=MultiPoly.zero())
 

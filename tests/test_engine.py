@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wbext import engine, oracle, scanner
+from wbext import clear_caches, engine, oracle, scanner
 from wbext.engine import (
     coboundary_span_env,
     coeff_rows,
@@ -224,8 +224,7 @@ def _kept(rows) -> list:
 def test_a_template_restricted_from_the_transcription_equals_the_direct_build(case):
     """Row for row and in order, the direct build less its proportional repeats."""
     shape, sector, caps, larger = case
-    engine._transcriptions.clear()
-    engine._template.cache_clear()
+    clear_caches()
     try:
         if larger is not None:
             engine._transcription(shape, larger)
@@ -237,8 +236,7 @@ def test_a_template_restricted_from_the_transcription_equals_the_direct_build(ca
         # equal keys share the transcription's own rows
         assert (equations is transcription) == (keys == full_keys)
     finally:
-        engine._transcriptions.clear()
-        engine._template.cache_clear()
+        clear_caches()
 
 
 def _ratio(row, other):
@@ -257,8 +255,7 @@ def test_a_template_keeps_each_direct_row_once_up_to_a_constant_factor(case):
     left out is a non-zero multiple of an earlier kept one, and no two kept
     rows are multiples of each other."""
     shape, sector, caps, larger = case
-    engine._transcriptions.clear()
-    engine._template.cache_clear()
+    clear_caches()
     try:
         if larger is not None:
             engine._transcription(shape, larger)
@@ -277,8 +274,7 @@ def test_a_template_keeps_each_direct_row_once_up_to_a_constant_factor(case):
                 assert any(_ratio(k, row) for k in earlier[columns])
         assert want is None
     finally:
-        engine._transcriptions.clear()
-        engine._template.cache_clear()
+        clear_caches()
 
 
 def test_a_zero_row_is_dropped_and_ends_no_iteration():
@@ -292,22 +288,17 @@ def test_a_zero_row_is_dropped_and_ends_no_iteration():
         assert tuple(map(engine._distinct, [(row,), (zero,), (row,)])) == ((row,), (), (row,))
 
 
-def test_only_shape_2_transcribes_again_for_a_larger_h_cap():
-    engine._transcriptions.clear()
-    try:
-        for shape in (1, 2, 3):
-            held = engine._transcription(shape, Caps(2, 2, 2, 2))
-            again = engine._transcription(shape, Caps(2, 1, 5, 9))
-            assert (again is held) == (shape != 2)
-            # a larger f cap transcribes again, at the larger cap of each part
-            h, phi = (5, 9) if shape == 2 else (2, 2)
-            assert engine._transcription(shape, Caps(3, 1, 1, 1))[0] == Caps(3, 2, h, phi)
-    finally:
-        engine._transcriptions.clear()
-        engine._template.cache_clear()
+def test_only_shape_2_transcribes_again_for_a_larger_h_cap(fresh_caches):
+    for shape in (1, 2, 3):
+        held = engine._transcription(shape, Caps(2, 2, 2, 2))
+        again = engine._transcription(shape, Caps(2, 1, 5, 9))
+        assert (again is held) == (shape != 2)
+        # a larger f cap transcribes again, at the larger cap of each part
+        h, phi = (5, 9) if shape == 2 else (2, 2)
+        assert engine._transcription(shape, Caps(3, 1, 1, 1))[0] == Caps(3, 2, h, phi)
 
 
-def test_an_f_sector_entry_with_a_b_component_is_refused(monkeypatch):
+def test_an_f_sector_entry_with_a_b_component_is_refused(monkeypatch, fresh_caches):
     """Every template reads b first, and an f-sector problem reads it as 0,
     so a b term in an identity that reads f is refused when the
     transcription is built, whichever sector's template asks for it."""
@@ -321,19 +312,35 @@ def test_an_f_sector_entry_with_a_b_component_is_refused(monkeypatch):
         return identities
 
     monkeypatch.setattr(engine, "build_equations", with_b)
-    try:
-        for sector in ("full", "f", "g"):
-            engine._transcriptions.clear()
-            engine._template.cache_clear()
-            with pytest.raises(ArithmeticError, match="f/h entry of the transcription involves b"):
-                engine._template(3, Caps(2, 2, 2, 2), sector)
-            assert not engine._transcriptions
-    finally:
-        engine._transcriptions.clear()
-        engine._template.cache_clear()
+    for sector in ("full", "f", "g"):
+        clear_caches()
+        with pytest.raises(ArithmeticError, match="f/h entry of the transcription involves b"):
+            engine._template(3, Caps(2, 2, 2, 2), sector)
+        assert not engine._transcriptions
 
 
-def test_a_basis_change_image_with_a_b_component_is_refused(monkeypatch):
+def test_a_row_that_reads_g_and_f_is_refused(monkeypatch, fresh_caches):
+    """A template cuts a sector out by deleting columns, which is exact only
+    if every row reads one part, f with h or g alone; a g key in an identity
+    that reads f is refused when the transcription is built, whichever
+    sector's template asks for it."""
+    build = engine.build_equations
+
+    def with_g(shape, caps, sector):
+        identities = build(shape, caps, sector)
+        cols = identities[0].cols  # "LL", which reads f alone
+        cols[("g", 0, 0)] = next(iter(cols.values()))
+        return identities
+
+    monkeypatch.setattr(engine, "build_equations", with_g)
+    for sector in ("full", "f", "g"):
+        clear_caches()
+        with pytest.raises(ArithmeticError, match="row reads g and also f or h"):
+            engine._template(3, Caps(2, 2, 2, 2), sector)
+        assert not engine._transcriptions
+
+
+def test_a_basis_change_image_with_a_b_component_is_refused(monkeypatch, fresh_caches):
     """A b term in a basis-change image is refused by every template that
     lays the images out, the full sector's as well as the f sector's; the g
     sector lays out none."""
@@ -344,16 +351,12 @@ def test_a_basis_change_image_with_a_b_component_is_refused(monkeypatch):
         return [replace(first, f=first.f + env["b"] * MultiPoly.parse("d")), *rest]
 
     monkeypatch.setattr(engine, "coboundary_span_env", with_b)
-    engine._template.cache_clear()
-    try:
-        for shape in (1, 2, 3):
-            for sector in ("full", "f"):
-                with pytest.raises(ArithmeticError, match="basis-change image involves b"):
-                    engine._template(shape, Caps(2, 2, 2, 2), sector)
-            _keys, _equations, images, over = engine._template(shape, Caps(2, 2, 2, 2), "g")
-            assert (images.rows, over) == ((), 0)
-    finally:
-        engine._template.cache_clear()
+    for shape in (1, 2, 3):
+        for sector in ("full", "f"):
+            with pytest.raises(ArithmeticError, match="basis-change image involves b"):
+                engine._template(shape, Caps(2, 2, 2, 2), sector)
+        _keys, _equations, images, over = engine._template(shape, Caps(2, 2, 2, 2), "g")
+        assert (images.rows, over) == ((), 0)
 
 
 @pytest.mark.parametrize(
@@ -364,7 +367,9 @@ def test_a_basis_change_image_with_a_b_component_is_refused(monkeypatch):
          ("g", 0, 1)),
     ],
 )
-def test_a_swapped_identity_that_no_longer_mirrors_its_twin_is_kept(monkeypatch, p, key):
+def test_a_swapped_identity_that_no_longer_mirrors_its_twin_is_kept(
+    monkeypatch, fresh_caches, p, key
+):
     """The implied ``HL`` rows are multiples of ``LH``'s, so the template
     keeps one of each pair.  With one ``HL`` column wrong they are not: the
     template keeps them, and the solve disagrees with the oracle."""
@@ -377,23 +382,16 @@ def test_a_swapped_identity_that_no_longer_mirrors_its_twin_is_kept(monkeypatch,
         cols[key] = cols[key] + MultiPoly.parse("l")
         return identities
 
-    engine._transcriptions.clear()
-    engine._template.cache_clear()
-    try:
-        right = engine._template(p.shape, p.caps, p.sector)[1].rows
-        assert _dims(p) == oracle.brute_dims(p)
-        monkeypatch.setattr(engine, "build_equations", wrong)
-        engine._transcriptions.clear()
-        engine._template.cache_clear()
-        keys, equations, _images, _over = engine._template(p.shape, p.caps, p.sector)
-        swapped = assemble_linear_system(wrong(p.shape, p.caps, p.sector)[-1:], keys).rows
-        changed = [row for row in swapped if not any(_ratio(r, row) for r in right)]
-        assert changed and all(row in equations.rows for row in changed)
-        assert len(equations.rows) == len(right) + len(changed)
-        assert _dims(p) != oracle.brute_dims(p)
-    finally:
-        engine._transcriptions.clear()
-        engine._template.cache_clear()
+    right = engine._template(p.shape, p.caps, p.sector)[1].rows
+    assert _dims(p) == oracle.brute_dims(p)
+    monkeypatch.setattr(engine, "build_equations", wrong)
+    clear_caches()
+    keys, equations, _images, _over = engine._template(p.shape, p.caps, p.sector)
+    swapped = assemble_linear_system(wrong(p.shape, p.caps, p.sector)[-1:], keys).rows
+    changed = [row for row in swapped if not any(_ratio(r, row) for r in right)]
+    assert changed and all(row in equations.rows for row in changed)
+    assert len(equations.rows) == len(right) + len(changed)
+    assert _dims(p) != oracle.brute_dims(p)
 
 
 def test_shift_invariance_single_case():
@@ -519,7 +517,7 @@ def test_basis_witnesses_are_nonzero_and_independent():
         ExtProblem(shape=3, b=2, alpha=0, abar=0, delta=3, dbar=1),
     ],
 )
-def test_self_check_rejects_a_non_cocycle_coboundary(monkeypatch, p):
+def test_self_check_rejects_a_non_cocycle_coboundary(monkeypatch, fresh_caches, p):
     # one extra in-cap "basis-change image" that breaks the cocycle equations
     zero = MultiPoly.zero()
     l2 = MultiPoly.parse("l^2")
@@ -534,12 +532,8 @@ def test_self_check_rejects_a_non_cocycle_coboundary(monkeypatch, p):
         return span(shape, env, phi_cap) + [replace(bad, f=f)]
 
     monkeypatch.setattr(engine, "coboundary_span_env", with_bad)
-    engine._template.cache_clear()
-    try:
-        with pytest.raises(ArithmeticError, match="capped coboundary fails"):
-            solve_core(p)
-    finally:
-        engine._template.cache_clear()
+    with pytest.raises(ArithmeticError, match="capped coboundary fails"):
+        solve_core(p)
 
 
 # ---------------------------------------------------------------------------
@@ -696,7 +690,8 @@ def test_stability_diagnostics_equal_the_literal_caps_plus_2_solve(
     monkeypatch.setattr(engine, "solve_core", lambda q: cores.append(q) or solve_core(q))
     verify = oracle.verify_witness
     monkeypatch.setattr(oracle, "verify_witness", lambda q, w: checked.append(q) or verify(q, w))
-    sol = solve_ext.__wrapped__(p)
+    clear_caches()
+    sol = solve_ext(p)
     assert cores == [p, _bumped(engine._at_alpha_zero(p))]
     assert cores[1].alpha == 0 != p.alpha
     assert checked == [p] * base

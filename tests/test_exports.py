@@ -1,6 +1,7 @@
 """Every name a wbext module lists in ``__all__`` exists, every module
-imports only the standard library and wbext itself, and no module leaves a
-name dangling: an import it never uses, or a definition nothing reaches."""
+imports only the standard library and wbext itself, no module leaves a
+name dangling: an import it never uses, or a definition nothing reaches,
+and :func:`wbext.clear_caches` empties every module-level cache."""
 
 import ast
 import importlib
@@ -10,6 +11,7 @@ import sys
 import pytest
 
 import wbext
+from wbext import Caps, ExtProblem, classify, engine, quad, scan_dbar, solve_ext, special_values
 
 _MODULES = ["wbext"] + [f"wbext.{m.name}" for m in pkgutil.iter_modules(wbext.__path__)]
 
@@ -95,3 +97,27 @@ def test_every_module_level_definition_is_reached(name):
         elif isinstance(node, ast.Assign):
             defined += [t.id for t in node.targets if isinstance(t, ast.Name) and t.id[0] == "_"]
     assert [n for n in defined if n not in read and not n.startswith("__")] == []
+
+
+def test_clear_caches_empties_every_module_level_cache():
+    """Every ``functools.lru_cache`` at module level in the package, and the
+    engine's transcriptions, are filled by one small solve, scan and classify
+    and are empty after :func:`wbext.clear_caches`, so a cache that does not
+    join it fails here."""
+    caches = {
+        value: f"{value.__module__}.{value.__qualname__}"
+        for name in _MODULES
+        for value in vars(importlib.import_module(name)).values()
+        if hasattr(value, "cache_info")
+    }
+    caps = Caps(3, 2, 3, 3)
+    solve_ext(ExtProblem(shape=3, b=2, alpha=0, abar=0, delta=quad(1, 1, 5), dbar=1, caps=caps))
+    special_values(scan_dbar(2, 3, caps=caps))
+    classify(2, caps=caps)
+    assert engine._transcriptions
+    # a cache this fill does not reach would pass below whether or not
+    # clear_caches empties it
+    assert [n for cache, n in caches.items() if not cache.cache_info().currsize] == []
+    wbext.clear_caches()
+    assert not engine._transcriptions
+    assert [n for cache, n in caches.items() if cache.cache_info().currsize] == []

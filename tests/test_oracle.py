@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wbext import oracle, scanner
-from wbext.engine import solve_ext
+from wbext.engine import coboundary_span_env, solve_ext, witness_coeff_map
+from wbext.equations import unknown_basis
 from wbext.linalg import rank
-from wbext.oracle import _rank, brute_dims, verify_witness
+from wbext.oracle import _rank, brute_dims, independent_mod_coboundaries, verify_witness
 from wbext.poly import D, L, MultiPoly, U
 from wbext.problems import Caps, CocycleWitness, ExtProblem
 from wbext.qext import quad
@@ -306,6 +307,31 @@ def test_solver_matches_brute_dims_on_random_problems(p):
     assert (sol.cocycle_dim, sol.coboundary_dim, sol.ext_dim) == brute_dims(p)
     for w in sol.basis:
         assert verify_witness(p, w).passed
+
+
+@settings(max_examples=40, deadline=None)
+@given(_problems(), st.data())
+def test_independent_mod_coboundaries_accepts_a_basis_and_no_more(p, data):
+    """The check behind ``wbext verify``: the solver's basis is independent
+    modulo the capped coboundaries, and is not with a copy of one of its
+    witnesses added, nor, where the sector has basis changes, with a
+    non-zero basis-change image inside the caps added."""
+    basis = solve_ext(p).basis
+    assert independent_mod_coboundaries(p, basis)
+    if basis:
+        copy = data.draw(st.sampled_from(basis))
+        assert not independent_mod_coboundaries(p, [*basis, copy])
+    if p.sector != "g":
+        keys = set(unknown_basis(p.shape, p.caps, p.sector))
+        inside = [
+            w for w in coboundary_span_env(p.shape, p.env(), p.caps.phi)
+            if witness_coeff_map(w).keys() <= keys
+        ]
+        # shape 1's one image is zero where alpha + gamma = delta = 0
+        assert inside or (p.shape == 1 and p.alpha + p.gamma == p.delta == 0)
+        if inside:
+            image = data.draw(st.sampled_from(inside))
+            assert not independent_mod_coboundaries(p, [*basis, image])
 
 
 @settings(max_examples=20, deadline=None)

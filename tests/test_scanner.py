@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from wbext import engine, oracle, scanner
+from wbext import clear_caches, engine, oracle, scanner
 from wbext.engine import solve_core, solve_ext
 from wbext.equations import (
     LinearSystem,
@@ -397,7 +397,7 @@ def test_classify_witnesses_pass_through_the_oracle(monkeypatch, b):
     assert sp.weights_at(t0) == (1, -b - 1)
     assert not sp.specialize(t0).degenerate_weights()
     assert dict(special_values(sp).special_values)[t0] > 0
-    engine.solve_ext.cache_clear()
+    clear_caches()
     monkeypatch.setattr(oracle, "verify_witness", lambda p, w: oracle.VerifyReport(passed=False))
     with pytest.raises(ArithmeticError, match="checker rejects"):
         scanner._solve_at(sp, t0)
@@ -697,8 +697,7 @@ def test_line_data_equals_a_from_scratch_build(bs, diff, sector, order):
     each give the line data of a from-scratch build of the line alone: the
     b-free part shared between them is the one each would rank itself."""
     assume(sector == "f" or None not in bs)
-    scanner._line_data.cache_clear()
-    scanner._f_part.cache_clear()
+    clear_caches()
     lines = [(b, promote) for b in bs for promote in ("dbar", "delta")]
     for b, promote in (lines[i] for i in order):
         base = scan_dbar(b, diff, sector=sector, caps=_SMALL_CAPS).base
@@ -940,9 +939,7 @@ def test_both_charts_share_one_line_template():
     """Dbar and delta lines of every sector at one caps build one template
     between them; the full and f lines of one chart, at two b, share one
     b-free part, and the two charts' parts are two."""
-    scanner._line_data.cache_clear()
-    scanner._line_template.cache_clear()
-    scanner._f_part.cache_clear()
+    clear_caches()
     for sector, b in (("full", 2), ("f", None), ("full", -1), ("g", 2), ("f", 5)):
         scanner._line_data(scan_dbar(b, 3, sector=sector, caps=_SMALL_CAPS))
         scanner._line_data(scan_delta(b, 3, sector=sector, caps=_SMALL_CAPS))
